@@ -198,6 +198,8 @@ def cmd_conn_change_unif(args) -> int:
 
 
 def cmd_conn_strat(args) -> int:
+    if args.D < 0:
+        raise InputFormatError(f"--D must be >= 0, got {args.D}")
     M = _lenient_connection(_read_json(args.file))
     a = _scalar_choice(M.spec, args.a)
     _emit(encode_stratification(from_connection(M, a, args.D)))
@@ -277,6 +279,8 @@ def cmd_conn_nilpotent(args) -> int:
 
 
 def cmd_conn_galois_kernel(args) -> int:
+    if args.D < 0:
+        raise InputFormatError(f"--D must be >= 0, got {args.D}")
     M = _lenient_connection(_read_json(args.file))
     a = _scalar_choice(M.spec, args.a)
     if args.tau is not None:
@@ -298,6 +302,8 @@ def cmd_conn_converges(args) -> int:
 
 
 def cmd_examples_bk_twist(args) -> int:
+    if args.m < 1:
+        raise InputFormatError(f"--m must be >= 1, got {args.m}")
     spec = _field_from(_read_json(args.field))
     M = connops.bk_twist(LogConnection.trivial(spec, 1, args.m), args.n)
     _emit(encode_connection(M))

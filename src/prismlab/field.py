@@ -1,12 +1,16 @@
 """Exact arithmetic in an Eisenstein extension K = Q_p[u]/(E(u)).
 
-Elements are stored as exact rational coordinate vectors in the basis
-1, pi, ..., pi^(e-1), where pi is the class of u. The valuation is
-normalized so that v(p) = 1, hence v(pi) = 1/e.
+An element is a vector of integer numerators over one positive common
+denominator in the basis 1, pi, ..., pi^(e-1), where pi is the class of u,
+reduced so that the denominator and the numerators share no factor. The
+read-only `coords` view gives the same coordinates as Fractions in lowest
+terms. The valuation is normalized so that v(p) = 1, hence v(pi) = 1/e.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import ZeroInversion
@@ -180,6 +184,11 @@ class FieldSpec:
         self.p = p
         self.e = e
         self.ecoeffs = tuple(coeffs)
+        # pi^e = -(c_0 + c_1 pi + ... + c_{e-1} pi^(e-1)): the nonzero c_i
+        self._fold = tuple((i, c) for i, c in enumerate(coeffs[:-1]) if c)
+        self._higher = (0,) * (e - 1)
+        self._zero = _make(self, (0,) * e, 1)
+        self._one = _make(self, (1,) + self._higher, 1)
 
     def __eq__(self, other):
         return (isinstance(other, FieldSpec)
@@ -192,20 +201,22 @@ class FieldSpec:
         return f"FieldSpec(p={self.p}, E={list(self.ecoeffs)})"
 
     def element(self, coords: Iterable[Rat]) -> "FieldElement":
-        cs = [Fraction(c) for c in coords]
+        cs = list(coords)
         if len(cs) > self.e:
             raise ValueError(f"at most {self.e} coordinates expected")
-        cs += [Fraction(0)] * (self.e - len(cs))
-        return FieldElement(self, tuple(cs))
+        return FieldElement(self, cs + [0] * (self.e - len(cs)))
 
     def zero(self) -> "FieldElement":
-        return self.element([])
+        return self._zero
 
     def one(self) -> "FieldElement":
-        return self.element([1])
+        return self._one
 
     def from_rational(self, r: Rat) -> "FieldElement":
-        return self.element([Fraction(r)])
+        if type(r) is not int:
+            r = Fraction(r)
+            return _make(self, (r.numerator,) + self._higher, r.denominator)
+        return _make(self, (r,) + self._higher, 1)
 
     def pi(self) -> "FieldElement":
         if self.e == 1:
@@ -232,17 +243,60 @@ class FieldSpec:
         return -(self.pi() * self.eval_deriv_at_pi())
 
 
+def _vp_int(n: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+_new = object.__new__
+
+
+def _make(spec: FieldSpec, num: tuple, den: int) -> "FieldElement":
+    """Trusted constructor: num is a tuple of spec.e integers and den > 0.
+
+    Divides out the common factor of den and num, so that every element
+    has one stored form and zero is (0, ..., 0) over 1.
+    """
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple([n // g for n in num])
+            den //= g
+    x = _new(FieldElement)
+    x.spec = spec
+    x._num = num
+    x._den = den
+    return x
+
+
 class FieldElement:
-    """An element of K with exact rational pi-power coordinates."""
+    """An element of K: integer pi-power numerators over one denominator."""
+
+    __slots__ = ("spec", "_num", "_den")
 
     def __init__(self, spec: FieldSpec, coords):
+        cs = [Fraction(c) for c in coords]
+        if len(cs) != spec.e:
+            raise ValueError(f"expected {spec.e} coordinates, got {len(cs)}")
+        den = lcm(*(c.denominator for c in cs))
         self.spec = spec
-        self.coords = tuple(Fraction(c) for c in coords)
-        assert len(self.coords) == spec.e
+        # den is the least common denominator, so no factor is left to divide out
+        self._num = tuple([c.numerator * (den // c.denominator) for c in cs])
+        self._den = den
+
+    @property
+    def coords(self) -> tuple:
+        """The pi-power coordinates as Fractions in lowest terms."""
+        den = self._den
+        return tuple([Fraction(n, den) for n in self._num])
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise ValueError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -250,47 +304,82 @@ class FieldElement:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, [a + b for a, b in zip(self.coords, other.coords)])
+        if type(other) is not FieldElement or other.spec is not self.spec:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self._num, other._num
+        if not any(b):
+            return self
+        if not any(a):
+            return other
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            return _make(self.spec, tuple(map(add, a, b)), d1)
+        g = gcd(d1, d2)
+        s1, s2 = d2 // g, d1 // g
+        return _make(self.spec, tuple([x * s1 + y * s2 for x, y in zip(a, b)]), d1 * s1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.spec, [-a for a in self.coords])
+        x = _new(FieldElement)
+        x.spec = self.spec
+        x._num = tuple([-n for n in self._num])
+        x._den = self._den
+        return x
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not FieldElement or other.spec is not self.spec:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self._num, other._num
+        if not any(b):
+            return self
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            return _make(self.spec, tuple(map(sub, a, b)), d1)
+        g = gcd(d1, d2)
+        s1, s2 = d2 // g, d1 // g
+        return _make(self.spec, tuple([x * s1 - y * s2 for x, y in zip(a, b)]), d1 * s1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        e = self.spec.e
-        prod = [Fraction(0)] * (2 * e - 1)
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coords):
-                if b == 0:
-                    continue
-                prod[i + j] += a * b
+        spec = self.spec
+        a = self._num
+        if type(other) is int:
+            if not other:
+                return spec._zero
+            return _make(spec, tuple([x * other for x in a]), self._den)
+        if type(other) is not FieldElement or other.spec is not spec:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        b = other._num
+        if not any(a):
+            return self
+        if not any(b):
+            return other
+        e = spec.e
+        if e == 1:
+            return _make(spec, (a[0] * b[0],), self._den * other._den)
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
         # fold down powers pi^k, k >= e, using pi^e = -(c_{e-1} pi^{e-1} + ... + c_0)
+        fold = spec._fold
         for k in range(2 * e - 2, e - 1, -1):
             c = prod[k]
-            if c == 0:
-                continue
-            prod[k] = Fraction(0)
-            for i in range(e):
-                prod[k - e + i] -= c * self.spec.ecoeffs[i]
-        return FieldElement(self.spec, prod[:e])
+            if c:
+                for i, ci in fold:
+                    prod[k - e + i] -= c * ci
+        return _make(spec, tuple(prod[:e]), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -320,33 +409,45 @@ class FieldElement:
             other = self.spec.from_rational(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.spec == other.spec and self.coords == other.coords
+        return (self._num == other._num and self._den == other._den
+                and (self.spec is other.spec or self.spec == other.spec))
 
     def __hash__(self):
-        return hash((self.spec, self.coords))
+        return hash((self.spec, self._num, self._den))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self._num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self._num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element has nonzero higher coordinates")
-        return self.coords[0]
+        return Fraction(self._num[0], self._den)
 
     def invert(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroInversion("cannot invert zero")
-        epoly = [Fraction(c) for c in self.spec.ecoeffs]
-        g, s, _ = _poly_ext_gcd(list(self.coords), epoly)
-        # g is a nonzero constant since E is irreducible
-        assert len(g) == 1 and g[0] != 0
-        inv = [c / g[0] for c in s]
-        _, rem = _poly_divmod(inv, epoly)
-        rem += [Fraction(0)] * (self.spec.e - len(rem))
-        return FieldElement(self.spec, rem[:self.spec.e])
+        spec = self.spec
+        if spec.e == 1:
+            n = self._num[0]
+            return _make(spec, (self._den if n > 0 else -self._den,), abs(n))
+        epoly = [Fraction(c) for c in spec.ecoeffs]
+        g, s, _ = _poly_ext_gcd([Fraction(n) for n in self._num], epoly)
+        # s * num = g mod E; g is a nonzero constant since E is irreducible
+        if len(g) != 1:
+            raise ValueError(f"E = {list(spec.ecoeffs)} is not irreducible over Q")
+        scale = self._den / g[0]
+        _, rem = _poly_divmod([c * scale for c in s], epoly)
+        return spec.element(rem)
+
+    def _pi_adic_terms(self, start: int):
+        """v_p(coordinate i) + i/e for each nonzero coordinate i >= start."""
+        p, e = self.spec.p, self.spec.e
+        vden = _vp_int(self._den, p)
+        return [Fraction((_vp_int(n, p) - vden) * e + i, e)
+                for i, n in enumerate(self._num) if i >= start and n]
 
     def val(self) -> Valuation:
         """min over nonzero coordinates of v_p(a_i) + i/e, +inf for zero.
@@ -354,15 +455,8 @@ class FieldElement:
         Exact because distinct i give distinct fractional parts i/e, so no
         two terms of the minimum can collide.
         """
-        best = None
-        for i, c in enumerate(self.coords):
-            v = vp_rational(c, self.spec.p)
-            if v is None:
-                continue
-            cand = Fraction(v) + Fraction(i, self.spec.e)
-            if best is None or cand < best:
-                best = cand
-        return Valuation.infinity() if best is None else Valuation(best)
+        terms = self._pi_adic_terms(0)
+        return Valuation(min(terms)) if terms else Valuation.infinity()
 
     def dist_to_integers(self) -> Valuation:
         """sup over integers k of val(self - k).
@@ -372,20 +466,12 @@ class FieldElement:
         (no integer can repair a pole), and m1 otherwise (integers are
         dense in Z_p, so the a_0 part can be matched arbitrarily well).
         """
-        p = self.spec.p
-        m1 = None
-        for i in range(1, self.spec.e):
-            v = vp_rational(self.coords[i], p)
-            if v is None:
-                continue
-            cand = Fraction(v) + Fraction(i, self.spec.e)
-            if m1 is None or cand < m1:
-                m1 = cand
-        v0 = vp_rational(self.coords[0], p)
-        if v0 is not None and v0 < 0:
-            if m1 is None or Fraction(v0) < m1:
-                return Valuation(v0)
-            return Valuation(m1)
+        higher = self._pi_adic_terms(1)
+        m1 = min(higher) if higher else None
+        if self._num[0]:
+            v0 = _vp_int(self._num[0], self.spec.p) - _vp_int(self._den, self.spec.p)
+            if v0 < 0:
+                return Valuation(v0 if m1 is None or v0 < m1 else m1)
         return Valuation.infinity() if m1 is None else Valuation(m1)
 
     def __repr__(self):

@@ -1,7 +1,12 @@
-"""Exact linear algebra over K: dense matrices of field elements."""
+"""Exact linear algebra over K: dense matrices of field elements.
+
+Products skip zero entries on both sides, so the block-triangular
+operators of log connections cost what their nonzero entries cost.
+"""
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, neg, sub
 from typing import List, Sequence
 
 from .field import FieldElement, FieldSpec
@@ -10,28 +15,34 @@ from .field import FieldElement, FieldSpec
 class Matrix:
     def __init__(self, spec: FieldSpec, rows):
         self.spec = spec
-        coerced = []
-        for row in rows:
-            r = []
-            for x in row:
-                if isinstance(x, FieldElement):
-                    r.append(x)
-                else:
-                    r.append(spec.from_rational(Fraction(x)))
-            coerced.append(tuple(r))
-        self.rows = tuple(coerced)
+        self.rows = tuple(tuple(x if isinstance(x, FieldElement) else spec.from_rational(x)
+                                for x in row) for row in rows)
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
-            assert len(r) == self.ncols
+        if any(len(r) != self.ncols for r in self.rows):
+            raise ValueError("matrix rows must have equal length")
+
+    @classmethod
+    def _trusted(cls, spec: FieldSpec, rows) -> "Matrix":
+        """Trusted constructor: rows is a tuple of equal-length tuples of
+        elements of spec, as built by the operations below."""
+        out = object.__new__(cls)
+        out.spec = spec
+        out.rows = rows
+        out.nrows = len(rows)
+        out.ncols = len(rows[0]) if rows else 0
+        return out
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "Matrix":
-        return cls(spec, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        zero, one = spec.zero(), spec.one()
+        return cls._trusted(spec, tuple(tuple(one if i == j else zero for j in range(n))
+                                        for i in range(n)))
 
     @classmethod
     def zero(cls, spec: FieldSpec, nrows: int, ncols: int) -> "Matrix":
-        return cls(spec, [[0] * ncols for _ in range(nrows)])
+        row = (spec.zero(),) * ncols
+        return cls._trusted(spec, (row,) * nrows)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -42,40 +53,59 @@ class Matrix:
             return NotImplemented
         return self.spec == other.spec and self.rows == other.rows
 
+    def _check_shape(self, other):
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ValueError(f"shapes {self.nrows}x{self.ncols} and "
+                             f"{other.nrows}x{other.ncols} differ")
+
     def __add__(self, other):
-        assert self.nrows == other.nrows and self.ncols == other.ncols
-        return Matrix(self.spec, [[a + b for a, b in zip(r1, r2)]
-                                  for r1, r2 in zip(self.rows, other.rows)])
+        self._check_shape(other)
+        return Matrix._trusted(self.spec, tuple(tuple(map(add, r1, r2))
+                                                for r1, r2 in zip(self.rows, other.rows)))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check_shape(other)
+        return Matrix._trusted(self.spec, tuple(tuple(map(sub, r1, r2))
+                                                for r1, r2 in zip(self.rows, other.rows)))
 
     def __neg__(self):
-        return Matrix(self.spec, [[-a for a in r] for r in self.rows])
+        return Matrix._trusted(self.spec, tuple(tuple(map(neg, r)) for r in self.rows))
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            assert self.ncols == other.nrows
-            cols = list(zip(*other.rows))
-            out = []
-            for r in self.rows:
-                out.append([_dot(self.spec, r, c) for c in cols])
-            return Matrix(self.spec, out)
-        return self.scale(other)
+        if not isinstance(other, Matrix):
+            return self.scale(other)
+        if self.ncols != other.nrows:
+            raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} "
+                             f"by {other.nrows}x{other.ncols}")
+        # row-sparse product: row i of the result sums a_ik * (row k of other)
+        # over the nonzero a_ik, and each row k keeps only its nonzero entries
+        sparse = [[(j, b) for j, b in enumerate(row) if not b.is_zero()]
+                  for row in other.rows]
+        blank = [self.spec.zero()] * other.ncols
+        out = []
+        for row in self.rows:
+            acc = list(blank)
+            for a, brow in zip(row, sparse):
+                if brow and not a.is_zero():
+                    for j, b in brow:
+                        acc[j] = acc[j] + a * b
+            out.append(tuple(acc))
+        return Matrix._trusted(self.spec, tuple(out))
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c) -> "Matrix":
-        if not isinstance(c, FieldElement):
-            c = self.spec.from_rational(Fraction(c))
-        return Matrix(self.spec, [[a * c for a in r] for r in self.rows])
+        if type(c) is not int and not isinstance(c, FieldElement):
+            c = self.spec.from_rational(c)
+        return Matrix._trusted(self.spec, tuple(tuple([a * c for a in r]) for r in self.rows))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.spec, [list(col) for col in zip(*self.rows)])
+        return Matrix._trusted(self.spec, tuple(zip(*self.rows)))
 
     def apply(self, vec: Sequence[FieldElement]) -> List[FieldElement]:
-        assert len(vec) == self.ncols
+        if len(vec) != self.ncols:
+            raise ValueError(f"vector of length {len(vec)} for {self.ncols} columns")
         return [_dot(self.spec, r, vec) for r in self.rows]
 
     def is_zero(self) -> bool:
@@ -107,12 +137,13 @@ class Matrix:
             for i in range(len(rows)):
                 if i != pr and not rows[i][pc].is_zero():
                     f = rows[i][pc]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
+                    rows[i] = [a if b.is_zero() else a - f * b
+                               for a, b in zip(rows[i], rows[pr])]
             pivots.append(pc)
             pr += 1
             if pr == len(rows):
                 break
-        return Matrix(self.spec, rows), pivots
+        return Matrix._trusted(self.spec, tuple(map(tuple, rows))), pivots
 
     def rank(self) -> int:
         _, pivots = self.rref()
@@ -157,7 +188,8 @@ class Matrix:
 def _dot(spec, xs, ys):
     acc = spec.zero()
     for x, y in zip(xs, ys):
-        acc = acc + x * y
+        if not x.is_zero():
+            acc = acc + x * y
     return acc
 
 
@@ -171,7 +203,7 @@ def eval_poly(coeffs: Sequence[FieldElement], x: FieldElement) -> FieldElement:
 def poly_deflate(coeffs: Sequence[FieldElement], root: FieldElement):
     """Divide a monic polynomial by (x - root); returns monic quotient.
 
-    Caller must ensure root is an exact root.
+    Raises ValueError when root is not an exact root.
     """
     n = len(coeffs) - 1
     out = [None] * n
@@ -179,5 +211,6 @@ def poly_deflate(coeffs: Sequence[FieldElement], root: FieldElement):
     for k in range(n - 1, -1, -1):
         out[k] = acc
         acc = coeffs[k] + acc * root
-    assert acc.is_zero()
+    if not acc.is_zero():
+        raise ValueError("deflation by a value that is not a root")
     return out

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Dict, Tuple
 
 from .errors import DegreeMismatch, IndexOutOfRange
@@ -55,6 +56,16 @@ class PDElement:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, config: CosimpConfig, degree: int, terms: Dict[Key, FieldElement]):
+        """Trusted constructor for results of the operations below: every key
+        is in range already, so only vanishing coefficients are dropped."""
+        out = object.__new__(cls)
+        out.config = config
+        out.degree = degree
+        out.terms = {k: c for k, c in terms.items() if not c.is_zero()}
+        return out
+
+    @classmethod
     def zero(cls, config, degree):
         return cls(config, degree, {})
 
@@ -92,11 +103,11 @@ class PDElement:
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out[key] + c if key in out else c
-        return PDElement(self.config, self.degree, out)
+        return PDElement._trusted(self.config, self.degree, out)
 
     def __neg__(self):
-        return PDElement(self.config, self.degree,
-                         {k: -c for k, c in self.terms.items()})
+        return PDElement._trusted(self.config, self.degree,
+                                  {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, PDElement):
@@ -106,8 +117,8 @@ class PDElement:
     def scale(self, s) -> "PDElement":
         if not isinstance(s, FieldElement):
             s = self.config.spec.from_rational(Fraction(s))
-        return PDElement(self.config, self.degree,
-                         {k: c * s for k, c in self.terms.items()})
+        return PDElement._trusted(self.config, self.degree,
+                                  {k: c * s for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
@@ -115,21 +126,25 @@ class PDElement:
         if not isinstance(other, PDElement):
             return NotImplemented
         self._check_compatible(other)
-        cfg = self.config
+        m, D = self.config.m, self.config.D
+        right = [(ks2, sum(ks2), j2, c2) for (ks2, j2), c2 in other.terms.items()]
         out: Dict[Key, FieldElement] = {}
         for (ks1, j1), c1 in self.terms.items():
-            for (ks2, j2), c2 in other.terms.items():
+            deg1 = sum(ks1)
+            for ks2, deg2, j2, c2 in right:
                 j = j1 + j2
-                ks = tuple(a + b for a, b in zip(ks1, ks2))
-                if j >= cfg.m or sum(ks) > cfg.D:
+                if j >= m or deg1 + deg2 > D:
                     continue
+                # X^[a] X^[b] = C(a+b, a) X^[a+b]: scale by the integer directly
                 mult = 1
                 for a, b in zip(ks1, ks2):
                     mult *= comb(a + b, a)
-                c = c1 * c2 * mult
-                key = (ks, j)
+                c = c1 * c2
+                if mult != 1:
+                    c = c * mult
+                key = (tuple(map(add, ks1, ks2)), j)
                 out[key] = out[key] + c if key in out else c
-        return PDElement(cfg, self.degree, out)
+        return PDElement._trusted(self.config, self.degree, out)
 
     __rmul__ = __mul__
 

@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -31,6 +32,35 @@ def run_cli(argv, stdin_text=""):
     finally:
         sys.stdin = old
     return code, buf.getvalue()
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+# bad numeric flags; the connection comes on standard input, and the last
+# one takes the field file as its final argument
+BAD_FLAGS = [["conn", "strat", "--D", "-1"],
+             ["conn", "galois-kernel", "--D", "-2"],
+             ["examples", "bk-twist", "--n", "1", "--m", "0", "--field"]]
+
+
+def bad_flag_argv(flags, field_path):
+    return flags + [field_path] if flags[-1] == "--field" else flags
+
+
+def run_cli_stderr(argv, stdin_text=""):
+    """run_cli, also returning what went to standard error."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(argv, stdin_text)
+    return code, out, err.getvalue()
+
+
+def run_module(flags, argv, stdin_text=""):
+    """python [flags] -m prismlab.cli argv in a subprocess."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *flags, "-m", "prismlab.cli", *argv],
+                          input=stdin_text.encode(), capture_output=True, env=env)
 
 
 @pytest.fixture
@@ -246,6 +276,48 @@ class TestFailurePaths:
         assert code == 2
         code, _ = run_cli(["conn"])
         assert code == 2
+
+
+class TestBadFlags:
+    @pytest.mark.parametrize("flags", BAD_FLAGS, ids=["strat-D", "galois-kernel-D",
+                                                      "bk-twist-m"])
+    def test_bad_numeric_flag_exits_two(self, flags, q3_field_file, q3):
+        conn_json = canonical_json(encode_connection(constant_conn(q3, 2, [[1]])))
+        code, out, err = run_cli_stderr(bad_flag_argv(flags, q3_field_file),
+                                        stdin_text=conn_json)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+class TestOptimizedMode:
+    """Checks that carry correctness are not asserts: under python -O the
+    CLI gives the same exit codes and stdout bytes as a normal run."""
+
+    def both(self, argv, stdin_text=""):
+        normal = run_module([], argv, stdin_text)
+        optimized = run_module(["-O"], argv, stdin_text)
+        assert (optimized.returncode, optimized.stdout) == (normal.returncode, normal.stdout)
+        return normal
+
+    def test_bad_flags(self, q3_field_file, q3):
+        conn_json = canonical_json(encode_connection(constant_conn(q3, 2, [[1]])))
+        for flags in BAD_FLAGS:
+            proc = self.both(bad_flag_argv(flags, q3_field_file), conn_json)
+            assert proc.returncode == 2 and proc.stdout == b""
+
+    def test_readme_pipeline(self, tmp_path, field_file):
+        assert self.both(["field", "check", field_file]).returncode == 0
+        conn = {"field": {"p": 3, "E": [-3, 0, 1]}, "l": 2, "m": 2,
+                "N": [[3, 0], [1, [[0, -2]]]]}
+        path = tmp_path / "conn.json"
+        path.write_text(json.dumps(conn))
+        new = self.both(["conn", "new", str(path)])
+        assert new.returncode == 0
+        strat = self.both(["conn", "strat", "--D", "4", "-"], new.stdout.decode())
+        assert strat.returncode == 0
+        back = self.both(["strat", "to-conn", "-"], strat.stdout.decode())
+        assert back.returncode == 0 and back.stdout == new.stdout
 
 
 class TestSession:

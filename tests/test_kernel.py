@@ -1,0 +1,213 @@
+"""The integer-coordinate field kernel and the zero-skipping matrix product,
+each checked against a plain reference kept here.
+
+The field reference works on tuples of Fractions with the schoolbook
+multiply and the fold pi^e = -(c_0 + ... + c_{e-1} pi^(e-1)); the matrix
+reference is the dense dot product over every index.
+"""
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from prismlab.errors import ZeroInversion
+from prismlab.field import FieldElement, FieldSpec
+from prismlab.linalg import Matrix, poly_deflate
+
+from conftest import random_element
+
+# the three fields of the acceptance suite, and a cubic with a middle term
+SPECS = [FieldSpec(3, [-3, 1]), FieldSpec(3, [-3, 0, 1]), FieldSpec(2, [-2, 0, 1]),
+         FieldSpec(3, [3, 3, 0, 1])]
+
+
+# --- plain Fraction reference ----------------------------------------------
+
+def ref_add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def ref_neg(x):
+    return tuple(-a for a in x)
+
+
+def ref_mul(spec, x, y):
+    e = spec.e
+    prod = [Fraction(0)] * (2 * e - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            prod[i + j] += a * b
+    for k in range(2 * e - 2, e - 1, -1):
+        c = prod[k]
+        prod[k] = Fraction(0)
+        for i in range(e):
+            prod[k - e + i] -= c * spec.ecoeffs[i]
+    return tuple(prod[:e])
+
+
+def ref_one(spec):
+    return (Fraction(1),) + (Fraction(0),) * (spec.e - 1)
+
+
+def assert_canonical(x):
+    """Stored form reduced, and coords Fractions in lowest terms."""
+    assert x._den > 0 and gcd(x._den, *x._num) == 1
+    assert len(x.coords) == x.spec.e
+    for c in x.coords:
+        assert type(c) is Fraction and gcd(c.numerator, c.denominator) == 1
+    if x.is_zero():
+        assert x._num == (0,) * x.spec.e and x._den == 1
+
+
+rationals = st.fractions(min_value=-40, max_value=40, max_denominator=36)
+
+
+@st.composite
+def spec_and_coords(draw, count=2):
+    spec = draw(st.sampled_from(SPECS))
+    vecs = [tuple(draw(st.lists(rationals, min_size=spec.e, max_size=spec.e)))
+            for _ in range(count)]
+    return spec, vecs
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec_and_coords())
+def test_ring_operations_match_reference(data):
+    spec, (x, y) = data
+    a, b = spec.element(x), spec.element(y)
+    cases = [(a + b, ref_add(x, y)), (a - b, ref_add(x, ref_neg(y))),
+             (-a, ref_neg(x)), (a * b, ref_mul(spec, x, y)),
+             (a * 6, ref_mul(spec, x, (Fraction(6),) + (Fraction(0),) * (spec.e - 1))),
+             (a * Fraction(-2, 9), tuple(c * Fraction(-2, 9) for c in x))]
+    for got, want in cases:
+        assert got.coords == want
+        assert_canonical(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec_and_coords(count=1))
+def test_invert_matches_reference(data):
+    spec, (x,) = data
+    a = spec.element(x)
+    if not any(x):
+        with pytest.raises(ZeroInversion):
+            a.invert()
+        return
+    inv = a.invert()
+    assert_canonical(inv)
+    assert ref_mul(spec, x, inv.coords) == ref_one(spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec_and_coords(count=2))
+def test_equality_and_hash_follow_the_value(data):
+    spec, (x, y) = data
+    a, b = spec.element(x), spec.element(y)
+    # the same value reached along two routes: one stored form, one hash
+    c = (a + b) - b
+    assert c == a and hash(c) == hash(a)
+    assert c._num == a._num and c._den == a._den
+    assert (a == b) == (x == y)
+    # a rational element equals the rational
+    r = spec.from_rational(x[0])
+    assert r == x[0] and r.coords[0] == x[0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(spec_and_coords(count=1))
+def test_zero_has_one_form(data):
+    spec, (x,) = data
+    a = spec.element(x)
+    zeros = [a - a, a * 0, 0 * a, a + (-a), spec.from_rational(0),
+             spec.element([Fraction(0, 7)] * spec.e), spec.zero() * a]
+    for z in zeros:
+        assert z.is_zero() and z == spec.zero() and hash(z) == hash(spec.zero())
+        assert_canonical(z)
+
+
+def test_coords_are_read_only(q3s):
+    a = q3s.element([1, 2])
+    with pytest.raises(AttributeError):
+        a.coords = (Fraction(0), Fraction(0))
+
+
+def test_coordinate_count_is_checked_without_assert(q3s):
+    with pytest.raises(ValueError):
+        FieldElement(q3s, [1])
+    with pytest.raises(ValueError):
+        FieldElement(q3s, [1, 2, 3])
+    assert FieldElement(q3s, ["1/2", 3]) == q3s.element([Fraction(1, 2), 3])
+
+
+def test_zero_and_one_are_shared(q3s):
+    assert q3s.zero() is q3s.zero() and q3s.one() is q3s.one()
+    assert q3s.one().coords == (Fraction(1), Fraction(0))
+
+
+# --- matrices ----------------------------------------------------------------
+
+def dense_product(A, B):
+    """Every scalar product of every row with every column, zeros included."""
+    spec = A.spec
+    out = []
+    for row in A.rows:
+        out_row = []
+        for col in zip(*B.rows):
+            acc = spec.zero()
+            for x, y in zip(row, col):
+                acc = acc + x * y
+            out_row.append(acc)
+        out.append(out_row)
+    return Matrix(spec, out)
+
+
+def random_matrix(rng, spec, nrows, ncols, zero_frac):
+    return Matrix(spec, [[spec.zero() if rng.random() < zero_frac
+                          else random_element(rng, spec, 5) for _ in range(ncols)]
+                         for _ in range(nrows)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(SPECS), n=st.integers(1, 7), k=st.integers(1, 7),
+       p=st.integers(1, 7), zero_frac=st.sampled_from([0.0, 0.5, 0.8, 1.0]),
+       seed=st.integers(0, 10 ** 6))
+def test_sparse_product_matches_dense(spec, n, k, p, zero_frac, seed):
+    rng = random.Random(seed)
+    A = random_matrix(rng, spec, n, k, zero_frac)
+    B = random_matrix(rng, spec, k, p, zero_frac)
+    got = A * B
+    assert (got.nrows, got.ncols) == (n, p)
+    assert got == dense_product(A, B)
+    for row in got.rows:
+        for x in row:
+            assert_canonical(x)
+
+
+def test_block_triangular_product(rng, q3s):
+    # strictly lower triangular times lower triangular, as in operator families
+    n = 6
+    L = Matrix(q3s, [[random_element(rng, q3s) if j < i else 0 for j in range(n)]
+                     for i in range(n)])
+    M = Matrix(q3s, [[random_element(rng, q3s) if j <= i else 0 for j in range(n)]
+                     for i in range(n)])
+    assert L * M == dense_product(L, M)
+    assert M * L == dense_product(M, L)
+
+
+def test_shape_errors_are_typed(q3s):
+    with pytest.raises(ValueError):
+        Matrix(q3s, [[1, 2], [3]])
+    with pytest.raises(ValueError):
+        Matrix(q3s, [[1, 2]]) * Matrix(q3s, [[1, 2]])
+    with pytest.raises(ValueError):
+        Matrix(q3s, [[1, 2]]) + Matrix(q3s, [[1], [2]])
+
+
+def test_deflate_rejects_a_non_root(q3s):
+    # x^2 - 3 has roots +-pi, and 1 is not one of them
+    chi = [q3s.from_rational(-3), q3s.zero(), q3s.one()]
+    assert poly_deflate(chi, q3s.pi()) == [q3s.pi(), q3s.one()]
+    with pytest.raises(ValueError):
+        poly_deflate(chi, q3s.one())

@@ -119,6 +119,48 @@ class TestLeibnizGate:
             to_connection(bad)
 
 
+def leibniz_every_power(strat):
+    """The Leibniz test over every d = 0..m-1, kept as the reference for
+    check_leibniz, which tests d in {0, 1} only."""
+    spec, l, m, a = strat.spec, strat.l, strat.m, strat.a
+    if strat.D < 1:
+        return {"ok": True, "witness": None}
+    phi1 = strat.phi[1]
+    for d in range(m):
+        md = multiplication_by_t_power(spec, l, m, d)
+        gap = phi1 * md - md * phi1 - md.scale(a * d)
+        if not gap.is_zero():
+            where = next((r, c) for r in range(l * m) for c in range(l * m)
+                         if not gap[r, c].is_zero())
+            return {"ok": False, "witness": {"power": d, "entry": where}}
+    return {"ok": True, "witness": None}
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.integers(0, 2), l=st.integers(1, 2), m=st.integers(1, 4),
+       seed=st.integers(0, 10 ** 6))
+def test_leibniz_at_d_one_matches_every_power(field, l, m, seed):
+    import random
+
+    from prismlab.field import FieldSpec
+    spec = [FieldSpec(3, [-3, 1]), FieldSpec(3, [-3, 0, 1]), FieldSpec(2, [-2, 0, 1])][field]
+    rng = random.Random(seed)
+    strat = from_connection(random_connection(rng, spec, l, m), spec.a_prism(), 2)
+    assert check_leibniz(strat) == leibniz_every_power(strat) == {"ok": True, "witness": None}
+    n = l * m
+    # one perturbed entry, a scalar shift (which commutes with T), and a
+    # perturbation confined to the top T-degree
+    r, c = rng.randrange(n), rng.randrange(n)
+    single = [[random_element(rng, spec, 3) if (i, j) == (r, c) else 0
+               for j in range(n)] for i in range(n)]
+    shift = Matrix.identity(spec, n).scale(random_element(rng, spec, 3))
+    top = [[random_element(rng, spec, 3) if i >= n - l and j >= n - l else 0
+            for j in range(n)] for i in range(n)]
+    for delta in (Matrix(spec, single), shift, Matrix(spec, top)):
+        bad = strat.perturbed(1, delta)
+        assert check_leibniz(bad) == leibniz_every_power(bad)
+
+
 def cocycle_sides_closed_form(strat):
     """Both sides of the gluing identity by direct triple-sum expansion.
 
