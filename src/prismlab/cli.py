@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import connops
@@ -19,34 +18,20 @@ from .errors import (InputFormatError, InvalidValuation, LeibnizViolation,
                      RingMismatch)
 from .field import FieldSpec, Valuation
 from .galois import GaloisElementData, action_kernel, converges_at, tau_power_kernel
-from .series import TruncSeries
 from .serialize import (canonical_json, encode_connection, encode_element,
                         encode_field, encode_kernel, encode_stratification,
                         encode_valuation_list, encode_verdict,
-                        parse_connection, parse_element, parse_field,
-                        parse_kernel, parse_rational, parse_series,
-                        parse_stratification)
+                        parse_connection, parse_field, parse_kernel,
+                        parse_rational, parse_series, parse_stratification)
 from .strat import (LogConnection, check_cocycle, check_leibniz,
                     from_connection, to_connection, verify_key_lemma)
-
-
-class Session:
-    """A validated bundle: one field, named connections and stratifications,
-    and global configuration defaults."""
-
-    def __init__(self, field: FieldSpec, connections=None, stratifications=None,
-                 config=None):
-        self.field = field
-        self.connections = connections or {}
-        self.stratifications = stratifications or {}
-        self.config = config or {}
 
 
 def _reject_duplicates(pairs):
     seen = set()
     for k, _ in pairs:
         if k in seen:
-            raise InputFormatError(f"duplicate name {k!r}")
+            raise InputFormatError(f"duplicate key {k!r}")
         seen.add(k)
     return dict(pairs)
 
@@ -56,39 +41,6 @@ def _loads(text: str):
         return json.loads(text, object_pairs_hook=_reject_duplicates)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"bad JSON at line {exc.lineno}: {exc.msg}") from exc
-
-
-def parse_session(path: str) -> Session:
-    """Load and fully validate a session file.
-
-    A bare field object {"p": ..., "E": [...]} is the minimal session;
-    otherwise the object carries "field" plus optional "connections",
-    "stratifications" and "config" maps. All named objects must live over
-    the session field.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = _loads(fh.read())
-    if not isinstance(obj, dict):
-        raise InputFormatError("session must be a JSON object")
-    if "field" not in obj:
-        return Session(parse_field(obj))
-    field = parse_field(obj["field"])
-    conns = {}
-    for name, c in (obj.get("connections") or {}).items():
-        M = parse_connection(c)
-        if M.spec != field:
-            raise InputFormatError(f"connection {name!r} uses a different field")
-        conns[name] = M
-    strats = {}
-    for name, s in (obj.get("stratifications") or {}).items():
-        st = parse_stratification(s)
-        if st.spec != field:
-            raise InputFormatError(f"stratification {name!r} uses a different field")
-        strats[name] = st
-    config = obj.get("config") or {}
-    if not isinstance(config, dict):
-        raise InputFormatError("config must be an object")
-    return Session(field, conns, strats, config)
 
 
 def _read_json(path: Optional[str]):
@@ -103,42 +55,36 @@ def _emit(obj) -> None:
 
 
 def _lenient_connection(obj) -> LogConnection:
-    """Connection from the canonical form, or from shorthand matrix cells:
-    a bare rational means a constant entry, a list of coordinate arrays the
-    low coefficients of the entry."""
-    if not isinstance(obj, dict):
-        raise InputFormatError("connection must be an object")
-    for key in ("field", "m", "l", "N"):
-        if key not in obj:
-            raise InputFormatError(f"connection needs key {key}")
-    spec = parse_field(obj["field"])
-    unif = obj.get("unif", "T")
-    m, l, N = obj["m"], obj["l"], obj["N"]
-    if not (isinstance(m, int) and m >= 1 and isinstance(l, int) and l >= 1):
-        raise InputFormatError("connection needs integer l >= 1 and m >= 1")
-    if not isinstance(N, list) or len(N) != l or any(
-            not isinstance(row, list) or len(row) != l for row in N):
-        raise InputFormatError("connection matrix must be l x l")
-    rows = []
-    for row in N:
-        out = []
-        for cell in row:
-            if isinstance(cell, dict):
-                s = parse_series(spec, cell)
-                if s.m != m or s.unif != unif:
-                    raise InputFormatError("matrix entry disagrees with connection header")
-            elif isinstance(cell, list):
-                if len(cell) > m:
-                    raise InputFormatError("matrix entry has more than m coefficients")
-                coeffs = [parse_element(spec, c) if isinstance(c, list)
-                          else spec.from_rational(parse_rational(c)) for c in cell]
-                coeffs += [spec.zero()] * (m - len(coeffs))
-                s = TruncSeries(spec, m, coeffs, unif)
-            else:
-                s = TruncSeries.constant(spec, m, spec.from_rational(parse_rational(cell)), unif)
-            out.append(s)
-        rows.append(out)
-    return LogConnection(spec, unif, l, m, rows)
+    """Connection from the canonical form or from shorthand, validated by
+    parse_connection. Shorthand may omit "unif" (it defaults to "T") and
+    may give a matrix cell as a bare rational, meaning a constant entry, or
+    as a list of the entry's low coefficients, each a coordinate array or a
+    bare rational. This pre-pass only rewrites such cells into canonical
+    series objects; dict cells pass through untouched."""
+    if isinstance(obj, dict):
+        obj = dict(obj)
+        unif = obj.setdefault("unif", "T")
+        m, N = obj.get("m"), obj.get("N")
+        E = obj["field"].get("E") if isinstance(obj.get("field"), dict) else None
+        # anything else makes parse_connection fail before it reads a cell
+        if (type(m) is int and isinstance(N, list) and isinstance(E, list)
+                and all(isinstance(row, list) for row in N)):
+            obj["N"] = [[_series_object(cell, unif, m, len(E) - 1) for cell in row]
+                        for row in N]
+    return parse_connection(obj)
+
+
+def _series_object(cell, unif, m: int, e: int):
+    if isinstance(cell, dict):
+        return cell
+    coeffs = [c if isinstance(c, list) else [c] + [0] * (e - 1)
+              for c in (cell if isinstance(cell, list) else [cell])]
+    return {"unif": unif, "m": m, "coeffs": coeffs + [[0] * e] * (m - len(coeffs))}
+
+
+def _require_at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise InputFormatError(f"{flag} must be >= {low}, got {value}")
 
 
 def _field_from(obj) -> FieldSpec:
@@ -189,6 +135,7 @@ def cmd_conn_twist(args) -> int:
 def cmd_conn_change_unif(args) -> int:
     M = _lenient_connection(_read_json(args.file))
     if args.lambda_F is not None:
+        _require_at_least("--lambda-F", args.lambda_F, 0)
         moved = connops.kummer_sen_operator(M, args.lambda_F)
     else:
         y = parse_series(M.spec, _read_json(args.y))
@@ -198,8 +145,7 @@ def cmd_conn_change_unif(args) -> int:
 
 
 def cmd_conn_strat(args) -> int:
-    if args.D < 0:
-        raise InputFormatError(f"--D must be >= 0, got {args.D}")
+    _require_at_least("--D", args.D, 0)
     M = _lenient_connection(_read_json(args.file))
     a = _scalar_choice(M.spec, args.a)
     _emit(encode_stratification(from_connection(M, a, args.D)))
@@ -234,6 +180,7 @@ def cmd_strat_to_conn(args) -> int:
 
 
 def cmd_verify_key_lemma(args) -> int:
+    _require_at_least("--n-max", args.n_max, 0)
     st = parse_stratification(_read_json(args.file))
     D_eff = st.D - args.n_max
     if D_eff < 0:
@@ -258,6 +205,7 @@ def cmd_conn_cohomology(args) -> int:
 
 
 def cmd_conn_classify(args) -> int:
+    _require_at_least("--probe-max", args.probe_max, 1)
     rep = connops.classify_ndR(_lenient_connection(_read_json(args.file)),
                                n_max=args.probe_max)
     out = {"nearly_dR": rep["nearly_dR"], "log_nearly_dR": rep["log_nearly_dR"]}
@@ -268,6 +216,7 @@ def cmd_conn_classify(args) -> int:
 
 
 def cmd_conn_nilpotent(args) -> int:
+    _require_at_least("--probe-max", args.probe_max, 1)
     M = _lenient_connection(_read_json(args.file))
     rep = connops.check_nilpotent(M, _scalar_choice(M.spec, args.a),
                                   n_max=args.probe_max)
@@ -279,8 +228,7 @@ def cmd_conn_nilpotent(args) -> int:
 
 
 def cmd_conn_galois_kernel(args) -> int:
-    if args.D < 0:
-        raise InputFormatError(f"--D must be >= 0, got {args.D}")
+    _require_at_least("--D", args.D, 0)
     M = _lenient_connection(_read_json(args.file))
     a = _scalar_choice(M.spec, args.a)
     if args.tau is not None:
@@ -294,16 +242,15 @@ def cmd_conn_galois_kernel(args) -> int:
 def cmd_conn_converges(args) -> int:
     kernel = parse_kernel(_read_json(args.file))
     if args.v0 == "inf":
-        g = GaloisElementData(Valuation.infinity(), args.c)
+        g = GaloisElementData(Valuation.infinity())
     else:
-        g = GaloisElementData(parse_rational(args.v0), args.c)
+        g = GaloisElementData(parse_rational(args.v0))
     _emit(encode_verdict(converges_at(kernel, g)))
     return 0
 
 
 def cmd_examples_bk_twist(args) -> int:
-    if args.m < 1:
-        raise InputFormatError(f"--m must be >= 1, got {args.m}")
+    _require_at_least("--m", args.m, 1)
     spec = _field_from(_read_json(args.field))
     M = connops.bk_twist(LogConnection.trivial(spec, 1, args.m), args.n)
     _emit(encode_connection(M))
@@ -371,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_conn_galois_kernel)
     p = conn.add_parser("converges")
     p.add_argument("--v0", required=True)
-    p.add_argument("--c", type=int, default=None)
     _add_input(p)
     p.set_defaults(func=cmd_conn_converges)
 

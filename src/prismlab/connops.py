@@ -10,7 +10,10 @@ from .errors import BadTruncationIndex, NotAUniformizer, RingMismatch
 from .field import FieldElement, FieldSpec, Valuation, vp_rational
 from .linalg import Matrix, eval_poly, poly_deflate
 from .series import TruncSeries, lambda_approx, rewrite_in_uniformizer
-from .strat import LogConnection, flat_index, multiplication_by_t_power
+from .strat import LogConnection
+
+PROBE_THRESHOLD = 50
+PROBE_WINDOW = 20
 
 
 def _require_same_ring(M1: LogConnection, M2: LogConnection):
@@ -115,7 +118,8 @@ def kummer_sen_operator(M: LogConnection, F: int) -> LogConnection:
         u = TruncSeries(spec, m, [spec.pi(), spec.one()], "u-pi")
         lhs = (u * lam.derivative()).invert_unit() * (u * lam.shift_down())
         rhs = lam.derivative().invert_unit() * lam.shift_down()
-        assert lhs == rhs
+        if lhs != rhs:
+            raise ValueError(f"lambda{F} fails the unit-clearing identity at m = {m}")
     return change_uniformizer(M, lam)
 
 
@@ -239,12 +243,34 @@ def matrix_gauss_val(mat: Matrix) -> Valuation:
     return best
 
 
-def probe_nilpotency(M: LogConnection, a, n_max: int = 200,
-                     threshold: int = 50, window: int = 20) -> dict:
+def trace_tail_verdict(trace: List[Valuation]) -> str:
+    """Convergent, Divergent or Unknown from the tail of a valuation trace.
+
+    An infinite last entry means the terms vanished. Otherwise the last
+    PROBE_WINDOW steps decide: a final entry at or above PROBE_THRESHOLD
+    that exceeds the window's first entry is Convergent, a strictly
+    falling window is Divergent. A trace with fewer than two entries has
+    no tail and is Unknown.
+    """
+    if trace[-1].is_infinite:
+        return "Convergent"
+    w = min(PROBE_WINDOW, len(trace) - 1)
+    if w <= 0:
+        return "Unknown"
+    tail = trace[-(w + 1):]
+    if trace[-1] >= PROBE_THRESHOLD and trace[-1] > tail[0]:
+        return "Convergent"
+    if all(tail[i + 1] < tail[i] for i in range(w)):
+        return "Divergent"
+    return "Unknown"
+
+
+def probe_nilpotency(M: LogConnection, a, n_max: int = 200) -> dict:
     """Valuation trace of a^n * (residual - 0)(residual - 1)...(residual - n + 1).
 
     Semi-decision procedure: the verdict is driven by the tail behaviour
-    of the Gauss valuations and by exact vanishing, never by rounding.
+    of the Gauss valuations (trace_tail_verdict) and by exact vanishing,
+    never by rounding.
     """
     spec = M.spec
     if not isinstance(a, FieldElement):
@@ -253,29 +279,18 @@ def probe_nilpotency(M: LogConnection, a, n_max: int = 200,
     va = a.val()
     P = Matrix.identity(spec, M.l)
     trace = [matrix_gauss_val(P)]
-    status = "Unknown"
     for n in range(1, n_max + 1):
         P = (res - Matrix.identity(spec, M.l).scale(n - 1)) * P
-        if P.is_zero():
+        if P.is_zero() or va.is_infinite:
             trace.append(Valuation.infinity())
-            status = "ProbeConvergent"
-            break
-        if va.is_infinite:
-            trace.append(Valuation.infinity())
-            status = "ProbeConvergent"
             break
         trace.append(Valuation(n * va.value) + matrix_gauss_val(P))
-    else:
-        tail = trace[-(window + 1):]
-        if trace[-1] >= threshold and trace[-1] > tail[0]:
-            status = "ProbeConvergent"
-        elif all(tail[i + 1] < tail[i] for i in range(len(tail) - 1)):
-            status = "ProbeDivergent"
+    verdict = trace_tail_verdict(trace)
+    status = "Unknown" if verdict == "Unknown" else "Probe" + verdict
     return {"status": status, "trace": trace}
 
 
-def check_nilpotent(M: LogConnection, a, n_max: int = 200,
-                    threshold: int = 50, window: int = 20) -> dict:
+def check_nilpotent(M: LogConnection, a, n_max: int = 200) -> dict:
     """Decide a-nilpotency: exactly via residual weights when they split
     over K, by the valuation probe otherwise."""
     spec = M.spec
@@ -288,12 +303,11 @@ def check_nilpotent(M: LogConnection, a, n_max: int = 200,
         ok = all(mg > 0 for mg in margins)
         return {"status": "ProvenNilpotent" if ok else "ProvenNotNilpotent",
                 "evidence": {"weights": sen["weights"], "margins": margins}}
-    probe = probe_nilpotency(M, a, n_max, threshold, window)
+    probe = probe_nilpotency(M, a, n_max)
     return {"status": probe["status"], "evidence": {"trace": probe["trace"]}}
 
 
-def classify_ndR(M: LogConnection, n_max: int = 200, threshold: int = 50,
-                 window: int = 20) -> dict:
+def classify_ndR(M: LogConnection, n_max: int = 200) -> dict:
     """Nearly and log-nearly de Rham flags via the two canonical scalars."""
     spec = M.spec
     sen = residual_sen(M)
@@ -303,8 +317,8 @@ def classify_ndR(M: LogConnection, n_max: int = 200, threshold: int = 50,
         return {"status": "proven", "nearly_dR": near, "log_nearly_dR": log_near,
                 "weights": sen["weights"], "per_weight": sen["per_weight"]}
     return {"status": "Unknown", "nearly_dR": None, "log_nearly_dR": None,
-            "probe_prism": probe_nilpotency(M, spec.a_prism(), n_max, threshold, window),
-            "probe_log": probe_nilpotency(M, spec.a_log(), n_max, threshold, window)}
+            "probe_prism": probe_nilpotency(M, spec.a_prism(), n_max),
+            "probe_log": probe_nilpotency(M, spec.a_log(), n_max)}
 
 
 def cohomology(M: LogConnection) -> dict:

@@ -489,15 +489,3 @@ class FieldElement:
             else:
                 terms.append(f"{c}*pi^{i}")
         return " + ".join(terms) if terms else "0"
-
-
-def val(alpha: FieldElement) -> Valuation:
-    return alpha.val()
-
-
-def invert(alpha: FieldElement) -> FieldElement:
-    return alpha.invert()
-
-
-def dist_to_integers(alpha: FieldElement) -> Valuation:
-    return alpha.dist_to_integers()

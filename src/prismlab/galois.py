@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional
 
-from .connops import matrix_gauss_val, split_eigenvalues
+from .connops import matrix_gauss_val, split_eigenvalues, trace_tail_verdict
 from .errors import InvalidValuation
 from .field import FieldElement, Valuation
 from .linalg import Matrix
@@ -30,8 +30,10 @@ class GaloisKernel:
 
     def __init__(self, spec, D: int, A: List[Matrix], a: FieldElement,
                  tag: str, c: Optional[int] = None):
-        assert len(A) == D + 1
-        assert A[0] == Matrix.identity(spec, len(A[0].rows))
+        if len(A) != D + 1:
+            raise ValueError(f"kernel needs operators A_0..A_{D}, got {len(A)}")
+        if A[0] != Matrix.identity(spec, len(A[0].rows)):
+            raise ValueError("kernel slot 0 must be the identity")
         self.spec = spec
         self.D = D
         self.A = list(A)
@@ -43,14 +45,12 @@ class GaloisKernel:
 
 class GaloisElementData:
     """Valuation-level data of a group element: v0, the p-adic valuation of
-    the evaluation point of the series, plus the optional specialization
-    integer c."""
+    the evaluation point of the series."""
 
-    def __init__(self, v0, c: Optional[int] = None):
+    def __init__(self, v0):
         if not isinstance(v0, Valuation):
             v0 = Valuation(Fraction(v0))
         self.v0 = v0
-        self.c = c
 
 
 def action_kernel(M: LogConnection, a, D: int,
@@ -134,29 +134,14 @@ def _weight_verdict(alpha: FieldElement, va: Valuation, v0: Valuation,
     return "Unknown"
 
 
-def _trace_probe(trace: List[Valuation], threshold, window: int) -> str:
-    if trace[-1].is_infinite:
-        return "Convergent"
-    w = min(window, len(trace) - 1)
-    if w <= 0:
-        return "Unknown"
-    tail = trace[-(w + 1):]
-    if trace[-1] >= threshold and trace[-1] > tail[0]:
-        return "Convergent"
-    if all(tail[i + 1] < tail[i] for i in range(len(tail) - 1)):
-        return "Divergent"
-    return "Unknown"
-
-
-def converges_at(kernel: GaloisKernel, g: GaloisElementData,
-                 threshold: int = 50, window: int = 20) -> dict:
+def converges_at(kernel: GaloisKernel, g: GaloisElementData) -> dict:
     """Convergence verdict for the series evaluated at a point of valuation
     v0: term n is worth GaussVal(A_n) + n*v0 - v_p(n!).
 
     Exact when the connection operator's eigenvalues split over K (per
     eigenvalue, through the distance of the weight to the integers);
-    otherwise the finite valuation trace is inspected with the same tail
-    policy as the nilpotency probe.
+    otherwise the finite valuation trace is inspected with the nilpotency
+    probe's tail rule, connops.trace_tail_verdict.
     """
     v0 = g.v0
     if not v0.is_infinite and v0.value <= 0:
@@ -187,7 +172,7 @@ def converges_at(kernel: GaloisKernel, g: GaloisElementData,
             elif all(v == "Convergent" for v in verdicts):
                 status = "Convergent"
     if status is None:
-        status = _trace_probe(trace, threshold, window)
+        status = trace_tail_verdict(trace)
     return {"status": status, "trace": trace, "weights": weights}
 
 

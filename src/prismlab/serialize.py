@@ -14,7 +14,6 @@ from .errors import InputFormatError
 from .field import FieldElement, FieldSpec, Valuation
 from .galois import GaloisKernel
 from .linalg import Matrix
-from .pdalg import PDElement
 from .series import TruncSeries
 from .strat import LogConnection, Stratification
 
@@ -105,8 +104,10 @@ def parse_series(spec: FieldSpec, obj) -> TruncSeries:
         if key not in obj:
             raise InputFormatError(f"series needs key {key}")
     m, coeffs = obj["m"], obj["coeffs"]
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise InputFormatError("series modulus must be a positive integer")
+    if not isinstance(obj["unif"], str):
+        raise InputFormatError("series unif must be a string")
     if not isinstance(coeffs, list) or len(coeffs) != m:
         raise InputFormatError("series needs exactly m coefficients")
     return TruncSeries(spec, m, [parse_element(spec, c) for c in coeffs],
@@ -143,9 +144,12 @@ def parse_connection(obj) -> LogConnection:
             raise InputFormatError(f"connection needs key {key}")
     spec = parse_field(obj["field"])
     m, l, N = obj["m"], obj["l"], obj["N"]
-    if not (isinstance(m, int) and m >= 1 and isinstance(l, int) and l >= 1):
+    if not (type(m) is int and m >= 1 and type(l) is int and l >= 1):
         raise InputFormatError("connection needs integer l >= 1 and m >= 1")
-    if not isinstance(N, list) or len(N) != l or any(len(row) != l for row in N):
+    if not isinstance(obj["unif"], str):
+        raise InputFormatError("connection unif must be a string")
+    if not isinstance(N, list) or len(N) != l or any(
+            not isinstance(row, list) or len(row) != l for row in N):
         raise InputFormatError("connection matrix must be l x l")
     rows = []
     for row in N:
@@ -173,7 +177,7 @@ def parse_stratification(obj) -> Stratification:
             raise InputFormatError(f"stratification needs key {key}")
     spec = parse_field(obj["field"])
     l, m, D = obj["l"], obj["m"], obj["D"]
-    if not all(isinstance(v, int) for v in (l, m, D)) or l < 1 or m < 1 or D < 0:
+    if not all(type(v) is int for v in (l, m, D)) or l < 1 or m < 1 or D < 0:
         raise InputFormatError("stratification needs integers l,m >= 1 and D >= 0")
     phi = obj["phi"]
     if not isinstance(phi, list) or len(phi) != D + 1:
@@ -207,18 +211,11 @@ def parse_kernel(obj) -> GaloisKernel:
     size = len(mats[0].rows)
     if any(len(m.rows) != size or len(m.rows[0]) != size for m in mats):
         raise InputFormatError("kernel operators must share one square size")
+    a = parse_element(spec, obj["a"])
     try:
-        return GaloisKernel(spec, D, mats, parse_element(spec, obj["a"]),
-                            obj["tag"], obj.get("c"))
-    except AssertionError as exc:
-        raise InputFormatError("kernel slot 0 must be the identity") from exc
-
-
-def encode_pd(x: PDElement) -> list:
-    recs = []
-    for (ks, j), c in sorted(x.terms.items()):
-        recs.append({"k": list(ks), "j": j, "c": encode_element(c)})
-    return recs
+        return GaloisKernel(spec, D, mats, a, obj["tag"], obj.get("c"))
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from exc
 
 
 def encode_valuation_list(vs: List[Valuation]) -> list:

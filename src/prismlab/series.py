@@ -193,7 +193,8 @@ def lambda_approx(spec: FieldSpec, F: int, m: int) -> TruncSeries:
     p^n/e - (m-1)/e - 1 through the retained degrees, so the coefficients
     of this approximation converge rapidly in F.
     """
-    assert F >= 0
+    if F < 0:
+        raise ValueError(f"need F >= 0, got {F}")
     u = TruncSeries(spec, m, [spec.pi(), spec.one()], unif=f"lambda{F}")
     e0inv = Fraction(1, spec.ecoeffs[0])
     out = TruncSeries.one(spec, m, unif=f"lambda{F}")

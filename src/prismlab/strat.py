@@ -289,7 +289,8 @@ def verify_key_lemma(phi: List[Matrix], a: FieldElement, n_max: int, D: int) -> 
     must reduce to the constant phi_n, coefficient by coefficient in X^[k]
     for k <= D. Requires the family up to index n_max + D.
     """
-    assert len(phi) >= n_max + D + 1, "operator family too short for this check"
+    if len(phi) < n_max + D + 1:
+        raise ValueError("operator family too short for this check")
     spec = phi[0].spec
     size = len(phi[0].rows)
     cfg = CosimpConfig(spec, a, D, 1)

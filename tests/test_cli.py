@@ -9,12 +9,16 @@ from fractions import Fraction
 
 import pytest
 
-from prismlab.cli import main as cli_main, parse_session
+from prismlab.cli import _read_json, main as cli_main
 from prismlab.errors import InputFormatError
-from prismlab.serialize import (canonical_json, encode_connection,
-                                encode_stratification)
+from prismlab.galois import action_kernel
+from prismlab.serialize import (canonical_json, encode_connection, encode_element,
+                                encode_field, encode_kernel, encode_rational,
+                                encode_stratification, parse_connection)
+from prismlab.series import TruncSeries
 from prismlab.strat import LogConnection, from_connection
 
+from conftest import random_element, random_rational
 from test_connops import constant_conn
 from test_strat import random_connection
 
@@ -35,15 +39,83 @@ def run_cli(argv, stdin_text=""):
 
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-# bad numeric flags; the connection comes on standard input, and the last
-# one takes the field file as its final argument
-BAD_FLAGS = [["conn", "strat", "--D", "-1"],
-             ["conn", "galois-kernel", "--D", "-2"],
-             ["examples", "bk-twist", "--n", "1", "--m", "0", "--field"]]
+# bad numeric flags, each with the input it reads on standard input: a
+# connection in T with non-split residual weights (so the probe runs), the
+# same in u-pi, or a stratification; bk-twist takes the field file as its
+# final argument
+BAD_FLAGS = {
+    "strat-D": (["conn", "strat", "--D", "-1"], "T"),
+    "galois-kernel-D": (["conn", "galois-kernel", "--D", "-2"], "T"),
+    "bk-twist-m": (["examples", "bk-twist", "--n", "1", "--m", "0", "--field"], "T"),
+    "nilpotent-probe-max": (["conn", "nilpotent", "--probe-max", "0"], "T"),
+    "classify-probe-max": (["conn", "classify", "--probe-max", "-3"], "T"),
+    "key-lemma-n-max": (["verify", "key-lemma", "--n-max", "-1"], "strat"),
+    "change-unif-lambda-F": (["conn", "change-unif", "--lambda-F", "-1"], "u-pi"),
+}
 
 
-def bad_flag_argv(flags, field_path):
-    return flags + [field_path] if flags[-1] == "--field" else flags
+def bad_flag_input(name, field_path, spec):
+    """(argv, standard input) of one BAD_FLAGS case."""
+    flags, kind = BAD_FLAGS[name]
+    M = constant_conn(spec, 2, [[0, 2], [1, 0]], unif="u-pi" if kind == "u-pi" else "T")
+    obj = encode_stratification(from_connection(M, 1, 2)) if kind == "strat" \
+        else encode_connection(M)
+    argv = flags + [field_path] if flags[-1] == "--field" else flags
+    return argv, canonical_json(obj)
+
+
+def _cell(obj):
+    return obj["N"][0][0]
+
+
+# malformed connections, each an edit of a canonical connection with l = m = 1
+MALFORMED_CONNECTIONS = {
+    "non-object": lambda o: [o],
+    "missing-key": lambda o: {k: v for k, v in o.items() if k != "N"},
+    "non-list-row": lambda o: {**o, "N": [5]},
+    "ragged-row": lambda o: {**o, "N": [[]]},
+    "cell-longer-than-m": lambda o: {**o, "N": [[{**_cell(o), "coeffs": [[1], [0]]}]]},
+    "shorthand-cell-longer-than-m": lambda o: {**o, "N": [[[1, 0]]]},
+    "entry-m-disagrees": lambda o: {**o, "N": [[{**_cell(o), "m": 2, "coeffs": [[1], [0]]}]]},
+    "entry-unif-disagrees": lambda o: {**o, "N": [[{**_cell(o), "unif": "S"}]]},
+    "non-string-unif": lambda o: {**o, "unif": 5, "N": [[{**_cell(o), "unif": 5}]]},
+    "boolean-l": lambda o: {**o, "l": True},
+    "boolean-m": lambda o: {**o, "m": True},
+}
+
+
+def shorthand(M):
+    """M in the CLI's shorthand: no unif, a constant rational cell as a bare
+    rational, any other cell as its coefficient list without trailing
+    zeros, with rational coefficients written bare."""
+    def coeff(x):
+        return encode_rational(x.rational_value()) if x.is_rational() else encode_element(x)
+
+    def cell(s):
+        cs = list(s.coeffs)
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        if not cs:
+            return 0
+        if len(cs) == 1 and cs[0].is_rational():
+            return coeff(cs[0])
+        return [coeff(x) for x in cs]
+    return {"field": encode_field(M.spec), "l": M.l, "m": M.m,
+            "N": [[cell(s) for s in row] for row in M.N]}
+
+
+def sparse_connection(rng, spec, l, m):
+    """Random connection whose coefficients are often zero or rational."""
+    def coeff():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return spec.zero()
+        if kind == 1:
+            return spec.from_rational(random_rational(rng))
+        return random_element(rng, spec)
+    N = [[TruncSeries(spec, m, [coeff() for _ in range(m)], "T") for _ in range(l)]
+         for _ in range(l)]
+    return LogConnection(spec, "T", l, m, N)
 
 
 def run_cli_stderr(argv, stdin_text=""):
@@ -143,7 +215,7 @@ class TestPipelines:
 
 
 class TestConnCommands:
-    def test_new_shorthand_and_canonical(self, tmp_path):
+    def test_new_shorthand_and_canonical(self, tmp_path, rng, q3, q3s, cubic3):
         obj = {"field": {"p": 3, "E": [-3, 1]}, "l": 2, "m": 2,
                "N": [[1, 0], ["1/2", [0, 1]]]}
         path = tmp_path / "c.json"
@@ -155,6 +227,23 @@ class TestConnCommands:
         # canonical output is a fixed point
         code2, out2 = run_cli(["conn", "new"], stdin_text=out)
         assert code2 == 0 and out2 == out
+        # random connections: shorthand and canonical input give the same bytes
+        for spec in (q3, q3s, cubic3):
+            for _ in range(6):
+                M = sparse_connection(rng, spec, rng.randint(1, 3), rng.randint(1, 4))
+                canonical = canonical_json(encode_connection(M)) + "\n"
+                short = run_cli(["conn", "new"], stdin_text=json.dumps(shorthand(M)))
+                assert short == (0, canonical)
+                assert run_cli(["conn", "new"], stdin_text=canonical) == (0, canonical)
+
+    @pytest.mark.parametrize("case", MALFORMED_CONNECTIONS)
+    def test_malformed_connection_rejected(self, case, q3):
+        obj = MALFORMED_CONNECTIONS[case](encode_connection(constant_conn(q3, 1, [[1]])))
+        code, out, err = run_cli_stderr(["conn", "new"], stdin_text=json.dumps(obj))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        with pytest.raises(InputFormatError):
+            parse_connection(obj)
 
     def test_twist_dual_tensor(self, tmp_path, q3):
         one = canonical_json(encode_connection(constant_conn(q3, 2, [[1]]))) + "\n"
@@ -270,6 +359,8 @@ class TestFailurePaths:
     def test_bad_json_exits_two(self):
         code, _ = run_cli(["conn", "cohomology"], stdin_text="{not json")
         assert code == 2
+        code, out = run_cli(["field", "check"], stdin_text='{"p":3,"E":[-3,1],"p":3}')
+        assert code == 2 and out == ""
 
     def test_unknown_subcommand_exits_two(self):
         code, _ = run_cli(["conn", "frobnicate"])
@@ -278,13 +369,23 @@ class TestFailurePaths:
         assert code == 2
 
 
+class TestSession:
+    """Reading a JSON input file: duplicate keys are refused, not overwritten."""
+
+    def test_duplicate_name_rejected(self, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text('{"p":3,"E":[-3,1],"p":3}')
+        with pytest.raises(InputFormatError):
+            _read_json(str(path))
+        code, out = run_cli(["field", "check", str(path)])
+        assert code == 2 and out == ""
+
+
 class TestBadFlags:
-    @pytest.mark.parametrize("flags", BAD_FLAGS, ids=["strat-D", "galois-kernel-D",
-                                                      "bk-twist-m"])
-    def test_bad_numeric_flag_exits_two(self, flags, q3_field_file, q3):
-        conn_json = canonical_json(encode_connection(constant_conn(q3, 2, [[1]])))
-        code, out, err = run_cli_stderr(bad_flag_argv(flags, q3_field_file),
-                                        stdin_text=conn_json)
+    @pytest.mark.parametrize("name", BAD_FLAGS)
+    def test_bad_numeric_flag_exits_two(self, name, q3_field_file, q3):
+        argv, stdin_text = bad_flag_input(name, q3_field_file, q3)
+        code, out, err = run_cli_stderr(argv, stdin_text=stdin_text)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
@@ -301,10 +402,16 @@ class TestOptimizedMode:
         return normal
 
     def test_bad_flags(self, q3_field_file, q3):
-        conn_json = canonical_json(encode_connection(constant_conn(q3, 2, [[1]])))
-        for flags in BAD_FLAGS:
-            proc = self.both(bad_flag_argv(flags, q3_field_file), conn_json)
+        for name in BAD_FLAGS:
+            proc = self.both(*bad_flag_input(name, q3_field_file, q3))
             assert proc.returncode == 2 and proc.stdout == b""
+            assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+
+    def test_kernel_without_identity_slot(self, q3):
+        obj = encode_kernel(action_kernel(constant_conn(q3, 1, [[2]]), q3.a_prism(), 2))
+        obj["A"][0] = [[[0]]]
+        proc = self.both(["conn", "converges", "--v0", "1/2"], canonical_json(obj))
+        assert proc.returncode == 2 and proc.stdout == b""
 
     def test_readme_pipeline(self, tmp_path, field_file):
         assert self.both(["field", "check", field_file]).returncode == 0
@@ -318,44 +425,6 @@ class TestOptimizedMode:
         assert strat.returncode == 0
         back = self.both(["strat", "to-conn", "-"], strat.stdout.decode())
         assert back.returncode == 0 and back.stdout == new.stdout
-
-
-class TestSession:
-    def test_minimal_field_session(self, field_file):
-        sess = parse_session(field_file)
-        assert sess.field.p == 3 and sess.field.e == 2
-        assert sess.connections == {}
-
-    def test_full_session(self, tmp_path, rng, q3):
-        M = random_connection(rng, q3, 1, 2)
-        st = from_connection(M, 1, 2)
-        from prismlab.serialize import encode_field
-        obj = {"field": encode_field(q3),
-               "connections": {"a": encode_connection(M)},
-               "stratifications": {"s": encode_stratification(st)},
-               "config": {"D": 6, "probe_max": 100}}
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(obj))
-        sess = parse_session(str(path))
-        assert sess.connections["a"] == M
-        assert sess.stratifications["s"] == st
-        assert sess.config["D"] == 6
-
-    def test_duplicate_name_rejected(self, tmp_path):
-        path = tmp_path / "dup.json"
-        path.write_text('{"p":3,"E":[-3,1],"p":3}')
-        with pytest.raises(InputFormatError):
-            parse_session(str(path))
-
-    def test_foreign_field_rejected(self, tmp_path, rng, q3s):
-        M = random_connection(rng, q3s, 1, 1)
-        from prismlab.serialize import encode_field
-        obj = {"field": {"p": 3, "E": [-3, 1]},
-               "connections": {"a": encode_connection(M)}}
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(obj))
-        with pytest.raises(InputFormatError):
-            parse_session(str(path))
 
 
 class TestDeterminism:

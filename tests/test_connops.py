@@ -5,13 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prismlab.connops import (bk_twist, change_uniformizer, check_nilpotent,
+from prismlab.connops import (PROBE_THRESHOLD, PROBE_WINDOW, bk_twist,
+                              change_uniformizer, check_nilpotent,
                               classify_ndR, cohomology, dual,
                               kummer_sen_operator, matrix_gauss_val,
                               probe_nilpotency, reduction_ses, residual_sen,
-                              tensor, _log_multiplier)
+                              tensor, trace_tail_verdict, _log_multiplier)
 from prismlab.errors import (BadTruncationIndex, NotAUniformizer, RingMismatch)
 from prismlab.field import FieldSpec, Valuation
+from prismlab.galois import (GaloisElementData, GaloisKernel, converges_at,
+                             factorial_val)
 from prismlab.linalg import Matrix
 from prismlab.series import TruncSeries, lambda_approx
 from prismlab.strat import LogConnection, from_connection, to_connection
@@ -261,6 +264,62 @@ class TestNilpotency:
             M = constant_conn(q3s, 2, [[w]])
             if check_nilpotent(M, q3s.a_prism())["status"] == "ProvenNilpotent":
                 assert check_nilpotent(M, q3s.a_log())["status"] == "ProvenNilpotent"
+
+
+def valuations(*xs):
+    return [Valuation.infinity() if x is None else Valuation(x) for x in xs]
+
+
+class TestTraceTailRule:
+    """The one tail rule behind the nilpotency probe and the convergence
+    verdict."""
+
+    def test_infinite_last_entry(self):
+        assert trace_tail_verdict(valuations(0, -5, None)) == "Convergent"
+        assert trace_tail_verdict(valuations(None)) == "Convergent"
+
+    def test_too_short_is_unknown(self):
+        assert trace_tail_verdict(valuations(0)) == "Unknown"
+        assert trace_tail_verdict(valuations(PROBE_THRESHOLD + 1)) == "Unknown"
+
+    def test_convergent_at_threshold(self):
+        rising = list(range(PROBE_THRESHOLD + 1))
+        assert trace_tail_verdict(valuations(*rising)) == "Convergent"
+        assert trace_tail_verdict(valuations(*rising[:-1])) == "Unknown"
+        # at the threshold but not above the window's first entry
+        flat = [PROBE_THRESHOLD] * (PROBE_WINDOW + 1)
+        assert trace_tail_verdict(valuations(*flat)) == "Unknown"
+
+    def test_strictly_falling_tail(self):
+        assert trace_tail_verdict(valuations(0, -1)) == "Divergent"
+        assert trace_tail_verdict(valuations(*range(0, -40, -1))) == "Divergent"
+        # only the last PROBE_WINDOW steps count
+        older_rise = [0, 5] + list(range(4, 4 - PROBE_WINDOW, -1))
+        assert trace_tail_verdict(valuations(*older_rise)) == "Divergent"
+        assert trace_tail_verdict(valuations(0, -1, -1)) == "Unknown"
+
+    def test_probe_without_steps_is_unknown(self, q3):
+        M = constant_conn(q3, 1, [[0, 2], [1, 0]])
+        probe = probe_nilpotency(M, Fraction(1, 3), n_max=0)
+        assert probe["status"] == "Unknown" and len(probe["trace"]) == 1
+
+    @pytest.mark.parametrize("a", [3, 1, Fraction(1, 3)])
+    def test_probe_and_convergence_agree_on_one_trace(self, q3, a):
+        M = constant_conn(q3, 1, [[0, 2], [1, 0]])
+        probe = probe_nilpotency(M, a, n_max=60)
+        # a kernel whose trace at v0 = 1 is the probe's trace: A_n has Gauss
+        # valuation t_n - n + v_3(n!), and A_1 / a has the non-split
+        # characteristic polynomial x^2 - 2c^2, so the tail rule decides
+        base = Matrix(q3, [[0, 2], [1, 0]])
+        A = [Matrix.identity(q3, 2)]
+        for n, t in enumerate(probe["trace"][1:], 1):
+            A.append(base.scale(Fraction(3) ** (t.value - n + factorial_val(n, 3))))
+        kernel = GaloisKernel(q3, len(A) - 1, A, q3.from_rational(a), "custom")
+        rep = converges_at(kernel, GaloisElementData(1))
+        assert rep["weights"] is None and rep["trace"] == probe["trace"]
+        expect = {"ProbeConvergent": "Convergent", "ProbeDivergent": "Divergent",
+                  "Unknown": "Unknown"}[probe["status"]]
+        assert rep["status"] == expect
 
 
 class TestClassify:

@@ -72,7 +72,7 @@ class TestActionKernel:
 
     def test_identity_slot_required(self, q3):
         z = Matrix.zero(q3, 2, 2)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             GaloisKernel(q3, 1, [z, z], q3.one(), "custom")
 
 

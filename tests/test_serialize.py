@@ -14,7 +14,7 @@ from prismlab.serialize import (canonical_json, encode_connection,
                                 parse_kernel, parse_rational, parse_series,
                                 parse_stratification, parse_valuation)
 from prismlab.series import TruncSeries
-from prismlab.strat import from_connection
+from prismlab.strat import LogConnection, from_connection
 
 from test_strat import random_connection
 
@@ -126,6 +126,14 @@ class TestStratificationForms:
         obj["phi"] = obj["phi"][:-1]
         with pytest.raises(InputFormatError):
             parse_stratification(obj)
+
+    def test_boolean_sizes_rejected(self, q3):
+        # true would pass for 1 and come back out of strat to-conn as "m":true
+        obj = encode_stratification(from_connection(LogConnection.trivial(q3, 1, 1), 1, 1))
+        parse_stratification(obj)
+        for key in ("l", "m", "D"):
+            with pytest.raises(InputFormatError):
+                parse_stratification({**obj, key: True})
 
 
 class TestKernelForms:

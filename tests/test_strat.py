@@ -283,7 +283,7 @@ class TestKeyLemma:
 
     def test_requires_long_enough_family(self, q3):
         phi = operator_family(Matrix(q3, [[1]]), q3.one(), 4)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             verify_key_lemma(phi, q3.one(), 3, 6)
 
 
