@@ -20,7 +20,7 @@ from .field import FieldSpec, Valuation
 from .galois import GaloisElementData, action_kernel, converges_at, tau_power_kernel
 from .serialize import (canonical_json, encode_connection, encode_element,
                         encode_field, encode_kernel, encode_stratification,
-                        encode_valuation_list, encode_verdict,
+                        encode_verdict,
                         parse_connection, parse_field, parse_kernel,
                         parse_rational, parse_series, parse_stratification)
 from .strat import (LogConnection, check_cocycle, check_leibniz,
@@ -205,25 +205,15 @@ def cmd_conn_cohomology(args) -> int:
 
 
 def cmd_conn_classify(args) -> int:
-    _require_at_least("--probe-max", args.probe_max, 1)
-    rep = connops.classify_ndR(_lenient_connection(_read_json(args.file)),
-                               n_max=args.probe_max)
-    out = {"nearly_dR": rep["nearly_dR"], "log_nearly_dR": rep["log_nearly_dR"]}
-    if rep["status"] != "proven":
-        out["status"] = rep["status"]
-    _emit(out)
+    rep = connops.classify_ndR(_lenient_connection(_read_json(args.file)))
+    _emit({"nearly_dR": rep["nearly_dR"], "log_nearly_dR": rep["log_nearly_dR"]})
     return 0
 
 
 def cmd_conn_nilpotent(args) -> int:
-    _require_at_least("--probe-max", args.probe_max, 1)
     M = _lenient_connection(_read_json(args.file))
-    rep = connops.check_nilpotent(M, _scalar_choice(M.spec, args.a),
-                                  n_max=args.probe_max)
-    out = {"status": rep["status"]}
-    if "trace" in rep["evidence"]:
-        out["trace"] = encode_valuation_list(rep["evidence"]["trace"])
-    _emit(out)
+    rep = connops.check_nilpotent(M, _scalar_choice(M.spec, args.a))
+    _emit({"status": rep["status"]})
     return 0
 
 
@@ -301,12 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(p)
     p.set_defaults(func=cmd_conn_cohomology)
     p = conn.add_parser("classify")
-    p.add_argument("--probe-max", type=int, default=200)
     _add_input(p)
     p.set_defaults(func=cmd_conn_classify)
     p = conn.add_parser("nilpotent")
     p.add_argument("--a", choices=["prism", "log"], default="prism")
-    p.add_argument("--probe-max", type=int, default=200)
     _add_input(p)
     p.set_defaults(func=cmd_conn_nilpotent)
     p = conn.add_parser("galois-kernel")

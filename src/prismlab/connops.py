@@ -4,6 +4,7 @@ residual weight analysis, nilpotency tests, cohomology, reduction sequences.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor
 from typing import List, Optional, Sequence
 
 from .errors import BadTruncationIndex, NotAUniformizer, RingMismatch
@@ -129,8 +130,7 @@ def _divisors(n: int) -> List[int]:
     return out or [1]
 
 
-def _root_candidates(spec: FieldSpec, chi: Sequence[FieldElement],
-                     extra: Sequence[FieldElement]) -> List[FieldElement]:
+def _root_candidates(spec: FieldSpec, chi: Sequence[FieldElement]) -> List[FieldElement]:
     cands: List[FieldElement] = []
     seen = set()
 
@@ -139,8 +139,6 @@ def _root_candidates(spec: FieldSpec, chi: Sequence[FieldElement],
             seen.add(x)
             cands.append(x)
 
-    for x in extra:
-        push(x)
     for n in range(0, 11):
         push(spec.from_rational(Fraction(n)))
         push(spec.from_rational(Fraction(-n)))
@@ -166,14 +164,14 @@ def _root_candidates(spec: FieldSpec, chi: Sequence[FieldElement],
     return cands
 
 
-def split_eigenvalues(mat: Matrix, candidates: Sequence[FieldElement] = ()):
+def split_eigenvalues(mat: Matrix):
     """(charpoly, eigenvalues with multiplicity) - eigenvalues None if the
     polynomial does not fully split over the candidate search."""
     spec = mat.spec
     chi = mat.charpoly()
     roots: List[FieldElement] = []
     work = list(chi)
-    cands = _root_candidates(spec, chi, candidates)
+    cands = _root_candidates(spec, chi)
     progress = True
     while len(work) > 1 and progress:
         progress = False
@@ -186,16 +184,16 @@ def split_eigenvalues(mat: Matrix, candidates: Sequence[FieldElement] = ()):
     return chi, (roots if len(roots) == len(mat.rows) else None)
 
 
-def residual_sen(M: LogConnection, candidates: Sequence[FieldElement] = ()) -> dict:
+def residual_sen(M: LogConnection) -> dict:
     """Residual weight report: exact charpoly of N(0) and exact roots in K.
 
     Roots are searched by trial evaluation over a deterministic candidate
-    list (supplied hints, small integers, and divisor-scaled pi-power
-    shifts read off the coefficients) with synthetic deflation; the split flag
-    is set only when all l roots are found, with multiplicity.
+    list (small integers and divisor-scaled pi-power shifts read off the
+    coefficients) with synthetic deflation; the split flag is set only when
+    all l roots are found, with multiplicity.
     """
     spec = M.spec
-    chi, weights = split_eigenvalues(M.residual_matrix(), candidates)
+    chi, weights = split_eigenvalues(M.residual_matrix())
     split = weights is not None
     report = {"chi": chi, "split": split,
               "weights": weights if split else None, "per_weight": None}
@@ -290,35 +288,51 @@ def probe_nilpotency(M: LogConnection, a, n_max: int = 200) -> dict:
     return {"status": status, "trace": trace}
 
 
-def check_nilpotent(M: LogConnection, a, n_max: int = 200) -> dict:
-    """Decide a-nilpotency: exactly via residual weights when they split
-    over K, by the valuation probe otherwise."""
+def _roots_above(chi: Sequence[FieldElement], c: Fraction) -> int:
+    """Roots of the monic chi of valuation > c, with multiplicity: by its
+    Newton polygon, the smallest j minimising v(chi_j) + j*c over the
+    nonzero coefficients (a zero root leaves chi_0 = 0 out)."""
+    return min((coef.val().value + j * c, j) for j, coef in enumerate(chi)
+               if not coef.is_zero())[1]
+
+
+def _near_integer_roots(res: Matrix, c: Fraction) -> int:
+    """Eigenvalues w of res, with multiplicity, with v(w - k) > c for some
+    integer k. For c < 0 that is v(w) > c. For c >= 0 the disc v(x - k) > c
+    depends only on k mod p^n, n = floor(c) + 1: level t keeps each k mod p^t
+    whose disc v(x - k) > t - 1 (> c at t = n) holds a root of chi(x + k), the
+    charpoly of res - k*I. Such discs are disjoint: at most l survive a level."""
+    if c < 0:
+        return _roots_above(res.charpoly(), c)
+    p, n = res.spec.p, floor(c) + 1
+    ident = Matrix.identity(res.spec, res.nrows)
+    live = {0: res.nrows}
+    for t in range(1, n + 1):
+        bound = c if t == n else t - 1
+        live = {k: cnt for k in (r + d * p ** (t - 1) for r in live for d in range(p))
+                if (cnt := _roots_above((res - ident.scale(k)).charpoly(), bound))}
+    return sum(live.values())
+
+
+def check_nilpotent(M: LogConnection, a) -> dict:
+    """Decide a-nilpotency exactly, val(a) + dist(w, Z) > 0 for every
+    residual weight w, from charpolys alone: no weight is searched for."""
     spec = M.spec
     if not isinstance(a, FieldElement):
         a = spec.from_rational(Fraction(a))
-    sen = residual_sen(M)
-    if sen["split"]:
-        va = a.val()
-        margins = [va + w.dist_to_integers() for w in sen["weights"]]
-        ok = all(mg > 0 for mg in margins)
-        return {"status": "ProvenNilpotent" if ok else "ProvenNotNilpotent",
-                "evidence": {"weights": sen["weights"], "margins": margins}}
-    probe = probe_nilpotency(M, a, n_max)
-    return {"status": probe["status"], "evidence": {"trace": probe["trace"]}}
+    va = a.val()
+    near = M.l if va.is_infinite else _near_integer_roots(M.residual_matrix(), -va.value)
+    return {"status": "ProvenNilpotent" if near == M.l else "ProvenNotNilpotent",
+            "evidence": {"near_weights": near}}
 
 
-def classify_ndR(M: LogConnection, n_max: int = 200) -> dict:
-    """Nearly and log-nearly de Rham flags via the two canonical scalars."""
+def classify_ndR(M: LogConnection) -> dict:
+    """Nearly and log-nearly de Rham flags: nilpotency at the two canonical
+    scalars a_prism and a_log."""
     spec = M.spec
-    sen = residual_sen(M)
-    if sen["split"]:
-        near = all(pw["margin_prism"] > 0 for pw in sen["per_weight"])
-        log_near = all(pw["margin_log"] > 0 for pw in sen["per_weight"])
-        return {"status": "proven", "nearly_dR": near, "log_nearly_dR": log_near,
-                "weights": sen["weights"], "per_weight": sen["per_weight"]}
-    return {"status": "Unknown", "nearly_dR": None, "log_nearly_dR": None,
-            "probe_prism": probe_nilpotency(M, spec.a_prism(), n_max),
-            "probe_log": probe_nilpotency(M, spec.a_log(), n_max)}
+    near, log_near = (check_nilpotent(M, a)["status"] == "ProvenNilpotent"
+                      for a in (spec.a_prism(), spec.a_log()))
+    return {"status": "proven", "nearly_dR": near, "log_nearly_dR": log_near}
 
 
 def cohomology(M: LogConnection) -> dict:

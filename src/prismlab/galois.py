@@ -40,7 +40,6 @@ class GaloisKernel:
         self.a = a
         self.tag = tag
         self.c = c
-        self.meta: Optional[dict] = None
 
 
 class GaloisElementData:
@@ -119,8 +118,8 @@ def _weight_verdict(alpha: FieldElement, va: Valuation, v0: Valuation,
             return "Convergent"
     d = alpha.dist_to_integers()
     if d.is_infinite:
-        # negative integer weight: the binomial part of prod(alpha - i) has
-        # nonnegative valuation, leaving slope val(a) + v0
+        # any other weight in Z_p: prod(alpha - i) has valuation at least
+        # v_p(n!) (alpha choose n is integral), leaving slope val(a) + v0
         return "Convergent" if (va + v0) > 0 else "Unknown"
     if d.value < 0:
         # below-integer distance is shift-invariant, so every factor has
@@ -180,9 +179,9 @@ def tau_power_kernel(M: LogConnection, i: int, variant: str, a=None,
                      D: int = 6) -> GaloisKernel:
     """Kernel specialized to the i-th power-of-p topological generator.
 
-    Operators are identical to action_kernel; the specialization constant c
-    (p^i in the plain case, 2p^i over the first Kummer layer) and its
-    valuation, which shifts the effective v0, travel as metadata.
+    Operators are identical to action_kernel; only the specialization
+    constant c (p^i in the plain case, 2p^i over the first Kummer layer)
+    is recorded, as kernel.c.
     """
     if i < 0:
         raise InvalidValuation("need i >= 0")
@@ -197,12 +196,5 @@ def tau_power_kernel(M: LogConnection, i: int, variant: str, a=None,
     if a is None:
         a = spec.a_prism()
     kernel = action_kernel(M, a, D)
-    vc = 0
-    cc = c
-    while cc % p == 0:
-        vc += 1
-        cc //= p
     kernel.c = c
-    kernel.meta = {"variant": variant, "i": i, "c": c, "vp_c": vc,
-                   "v0_shift": vc}
     return kernel

@@ -202,9 +202,13 @@ def parse_kernel(obj) -> GaloisKernel:
         if key not in obj:
             raise InputFormatError(f"kernel needs key {key}")
     spec = parse_field(obj["field"])
-    D, A = obj["D"], obj["A"]
-    if not isinstance(D, int) or D < 0:
+    D, A, tag, c = obj["D"], obj["A"], obj["tag"], obj.get("c")
+    if type(D) is not int or D < 0:
         raise InputFormatError("kernel needs integer D >= 0")
+    if not isinstance(tag, str):
+        raise InputFormatError("kernel tag must be a string")
+    if "c" in obj and (type(c) is not int or c < 1):
+        raise InputFormatError("kernel c must be a positive integer")
     if not isinstance(A, list) or len(A) != D + 1:
         raise InputFormatError("kernel needs operators A_0..A_D")
     mats = [parse_matrix(spec, m) for m in A]
@@ -213,7 +217,7 @@ def parse_kernel(obj) -> GaloisKernel:
         raise InputFormatError("kernel operators must share one square size")
     a = parse_element(spec, obj["a"])
     try:
-        return GaloisKernel(spec, D, mats, a, obj["tag"], obj.get("c"))
+        return GaloisKernel(spec, D, mats, a, tag, c)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
 

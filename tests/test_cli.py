@@ -40,15 +40,12 @@ def run_cli(argv, stdin_text=""):
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 # bad numeric flags, each with the input it reads on standard input: a
-# connection in T with non-split residual weights (so the probe runs), the
-# same in u-pi, or a stratification; bk-twist takes the field file as its
-# final argument
+# connection in T with non-split residual weights, the same in u-pi, or a
+# stratification; bk-twist takes the field file as its final argument
 BAD_FLAGS = {
     "strat-D": (["conn", "strat", "--D", "-1"], "T"),
     "galois-kernel-D": (["conn", "galois-kernel", "--D", "-2"], "T"),
     "bk-twist-m": (["examples", "bk-twist", "--n", "1", "--m", "0", "--field"], "T"),
-    "nilpotent-probe-max": (["conn", "nilpotent", "--probe-max", "0"], "T"),
-    "classify-probe-max": (["conn", "classify", "--probe-max", "-3"], "T"),
     "key-lemma-n-max": (["verify", "key-lemma", "--n-max", "-1"], "strat"),
     "change-unif-lambda-F": (["conn", "change-unif", "--lambda-F", "-1"], "u-pi"),
 }
@@ -288,14 +285,11 @@ class TestConnCommands:
         assert parsed["h0_basis"] == [[[1], [0]]]
         assert parsed["h1_representatives"] == [0]
 
-    def test_nilpotent_trace_on_probe(self, q3):
+    def test_nilpotent_non_split_exact(self, q3):
         M = constant_conn(q3, 1, [[0, 2], [1, 0]])
-        code, out = run_cli(["conn", "nilpotent", "--probe-max", "30"],
+        code, out = run_cli(["conn", "nilpotent"],
                             stdin_text=canonical_json(encode_connection(M)))
-        assert code == 0
-        parsed = json.loads(out)
-        assert parsed["status"] == "Unknown"
-        assert len(parsed["trace"]) == 31
+        assert (code, out) == (0, '{"status":"ProvenNotNilpotent"}\n')
 
     def test_galois_kernel_and_converges(self, q3):
         M = constant_conn(q3, 1, [[2]])
@@ -361,6 +355,14 @@ class TestFailurePaths:
         assert code == 2
         code, out = run_cli(["field", "check"], stdin_text='{"p":3,"E":[-3,1],"p":3}')
         assert code == 2 and out == ""
+
+    def test_mistyped_kernel_fields_exit_two(self, q3):
+        obj = encode_kernel(action_kernel(constant_conn(q3, 1, [[2]]), q3.a_prism(), 1))
+        for key, bad in (("D", True), ("tag", 7), ("c", 0), ("c", True), ("c", "6")):
+            code, out, err = run_cli_stderr(["conn", "converges", "--v0", "1/2"],
+                                            stdin_text=canonical_json({**obj, key: bad}))
+            assert (code, out) == (2, ""), (key, bad)
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unknown_subcommand_exits_two(self):
         code, _ = run_cli(["conn", "frobnicate"])

@@ -19,7 +19,7 @@ from prismlab.linalg import Matrix
 from prismlab.series import TruncSeries, lambda_approx
 from prismlab.strat import LogConnection, from_connection, to_connection
 
-from conftest import random_element
+from conftest import random_element, random_rational
 from test_strat import random_connection
 
 
@@ -198,13 +198,6 @@ class TestResidualSen:
         assert not rep["split"]
         assert rep["weights"] is None
 
-    def test_user_candidate_unlocks_root(self, q3s):
-        alpha = q3s.element([Fraction(1, 3), 1])  # 1/3 + pi
-        M = constant_conn(q3s, 1, [[alpha]])
-        assert not residual_sen(M)["split"]
-        rep = residual_sen(M, candidates=[alpha])
-        assert rep["split"] and rep["weights"][0] == alpha
-
     def test_per_weight_margins(self, q3):
         rep = residual_sen(constant_conn(q3, 1, [[Fraction(1, 3)]]))
         pw = rep["per_weight"][0]
@@ -239,11 +232,27 @@ class TestNilpotency:
         assert probe["status"] == "ProbeDivergent"
 
     def test_probe_convergent_non_split(self, q3):
+        # weights +-sqrt 2, units at distance 0 from Z: nilpotent exactly
+        # when val(a) > 0, as the probe also finds
         M = constant_conn(q3, 1, [[0, 2], [1, 0]])
-        rep = check_nilpotent(M, 3)
-        assert rep["status"] == "ProbeConvergent"
-        rep2 = check_nilpotent(M, Fraction(1, 3))
-        assert rep2["status"] == "ProbeDivergent"
+        assert check_nilpotent(M, 3)["status"] == "ProvenNilpotent"
+        assert probe_nilpotency(M, 3)["status"] == "ProbeConvergent"
+        assert check_nilpotent(M, Fraction(1, 3))["status"] == "ProvenNotNilpotent"
+        assert probe_nilpotency(M, Fraction(1, 3))["status"] == "ProbeDivergent"
+
+    def test_charpoly_count_bounded(self, q3, monkeypatch):
+        # weights +-sqrt 7 lie in Z_3 but not in the candidate search, so
+        # they are near integers at every depth: the descent walks all 41
+        # digits of a = 3^-40 and stays within 1 + p*l*41 charpolys
+        M = constant_conn(q3, 1, [[0, 7], [1, 0]])
+        assert not residual_sen(M)["split"]
+        calls = []
+        charpoly = Matrix.charpoly
+        monkeypatch.setattr(Matrix, "charpoly",
+                            lambda self: calls.append(1) or charpoly(self))
+        rep = check_nilpotent(M, Fraction(1, 3 ** 40))
+        assert rep["status"] == "ProvenNilpotent"
+        assert 41 <= len(calls) <= 1 + 3 * 2 * 41
 
     def test_probe_trace_exact_slope(self, q3):
         # integer entries and unit determinant of chi(i) pin the trace to
@@ -343,15 +352,14 @@ class TestClassify:
         assert rep["status"] == "proven"
         assert rep["nearly_dR"] is False
         assert rep["log_nearly_dR"] is True
-        pw = rep["per_weight"][0]
-        assert pw["margin_prism"] == Valuation(0)
-        assert pw["margin_log"] == Valuation(Fraction(1, 2))
 
-    def test_non_split_reports_unknown_with_probes(self, q3):
-        rep = classify_ndR(constant_conn(q3, 1, [[0, 2], [1, 0]]))
-        assert rep["status"] == "Unknown"
-        assert rep["nearly_dR"] is None and rep["log_nearly_dR"] is None
-        assert "trace" in rep["probe_prism"] and "trace" in rep["probe_log"]
+    def test_non_split_decided_exactly(self, q3):
+        # weights +-sqrt 2 outside Q_3 at distance 0: margin 0 for a_prism = -1,
+        # 1 for a_log = -3
+        M = constant_conn(q3, 1, [[0, 2], [1, 0]])
+        rep = classify_ndR(M)
+        assert rep == {"status": "proven", "nearly_dR": False, "log_nearly_dR": True}
+        assert check_nilpotent(M, 1)["status"] == "ProvenNotNilpotent"
 
     def test_nearly_implies_log_nearly(self, rng, q3s):
         for _ in range(10):
@@ -529,3 +537,37 @@ def test_twist_preserves_classification(seed, n):
     M = constant_conn(spec, 2, [[w]])
     a, b = classify_ndR(M), classify_ndR(bk_twist(M, n))
     assert (a["nearly_dR"], a["log_nearly_dR"]) == (b["nearly_dR"], b["log_nearly_dR"])
+
+
+FOUR_FIELDS = (FieldSpec(3, [-3, 1]), FieldSpec(3, [-3, 0, 1]),
+               FieldSpec(2, [-2, 0, 1]), FieldSpec(3, [3, 3, 0, 1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), field=st.integers(0, 3), l=st.integers(1, 2),
+       scalar=st.sampled_from(["prism", "log", -2, -1, 0, 1, 2]))
+def test_nilpotency_matches_margins_and_probe(seed, field, l, scalar):
+    """The charpoly verdict against the per-weight margins wherever the
+    weights split over K, and against the probe wherever it decides.
+
+    a = p^k keeps k >= -2: from val(a) = -3 on, a weight in Z_3 comes within
+    3 of an integer only every 27 steps, so the probe's 20-step window can
+    fall strictly and call a nilpotent connection divergent.
+    """
+    import random
+    spec = FOUR_FIELDS[field]
+    rng = random.Random(seed)
+    rows = [[spec.element([random_rational(rng) if rng.random() < 0.7 else 0
+                           for _ in range(spec.e)]) for _ in range(l)]
+            for _ in range(l)]
+    M = constant_conn(spec, 1, rows)
+    a = {"prism": spec.a_prism(), "log": spec.a_log()}.get(scalar)
+    if a is None:
+        a = spec.from_rational(Fraction(spec.p) ** scalar)
+    nilpotent = check_nilpotent(M, a)["status"] == "ProvenNilpotent"
+    sen = residual_sen(M)
+    if sen["split"]:
+        assert nilpotent == all(a.val() + pw["dist"] > 0 for pw in sen["per_weight"])
+    probe = probe_nilpotency(M, a)["status"]
+    if probe != "Unknown":
+        assert nilpotent == (probe == "ProbeConvergent")

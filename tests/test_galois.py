@@ -191,19 +191,17 @@ class TestTauPower:
         assert tau_power_kernel(M, 0, "K").c == 1
         assert tau_power_kernel(M, 2, "K").c == 9
         assert tau_power_kernel(M, 1, "Kpi1").c == 6
-        assert tau_power_kernel(M, 1, "Kpi1").meta["vp_c"] == 1
 
     def test_even_prime_shift(self, q2s):
         M = twist(q2s, 2, 1)
         k = tau_power_kernel(M, 1, "Kpi1")
-        assert k.c == 4 and k.meta["vp_c"] == 2
+        assert k.c == 4
 
     def test_operators_match_action_kernel(self, rng, q3):
         M = random_connection(rng, q3, 2, 2)
         k = tau_power_kernel(M, 1, "K", D=4)
         base = action_kernel(M, q3.a_prism(), 4)
         assert all(x == y for x, y in zip(k.A, base.A))
-        assert k.meta["v0_shift"] == 1
 
     def test_bad_inputs(self, q3):
         M = twist(q3, 1, 1)

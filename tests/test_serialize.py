@@ -145,6 +145,25 @@ class TestKernelForms:
         assert all(x == y for x, y in zip(back.A, k.A))
         assert back.c is None
 
+    def test_boolean_D_rejected(self, q3):
+        obj = encode_kernel(action_kernel(LogConnection.trivial(q3, 1, 1), 1, 1))
+        parse_kernel(obj)
+        with pytest.raises(InputFormatError):
+            parse_kernel({**obj, "D": True})
+
+    def test_non_string_tag_rejected(self, q3):
+        obj = encode_kernel(action_kernel(LogConnection.trivial(q3, 1, 1), 1, 1))
+        for tag in (7, None, ["log"]):
+            with pytest.raises(InputFormatError):
+                parse_kernel({**obj, "tag": tag})
+
+    def test_c_must_be_positive_integer(self, q3):
+        obj = encode_kernel(action_kernel(LogConnection.trivial(q3, 1, 1), 1, 1))
+        assert parse_kernel({**obj, "c": 6}).c == 6
+        for c in (0, -3, True, 1.5, "6", None):
+            with pytest.raises(InputFormatError):
+                parse_kernel({**obj, "c": c})
+
     def test_identity_slot_checked(self, rng, q3):
         k = action_kernel(random_connection(rng, q3, 1, 2), 1, 2)
         obj = encode_kernel(k)
