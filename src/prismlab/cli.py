@@ -41,6 +41,9 @@ def _loads(text: str):
         return json.loads(text, object_pairs_hook=_reject_duplicates)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"bad JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:
+        # an integer literal longer than the interpreter converts
+        raise InputFormatError(f"bad JSON: {exc}") from exc
 
 
 def _read_json(path: Optional[str]):
@@ -85,6 +88,19 @@ def _series_object(cell, unif, m: int, e: int):
 def _require_at_least(flag: str, value: int, low: int) -> None:
     if value < low:
         raise InputFormatError(f"{flag} must be >= {low}, got {value}")
+
+
+def _require_printable_tau(tau: int, p: int, variant: str) -> None:
+    """Refuse a --tau whose constant c = p^tau (2p^tau for Kpi1) has more
+    digits than Python prints as an integer, before any large power is
+    formed: p^tau >= 2^(tau*(b-1)) for b the bit length of p."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or tau < 0:
+        return
+    ceiling = 10 ** limit
+    if (tau * (p.bit_length() - 1) >= ceiling.bit_length()
+            or (2 if variant == "Kpi1" else 1) * p ** tau >= ceiling):
+        raise InputFormatError(f"--tau {tau} gives a constant c over {limit} digits")
 
 
 def _field_from(obj) -> FieldSpec:
@@ -222,6 +238,7 @@ def cmd_conn_galois_kernel(args) -> int:
     M = _lenient_connection(_read_json(args.file))
     a = _scalar_choice(M.spec, args.a)
     if args.tau is not None:
+        _require_printable_tau(args.tau, M.spec.p, args.variant)
         kernel = tau_power_kernel(M, args.tau, args.variant, a=a, D=args.D)
     else:
         kernel = action_kernel(M, a, args.D)

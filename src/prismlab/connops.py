@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import floor
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .errors import BadTruncationIndex, NotAUniformizer, RingMismatch
 from .field import FieldElement, FieldSpec, Valuation, vp_rational
@@ -242,7 +242,8 @@ def matrix_gauss_val(mat: Matrix) -> Valuation:
 
 
 def trace_tail_verdict(trace: List[Valuation]) -> str:
-    """Convergent, Divergent or Unknown from the tail of a valuation trace.
+    """Convergent, Divergent or Unknown from the tail of a valuation trace;
+    probe_nilpotency is its only caller.
 
     An infinite last entry means the terms vanished. Otherwise the last
     PROBE_WINDOW steps decide: a final entry at or above PROBE_THRESHOLD
@@ -268,7 +269,11 @@ def probe_nilpotency(M: LogConnection, a, n_max: int = 200) -> dict:
 
     Semi-decision procedure: the verdict is driven by the tail behaviour
     of the Gauss valuations (trace_tail_verdict) and by exact vanishing,
-    never by rounding.
+    never by rounding. check_nilpotent decides exactly; this probe is kept
+    as a reference for tests. Its window misjudges val(a) <= -3: for a
+    weight w in Z_3 the factor w - i reaches valuation 3 only once in 27
+    steps, so at a = 1/27 the 20-step window at step 200 can fall strictly
+    and answer ProbeDivergent for a nilpotent connection.
     """
     spec = M.spec
     if not isinstance(a, FieldElement):
@@ -296,14 +301,16 @@ def _roots_above(chi: Sequence[FieldElement], c: Fraction) -> int:
                if not coef.is_zero())[1]
 
 
-def _near_integer_roots(res: Matrix, c: Fraction) -> int:
-    """Eigenvalues w of res, with multiplicity, with v(w - k) > c for some
-    integer k. For c < 0 that is v(w) > c. For c >= 0 the disc v(x - k) > c
+def _near_integer_roots(res: Matrix, c: Fraction) -> Dict[int, int]:
+    """Eigenvalues w of res with v(w - k) > c for some integer k, as
+    {k: count with multiplicity} over the discs that hold one. For c < 0
+    that is the one disc v(x) > c, keyed 0. For c >= 0 the disc v(x - k) > c
     depends only on k mod p^n, n = floor(c) + 1: level t keeps each k mod p^t
     whose disc v(x - k) > t - 1 (> c at t = n) holds a root of chi(x + k), the
     charpoly of res - k*I. Such discs are disjoint: at most l survive a level."""
     if c < 0:
-        return _roots_above(res.charpoly(), c)
+        near = _roots_above(res.charpoly(), c)
+        return {0: near} if near else {}
     p, n = res.spec.p, floor(c) + 1
     ident = Matrix.identity(res.spec, res.nrows)
     live = {0: res.nrows}
@@ -311,7 +318,7 @@ def _near_integer_roots(res: Matrix, c: Fraction) -> int:
         bound = c if t == n else t - 1
         live = {k: cnt for k in (r + d * p ** (t - 1) for r in live for d in range(p))
                 if (cnt := _roots_above((res - ident.scale(k)).charpoly(), bound))}
-    return sum(live.values())
+    return live
 
 
 def check_nilpotent(M: LogConnection, a) -> dict:
@@ -321,7 +328,8 @@ def check_nilpotent(M: LogConnection, a) -> dict:
     if not isinstance(a, FieldElement):
         a = spec.from_rational(Fraction(a))
     va = a.val()
-    near = M.l if va.is_infinite else _near_integer_roots(M.residual_matrix(), -va.value)
+    near = M.l if va.is_infinite else sum(
+        _near_integer_roots(M.residual_matrix(), -va.value).values())
     return {"status": "ProvenNilpotent" if near == M.l else "ProvenNotNilpotent",
             "evidence": {"near_weights": near}}
 

@@ -18,14 +18,33 @@ from .errors import ZeroInversion
 Rat = Union[int, Fraction]
 
 
+# Miller-Rabin to the prime bases up to 41 is deterministic below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86 (2017)).
+PRIME_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < PRIME_BOUND."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -171,6 +190,8 @@ class FieldSpec:
 
     def __init__(self, p: int, ecoeffs: Sequence[int]):
         coeffs = [int(c) for c in ecoeffs]
+        if p >= PRIME_BOUND:
+            raise ValueError(f"p = {p} is beyond the proven primality range p < {PRIME_BOUND}")
         if not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if len(coeffs) < 2 or coeffs[-1] != 1:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional
 
-from .connops import matrix_gauss_val, split_eigenvalues, trace_tail_verdict
+from .connops import _near_integer_roots, matrix_gauss_val
 from .errors import InvalidValuation
 from .field import FieldElement, Valuation
 from .linalg import Matrix
@@ -109,38 +109,62 @@ def d0_check(M: LogConnection, a, D: int = 6) -> dict:
     return {"ok": True, "witness": None}
 
 
-def _weight_verdict(alpha: FieldElement, va: Valuation, v0: Valuation,
-                    p: int) -> str:
-    if alpha.is_rational():
-        r = alpha.rational_value()
-        if r.denominator == 1 and r >= 0:
-            # the falling factorials hit zero: a polynomial eigen-series
-            return "Convergent"
-    d = alpha.dist_to_integers()
-    if d.is_infinite:
-        # any other weight in Z_p: prod(alpha - i) has valuation at least
-        # v_p(n!) (alpha choose n is integral), leaving slope val(a) + v0
-        return "Convergent" if (va + v0) > 0 else "Unknown"
-    if d.value < 0:
-        # below-integer distance is shift-invariant, so every factor has
-        # valuation exactly d: t_n = n(val(a)+d+v0) - v_p(n!) with the
-        # factorial term pinned between n/(p-1) and n/(p-1) - digit sums
-        slope = va.value + d.value + v0.value - Fraction(1, p - 1)
-        if slope > 0:
-            return "Convergent"
-        # slope 0 still fails: t_(p^k) stays bounded
-        return "Divergent"
-    return "Unknown"
+def _slope_threshold(sigma: Fraction, p: int) -> Fraction:
+    """The distance d* with h(d*) = -sigma, for sigma > 0.
+
+    A weight w at distance d from Z drives terms of slope sigma + h(d), where
+    h(d) = d - 1/(p-1) for d < 0 and h(q + f) = -p^-q/(p-1) + f p^-(q+1)
+    for an integer q >= 0 and 0 <= f < 1. For d >= 0 the factor w - i has
+    valuation min(v_p(i - k), d), k the integer nearest w; at n = p^K,
+    K > q, these sum to n (sum_(1 <= j <= q) p^-j + f p^-(q+1)), and with
+    v_p(n!) = (n-1)/(p-1) the term is worth n (sigma + h(d)) + 1/(p-1).
+    h is continuous and strictly increasing, and slope 0 diverges, so the
+    weight converges iff d > d*.
+    """
+    if sigma >= Fraction(1, p - 1):
+        return Fraction(1, p - 1) - sigma
+    q = 0
+    while sigma * (p - 1) * p ** (q + 1) < 1:
+        q += 1
+    return q + Fraction(p, p - 1) - sigma * p ** (q + 1)
+
+
+def _converges(op: Matrix, sigma: Fraction) -> bool:
+    """Whether sum_n a^n op(op-1)...(op-n+1) X^[n] converges at valuation
+    v0, sigma = val(a) + v0, decided from charpolys alone.
+
+    sigma > 0: every weight of op must lie farther than _slope_threshold
+    from Z. sigma <= 0: each term keeps valuation at most n*sigma
+    infinitely often unless the family vanishes, that is op is
+    diagonalizable with weights in {0, ..., t}, t = tr(op). Those are
+    their own residues mod p^K > t, so the product of op - k*I over the
+    residues k the descent keeps is 0 exactly then.
+    """
+    spec, size = op.spec, op.nrows
+    if sigma > 0:
+        near = _near_integer_roots(op, _slope_threshold(sigma, spec.p))
+        return sum(near.values()) == size
+    t = op.trace()
+    t = t.rational_value() if t.is_rational() else None
+    if t is None or t.denominator != 1 or t < 0:
+        return False
+    K = 0
+    while spec.p ** K <= t:
+        K += 1
+    ident = Matrix.identity(spec, size)
+    prod = ident
+    for k in _near_integer_roots(op, Fraction(K - 1)):
+        prod = (op - ident.scale(k)) * prod
+    return prod.is_zero()
 
 
 def converges_at(kernel: GaloisKernel, g: GaloisElementData) -> dict:
     """Convergence verdict for the series evaluated at a point of valuation
     v0: term n is worth GaussVal(A_n) + n*v0 - v_p(n!).
 
-    Exact when the connection operator's eigenvalues split over K (per
-    eigenvalue, through the distance of the weight to the integers);
-    otherwise the finite valuation trace is inspected with the nilpotency
-    probe's tail rule, connops.trace_tail_verdict.
+    Exact and always decided: A_n = a^n op(op-1)...(op-n+1) with
+    op = A_1/a, and _converges reads the verdict off the charpolys of op
+    and its integer shifts. The trace is reported, not consulted.
     """
     v0 = g.v0
     if not v0.is_infinite and v0.value <= 0:
@@ -157,22 +181,12 @@ def converges_at(kernel: GaloisKernel, g: GaloisElementData) -> dict:
         else:
             trace.append(Valuation(gv.value + n * v0.value - factorial_val(n, p)))
     va = kernel.a.val()
-    status = None
-    weights = None
-    if va.is_infinite or v0.is_infinite or kernel.D == 0:
+    if (va.is_infinite or v0.is_infinite or kernel.D == 0
+            or _converges(kernel.A[1].scale(kernel.a.invert()), va.value + v0.value)):
         status = "Convergent"
     else:
-        op = kernel.A[1].scale(kernel.a.invert())
-        _, weights = split_eigenvalues(op)
-        if weights is not None:
-            verdicts = [_weight_verdict(w, va, v0, p) for w in weights]
-            if any(v == "Divergent" for v in verdicts):
-                status = "Divergent"
-            elif all(v == "Convergent" for v in verdicts):
-                status = "Convergent"
-    if status is None:
-        status = trace_tail_verdict(trace)
-    return {"status": status, "trace": trace, "weights": weights}
+        status = "Divergent"
+    return {"status": status, "trace": trace}
 
 
 def tau_power_kernel(M: LogConnection, i: int, variant: str, a=None,

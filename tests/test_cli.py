@@ -45,10 +45,14 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 BAD_FLAGS = {
     "strat-D": (["conn", "strat", "--D", "-1"], "T"),
     "galois-kernel-D": (["conn", "galois-kernel", "--D", "-2"], "T"),
+    "galois-kernel-tau": (["conn", "galois-kernel", "--tau", "10000"], "T"),
     "bk-twist-m": (["examples", "bk-twist", "--n", "1", "--m", "0", "--field"], "T"),
     "key-lemma-n-max": (["verify", "key-lemma", "--n-max", "-1"], "strat"),
     "change-unif-lambda-F": (["conn", "change-unif", "--lambda-F", "-1"], "u-pi"),
 }
+
+
+HUGE_LITERAL_FIELD = '{"p":' + "1" * 4301 + ',"E":[-3,1]}'
 
 
 def bad_flag_input(name, field_path, spec):
@@ -356,6 +360,21 @@ class TestFailurePaths:
         code, out = run_cli(["field", "check"], stdin_text='{"p":3,"E":[-3,1],"p":3}')
         assert code == 2 and out == ""
 
+    def test_huge_integer_literal_exits_two(self):
+        # longer than the 4,300 digits Python converts by default
+        code, out, err = run_cli_stderr(["field", "check"],
+                                        stdin_text=HUGE_LITERAL_FIELD)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_large_prime_accepted_and_beyond_bound_exits_two(self):
+        p = 100000000000031
+        code, out = run_cli(["field", "check"], stdin_text=json.dumps({"p": p, "E": [-p, 1]}))
+        assert (code, json.loads(out)) == (0, {"p": p, "E": [-p, 1]})
+        p = 3317044064679887385961981
+        code, out = run_cli(["field", "check"], stdin_text=json.dumps({"p": p, "E": [-p, 1]}))
+        assert (code, out) == (2, "")
+
     def test_mistyped_kernel_fields_exit_two(self, q3):
         obj = encode_kernel(action_kernel(constant_conn(q3, 1, [[2]]), q3.a_prism(), 1))
         for key, bad in (("D", True), ("tag", 7), ("c", 0), ("c", True), ("c", "6")):
@@ -408,6 +427,11 @@ class TestOptimizedMode:
             proc = self.both(*bad_flag_input(name, q3_field_file, q3))
             assert proc.returncode == 2 and proc.stdout == b""
             assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+
+    def test_huge_integer_literal(self):
+        proc = self.both(["field", "check"], HUGE_LITERAL_FIELD)
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
 
     def test_kernel_without_identity_slot(self, q3):
         obj = encode_kernel(action_kernel(constant_conn(q3, 1, [[2]]), q3.a_prism(), 2))

@@ -13,8 +13,6 @@ from prismlab.connops import (PROBE_THRESHOLD, PROBE_WINDOW, bk_twist,
                               tensor, trace_tail_verdict, _log_multiplier)
 from prismlab.errors import (BadTruncationIndex, NotAUniformizer, RingMismatch)
 from prismlab.field import FieldSpec, Valuation
-from prismlab.galois import (GaloisElementData, GaloisKernel, converges_at,
-                             factorial_val)
 from prismlab.linalg import Matrix
 from prismlab.series import TruncSeries, lambda_approx
 from prismlab.strat import LogConnection, from_connection, to_connection
@@ -280,8 +278,7 @@ def valuations(*xs):
 
 
 class TestTraceTailRule:
-    """The one tail rule behind the nilpotency probe and the convergence
-    verdict."""
+    """The tail rule behind the nilpotency probe."""
 
     def test_infinite_last_entry(self):
         assert trace_tail_verdict(valuations(0, -5, None)) == "Convergent"
@@ -311,24 +308,6 @@ class TestTraceTailRule:
         M = constant_conn(q3, 1, [[0, 2], [1, 0]])
         probe = probe_nilpotency(M, Fraction(1, 3), n_max=0)
         assert probe["status"] == "Unknown" and len(probe["trace"]) == 1
-
-    @pytest.mark.parametrize("a", [3, 1, Fraction(1, 3)])
-    def test_probe_and_convergence_agree_on_one_trace(self, q3, a):
-        M = constant_conn(q3, 1, [[0, 2], [1, 0]])
-        probe = probe_nilpotency(M, a, n_max=60)
-        # a kernel whose trace at v0 = 1 is the probe's trace: A_n has Gauss
-        # valuation t_n - n + v_3(n!), and A_1 / a has the non-split
-        # characteristic polynomial x^2 - 2c^2, so the tail rule decides
-        base = Matrix(q3, [[0, 2], [1, 0]])
-        A = [Matrix.identity(q3, 2)]
-        for n, t in enumerate(probe["trace"][1:], 1):
-            A.append(base.scale(Fraction(3) ** (t.value - n + factorial_val(n, 3))))
-        kernel = GaloisKernel(q3, len(A) - 1, A, q3.from_rational(a), "custom")
-        rep = converges_at(kernel, GaloisElementData(1))
-        assert rep["weights"] is None and rep["trace"] == probe["trace"]
-        expect = {"ProbeConvergent": "Convergent", "ProbeDivergent": "Divergent",
-                  "Unknown": "Unknown"}[probe["status"]]
-        assert rep["status"] == expect
 
 
 class TestClassify:

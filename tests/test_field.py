@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from prismlab.errors import ZeroInversion
-from prismlab.field import FieldSpec, Valuation, vp_rational
+from prismlab.field import PRIME_BOUND, FieldSpec, Valuation, _is_prime, vp_rational
 
 from conftest import random_element, random_rational
 
@@ -23,6 +23,19 @@ class TestFieldSpec:
     def test_rejects_non_prime(self):
         with pytest.raises(ValueError):
             FieldSpec(4, [-4, 1])
+
+    def test_primality_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        assert all(_is_prime(n) == sympy.isprime(n) for n in range(-2, 10 ** 5))
+        # strong pseudoprimes to the bases 2..7 and 2..37, and a Mersenne prime
+        assert not _is_prime(3215031751)
+        assert not _is_prime(318665857834031151167461)
+        assert _is_prime(2 ** 61 - 1)
+        assert FieldSpec(2 ** 61 - 1, [-(2 ** 61 - 1), 1]).p == 2 ** 61 - 1
+
+    def test_rejects_p_beyond_proven_range(self):
+        with pytest.raises(ValueError, match="proven"):
+            FieldSpec(PRIME_BOUND, [-PRIME_BOUND, 1])
 
     def test_rejects_non_eisenstein_coefficient(self):
         with pytest.raises(ValueError):

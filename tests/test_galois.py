@@ -1,15 +1,18 @@
 """Action-kernel series, comparison series H, convergence verdicts."""
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prismlab.connops import matrix_gauss_val
 from prismlab.errors import InvalidValuation
 from prismlab.field import FieldSpec, Valuation
 from prismlab.galois import (GaloisElementData, GaloisKernel, action_kernel,
                              converges_at, d0_check, digit_sum, factorial_val,
                              h_series, tau_power_kernel)
 from prismlab.linalg import Matrix
+from prismlab.series import TruncSeries
 from prismlab.strat import LogConnection, from_connection
 
 from conftest import random_element
@@ -163,13 +166,63 @@ class TestConvergence:
         assert [t.value for t in rep["trace"]] == [Fraction(-n, 2) for n in range(13)]
 
     def test_non_split_probe_paths(self, q3):
-        M = constant_conn(q3, 1, [[0, 2], [1, 0]])
-        k = action_kernel(M, 1, 12)
-        low = converges_at(k, GaloisElementData(Fraction(1, 2)))
-        assert low["weights"] is None
-        assert low["status"] == "Unknown"
-        high = converges_at(k, GaloisElementData(60))
-        assert high["status"] == "Convergent"
+        # weights +-sqrt 2 lie outside Q_3 at distance 0 from Z: slope
+        # v0 - 1/2, so v0 = 1/2 diverges (term n is worth s_3(n)/2) and
+        # every larger v0 converges
+        k = action_kernel(constant_conn(q3, 1, [[0, 2], [1, 0]]), 1, 12)
+        verdicts = {v0: converges_at(k, GaloisElementData(v0))["status"]
+                    for v0 in (Fraction(1, 2), Fraction(3, 4), 1, 60)}
+        assert verdicts == {Fraction(1, 2): "Divergent", Fraction(3, 4): "Convergent",
+                            1: "Convergent", 60: "Convergent"}
+
+    def test_positive_distance_thresholds(self, q3, q3s):
+        # +-3 sqrt 2 lie at distance 1 from Z: h(1) = -1/6, so the slope
+        # val(a) + v0 - 1/6 decides and v0 = 1/6 (slope 0) diverges
+        k = action_kernel(constant_conn(q3, 1, [[0, 18], [1, 0]]), 1, 8)
+        assert [converges_at(k, GaloisElementData(v0))["status"]
+                for v0 in (Fraction(1, 8), Fraction(1, 6), Fraction(1, 4))] == \
+            ["Divergent", "Divergent", "Convergent"]
+        # pi at distance 1/2: h(1/2) = -1/2 + 1/6 = -1/3
+        M = LogConnection(q3s, "T", 1, 1, [[TruncSeries.constant(q3s, 1, q3s.pi())]])
+        k = action_kernel(M, 1, 8)
+        assert [converges_at(k, GaloisElementData(v0))["status"]
+                for v0 in (Fraction(1, 3), Fraction(2, 5))] == ["Divergent", "Convergent"]
+
+    def test_jordan_block_needs_vanishing(self, q3):
+        # val(a) + v0 = -2 and op = [[0,1],[0,0]]: A_n = a^n (-1)^(n-1) (n-1)! op
+        # never vanishes and term n is worth -2n - v_3(n): Divergent, though
+        # both weights are 0
+        k = action_kernel(constant_conn(q3, 1, [[0, 1], [0, 0]]), Fraction(1, 27), 8)
+        assert converges_at(k, GaloisElementData(1))["status"] == "Divergent"
+        # diag(0, 1) is diagonalizable with weights 0 and 1: A_2 = 0
+        k = action_kernel(constant_conn(q3, 1, [[0, 0], [0, 1]]), Fraction(1, 27), 8)
+        rep = converges_at(k, GaloisElementData(1))
+        assert rep["status"] == "Convergent" and rep["trace"][2].is_infinite
+
+    def test_half_weight_at_negative_slope(self, q3):
+        # val(a) + v0 = -1/2 and the weight 1/2 is no integer
+        k = action_kernel(constant_conn(q3, 1, [[Fraction(1, 2)]]), Fraction(1, 3), 8)
+        assert converges_at(k, GaloisElementData(Fraction(1, 2)))["status"] == "Divergent"
+
+    def test_pi_weight_over_ramified_field(self, q3s):
+        # weight pi at a = 1/pi: val(a) + v0 = 0 diverges, and at v0 = 1
+        # the distance 1/2 clears the threshold 0
+        pi = q3s.pi()
+        M = LogConnection(q3s, "T", 1, 1, [[TruncSeries.constant(q3s, 1, pi)]])
+        k = action_kernel(M, pi.invert(), 8)
+        assert converges_at(k, GaloisElementData(Fraction(1, 2)))["status"] == "Divergent"
+        assert converges_at(k, GaloisElementData(1))["status"] == "Convergent"
+
+    def test_huge_integer_weight_charpoly_count(self, q3, monkeypatch):
+        # weight 10^30 at val(a) + v0 = -2: the family vanishes at degree
+        # 10^30 + 1, found by a descent over the 63 digits of 3^63 > 10^30
+        k = action_kernel(constant_conn(q3, 1, [[10 ** 30]]), Fraction(1, 27), 4)
+        calls = []
+        charpoly = Matrix.charpoly
+        monkeypatch.setattr(Matrix, "charpoly",
+                            lambda self: calls.append(1) or charpoly(self))
+        assert converges_at(k, GaloisElementData(1))["status"] == "Convergent"
+        assert 63 <= len(calls) <= 3 * 63
 
     def test_invalid_valuation(self, q3):
         k = action_kernel(twist(q3, 1, 1), 1, 3)
@@ -224,3 +277,60 @@ def test_convergence_monotone_in_v0(seed, num, den, v0a, bump):
     hi = converges_at(k, GaloisElementData(v0a + bump))
     if lo["status"] == "Convergent":
         assert hi["status"] == "Convergent"
+
+
+GROWTH_FIELDS = (FieldSpec(3, [-3, 1]), FieldSpec(3, [-3, 0, 1]),
+                 FieldSpec(2, [-2, 1]), FieldSpec(5, [-5, 1]))
+GROWTH_LEVEL = {2: 9, 3: 6, 5: 4}
+
+
+def trace_growth(op, sigma, p):
+    """t(p^K) - t(p^(K-1)) for t(n) = GaussVal(op(op-1)...(op-n+1))
+    + n*sigma - v_p(n!), the valuation of term n at sigma = val(a) + v0;
+    None when the product vanishes by n = p^K."""
+    K = GROWTH_LEVEL[p]
+    one = Matrix.identity(op.spec, op.nrows)
+    P, t = one, {}
+    for n in range(1, p ** K + 1):
+        P = (op - one.scale(n - 1)) * P
+        if P.is_zero():
+            return None
+        if n in (p ** (K - 1), p ** K):
+            t[n] = matrix_gauss_val(P).value + n * sigma - factorial_val(n, p)
+    return t[p ** K] - t[p ** (K - 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.integers(0, len(GROWTH_FIELDS) - 1), seed=st.integers(0, 10 ** 6),
+       l=st.integers(1, 2), k=st.integers(-3, 2), r=st.integers(0, 1),
+       v0=st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+                           Fraction(3, 4), 1, Fraction(3, 2), 2, 3]))
+def test_convergence_matches_trace_growth(field, seed, l, k, r, v0):
+    """The verdict is never Unknown and agrees with the growth of the real
+    trace over the last p-adic decade below p^K (243 to 729 for p = 3).
+
+    At slope s = val(a) + v0 + h(dist) that growth is (p-1) p^(K-1) s plus
+    a bounded part (Gauss valuation offsets, v_p of binomials, Jordan
+    corrections). Distances of these weights lie in (1/2e)Z and val(a) + v0
+    in v0 + (1/e)Z, so a positive slope is at least 1/16 and gives growth
+    of at least 16, while at slope 0 the growth stayed at most 2 on 3,200
+    random draws like these, so 8 separates. Smaller v0, whose slopes the
+    decade cannot resolve, are pinned in TestConvergence. Some matrices are
+    scaled by p^j and shifted by an integer, which puts their weights at a
+    finite distance >= 0 from Z."""
+    spec = GROWTH_FIELDS[field]
+    rng = random.Random(seed)
+    rows = [[random_element(rng, spec) if rng.random() < 0.8 else spec.zero()
+             for _ in range(l)] for _ in range(l)]
+    if rng.random() < 0.4:
+        # weights p^j w + k: near the integer k when w is a unit
+        j, k0 = rng.randint(1, 2), rng.randint(-4, 4)
+        rows = [[x * spec.p ** j + (k0 if i == i2 else 0) for i2, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+    M = LogConnection(spec, "T", l, 1, [[TruncSeries.constant(spec, 1, x) for x in row]
+                                        for row in rows])
+    a = spec.pi() ** (k * spec.e + r)
+    rep = converges_at(action_kernel(M, a, 2), GaloisElementData(v0))
+    assert rep["status"] in ("Convergent", "Divergent")
+    g = trace_growth(M.operator(), a.val().value + v0, spec.p)
+    assert rep["status"] == ("Convergent" if g is None or g >= 8 else "Divergent"), g
