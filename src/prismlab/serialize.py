@@ -15,7 +15,7 @@ from .field import FieldElement, FieldSpec, Valuation
 from .galois import GaloisKernel
 from .linalg import Matrix
 from .series import TruncSeries
-from .strat import LogConnection, Stratification
+from .strat import LogConnection, Stratification, operator_family
 
 
 def canonical_json(obj: Any) -> str:
@@ -217,9 +217,15 @@ def parse_kernel(obj) -> GaloisKernel:
         raise InputFormatError("kernel operators must share one square size")
     a = parse_element(spec, obj["a"])
     try:
-        return GaloisKernel(spec, D, mats, a, tag, c)
+        kernel = GaloisKernel(spec, D, mats, a, tag, c)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
+    # converges_at decides from A_1 alone, so the rest must follow from it
+    family = operator_family(mats[1], a, D + 1) if D else mats
+    bad = next((n for n in range(D + 1) if mats[n] != family[n]), None)
+    if bad is not None:
+        raise InputFormatError(f"kernel operator A_{bad} breaks A_(n+1) = (A_1 - n*a) A_n")
+    return kernel
 
 
 def encode_valuation_list(vs: List[Valuation]) -> list:

@@ -15,7 +15,7 @@ from typing import List
 from .errors import (LeibnizViolation, NotAStratification, RingMismatch)
 from .field import FieldElement, FieldSpec
 from .linalg import Matrix
-from .pdalg import CosimpConfig, PDElement, face, one_plus_a_x_pow
+from .pdalg import CosimpConfig, PDElement, one_plus_a_x_pow
 from .series import TruncSeries
 
 
@@ -184,101 +184,90 @@ def to_connection(strat: Stratification, unif: str = "T") -> LogConnection:
     return LogConnection(spec, unif, l, m, N)
 
 
-def _unflatten(spec, column, l, m) -> List[TruncSeries]:
-    return [TruncSeries(spec, m, [column[flat_index(k, j, l)] for k in range(m)])
-            for j in range(l)]
+def _t_linear(phi: Matrix, l: int) -> Matrix:
+    """Lin(phi), the T-linear extension of phi from the generators: column
+    (t, i) is column i shifted down t T-blocks, past T^(m-1) dropped."""
+    zero = phi.spec.zero()
+    return Matrix._trusted(phi.spec, tuple(
+        tuple(phi.rows[r - c + c % l][c % l] if r >= c - c % l else zero
+              for c in range(phi.ncols)) for r in range(phi.nrows)))
 
 
-def _column(mat: Matrix, col: int) -> list:
-    return [mat[r, col] for r in range(len(mat.rows))]
+def _falling(x: int, r: int) -> int:
+    out = 1
+    for k in range(r):
+        out *= x - k
+    return out
+
+
+def _cocycle_witness(strat: Stratification) -> dict:
+    """The first generator x0, then the least (k1 + k2, k1, t, i), where the
+    two composites differ at X1^[k1] X2^[k2] T^t e_i, from closed forms.
+
+    For k1 >= 1 that difference is column x0 of
+      Delta(k1, k2) = sum_mm C(k1, mm) Lin(phi_mm) B(k1 - mm, k2),
+      B(j, k2) = sum_s (-1)^s C(j, s) a^(j-s) F(j-s, k2+s) phi_(k2+s),
+    F(r, n) scaling row (t, i) by (t-n)(t-n-1)...(t-n-r+1); for k1 = 0 it
+    vanishes once phi_0 = I. Delta(1, n) = (psi_1 - n*a) phi_n - phi_(n+1)
+    with psi_1 = Lin(phi_1) + a*diag(t), so a column off psi =
+    operator_family(psi_1) fails. Once the generator columns follow psi,
+    Lin(phi_mm) = Lin(psi_mm) and every column on psi passes: only the first
+    column off psi, or else the generator columns up to it, are expanded.
+    """
+    spec, l, D, a = strat.spec, strat.l, strat.D, strat.a
+    n = l * strat.m
+    zero = spec.zero()
+    lin = [_t_linear(p, l) for p in strat.phi]
+    apow = [a ** r for r in range(D + 1)]
+    tilt = Matrix._trusted(spec, tuple(tuple(a * (r // l) if r == c else zero
+                                             for c in range(n)) for r in range(n)))
+    psi = operator_family(lin[1] + tilt, a, D + 1)
+    first = next(x0 for x0 in range(n) if any(
+        p[r, x0] != q[r, x0] for p, q in zip(strat.phi, psi) for r in range(n)))
+    for x0 in (range(first + 1) if first < l else (first,)):
+        cols = [[p[r, x0] for r in range(n)] for p in strat.phi]
+        B = {}
+
+        def b(j, k2):
+            if (j, k2) not in B:
+                v = [zero] * n
+                for s in range(j + 1):
+                    for r, x in enumerate(cols[k2 + s]):
+                        f = (-1) ** s * comb(j, s) * _falling(r // l - k2 - s, j - s)
+                        if f and not x.is_zero():
+                            v[r] = v[r] + x * apow[j - s] * f
+                B[j, k2] = v
+            return B[j, k2]
+
+        for deg in range(1, D + 1):
+            keys = []
+            for k1 in range(1, deg + 1):
+                delta = [zero] * n
+                for mm in range(k1 + 1):
+                    part = lin[mm].apply(b(k1 - mm, deg - k1))
+                    delta = [d + y * comb(k1, mm) for d, y in zip(delta, part)]
+                keys += [(k1, r) for r, d in enumerate(delta) if not d.is_zero()]
+            if keys:
+                k1, r = min(keys)
+                return {"generator": x0, "component": r % l,
+                        "monomial": {"x1": k1, "x2": deg - k1, "t": r // l}}
 
 
 def check_cocycle(strat: Stratification) -> dict:
-    """Compare both composites of the gluing datum on the level-2 ring.
+    """The cocycle identity of the gluing datum, decided on matrices.
 
-    For each flattened basis vector T^k e_j, the inner-then-outer composite
-    is expanded through the twisted face maps and compared against the
-    direct outer expansion, coefficient by coefficient on monomials
-    X1^[k1] X2^[k2] T^j. Running over the whole flattened basis (not just
-    the T^0 generators) makes the check sensitive to every matrix entry of
-    the family. Also checks that the degeneracy pullback is the identity.
+    phi_0..phi_D is a stratification iff phi_0 = I and, for D >= 1, phi_1
+    obeys the twisted Leibniz law and phi_(n+1) = (phi_1 - n*a) phi_n. A
+    failure after phi_0 = I reports where the level-2 expansions of both
+    composites first differ (_cocycle_witness).
     """
-    spec, l, m, D, a = strat.spec, strat.l, strat.m, strat.D, strat.a
-    cfg = CosimpConfig(spec, a, D, m)
-    report = {"ok": True, "degeneracy_ok": True, "witness": None}
+    spec, l, m, D = strat.spec, strat.l, strat.m, strat.D
     if not strat.phi[0] == Matrix.identity(spec, l * m):
-        report["ok"] = False
-        report["degeneracy_ok"] = False
-        return report
-
-    q = face(0, PDElement.variable(cfg, 1, 1))
-    gam_q = [q.gamma(n) for n in range(D + 1)]
-    tw_pow = [one_plus_a_x_pow(cfg, 2, 1, k) for k in range(m)]
-    t_mono = [PDElement.monomial(cfg, 2, (0, 0), k, 1) for k in range(m)]
-
-    def embed_plain(f: TruncSeries) -> PDElement:
-        out = PDElement.zero(cfg, 2)
-        for k, c in enumerate(f.coeffs):
-            if not c.is_zero():
-                out = out + t_mono[k].scale(c)
-        return out
-
-    def embed_twisted(f: TruncSeries) -> PDElement:
-        out = PDElement.zero(cfg, 2)
-        for k, c in enumerate(f.coeffs):
-            if not c.is_zero():
-                out = out + (t_mono[k] * tw_pow[k]).scale(c)
-        return out
-
-    cols = {}
-
-    def phi_col(n, c):
-        # column c of phi_n as an l-vector of truncated series; the module
-        # generators occupy columns 0..l-1 (flat index of T^0 e_j is j)
-        if (n, c) not in cols:
-            cols[(n, c)] = _unflatten(spec, _column(strat.phi[n], c), l, m)
-        return cols[(n, c)]
-
-    x1 = [PDElement.monomial(cfg, 2, (mm, 0), 0, 1) for mm in range(D + 1)]
-    x2 = [PDElement.monomial(cfg, 2, (0, n), 0, 1) for n in range(D + 1)]
-
-    for x0 in range(l * m):
-        inner = [PDElement.zero(cfg, 2) for _ in range(l)]
-        for n in range(D + 1):
-            v = phi_col(n, x0)
-            for i in range(l):
-                if not v[i].is_zero():
-                    inner[i] = inner[i] + embed_twisted(v[i]) * gam_q[n]
-        lhs = [PDElement.zero(cfg, 2) for _ in range(l)]
-        for i in range(l):
-            if inner[i].is_zero():
-                continue
-            for mm in range(D + 1):
-                w = phi_col(mm, i)
-                factor = x1[mm] * inner[i]
-                for i2 in range(l):
-                    if not w[i2].is_zero():
-                        lhs[i2] = lhs[i2] + embed_plain(w[i2]) * factor
-        rhs = [PDElement.zero(cfg, 2) for _ in range(l)]
-        for n in range(D + 1):
-            v = phi_col(n, x0)
-            for i2 in range(l):
-                if not v[i2].is_zero():
-                    rhs[i2] = rhs[i2] + embed_plain(v[i2]) * x2[n]
-        best = None
-        for i2 in range(l):
-            diff = lhs[i2] - rhs[i2]
-            for (ks, j) in diff.terms:
-                key = (ks[0] + ks[1], ks[0], j, i2)
-                if best is None or key < best[0]:
-                    best = (key, i2, ks, j)
-        if best is not None:
-            _, i2, (k1, k2), j = best
-            report["ok"] = False
-            report["witness"] = {"generator": x0, "component": i2,
-                                 "monomial": {"x1": k1, "x2": k2, "t": j}}
-            return report
-    return report
+        return {"ok": False, "degeneracy_ok": False, "witness": None}
+    if D == 0 or (check_leibniz(strat)["ok"]
+                  and strat.phi == operator_family(strat.phi[1], strat.a, D + 1)):
+        return {"ok": True, "degeneracy_ok": True, "witness": None}
+    return {"ok": False, "degeneracy_ok": True, "witness": _cocycle_witness(strat)}
 
 
 def verify_key_lemma(phi: List[Matrix], a: FieldElement, n_max: int, D: int) -> dict:

@@ -436,8 +436,14 @@ class TestOptimizedMode:
     def test_kernel_without_identity_slot(self, q3):
         obj = encode_kernel(action_kernel(constant_conn(q3, 1, [[2]]), q3.a_prism(), 2))
         obj["A"][0] = [[[0]]]
-        proc = self.both(["conn", "converges", "--v0", "1/2"], canonical_json(obj))
-        assert proc.returncode == 2 and proc.stdout == b""
+        # and a kernel whose A_3 breaks A_(n+1) = (A_1 - n*a) A_n
+        broken = encode_kernel(action_kernel(constant_conn(q3, 1, [[Fraction(1, 3)]]),
+                                             q3.a_prism(), 3))
+        broken["A"][3] = [[["1/59049"]]]
+        for kernel, v0 in ((obj, "1/2"), (broken, "2")):
+            proc = self.both(["conn", "converges", "--v0", v0], canonical_json(kernel))
+            assert proc.returncode == 2 and proc.stdout == b""
+            assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
 
     def test_readme_pipeline(self, tmp_path, field_file):
         assert self.both(["field", "check", field_file]).returncode == 0

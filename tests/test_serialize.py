@@ -1,4 +1,5 @@
 """Canonical JSON round trips and rejection of malformed input."""
+import json
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,17 @@ class TestKernelForms:
         obj["A"][0][0][0] = [2]
         with pytest.raises(InputFormatError):
             parse_kernel(obj)
+
+    def test_recurrence_checked(self, rng, q3s):
+        # A_(n+1) = (A_1 - n*a) A_n: a changed A_n is refused by name
+        k = action_kernel(random_connection(rng, q3s, 1, 2), q3s.a_prism(), 4)
+        obj = encode_kernel(k)
+        assert parse_kernel(obj).A == k.A
+        for n in (2, 3, 4):
+            bad = json.loads(json.dumps(obj))
+            bad["A"][n][1][0] = encode_element(k.A[n][1, 0] + 1)
+            with pytest.raises(InputFormatError, match=f"A_{n} "):
+                parse_kernel(bad)
 
 
 class TestDeterminism:

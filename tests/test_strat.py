@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from prismlab.errors import LeibnizViolation, NotAStratification
 from prismlab.linalg import Matrix
-from prismlab.pdalg import CosimpConfig, PDElement, one_plus_a_x_pow
+from prismlab.pdalg import CosimpConfig, PDElement, face, one_plus_a_x_pow
 from prismlab.series import TruncSeries
 from prismlab.strat import (LogConnection, Stratification, check_cocycle,
                             check_leibniz, flat_index, from_connection,
@@ -196,6 +196,98 @@ def cocycle_sides_closed_form(strat):
     return lhs, rhs
 
 
+def cocycle_by_expansion(strat):
+    """Compare both composites of the gluing datum on the level-2 ring.
+
+    The paper's literal definition, kept as the reference for check_cocycle.
+    For each flattened basis vector T^k e_j, the inner-then-outer composite
+    is expanded through the twisted face maps and compared against the
+    direct outer expansion, coefficient by coefficient on monomials
+    X1^[k1] X2^[k2] T^j. Running over the whole flattened basis (not just
+    the T^0 generators) makes the check sensitive to every matrix entry of
+    the family.
+    """
+    spec, l, m, D, a = strat.spec, strat.l, strat.m, strat.D, strat.a
+    cfg = CosimpConfig(spec, a, D, m)
+    report = {"ok": True, "degeneracy_ok": True, "witness": None}
+    if not strat.phi[0] == Matrix.identity(spec, l * m):
+        report["ok"] = False
+        report["degeneracy_ok"] = False
+        return report
+
+    q = face(0, PDElement.variable(cfg, 1, 1))
+    gam_q = [q.gamma(n) for n in range(D + 1)]
+    tw_pow = [one_plus_a_x_pow(cfg, 2, 1, k) for k in range(m)]
+    t_mono = [PDElement.monomial(cfg, 2, (0, 0), k, 1) for k in range(m)]
+
+    def embed_plain(f: TruncSeries) -> PDElement:
+        out = PDElement.zero(cfg, 2)
+        for k, c in enumerate(f.coeffs):
+            if not c.is_zero():
+                out = out + t_mono[k].scale(c)
+        return out
+
+    def embed_twisted(f: TruncSeries) -> PDElement:
+        out = PDElement.zero(cfg, 2)
+        for k, c in enumerate(f.coeffs):
+            if not c.is_zero():
+                out = out + (t_mono[k] * tw_pow[k]).scale(c)
+        return out
+
+    cols = {}
+
+    def phi_col(n, c):
+        # column c of phi_n as an l-vector of truncated series; the module
+        # generators occupy columns 0..l-1 (flat index of T^0 e_j is j)
+        if (n, c) not in cols:
+            mat = strat.phi[n]
+            cols[(n, c)] = [TruncSeries(spec, m, [mat[flat_index(k, j, l), c]
+                                                  for k in range(m)])
+                            for j in range(l)]
+        return cols[(n, c)]
+
+    x1 = [PDElement.monomial(cfg, 2, (mm, 0), 0, 1) for mm in range(D + 1)]
+    x2 = [PDElement.monomial(cfg, 2, (0, n), 0, 1) for n in range(D + 1)]
+
+    for x0 in range(l * m):
+        inner = [PDElement.zero(cfg, 2) for _ in range(l)]
+        for n in range(D + 1):
+            v = phi_col(n, x0)
+            for i in range(l):
+                if not v[i].is_zero():
+                    inner[i] = inner[i] + embed_twisted(v[i]) * gam_q[n]
+        lhs = [PDElement.zero(cfg, 2) for _ in range(l)]
+        for i in range(l):
+            if inner[i].is_zero():
+                continue
+            for mm in range(D + 1):
+                w = phi_col(mm, i)
+                factor = x1[mm] * inner[i]
+                for i2 in range(l):
+                    if not w[i2].is_zero():
+                        lhs[i2] = lhs[i2] + embed_plain(w[i2]) * factor
+        rhs = [PDElement.zero(cfg, 2) for _ in range(l)]
+        for n in range(D + 1):
+            v = phi_col(n, x0)
+            for i2 in range(l):
+                if not v[i2].is_zero():
+                    rhs[i2] = rhs[i2] + embed_plain(v[i2]) * x2[n]
+        best = None
+        for i2 in range(l):
+            diff = lhs[i2] - rhs[i2]
+            for (ks, j) in diff.terms:
+                key = (ks[0] + ks[1], ks[0], j, i2)
+                if best is None or key < best[0]:
+                    best = (key, i2, ks, j)
+        if best is not None:
+            _, i2, (k1, k2), j = best
+            report["ok"] = False
+            report["witness"] = {"generator": x0, "component": i2,
+                                 "monomial": {"x1": k1, "x2": k2, "t": j}}
+            return report
+    return report
+
+
 class TestCocycle:
     def test_identity_datum_passes(self, q3):
         # at m=1 the identity gluing datum literally has zero higher terms
@@ -253,6 +345,71 @@ class TestCocycle:
         lhs2, rhs2 = cocycle_sides_closed_form(bad)
         assert any(lhs2[i][j] != rhs2[i][j] for i in range(2) for j in range(2))
         assert not check_cocycle(bad)["ok"]
+
+
+# the benchmark's four fields: Q_3 as u - 3, and u^2 - 3, u^2 - 2, u^3 + 3u + 3
+FIELD_TABLE = ((3, (-3, 1)), (3, (-3, 0, 1)), (2, (-2, 0, 1)), (3, (3, 3, 0, 1)))
+
+
+def random_matrix(rng, spec, n):
+    return Matrix(spec, [[random_element(rng, spec, 3) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(field=st.integers(0, 3), l=st.integers(1, 2), m=st.integers(1, 3),
+       D=st.integers(0, 5), log=st.booleans(), seed=st.integers(0, 10 ** 6))
+def test_cocycle_matches_expansion(field, l, m, D, log, seed):
+    """check_cocycle's report, witness included, is the level-2 expansion's,
+    on genuine families, each phi_n with one entry changed, the recurrence
+    from a random phi_1, and random families with phi_0 = I."""
+    import random
+
+    from prismlab.field import FieldSpec
+    p, E = FIELD_TABLE[field]
+    spec = FieldSpec(p, list(E))
+    a = spec.a_log() if log else spec.a_prism()
+    rng = random.Random(seed)
+    n = l * m
+    genuine = from_connection(random_connection(rng, spec, l, m), a, D)
+    families = [genuine]
+    for k in range(D + 1):
+        r, c = rng.randrange(n), rng.randrange(n)
+        families.append(genuine.perturbed(k, Matrix(spec, [
+            [random_element(rng, spec, 3) if (i, j) == (r, c) else 0 for j in range(n)]
+            for i in range(n)])))
+    if D >= 1:
+        families.append(Stratification(spec, l, m, D, a, operator_family(
+            random_matrix(rng, spec, n), a, D + 1)))
+    families.append(Stratification(spec, l, m, D, a, [Matrix.identity(spec, n)] + [
+        random_matrix(rng, spec, n) for _ in range(D)]))
+    for strat in families:
+        assert check_cocycle(strat) == cocycle_by_expansion(strat)
+
+
+def test_cocycle_pass_uses_matrices_only(monkeypatch):
+    """A genuine family at E = u^3 + 3u + 3, l = 2, m = 8, D = 16 passes with
+    no PDElement product and at most D + 4 matrix products: D for the
+    recurrence, four for the Leibniz law at T^0 and T^1."""
+    import random
+
+    from prismlab.field import FieldSpec
+    spec = FieldSpec(3, [3, 3, 0, 1])
+    D = 16
+    strat = from_connection(random_connection(random.Random(16), spec, 2, 8),
+                            spec.a_prism(), D)
+    calls = {"pd": 0, "mat": 0}
+    pd_mul, mat_mul = PDElement.__mul__, Matrix.__mul__
+
+    def counting(key, mul):
+        def wrapped(self, other):
+            calls[key] += 1
+            return mul(self, other)
+        return wrapped
+
+    monkeypatch.setattr(PDElement, "__mul__", counting("pd", pd_mul))
+    monkeypatch.setattr(Matrix, "__mul__", counting("mat", mat_mul))
+    assert check_cocycle(strat) == {"ok": True, "degeneracy_ok": True, "witness": None}
+    assert calls["pd"] == 0 and calls["mat"] <= D + 4
 
 
 class TestKeyLemma:
