@@ -24,7 +24,8 @@ from .serialize import (canonical_json, encode_connection, encode_element,
                         parse_connection, parse_field, parse_kernel,
                         parse_rational, parse_series, parse_stratification)
 from .strat import (LogConnection, check_cocycle, check_leibniz,
-                    from_connection, to_connection, verify_key_lemma)
+                    first_off_recurrence, from_connection, to_connection,
+                    verify_key_lemma)
 
 
 def _reject_duplicates(pairs):
@@ -188,6 +189,11 @@ def cmd_strat_to_conn(args) -> int:
     st = parse_stratification(_read_json(args.file))
     try:
         M = to_connection(st)
+        # to_connection reads phi_0 and phi_1 only: the rest must follow from them
+        bad = first_off_recurrence(st.phi, st.a)
+        if bad is not None:
+            raise NotAStratification(
+                f"operator phi_{bad} breaks phi_(n+1) = (phi_1 - n*a) phi_n")
     except (NotAStratification, LeibnizViolation) as exc:
         _emit({"status": "fail", "error": str(exc)})
         return 1

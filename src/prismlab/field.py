@@ -294,6 +294,61 @@ def _make(spec: FieldSpec, num: tuple, den: int) -> "FieldElement":
     return x
 
 
+def _fold(spec: FieldSpec, prod: list) -> tuple:
+    """The numerator tuple of the integer polynomial prod in pi, of degree
+    at most 2e - 2, reduced mod E: pi^e = -(c_(e-1) pi^(e-1) + ... + c_0)."""
+    e = spec.e
+    for k in range(len(prod) - 1, e - 1, -1):
+        c = prod[k]
+        if c:
+            for i, ci in spec._fold:
+                prod[k - e + i] -= c * ci
+    return tuple(prod[:e])
+
+
+def lift(xs: Sequence["FieldElement"]):
+    """(den, nums): the least common denominator of the elements xs and
+    their numerator tuples over it."""
+    den = lcm(*[x._den for x in xs])
+    return den, [x._num if x._den == den else tuple([n * (den // x._den) for n in x._num])
+                 for x in xs]
+
+
+def pack(num: tuple, width: int) -> int:
+    """Kronecker substitution: the numerator polynomial num at pi = 2^width.
+
+    A sum of products of packed integers packs the sum of the product
+    polynomials, and unpack reads it back (D. Harvey, "Faster polynomial
+    multiplication via multipoint Kronecker substitution", J. Symb. Comp.
+    44 (2009)).
+    """
+    x = 0
+    for c in reversed(num):
+        x = (x << width) + c
+    return x
+
+
+def unpack(spec: FieldSpec, x: int, width: int) -> tuple:
+    """The numerator tuple of the polynomial of degree at most 2e - 2 packed
+    in x, folded once mod E. Exact when every coefficient has absolute
+    value below 2^(width - 1): each is then the signed residue of the
+    low width bits."""
+    if spec.e == 1:
+        return (x,)
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    prod = []
+    for _ in range(2 * spec.e - 2):
+        c = x & mask
+        if c >= half:
+            c -= mask + 1
+            x = (x >> width) + 1
+        else:
+            x >>= width
+        prod.append(c)
+    prod.append(x)
+    return _fold(spec, prod)
+
+
 class FieldElement:
     """An element of K: integer pi-power numerators over one denominator."""
 
@@ -393,14 +448,7 @@ class FieldElement:
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        # fold down powers pi^k, k >= e, using pi^e = -(c_{e-1} pi^{e-1} + ... + c_0)
-        fold = spec._fold
-        for k in range(2 * e - 2, e - 1, -1):
-            c = prod[k]
-            if c:
-                for i, ci in fold:
-                    prod[k - e + i] -= c * ci
-        return _make(spec, tuple(prod[:e]), self._den * other._den)
+        return _make(spec, _fold(spec, prod), self._den * other._den)
 
     __rmul__ = __mul__
 

@@ -69,8 +69,7 @@ def action_kernel(M: LogConnection, a, D: int,
             tag = "log"
         else:
             tag = "custom"
-    A = operator_family(M.operator().scale(a), a, D + 1)
-    return GaloisKernel(spec, D, A, a, tag)
+    return GaloisKernel(spec, D, from_connection(M, a, D).phi, a, tag)
 
 
 def h_series(M: LogConnection, a, D: int) -> List[Matrix]:
@@ -83,15 +82,11 @@ def h_series(M: LogConnection, a, D: int) -> List[Matrix]:
     if not isinstance(a, FieldElement):
         a = spec.from_rational(Fraction(a))
     op = M.operator()
-    size = len(op.rows)
-    out = [Matrix.zero(spec, size, size)]
-    cur = Matrix.identity(spec, size)
-    apow = spec.one()
-    for n in range(1, D + 1):
-        out.append(cur.scale(apow))
-        cur = (op - Matrix.identity(spec, size).scale(n)) * cur
-        apow = apow * a
-    return out
+    size = op.nrows
+    # operator_family(op - I, 1, D)[n] = (op - 1)...(op - n)
+    family = operator_family(op - Matrix.identity(spec, size), 1, D)
+    return [Matrix.zero(spec, size, size)] + [P.scale(a ** n)
+                                              for n, P in enumerate(family[:D])]
 
 
 def d0_check(M: LogConnection, a, D: int = 6) -> dict:

@@ -1,15 +1,21 @@
 """Exact linear algebra over K: dense matrices of field elements.
 
 Products skip zero entries on both sides, so the block-triangular
-operators of log connections cost what their nonzero entries cost.
+operators of log connections cost what their nonzero entries cost. The
+operator-family kernel instead works on integer numerator rows over one
+denominator (lift, shifted_product, from_numerators): one packed integer
+dot product per entry, and field elements built once per result.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, neg, sub
+from itertools import chain
+from math import gcd
+from operator import add, mul, neg, sub
 from typing import List, Sequence
 
-from .field import FieldElement, FieldSpec
+from . import field
+from .field import FieldElement, FieldSpec, _make
 
 
 class Matrix:
@@ -183,6 +189,56 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
+
+
+def lift(M: Matrix, c: FieldElement):
+    """M and c over one common denominator: (den, rows, c_num), with rows
+    the numerator tuples of M's entries."""
+    n = M.ncols
+    den, nums = field.lift([c, *chain.from_iterable(M.rows)])
+    return den, [nums[i:i + n] for i in range(1, len(nums), n)], nums[0]
+
+
+def _bits(rows) -> int:
+    """Bit length of the largest absolute numerator coordinate in rows."""
+    return max(map(abs, chain.from_iterable(chain.from_iterable(rows))),
+               default=0).bit_length()
+
+
+def shifted_product(spec: FieldSpec, left, c: tuple, k: int, right) -> list:
+    """Numerator rows of (left - k*c*I) * right.
+
+    left and right are rows of numerator tuples, c a numerator tuple over
+    left's denominator. Each entry is one C-level dot product of
+    Kronecker-packed integers, unpacked and folded once mod E; the width
+    holds the signed sum of the n*e coordinate products of a dot product.
+    """
+    n, z, pack, unpack = len(right), spec.zero()._num, field.pack, field.unpack
+    width = (max(_bits(left), _bits([[c]]) + k.bit_length()) + 1 + _bits(right)
+             + (n * spec.e).bit_length() + 1)
+    shift = k * pack(c, width)
+    packed = []
+    for r, row in enumerate(left):
+        p = [pack(x, width) for x in row]
+        p[r] -= shift
+        packed.append(p)
+    cols = list(zip(*[[0 if x is z else pack(x, width) for x in row] for row in right]))
+    # a zero entry is the shared zero numerator, which from_numerators skips
+    return [[unpack(spec, s, width) if s else z
+             for s in [sum(map(mul, row, col)) for col in cols]] for row in packed]
+
+
+def from_numerators(spec: FieldSpec, den: int, rows):
+    """(den, rows, matrix) for numerator rows over den, after one content
+    gcd: den is then the least common denominator of the entries."""
+    zero = spec.zero()
+    z = zero._num
+    g = gcd(den, *chain.from_iterable(chain.from_iterable(rows)))
+    if g != 1:
+        den //= g
+        rows = [[x if x is z else tuple([v // g for v in x]) for x in row] for row in rows]
+    return den, rows, Matrix._trusted(spec, tuple(
+        tuple([zero if x is z else _make(spec, x, den) for x in row]) for row in rows))
 
 
 def _dot(spec, xs, ys):

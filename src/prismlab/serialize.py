@@ -15,7 +15,7 @@ from .field import FieldElement, FieldSpec, Valuation
 from .galois import GaloisKernel
 from .linalg import Matrix
 from .series import TruncSeries
-from .strat import LogConnection, Stratification, operator_family
+from .strat import LogConnection, Stratification, first_off_recurrence
 
 
 def canonical_json(obj: Any) -> str:
@@ -221,8 +221,7 @@ def parse_kernel(obj) -> GaloisKernel:
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
     # converges_at decides from A_1 alone, so the rest must follow from it
-    family = operator_family(mats[1], a, D + 1) if D else mats
-    bad = next((n for n in range(D + 1) if mats[n] != family[n]), None)
+    bad = first_off_recurrence(mats, a)
     if bad is not None:
         raise InputFormatError(f"kernel operator A_{bad} breaks A_(n+1) = (A_1 - n*a) A_n")
     return kernel

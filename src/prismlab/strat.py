@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import List
+from typing import List, Optional
 
 from .errors import (LeibnizViolation, NotAStratification, RingMismatch)
 from .field import FieldElement, FieldSpec
-from .linalg import Matrix
+from .linalg import Matrix, from_numerators, lift, shifted_product
 from .pdalg import CosimpConfig, PDElement, one_plus_a_x_pow
 from .series import TruncSeries
 
@@ -86,6 +86,12 @@ class LogConnection:
 
 
 def multiplication_by_t_power(spec: FieldSpec, l: int, m: int, d: int) -> Matrix:
+    """The matrix of x -> T^d x on the flattened basis.
+
+    Only tests use it, as the every-power reference for check_leibniz. The
+    benchmark's per-layer tracer still names it, so its deletion waits for
+    the benchmark change of ROADMAP item 1, step A.
+    """
     n = l * m
     rows = [[spec.zero() for _ in range(n)] for _ in range(n)]
     for k in range(m - d):
@@ -94,14 +100,34 @@ def multiplication_by_t_power(spec: FieldSpec, l: int, m: int, d: int) -> Matrix
     return Matrix(spec, rows)
 
 
-def operator_family(phi1: Matrix, a: FieldElement, count: int) -> List[Matrix]:
-    """[phi_0, ..., phi_{count-1}] with phi_{n+1} = (phi_1 - n*a) o phi_n."""
-    n = len(phi1.rows)
-    out = [Matrix.identity(phi1.spec, n)]
-    for k in range(count - 1):
-        shifted = phi1 - Matrix.identity(phi1.spec, n).scale(a * k)
-        out.append(shifted * out[-1])
+def operator_family(phi1: Matrix, a, count: int) -> List[Matrix]:
+    """[phi_0, ..., phi_{count-1}] with phi_{n+1} = (phi_1 - n*a) o phi_n.
+
+    One integer kernel: phi_1 and a are lifted once over a common
+    denominator, phi_n stays (den, numerator rows) between steps, and each
+    step is one packed product with the -n*a shift on the diagonal
+    (linalg.shifted_product) and one content gcd (linalg.from_numerators).
+    """
+    spec = phi1.spec
+    if not isinstance(a, FieldElement):
+        a = spec.from_rational(a)
+    out = [Matrix.identity(spec, phi1.nrows), phi1][:max(count, 1)]
+    den, rows, c = lift(phi1, a)
+    cur_den, cur = den, rows
+    for k in range(1, count - 1):
+        cur_den, cur, phi = from_numerators(spec, cur_den * den,
+                                            shifted_product(spec, rows, c, k, cur))
+        out.append(phi)
     return out
+
+
+def first_off_recurrence(phi: List[Matrix], a) -> Optional[int]:
+    """The least n >= 2 with phi_n unequal to operator_family(phi_1, a)[n],
+    or None when phi_2..phi_D all follow phi_(n+1) = (phi_1 - n*a) phi_n."""
+    if len(phi) < 3:
+        return None
+    family = operator_family(phi[1], a, len(phi))
+    return next((n for n in range(2, len(phi)) if phi[n] != family[n]), None)
 
 
 class Stratification:
@@ -147,24 +173,36 @@ def check_leibniz(strat: Stratification) -> dict:
     Only d = 1 needs a test. d = 0 holds for every phi_1, and if
     phi_1 T = T phi_1 + a T then, by induction on d,
     phi_1 T^(d+1) = (T^d phi_1 + a d T^d) T = T^(d+1) phi_1 + a (d+1) T^(d+1).
-    So the loop over d in {0, 1} reports the same first failing power and
-    entry as a loop over every d.
+    Multiplication by T maps flat index r to r + l, so the gap
+    phi_1 T - T phi_1 - a T is the index shift
+    gap[r][c] = phi1[r][c+l] - phi1[r-l][c] - a*[r == c+l], entries out
+    of range reading zero. The first nonzero gap entry in row-major order
+    is the witness, at power 1.
     """
-    spec, l, m, a = strat.spec, strat.l, strat.m, strat.a
+    l, a = strat.l, strat.a
     if strat.D < 1:
         return {"ok": True, "witness": None}
-    phi1 = strat.phi[1]
-    for d in range(min(m, 2)):
-        md = multiplication_by_t_power(spec, l, m, d)
-        gap = phi1 * md - md * phi1 - md.scale(a * d)
-        if not gap.is_zero():
-            where = next((r, c) for r in range(l * m) for c in range(l * m)
-                         if not gap[r, c].is_zero())
-            return {"ok": False, "witness": {"power": d, "entry": where}}
+    rows = strat.phi[1].rows
+    zeros = (strat.spec.zero(),) * len(rows)
+    for r, row in enumerate(rows):
+        shifted, below = list(row[l:] + zeros[:l]), zeros
+        if r >= l:
+            below = rows[r - l]
+            shifted[r - l] = shifted[r - l] - a
+        c = next((c for c, (x, y) in enumerate(zip(shifted, below)) if x != y), None)
+        if c is not None:
+            return {"ok": False, "witness": {"power": 1, "entry": (r, c)}}
     return {"ok": True, "witness": None}
 
 
 def to_connection(strat: Stratification, unif: str = "T") -> LogConnection:
+    """The log connection of a stratification, read from phi_0 and phi_1.
+
+    phi_0 must be I and phi_1 must obey the twisted Leibniz law; phi_2..phi_D
+    are not read (check_cocycle tests them). Entry (i, j) of N has T^k
+    coefficient phi_1[(k, i), (0, j)] / a, so only the l*m*l entries of the
+    generator columns are multiplied by a^-1.
+    """
     spec, l, m = strat.spec, strat.l, strat.m
     if not strat.phi[0] == Matrix.identity(spec, l * m):
         raise NotAStratification("operator of pd-degree zero is not the identity")
@@ -173,14 +211,10 @@ def to_connection(strat: Stratification, unif: str = "T") -> LogConnection:
         raise LeibnizViolation(f"twisted Leibniz law fails at T^{leib['witness']['power']}")
     if strat.D < 1:
         return LogConnection.trivial(spec, l, m, unif)
-    op = strat.phi[1].scale(strat.a.invert())
-    N = []
-    for i in range(l):
-        row = []
-        for j in range(l):
-            coeffs = [op[flat_index(k, i, l), flat_index(0, j, l)] for k in range(m)]
-            row.append(TruncSeries(spec, m, coeffs, unif))
-        N.append(row)
+    inv = strat.a.invert()
+    rows = strat.phi[1].rows
+    N = [[TruncSeries(spec, m, [rows[flat_index(k, i, l)][j] * inv for k in range(m)], unif)
+          for j in range(l)] for i in range(l)]
     return LogConnection(spec, unif, l, m, N)
 
 
@@ -265,7 +299,7 @@ def check_cocycle(strat: Stratification) -> dict:
     if not strat.phi[0] == Matrix.identity(spec, l * m):
         return {"ok": False, "degeneracy_ok": False, "witness": None}
     if D == 0 or (check_leibniz(strat)["ok"]
-                  and strat.phi == operator_family(strat.phi[1], strat.a, D + 1)):
+                  and first_off_recurrence(strat.phi, strat.a) is None):
         return {"ok": True, "degeneracy_ok": True, "witness": None}
     return {"ok": False, "degeneracy_ok": True, "witness": _cocycle_witness(strat)}
 

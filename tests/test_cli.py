@@ -336,6 +336,20 @@ class TestFailurePaths:
         mono = parsed["witness"]["monomial"]
         assert mono["x1"] + mono["x2"] == 2
 
+    def test_to_conn_rejects_family_off_recurrence(self, rng, q3):
+        """to-conn checks phi_2..phi_D against the recurrence from phi_1, as
+        check-cocycle does: l=1, m=2, D=3 with phi_2[0][0] set to 7."""
+        st = from_connection(random_connection(rng, q3, 1, 2), q3.a_prism(), 3)
+        for n in (2, 3):
+            obj = encode_stratification(st)
+            obj["phi"][n][0][0] = [7]
+            text = canonical_json(obj)
+            code, out = run_cli(["strat", "to-conn"], stdin_text=text)
+            assert code == 1
+            rep = json.loads(out)
+            assert rep["status"] == "fail" and f"phi_{n} " in rep["error"]
+            assert run_cli(["strat", "check-cocycle"], stdin_text=text)[0] == 1
+
     def test_key_lemma_cli(self, rng, q3):
         M = random_connection(rng, q3, 1, 2)
         st = from_connection(M, 1, 6)
@@ -444,6 +458,13 @@ class TestOptimizedMode:
             proc = self.both(["conn", "converges", "--v0", v0], canonical_json(kernel))
             assert proc.returncode == 2 and proc.stdout == b""
             assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+
+    def test_to_conn_family_off_recurrence(self, rng, q3):
+        st = from_connection(random_connection(rng, q3, 1, 2), q3.a_prism(), 3)
+        obj = encode_stratification(st)
+        obj["phi"][2][0][0] = [7]
+        proc = self.both(["strat", "to-conn"], canonical_json(obj))
+        assert proc.returncode == 1 and json.loads(proc.stdout)["status"] == "fail"
 
     def test_readme_pipeline(self, tmp_path, field_file):
         assert self.both(["field", "check", field_file]).returncode == 0

@@ -467,3 +467,128 @@ def test_cocycle_property(m, seed):
     strat = from_connection(random_connection(rng, spec, 2, m), spec.a_prism(),
                             2 * m + 1)
     assert check_cocycle(strat)["ok"]
+
+
+# the benchmark's four fields: e = 1, 2, 2, 3
+KERNEL_FIELDS = [(3, (-3, 1)), (3, (-3, 0, 1)), (2, (-2, 0, 1)), (3, (3, 3, 0, 1))]
+
+
+def family_by_products(phi1, a, count):
+    """phi_(n+1) = (phi_1 - n*a) phi_n by plain Matrix products, the
+    reference for the integer kernel of operator_family."""
+    n = phi1.nrows
+    out = [Matrix.identity(phi1.spec, n)]
+    for k in range(count - 1):
+        out.append((phi1 - Matrix.identity(phi1.spec, n).scale(a * k)) * out[-1])
+    return out
+
+
+def kernel_scalar(spec, choice):
+    if choice == "prism":
+        return spec.a_prism()
+    if choice == "log":
+        return spec.a_log()
+    if choice == "irrational":
+        # not rational once e > 1; for e = 1 every element is
+        return spec.element([Fraction(1, 2), 5, -1][:spec.e])
+    return spec.from_rational(choice)
+
+
+KERNEL_SCALARS = ["prism", "log", 1, Fraction(2, 3), 0, "irrational"]
+kernel_numerators = st.integers(-9, 9) | st.integers(2 ** 200, 2 ** 201) \
+    | st.integers(-2 ** 201, -2 ** 200)
+
+
+@st.composite
+def dense_operator(draw):
+    """(spec, phi_1): dense, non-triangular, denominators in {1, 2, 3, 4, 9,
+    27}, with some zero rows and columns."""
+    from prismlab.field import FieldSpec
+    p, E = draw(st.sampled_from(KERNEL_FIELDS))
+    spec = FieldSpec(p, list(E))
+    n = draw(st.integers(1, 4))
+    zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+    rows = [[spec.zero() if r in zero_rows or c in zero_cols else spec.element(
+        [Fraction(draw(kernel_numerators), draw(st.sampled_from([1, 2, 3, 4, 9, 27])))
+         for _ in range(spec.e)]) for c in range(n)] for r in range(n)]
+    return spec, Matrix(spec, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=dense_operator(), choice=st.sampled_from(KERNEL_SCALARS),
+       count=st.integers(1, 8))
+def test_operator_family_matches_matrix_products(op, choice, count):
+    spec, phi1 = op
+    a = kernel_scalar(spec, choice)
+    got = operator_family(phi1, a, count)
+    want = family_by_products(phi1, a, count)
+    assert len(got) == len(want) == count
+    for P, Q in zip(got, want):
+        assert P == Q
+        assert [[x.coords for x in row] for row in P.rows] == \
+            [[x.coords for x in row] for row in Q.rows]
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=st.sampled_from(KERNEL_FIELDS), l=st.integers(1, 2), m=st.integers(1, 3),
+       choice=st.sampled_from(KERNEL_SCALARS), D=st.integers(0, 7),
+       big=st.booleans(), seed=st.integers(0, 10 ** 6))
+def test_round_trip_matches_matrix_products(field, l, m, choice, D, big, seed):
+    """from_connection agrees with the product reference, to_connection
+    with the parent's scaling of all of phi_1, and check_leibniz with the
+    every-power matrix test, on the four fields and a 2^200 coefficient."""
+    import random
+
+    from prismlab.field import FieldSpec
+    spec = FieldSpec(field[0], list(field[1]))
+    rng = random.Random(seed)
+    conn = random_connection(rng, spec, l, m)
+    if big:
+        N = [list(row) for row in conn.N]
+        N[0][0] = N[0][0] + Fraction(2 ** 200, 3)
+        conn = LogConnection(spec, "T", l, m, N)
+    a = kernel_scalar(spec, choice)
+    strat = from_connection(conn, a, D)
+    phi1 = conn.operator().scale(a)
+    assert strat.phi == family_by_products(phi1, a, D + 1)
+    assert check_leibniz(strat) == leibniz_every_power(strat)
+    if D >= 1 and not a.is_zero():
+        op = phi1.scale(a.invert())
+        back = to_connection(strat)
+        assert back == conn
+        assert all(back.N[i][j].coeffs[k] == op[flat_index(k, i, l), j]
+                   for i in range(l) for j in range(l) for k in range(m))
+
+
+def test_round_trip_makes_no_matrix_products(monkeypatch):
+    """Operation counts, no timing: on E = u^3 + 3u + 3, l = 1, m = 6,
+    D = 14, from_connection and to_connection make no Matrix product, and
+    to_connection makes at most l*m*l field multiplications and one
+    inversion."""
+    import random
+
+    from prismlab.field import FieldElement, FieldSpec
+    spec = FieldSpec(3, [3, 3, 0, 1])
+    l, m, D = 1, 6, 14
+    conn = random_connection(random.Random(14), spec, l, m)
+    calls = {"mat": 0, "mul": 0, "inv": 0}
+
+    def counting(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(Matrix, "__mul__", counting("mat", Matrix.__mul__))
+    monkeypatch.setattr(FieldElement, "__mul__", counting("mul", FieldElement.__mul__))
+    monkeypatch.setattr(FieldElement, "__rmul__", counting("mul", FieldElement.__rmul__))
+    monkeypatch.setattr(FieldElement, "invert", counting("inv", FieldElement.invert))
+    strat = from_connection(conn, spec.a_prism(), D)
+    assert calls["mat"] == 0
+    calls.update(mat=0, mul=0, inv=0)
+    back = to_connection(strat)
+    assert calls == {"mat": 0, "mul": calls["mul"], "inv": 1}
+    assert calls["mul"] <= l * m * l
+    monkeypatch.undo()
+    assert back == conn
