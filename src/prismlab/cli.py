@@ -8,6 +8,7 @@ ran and found a violation), 2 malformed input or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -275,95 +276,90 @@ def _add_input(p, name="file"):
                    help="input file; omit or use - for standard input")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input: main reports it in one error: line."""
+
+    def error(self, message):
+        raise InputFormatError(message)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="prismlab")
+    """The parser, built on first use and shared: parse_args returns a
+    fresh namespace each call and leaves the parser unchanged."""
+    parser = _Parser(prog="prismlab")
     top = parser.add_subparsers(dest="group")
 
     field = top.add_parser("field").add_subparsers(dest="op")
     p = field.add_parser("check", help="validate a field description")
     _add_input(p)
-    p.set_defaults(func=cmd_field_check)
 
     conn = top.add_parser("conn").add_subparsers(dest="op")
     p = conn.add_parser("new", help="validate and canonicalize a connection")
     _add_input(p)
-    p.set_defaults(func=cmd_conn_new)
     p = conn.add_parser("tensor")
     p.add_argument("files", nargs="+")
-    p.set_defaults(func=cmd_conn_tensor)
     p = conn.add_parser("dual")
     _add_input(p)
-    p.set_defaults(func=cmd_conn_dual)
     p = conn.add_parser("twist")
     p.add_argument("--n", type=int, required=True)
     _add_input(p)
-    p.set_defaults(func=cmd_conn_twist)
     p = conn.add_parser("change-unif")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--lambda-F", dest="lambda_F", type=int)
     group.add_argument("--y", help="series file for the new coordinate")
     _add_input(p)
-    p.set_defaults(func=cmd_conn_change_unif)
     p = conn.add_parser("strat")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--a", choices=["prism", "log"], default="prism")
     _add_input(p)
-    p.set_defaults(func=cmd_conn_strat)
     p = conn.add_parser("cohomology")
     p.add_argument("--bases", action="store_true")
     _add_input(p)
-    p.set_defaults(func=cmd_conn_cohomology)
     p = conn.add_parser("classify")
     _add_input(p)
-    p.set_defaults(func=cmd_conn_classify)
     p = conn.add_parser("nilpotent")
     p.add_argument("--a", choices=["prism", "log"], default="prism")
     _add_input(p)
-    p.set_defaults(func=cmd_conn_nilpotent)
     p = conn.add_parser("galois-kernel")
     p.add_argument("--D", type=int, default=6)
     p.add_argument("--a", choices=["prism", "log"], default="prism")
     p.add_argument("--tau", type=int, default=None)
     p.add_argument("--variant", choices=["K", "Kpi1"], default="K")
     _add_input(p)
-    p.set_defaults(func=cmd_conn_galois_kernel)
     p = conn.add_parser("converges")
     p.add_argument("--v0", required=True)
     _add_input(p)
-    p.set_defaults(func=cmd_conn_converges)
 
     strat = top.add_parser("strat").add_subparsers(dest="op")
     p = strat.add_parser("check-cocycle")
     _add_input(p)
-    p.set_defaults(func=cmd_strat_check_cocycle)
     p = strat.add_parser("to-conn")
     _add_input(p)
-    p.set_defaults(func=cmd_strat_to_conn)
 
     verify = top.add_parser("verify").add_subparsers(dest="op")
     p = verify.add_parser("key-lemma")
     p.add_argument("--n-max", dest="n_max", type=int, required=True)
     _add_input(p)
-    p.set_defaults(func=cmd_verify_key_lemma)
 
     examples = top.add_parser("examples").add_subparsers(dest="op")
     p = examples.add_parser("bk-twist")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--field", required=True)
-    p.set_defaults(func=cmd_examples_bk_twist)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        return 2
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        if getattr(args, "op", None) is None:
+            raise InputFormatError(f"missing subcommand of {args.group}; "
+                                   f"prismlab {args.group} -h lists them" if args.group
+                                   else "missing command; prismlab -h lists them")
+        # looked up per call, so a handler rebound in this module is the one run
+        return globals()[f"cmd_{args.group}_{args.op}".replace("-", "_")](args)
     except (InputFormatError, NotAUniformizer, RingMismatch, InvalidValuation) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

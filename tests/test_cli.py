@@ -1,4 +1,5 @@
 """Command line behaviour: pipelines, exit codes, deterministic bytes."""
+import argparse
 import contextlib
 import io
 import json
@@ -9,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from prismlab.cli import _read_json, main as cli_main
+from prismlab import cli
+from prismlab.cli import _read_json, build_parser, main as cli_main
 from prismlab.errors import InputFormatError
 from prismlab.galois import action_kernel
 from prismlab.serialize import (canonical_json, encode_connection, encode_element,
@@ -31,7 +33,7 @@ def run_cli(argv, stdin_text=""):
         with contextlib.redirect_stdout(buf):
             try:
                 code = cli_main(argv)
-            except SystemExit as exc:  # argparse usage errors
+            except SystemExit as exc:  # --help
                 code = exc.code
     finally:
         sys.stdin = old
@@ -49,6 +51,20 @@ BAD_FLAGS = {
     "bk-twist-m": (["examples", "bk-twist", "--n", "1", "--m", "0", "--field"], "T"),
     "key-lemma-n-max": (["verify", "key-lemma", "--n-max", "-1"], "strat"),
     "change-unif-lambda-F": (["conn", "change-unif", "--lambda-F", "-1"], "u-pi"),
+    # refused by the parser itself, before any input is read
+    "strat-D-not-int": (["conn", "strat", "--D", "1e3"], "T"),
+    "twist-n-not-int": (["conn", "twist", "--n", "x"], "T"),
+    "galois-kernel-tau-not-int": (["conn", "galois-kernel", "--tau", "1.5"], "T"),
+}
+
+# usage errors other than a bad numeric flag
+USAGE_ERRORS = {
+    "missing-required-flag": ["conn", "twist"],
+    "unknown-subcommand": ["conn", "frobnicate"],
+    "unknown-group": ["frobnicate"],
+    "tensor-without-files": ["conn", "tensor"],
+    "bare-group": ["conn"],
+    "empty": [],
 }
 
 
@@ -398,10 +414,54 @@ class TestFailurePaths:
             assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unknown_subcommand_exits_two(self):
-        code, _ = run_cli(["conn", "frobnicate"])
-        assert code == 2
-        code, _ = run_cli(["conn"])
-        assert code == 2
+        for name, argv in USAGE_ERRORS.items():
+            code, out, err = run_cli_stderr(argv)
+            assert (code, out) == (2, ""), name
+            assert err.startswith("error: ") and err.count("\n") == 1, name
+        assert "subcommand of conn" in run_cli_stderr(["conn"])[2]
+
+    def test_help_unchanged(self):
+        # -h prints help to stdout and exits 0, as argparse does
+        code, out = run_cli(["conn", "strat", "-h"])
+        assert code == 0 and out.startswith("usage: prismlab conn strat")
+
+
+def _subcommands(parser):
+    """name -> parser of each subcommand of parser, empty at a leaf."""
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
+class TestParser:
+    """One parser per process, with handlers found by name."""
+
+    def test_every_subcommand_has_a_handler(self):
+        names = [f"cmd_{group}_{op}".replace("-", "_")
+                 for group, sub in _subcommands(build_parser()).items()
+                 for op in _subcommands(sub)]
+        assert len(set(names)) == len(names)
+        assert all(callable(getattr(cli, name, None)) for name in names)
+        # and no handler is orphaned
+        assert set(names) == {name for name in vars(cli) if name.startswith("cmd_")}
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("first, second", [
+        (["conn", "galois-kernel", "--D", "2", "--tau", "2", "--variant", "Kpi1"],
+         ["conn", "galois-kernel", "--D", "2"]),
+        (["conn", "strat", "--D", "2", "--a", "log"], ["conn", "strat", "--D", "2"]),
+        (["conn", "cohomology", "--bases"], ["conn", "cohomology"]),
+    ])
+    def test_no_state_between_calls(self, first, second, q3):
+        conn_json = canonical_json(encode_connection(constant_conn(q3, 1, [[2]])))
+        together = [run_cli_stderr(argv, conn_json) for argv in (first, second)]
+        alone = []
+        for argv in (first, second):
+            build_parser.cache_clear()
+            alone.append(run_cli_stderr(argv, conn_json))
+        assert together == alone
+        assert together[0][0] == 0 and together[0][1] != together[1][1]
 
 
 class TestSession:
