@@ -301,45 +301,65 @@ def _roots_above(chi: Sequence[FieldElement], c: Fraction) -> int:
                if not coef.is_zero())[1]
 
 
-def _near_integer_roots(res: Matrix, c: Fraction) -> Dict[int, int]:
-    """Eigenvalues w of res with v(w - k) > c for some integer k, as
+def _taylor_shift(chi: Sequence[FieldElement], s: int) -> List[FieldElement]:
+    """chi(x + s) for an integer s, by the O(l^2) Horner-scheme shift."""
+    out = list(chi)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] = out[j] + out[j + 1] * s
+    return out
+
+
+def _near_integer_roots(chi: Sequence[FieldElement], c: Fraction) -> Dict[int, int]:
+    """Roots w of the monic chi with v(w - k) > c for some integer k, as
     {k: count with multiplicity} over the discs that hold one. For c < 0
     that is the one disc v(x) > c, keyed 0. For c >= 0 the disc v(x - k) > c
     depends only on k mod p^n, n = floor(c) + 1: level t keeps each k mod p^t
-    whose disc v(x - k) > t - 1 (> c at t = n) holds a root of chi(x + k), the
-    charpoly of res - k*I. Such discs are disjoint: at most l survive a level."""
+    whose disc v(x - k) > t - 1 (> c at t = n) holds a root of chi(x + k),
+    shifted from its parent disc's chi(x + r) by the integer k - r. Such
+    discs are disjoint: at most l survive a level."""
     if c < 0:
-        near = _roots_above(res.charpoly(), c)
+        near = _roots_above(chi, c)
         return {0: near} if near else {}
-    p, n = res.spec.p, floor(c) + 1
-    ident = Matrix.identity(res.spec, res.nrows)
-    live = {0: res.nrows}
+    p, n = chi[0].spec.p, floor(c) + 1
+    live = {0: (len(chi) - 1, chi)}
     for t in range(1, n + 1):
-        bound = c if t == n else t - 1
-        live = {k: cnt for k in (r + d * p ** (t - 1) for r in live for d in range(p))
-                if (cnt := _roots_above((res - ident.scale(k)).charpoly(), bound))}
-    return live
+        bound, step = (c if t == n else t - 1), p ** (t - 1)
+        children = {}
+        for r, (_, f) in live.items():
+            for d in range(p):
+                if d:
+                    f = _taylor_shift(f, step)
+                if cnt := _roots_above(f, bound):
+                    children[r + d * step] = (cnt, f)
+        live = children
+    return {k: cnt for k, (cnt, _) in live.items()}
+
+
+def _near_weights(chi: Sequence[FieldElement], a: FieldElement) -> int:
+    """Roots w of chi, with multiplicity, with val(a) + dist(w, Z) > 0."""
+    va = a.val()
+    return len(chi) - 1 if va.is_infinite else sum(
+        _near_integer_roots(chi, -va.value).values())
 
 
 def check_nilpotent(M: LogConnection, a) -> dict:
     """Decide a-nilpotency exactly, val(a) + dist(w, Z) > 0 for every
-    residual weight w, from charpolys alone: no weight is searched for."""
-    spec = M.spec
+    residual weight w, from the residual charpoly alone: no weight is
+    searched for."""
     if not isinstance(a, FieldElement):
-        a = spec.from_rational(Fraction(a))
-    va = a.val()
-    near = M.l if va.is_infinite else sum(
-        _near_integer_roots(M.residual_matrix(), -va.value).values())
+        a = M.spec.from_rational(Fraction(a))
+    near = _near_weights(M.residual_matrix().charpoly(), a)
     return {"status": "ProvenNilpotent" if near == M.l else "ProvenNotNilpotent",
             "evidence": {"near_weights": near}}
 
 
 def classify_ndR(M: LogConnection) -> dict:
     """Nearly and log-nearly de Rham flags: nilpotency at the two canonical
-    scalars a_prism and a_log."""
+    scalars a_prism and a_log, both read off one residual charpoly."""
     spec = M.spec
-    near, log_near = (check_nilpotent(M, a)["status"] == "ProvenNilpotent"
-                      for a in (spec.a_prism(), spec.a_log()))
+    chi = M.residual_matrix().charpoly()
+    near, log_near = (_near_weights(chi, a) == M.l for a in (spec.a_prism(), spec.a_log()))
     return {"status": "proven", "nearly_dR": near, "log_nearly_dR": log_near}
 
 

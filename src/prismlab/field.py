@@ -128,63 +128,6 @@ class Valuation:
         return "+inf" if self._v is None else str(self._v)
 
 
-# rational helpers for polynomial arithmetic over Q, used by invert()
-
-def _poly_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_divmod(a, b):
-    a = _poly_trim(a)
-    b = _poly_trim(b)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while len(r) >= len(b) and _poly_trim(r):
-        shift = len(r) - len(b)
-        factor = r[-1] / b[-1]
-        q[shift] = factor
-        for i, bc in enumerate(b):
-            r[shift + i] -= factor * bc
-        r = _poly_trim(r)
-    return _poly_trim(q), r
-
-
-def _poly_ext_gcd(a, b):
-    # returns (g, s, t) with s*a + t*b = g
-    r0, r1 = _poly_trim(a), _poly_trim(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-    return r0, s0, t0
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _poly_trim(out)
-
-
 class FieldSpec:
     """The field K = Q_p[u]/(E(u)) with E monic Eisenstein at p."""
 
@@ -496,20 +439,43 @@ class FieldElement:
         return Fraction(self._num[0], self._den)
 
     def invert(self) -> "FieldElement":
+        """The inverse, by fraction-free linear algebra over Z.
+
+        x = num/den has inverse den * y for the y with M y = e_0, where
+        column j of the integer matrix M is num * pi^j mod E. Bareiss
+        elimination (Math. Comp. 22 (1968)) keeps every entry a minor of M,
+        so each division is exact, and back-substitution solves for det(M) * y,
+        the integral first column of the adjugate. det(M) is the norm of num,
+        nonzero because E is Eisenstein, hence irreducible."""
         if self.is_zero():
             raise ZeroInversion("cannot invert zero")
-        spec = self.spec
-        if spec.e == 1:
+        spec, e = self.spec, self.spec.e
+        if e == 1:
             n = self._num[0]
             return _make(spec, (self._den if n > 0 else -self._den,), abs(n))
-        epoly = [Fraction(c) for c in spec.ecoeffs]
-        g, s, _ = _poly_ext_gcd([Fraction(n) for n in self._num], epoly)
-        # s * num = g mod E; g is a nonzero constant since E is irreducible
-        if len(g) != 1:
-            raise ValueError(f"E = {list(spec.ecoeffs)} is not irreducible over Q")
-        scale = self._den / g[0]
-        _, rem = _poly_divmod([c * scale for c in s], epoly)
-        return spec.element(rem)
+        cols = [self._num]
+        for _ in range(e - 1):
+            cols.append(_fold(spec, [0, *cols[-1]]))
+        # rows of the augmented system [M | e_0]
+        a = [[*row, int(i == 0)] for i, row in enumerate(zip(*cols))]
+        prev = 1
+        for k in range(e - 1):
+            if not a[k][k]:
+                # some lower row has a nonzero entry here, since det(M) != 0
+                i = next(i for i in range(k + 1, e) if a[i][k])
+                a[k], a[i] = a[i], a[k]
+            pivot, top = a[k][k], a[k][k + 1:]
+            for row in a[k + 1:]:
+                f = row[k]
+                row[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1:], top)]
+            prev = pivot
+        det = a[e - 1][e - 1]
+        y = [0] * e
+        for i in range(e - 1, -1, -1):
+            row = a[i]
+            y[i] = (det * row[e] - sum([row[j] * y[j] for j in range(i + 1, e)])) // row[i]
+        den = self._den if det > 0 else -self._den
+        return _make(spec, tuple([den * v for v in y]), abs(det))
 
     def _pi_adic_terms(self, start: int):
         """v_p(coordinate i) + i/e for each nonzero coordinate i >= start."""

@@ -126,7 +126,7 @@ def _slope_threshold(sigma: Fraction, p: int) -> Fraction:
 
 def _converges(op: Matrix, sigma: Fraction) -> bool:
     """Whether sum_n a^n op(op-1)...(op-n+1) X^[n] converges at valuation
-    v0, sigma = val(a) + v0, decided from charpolys alone.
+    v0, sigma = val(a) + v0, decided from the charpoly of op.
 
     sigma > 0: every weight of op must lie farther than _slope_threshold
     from Z. sigma <= 0: each term keeps valuation at most n*sigma
@@ -137,7 +137,7 @@ def _converges(op: Matrix, sigma: Fraction) -> bool:
     """
     spec, size = op.spec, op.nrows
     if sigma > 0:
-        near = _near_integer_roots(op, _slope_threshold(sigma, spec.p))
+        near = _near_integer_roots(op.charpoly(), _slope_threshold(sigma, spec.p))
         return sum(near.values()) == size
     t = op.trace()
     t = t.rational_value() if t.is_rational() else None
@@ -148,7 +148,7 @@ def _converges(op: Matrix, sigma: Fraction) -> bool:
         K += 1
     ident = Matrix.identity(spec, size)
     prod = ident
-    for k in _near_integer_roots(op, Fraction(K - 1)):
+    for k in _near_integer_roots(op.charpoly(), Fraction(K - 1)):
         prod = (op - ident.scale(k)) * prod
     return prod.is_zero()
 
@@ -158,8 +158,8 @@ def converges_at(kernel: GaloisKernel, g: GaloisElementData) -> dict:
     v0: term n is worth GaussVal(A_n) + n*v0 - v_p(n!).
 
     Exact and always decided: A_n = a^n op(op-1)...(op-n+1) with
-    op = A_1/a, and _converges reads the verdict off the charpolys of op
-    and its integer shifts. The trace is reported, not consulted.
+    op = A_1/a, and _converges reads the verdict off the charpoly of op
+    and its integer Taylor shifts. The trace is reported, not consulted.
     """
     v0 = g.v0
     if not v0.is_infinite and v0.value <= 0:

@@ -6,12 +6,13 @@ is bookkeeping only; arithmetic never inspects it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Union
+from operator import add
+from typing import List, Sequence
 
 from .errors import NotAUnit, NotAUniformizer
 from .field import FieldElement, FieldSpec
 
-Scalar = Union[int, Fraction, FieldElement]
+SCALARS = (int, Fraction, FieldElement)
 
 
 class TruncSeries:
@@ -31,6 +32,14 @@ class TruncSeries:
         self.coeffs = tuple(cs)
 
     @classmethod
+    def _trusted(cls, spec: FieldSpec, m: int, coeffs: tuple, unif: str) -> "TruncSeries":
+        """Trusted constructor: coeffs is a tuple of m elements of spec, as
+        built by the operations below."""
+        out = object.__new__(cls)
+        out.spec, out.m, out.coeffs, out.unif = spec, m, coeffs, unif
+        return out
+
+    @classmethod
     def zero(cls, spec, m, unif="T"):
         return cls(spec, m, [], unif)
 
@@ -47,31 +56,27 @@ class TruncSeries:
         return cls(spec, m, [c], unif)
 
     def with_unif(self, unif: str) -> "TruncSeries":
-        return TruncSeries(self.spec, self.m, self.coeffs, unif)
-
-    def _coerce(self, other):
-        if isinstance(other, TruncSeries):
-            assert other.spec == self.spec and other.m == self.m
-            return other
-        if isinstance(other, (int, Fraction, FieldElement)):
-            return TruncSeries.constant(self.spec, self.m, other, self.unif)
-        return NotImplemented
+        return TruncSeries._trusted(self.spec, self.m, self.coeffs, unif)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, TruncSeries):
+            assert other.spec == self.spec and other.m == self.m
+            cs = tuple(map(add, self.coeffs, other.coeffs))
+        elif isinstance(other, SCALARS):
+            # a scalar touches the constant coefficient only
+            cs = (self.coeffs[0] + other, *self.coeffs[1:])
+        else:
             return NotImplemented
-        return TruncSeries(self.spec, self.m,
-                           [a + b for a, b in zip(self.coeffs, other.coeffs)], self.unif)
+        return TruncSeries._trusted(self.spec, self.m, cs, self.unif)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(self.spec, self.m, [-a for a in self.coeffs], self.unif)
+        return TruncSeries._trusted(self.spec, self.m, tuple([-a for a in self.coeffs]),
+                                    self.unif)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (TruncSeries, *SCALARS)):
             return NotImplemented
         return self + (-other)
 
@@ -79,18 +84,23 @@ class TruncSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        spec, m = self.spec, self.m
+        if isinstance(other, SCALARS):
+            # a scalar scales each coefficient, coerced into K once
+            c = spec.from_rational(other) if type(other) is Fraction else other
+            return TruncSeries._trusted(spec, m, tuple([a * c for a in self.coeffs]), self.unif)
+        if not isinstance(other, TruncSeries):
             return NotImplemented
-        out = [self.spec.zero() for _ in range(self.m)]
+        assert other.spec == spec and other.m == m
+        out = [spec.zero()] * m
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
-            for j in range(self.m - i):
+            for j in range(m - i):
                 b = other.coeffs[j]
                 if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
-        return TruncSeries(self.spec, self.m, out, self.unif)
+        return TruncSeries._trusted(spec, m, tuple(out), self.unif)
 
     __rmul__ = __mul__
 
@@ -125,7 +135,7 @@ class TruncSeries:
 
     def truncate(self, new_m: int) -> "TruncSeries":
         assert 1 <= new_m <= self.m
-        return TruncSeries(self.spec, new_m, self.coeffs[:new_m], self.unif)
+        return TruncSeries._trusted(self.spec, new_m, self.coeffs[:new_m], self.unif)
 
     def invert_unit(self) -> "TruncSeries":
         if not self.is_unit():
@@ -137,7 +147,7 @@ class TruncSeries:
             for i in range(1, k + 1):
                 acc = acc + self.coeffs[i] * out[k - i]
             out.append(-(c0inv * acc))
-        return TruncSeries(self.spec, self.m, out, self.unif)
+        return TruncSeries._trusted(self.spec, self.m, tuple(out), self.unif)
 
     def derivative(self) -> "TruncSeries":
         # only trustworthy through degree m - 2: the dropped T^m term
@@ -158,7 +168,7 @@ class TruncSeries:
         """self(inner(T)), requiring inner(0) = 0 so truncation is stable."""
         assert inner.spec == self.spec and inner.m == self.m
         assert inner.coeffs[0].is_zero()
-        acc = TruncSeries.zero(self.spec, self.m, inner.unif)
+        acc = TruncSeries._trusted(self.spec, self.m, (self.spec.zero(),) * self.m, inner.unif)
         for c in reversed(self.coeffs):
             acc = acc * inner + c
         return acc

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prismlab import connops
 from prismlab.connops import (PROBE_THRESHOLD, PROBE_WINDOW, bk_twist,
                               change_uniformizer, check_nilpotent,
                               classify_ndR, cohomology, dual,
@@ -241,16 +242,20 @@ class TestNilpotency:
     def test_charpoly_count_bounded(self, q3, monkeypatch):
         # weights +-sqrt 7 lie in Z_3 but not in the candidate search, so
         # they are near integers at every depth: the descent walks all 41
-        # digits of a = 3^-40 and stays within 1 + p*l*41 charpolys
+        # digits of a = 3^-40 on Taylor shifts of one charpoly
         M = constant_conn(q3, 1, [[0, 7], [1, 0]])
         assert not residual_sen(M)["split"]
-        calls = []
-        charpoly = Matrix.charpoly
+        calls, shifts = [], []
+        charpoly, shift = Matrix.charpoly, connops._taylor_shift
         monkeypatch.setattr(Matrix, "charpoly",
                             lambda self: calls.append(1) or charpoly(self))
+        monkeypatch.setattr(connops, "_taylor_shift",
+                            lambda chi, s: shifts.append(s) or shift(chi, s))
         rep = check_nilpotent(M, Fraction(1, 3 ** 40))
         assert rep["status"] == "ProvenNilpotent"
-        assert 41 <= len(calls) <= 1 + 3 * 2 * 41
+        assert len(calls) == 1
+        # at most l discs live per level, each shifted p - 1 times
+        assert 41 <= len(shifts) <= (3 - 1) * 2 * 41
 
     def test_probe_trace_exact_slope(self, q3):
         # integer entries and unit determinant of chi(i) pin the trace to

@@ -1,11 +1,73 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prismlab.errors import ZeroInversion
 from prismlab.field import PRIME_BOUND, FieldSpec, Valuation, _is_prime, vp_rational
 
 from conftest import random_element, random_rational
+
+# the four benchmark fields, the cubic u^3 + 3u^2 + 3 and a quintic
+INVERT_FIELDS = (FieldSpec(3, [-3, 1]), FieldSpec(3, [-3, 0, 1]), FieldSpec(2, [-2, 0, 1]),
+                 FieldSpec(3, [3, 3, 0, 1]), FieldSpec(3, [3, 0, 3, 1]),
+                 FieldSpec(3, [12, 3, -6, 0, 3, 1]))
+
+
+def _trim(c):
+    while c and c[-1] == 0:
+        c = c[:-1]
+    return c
+
+
+def _divmod(a, b):
+    q, r = [Fraction(0)] * max(0, len(a) - len(b) + 1), list(a)
+    while len(r) >= len(b):
+        f, shift = r[-1] / b[-1], len(r) - len(b)
+        q[shift] = f
+        for i, bc in enumerate(b):
+            r[shift + i] -= f * bc
+        r = _trim(r)
+    return _trim(q), r
+
+
+def _sub_mul(s0, q, s1):
+    """s0 - q * s1 for polynomials over Q."""
+    out = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
+    for i, x in enumerate(q):
+        for j, y in enumerate(s1):
+            out[i + j] -= x * y
+    return _trim(out)
+
+
+def invert_by_euclid(x):
+    """Reference inverse by the extended Euclidean algorithm over Q[u]: the
+    s with s * num = g mod E for a constant g != 0 gives x^-1 = den * s / g."""
+    spec = x.spec
+    epoly = [Fraction(c) for c in spec.ecoeffs]
+    r0, r1 = _trim([Fraction(n) for n in x._num]), epoly
+    s0, s1 = [Fraction(1)], []
+    while r1:
+        q, r = _divmod(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, _sub_mul(s0, q, s1)
+    assert len(r0) == 1
+    _, rem = _divmod([c * x._den / r0[0] for c in s0], epoly)
+    return spec.element(rem)
+
+
+@st.composite
+def nonzero_elements(draw):
+    spec = draw(st.sampled_from(INVERT_FIELDS))
+    p, e = spec.p, spec.e
+    if draw(st.booleans()):
+        # c * p^k * pi^j: zero leading coordinates force the pivot row swap
+        c = draw(st.sampled_from([1, -1, 2, -7]))
+        k = draw(st.integers(-6, 6))
+        return spec.element([0] * draw(st.integers(0, e - 1)) + [c * Fraction(p) ** k])
+    coord = st.builds(lambda n, k, d: Fraction(n, p ** k * d),
+                      st.integers(-2 ** 200, 2 ** 200), st.integers(0, 8), st.integers(1, 50))
+    cs = draw(st.lists(st.one_of(st.just(0), coord), min_size=e, max_size=e).filter(any))
+    return spec.element(cs)
 
 
 def window_dist_oracle(alpha, window=200):
@@ -114,6 +176,14 @@ class TestInvert:
                 if a.is_zero():
                     continue
                 assert a * a.invert() == spec.one()
+
+    @settings(max_examples=300, deadline=None)
+    @given(nonzero_elements())
+    def test_matches_euclid_reference(self, x):
+        inv = x.invert()
+        assert x * inv == x.spec.one()
+        assert inv.invert() == x
+        assert inv == invert_by_euclid(x)
 
 
 class TestRingAxioms:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prismlab import connops
 from prismlab.connops import matrix_gauss_val
 from prismlab.errors import InvalidValuation
 from prismlab.field import FieldSpec, Valuation
@@ -216,13 +217,17 @@ class TestConvergence:
     def test_huge_integer_weight_charpoly_count(self, q3, monkeypatch):
         # weight 10^30 at val(a) + v0 = -2: the family vanishes at degree
         # 10^30 + 1, found by a descent over the 63 digits of 3^63 > 10^30
+        # on Taylor shifts of one charpoly
         k = action_kernel(constant_conn(q3, 1, [[10 ** 30]]), Fraction(1, 27), 4)
-        calls = []
-        charpoly = Matrix.charpoly
+        calls, shifts = [], []
+        charpoly, shift = Matrix.charpoly, connops._taylor_shift
         monkeypatch.setattr(Matrix, "charpoly",
                             lambda self: calls.append(1) or charpoly(self))
+        monkeypatch.setattr(connops, "_taylor_shift",
+                            lambda chi, s: shifts.append(s) or shift(chi, s))
         assert converges_at(k, GaloisElementData(1))["status"] == "Convergent"
-        assert 63 <= len(calls) <= 3 * 63
+        assert len(calls) == 1
+        assert 63 <= len(shifts) <= (3 - 1) * 63
 
     def test_invalid_valuation(self, q3):
         k = action_kernel(twist(q3, 1, 1), 1, 3)

@@ -61,6 +61,15 @@ class TestArithmetic:
         f = TruncSeries.variable(q3, 3)
         assert (f * f * f).is_zero()
 
+    def test_scalar_operands_match_constant_series(self, q3s, rng):
+        f = random_series(rng, q3s, 4, unif="u-pi")
+        for c in (0, 3, Fraction(-2, 9), random_element(rng, q3s)):
+            s = TruncSeries.constant(q3s, 4, c, "u-pi")
+            assert f + c == c + f == f + s
+            assert f - c == f - s and c - f == s - f
+            assert f * c == c * f == f * s
+            assert (f + c).unif == (f * c).unif == "u-pi"
+
 
 class TestDerivatives:
     def test_product_rule(self, q3s, rng):
