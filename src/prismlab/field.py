@@ -52,15 +52,7 @@ def vp_rational(r: Fraction, p: int):
     """p-adic valuation of a rational; None stands for +infinity (r = 0)."""
     if r == 0:
         return None
-    v = 0
-    num, den = r.numerator, r.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _vp_int(r.numerator, p) - _vp_int(r.denominator, p)
 
 
 class Valuation:
@@ -208,11 +200,19 @@ class FieldSpec:
 
 
 def _vp_int(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
+    """p-adic valuation of a nonzero integer, in O(log v) divisions: up a
+    ladder of p^(2^i) while it divides n, then down it, most significant
+    bit first."""
+    if n % p:
+        return 0
+    ladder = [p]
+    while n % (q := ladder[-1] * ladder[-1]) == 0:
+        ladder.append(q)
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    for i in range(len(ladder) - 1, -1, -1):
+        if n % ladder[i] == 0:
+            n //= ladder[i]
+            v += 1 << i
     return v
 
 
@@ -249,47 +249,23 @@ def _fold(spec: FieldSpec, prod: list) -> tuple:
     return tuple(prod[:e])
 
 
+def regular(spec: FieldSpec, num: tuple) -> list:
+    """The columns of the e x e integer matrix of multiplication by the
+    numerator num, its regular representation (H. Cohen, A Course in
+    Computational Algebraic Number Theory, GTM 138, 4.2): column j is
+    num * pi^j mod E."""
+    cols = [num]
+    for _ in range(spec.e - 1):
+        cols.append(_fold(spec, [0, *cols[-1]]))
+    return cols
+
+
 def lift(xs: Sequence["FieldElement"]):
     """(den, nums): the least common denominator of the elements xs and
     their numerator tuples over it."""
     den = lcm(*[x._den for x in xs])
     return den, [x._num if x._den == den else tuple([n * (den // x._den) for n in x._num])
                  for x in xs]
-
-
-def pack(num: tuple, width: int) -> int:
-    """Kronecker substitution: the numerator polynomial num at pi = 2^width.
-
-    A sum of products of packed integers packs the sum of the product
-    polynomials, and unpack reads it back (D. Harvey, "Faster polynomial
-    multiplication via multipoint Kronecker substitution", J. Symb. Comp.
-    44 (2009)).
-    """
-    x = 0
-    for c in reversed(num):
-        x = (x << width) + c
-    return x
-
-
-def unpack(spec: FieldSpec, x: int, width: int) -> tuple:
-    """The numerator tuple of the polynomial of degree at most 2e - 2 packed
-    in x, folded once mod E. Exact when every coefficient has absolute
-    value below 2^(width - 1): each is then the signed residue of the
-    low width bits."""
-    if spec.e == 1:
-        return (x,)
-    mask, half = (1 << width) - 1, 1 << (width - 1)
-    prod = []
-    for _ in range(2 * spec.e - 2):
-        c = x & mask
-        if c >= half:
-            c -= mask + 1
-            x = (x >> width) + 1
-        else:
-            x >>= width
-        prod.append(c)
-    prod.append(x)
-    return _fold(spec, prod)
 
 
 class FieldElement:
@@ -453,9 +429,7 @@ class FieldElement:
         if e == 1:
             n = self._num[0]
             return _make(spec, (self._den if n > 0 else -self._den,), abs(n))
-        cols = [self._num]
-        for _ in range(e - 1):
-            cols.append(_fold(spec, [0, *cols[-1]]))
+        cols = regular(spec, self._num)
         # rows of the augmented system [M | e_0]
         a = [[*row, int(i == 0)] for i, row in enumerate(zip(*cols))]
         prev = 1

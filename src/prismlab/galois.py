@@ -97,7 +97,7 @@ def d0_check(M: LogConnection, a, D: int = 6) -> dict:
     """
     strat = from_connection(M, a, D)
     H = h_series(M, a, D)
-    nabla_a = M.operator().scale(strat.a)
+    nabla_a = M.operator(strat.a)
     for n in range(1, D + 1):
         if not (strat.phi[n] - H[n] * nabla_a).is_zero():
             return {"ok": False, "witness": {"n": n}}

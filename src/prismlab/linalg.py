@@ -2,17 +2,18 @@
 
 Products skip zero entries on both sides, so the block-triangular
 operators of log connections cost what their nonzero entries cost. The
-operator-family kernel instead works on integer numerator rows over one
-denominator (lift, shifted_product, from_numerators): one packed integer
-dot product per entry, and field elements built once per result.
+operator-family kernel (falling_powers) works on integers instead: it
+writes multiplication by each entry of M and by c as e x e integer
+matrices, the regular representation, and runs the recurrence on the
+Kronecker-packed rows of one integer matrix, building field elements
+once per result.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd
 from operator import add, mul, neg, sub
-from typing import List, Sequence
+from typing import Iterator, List, Sequence
 
 from . import field
 from .field import FieldElement, FieldSpec, _make
@@ -199,46 +200,61 @@ def lift(M: Matrix, c: FieldElement):
     return den, [nums[i:i + n] for i in range(1, len(nums), n)], nums[0]
 
 
-def _bits(rows) -> int:
-    """Bit length of the largest absolute numerator coordinate in rows."""
-    return max(map(abs, chain.from_iterable(chain.from_iterable(rows))),
-               default=0).bit_length()
+def falling_powers(M: Matrix, c: FieldElement, count: int) -> Iterator[Matrix]:
+    """Yield M (M - c) (M - 2c) ... (M - (k-1) c) for k = 2, ..., count - 1,
+    each as it is computed: P_(k+1) = (M - k c) P_k with P_1 = M.
 
-
-def shifted_product(spec: FieldSpec, left, c: tuple, k: int, right) -> list:
-    """Numerator rows of (left - k*c*I) * right.
-
-    left and right are rows of numerator tuples, c a numerator tuple over
-    left's denominator. Each entry is one C-level dot product of
-    Kronecker-packed integers, unpacked and folded once mod E; the width
-    holds the signed sum of the n*e coordinate products of a dot product.
+    M and c are lifted once over their least common denominator den. B is
+    the ne x ne integer matrix whose block (r, j) is the regular
+    representation of the numerator of M[r][j], C that of c's numerator, so
+    den^k P_k is a ne x n integer matrix X_k with X_(k+1) = (B - k I(x)C) X_k.
+    Row (j, t) of X_k, coordinate t of row j of P_k, is one integer: its n
+    entries Kronecker-packed at a width fixed before the loop (D. Harvey,
+    J. Symb. Comp. 44 (2009)). The columns never interact, so each step is
+    one integer dot product per row, with no fold mod E and no repacking;
+    the width holds the bound |X_1| * prod_k (|B| + k |C|) in row-sum
+    norms, plus a sign bit.
     """
-    n, z, pack, unpack = len(right), spec.zero()._num, field.pack, field.unpack
-    width = (max(_bits(left), _bits([[c]]) + k.bit_length()) + 1 + _bits(right)
-             + (n * spec.e).bit_length() + 1)
-    shift = k * pack(c, width)
-    packed = []
-    for r, row in enumerate(left):
-        p = [pack(x, width) for x in row]
-        p[r] -= shift
-        packed.append(p)
-    cols = list(zip(*[[0 if x is z else pack(x, width) for x in row] for row in right]))
-    # a zero entry is the shared zero numerator, which from_numerators skips
-    return [[unpack(spec, s, width) if s else z
-             for s in [sum(map(mul, row, col)) for col in cols]] for row in packed]
-
-
-def from_numerators(spec: FieldSpec, den: int, rows):
-    """(den, rows, matrix) for numerator rows over den, after one content
-    gcd: den is then the least common denominator of the entries."""
-    zero = spec.zero()
-    z = zero._num
-    g = gcd(den, *chain.from_iterable(chain.from_iterable(rows)))
-    if g != 1:
-        den //= g
-        rows = [[x if x is z else tuple([v // g for v in x]) for x in row] for row in rows]
-    return den, rows, Matrix._trusted(spec, tuple(
-        tuple([zero if x is z else _make(spec, x, den) for x in row]) for row in rows))
+    spec, n, e = M.spec, M.nrows, M.spec.e
+    den, rows, cnum = lift(M, c)
+    C = field.regular(spec, cnum)
+    diag = [[(t, -col[s]) for t, col in enumerate(C) if col[s]] for s in range(e)]
+    # row (r, s) of B - k I(x)C: the rows of X it reads, B's nonzero entries
+    # there, and s, which picks the entries k * diag[s] on its diagonal block
+    plan = []
+    for r, row in enumerate(rows):
+        blocks = [(j * e, field.regular(spec, x)) for j, x in enumerate(row) if any(x)]
+        for s in range(e):
+            bs = [(j + t, col[s]) for j, blk in blocks for t, col in enumerate(blk) if col[s]]
+            plan.append(([i for i, _ in bs] + [r * e + t for t, _ in diag[s]],
+                         [b for _, b in bs], s))
+    bound = max(map(abs, chain.from_iterable(chain.from_iterable(rows))), default=0)
+    nb = max(sum(map(abs, bs)) for _, bs, _ in plan)
+    nc = max(sum(abs(ct) for _, ct in d) for d in diag)
+    for k in range(1, count - 1):
+        bound *= nb + k * nc
+    width = bound.bit_length() + 1
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    # adding half to every packed entry makes each one a plain width-bit field
+    offset = half * ((1 << width * n) - 1) // mask
+    shifts = range(0, width * n, width)
+    X = []
+    for row in rows:
+        for t in range(e):
+            x = 0
+            for num in reversed(row):
+                x = (x << width) + num[t]
+            X.append(x)
+    zero, dk = spec.zero(), den
+    for k in range(1, count - 1):
+        kc = [[k * ct for _, ct in d] for d in diag]
+        X = [sum(map(mul, bs + kc[s], map(X.__getitem__, idx))) for idx, bs, s in plan]
+        dk *= den
+        digits = [[((y >> sh) & mask) - half for sh in shifts]
+                  for y in [x + offset for x in X]]
+        yield Matrix._trusted(spec, tuple(
+            tuple([_make(spec, num, dk) if any(num) else zero
+                   for num in zip(*digits[j:j + e])]) for j in range(0, n * e, e)))
 
 
 def _dot(spec, xs, ys):

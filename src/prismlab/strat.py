@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from .errors import (LeibnizViolation, NotAStratification, RingMismatch)
 from .field import FieldElement, FieldSpec
-from .linalg import Matrix, from_numerators, lift, shifted_product
+from .linalg import Matrix, falling_powers
 from .pdalg import CosimpConfig, PDElement, one_plus_a_x_pow
 from .series import TruncSeries
 
@@ -52,22 +52,26 @@ class LogConnection:
     def size(self) -> int:
         return self.l * self.m
 
-    def operator(self) -> Matrix:
-        """The l*m x l*m matrix of x -> T dx/dT + N x on the flattened basis."""
-        n = self.size()
-        rows = [[self.spec.zero() for _ in range(n)] for _ in range(n)]
-        for k in range(self.m):
-            for j in range(self.l):
-                col = flat_index(k, j, self.l)
-                rows[col][col] = rows[col][col] + k
-                for i in range(self.l):
-                    s = self.N[i][j]
-                    for d in range(self.m - k):
-                        c = s.coeffs[d]
-                        if not c.is_zero():
-                            row = flat_index(k + d, i, self.l)
-                            rows[row][col] = rows[row][col] + c
-        return Matrix(self.spec, rows)
+    def operator(self, a: Optional[FieldElement] = None) -> Matrix:
+        """The l*m x l*m matrix of x -> T dx/dT + N x on the flattened basis,
+        times a if given: a * N_(ij,d) is formed once per coefficient and
+        placed on its m - d entries, and a * k is added on the diagonal."""
+        l, m, n = self.l, self.m, self.size()
+        zero = self.spec.zero()
+        rows = [[zero] * n for _ in range(n)]
+        for i in range(l):
+            for j in range(l):
+                for d, x in enumerate(self.N[i][j].coeffs):
+                    if not x.is_zero():
+                        x = x if a is None else a * x
+                        for k in range(m - d):
+                            rows[flat_index(k + d, i, l)][flat_index(k, j, l)] = x
+        for k in range(1, m):
+            ka = k if a is None else a * k
+            for j in range(l):
+                r = flat_index(k, j, l)
+                rows[r][r] = rows[r][r] + ka
+        return Matrix._trusted(self.spec, tuple(map(tuple, rows)))
 
     def residual_matrix(self) -> Matrix:
         """N mod T, the l x l matrix whose eigenvalues are the residual weights."""
@@ -100,34 +104,35 @@ def multiplication_by_t_power(spec: FieldSpec, l: int, m: int, d: int) -> Matrix
     return Matrix(spec, rows)
 
 
-def operator_family(phi1: Matrix, a, count: int) -> List[Matrix]:
-    """[phi_0, ..., phi_{count-1}] with phi_{n+1} = (phi_1 - n*a) o phi_n.
+def iter_family(phi1: Matrix, a, count: int) -> Iterator[Matrix]:
+    """phi_0, ..., phi_{count-1} with phi_{n+1} = (phi_1 - n*a) o phi_n,
+    one at a time: phi_{n+1} is computed when it is asked for.
 
-    One integer kernel: phi_1 and a are lifted once over a common
-    denominator, phi_n stays (den, numerator rows) between steps, and each
-    step is one packed product with the -n*a shift on the diagonal
-    (linalg.shifted_product) and one content gcd (linalg.from_numerators).
+    phi_2 onward come from one integer kernel, linalg.falling_powers: the
+    recurrence in the regular representation on Kronecker-packed rows.
     """
     spec = phi1.spec
     if not isinstance(a, FieldElement):
         a = spec.from_rational(a)
-    out = [Matrix.identity(spec, phi1.nrows), phi1][:max(count, 1)]
-    den, rows, c = lift(phi1, a)
-    cur_den, cur = den, rows
-    for k in range(1, count - 1):
-        cur_den, cur, phi = from_numerators(spec, cur_den * den,
-                                            shifted_product(spec, rows, c, k, cur))
-        out.append(phi)
-    return out
+    yield Matrix.identity(spec, phi1.nrows)
+    if count > 1:
+        yield phi1
+        yield from falling_powers(phi1, a, count)
+
+
+def operator_family(phi1: Matrix, a, count: int) -> List[Matrix]:
+    """[phi_0, ..., phi_{count-1}] with phi_{n+1} = (phi_1 - n*a) o phi_n."""
+    return list(iter_family(phi1, a, count))
 
 
 def first_off_recurrence(phi: List[Matrix], a) -> Optional[int]:
     """The least n >= 2 with phi_n unequal to operator_family(phi_1, a)[n],
-    or None when phi_2..phi_D all follow phi_(n+1) = (phi_1 - n*a) phi_n."""
+    or None when phi_2..phi_D all follow phi_(n+1) = (phi_1 - n*a) phi_n.
+    The family is computed only up to the first mismatch."""
     if len(phi) < 3:
         return None
-    family = operator_family(phi[1], a, len(phi))
-    return next((n for n in range(2, len(phi)) if phi[n] != family[n]), None)
+    return next((n for n, psi in enumerate(iter_family(phi[1], a, len(phi)))
+                 if n >= 2 and phi[n] != psi), None)
 
 
 class Stratification:
@@ -160,10 +165,11 @@ class Stratification:
 
 
 def from_connection(conn: LogConnection, a, D: int) -> Stratification:
+    """The stratification phi_0..phi_D of conn at a, with phi_1 =
+    conn.operator(a) = a * (T d/dT + N)."""
     if not isinstance(a, FieldElement):
         a = conn.spec.from_rational(Fraction(a))
-    phi1 = conn.operator().scale(a)
-    phi = operator_family(phi1, a, D + 1)
+    phi = operator_family(conn.operator(a), a, D + 1)
     return Stratification(conn.spec, conn.l, conn.m, D, a, phi)
 
 
@@ -213,7 +219,8 @@ def to_connection(strat: Stratification, unif: str = "T") -> LogConnection:
         return LogConnection.trivial(spec, l, m, unif)
     inv = strat.a.invert()
     rows = strat.phi[1].rows
-    N = [[TruncSeries(spec, m, [rows[flat_index(k, i, l)][j] * inv for k in range(m)], unif)
+    N = [[TruncSeries._trusted(spec, m, tuple([rows[flat_index(k, i, l)][j] * inv
+                                               for k in range(m)]), unif)
           for j in range(l)] for i in range(l)]
     return LogConnection(spec, unif, l, m, N)
 

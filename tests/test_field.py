@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prismlab.errors import ZeroInversion
-from prismlab.field import PRIME_BOUND, FieldSpec, Valuation, _is_prime, vp_rational
+from prismlab.field import PRIME_BOUND, FieldSpec, Valuation, _is_prime, _vp_int, vp_rational
 
 from conftest import random_element, random_rational
 
@@ -155,6 +155,27 @@ class TestValuation:
             assert vs >= lo
             if va != vb:
                 assert vs == lo
+
+
+def vp_by_single_factors(n, p):
+    """The valuation by stripping one factor of p per turn, the reference
+    for the squaring ladder of _vp_int."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 101, 2 ** 61 - 1]), k=st.integers(0, 5000),
+       u=st.integers(1, 2 ** 80), negative=st.booleans())
+def test_vp_int_matches_single_factor_loop(p, k, u, negative):
+    n = p ** k * u * (-1 if negative else 1)
+    v = vp_by_single_factors(n, p)
+    assert _vp_int(n, p) == v
+    assert vp_rational(Fraction(n, p ** (k + 3)), p) == v - k - 3
+    assert vp_rational(Fraction(p ** (k + 3), n), p) == k + 3 - v
 
 
 class TestInvert:

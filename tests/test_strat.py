@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from prismlab.errors import LeibnizViolation, NotAStratification
 from prismlab.linalg import Matrix
@@ -469,8 +469,10 @@ def test_cocycle_property(m, seed):
     assert check_cocycle(strat)["ok"]
 
 
-# the benchmark's four fields: e = 1, 2, 2, 3
-KERNEL_FIELDS = [(3, (-3, 1)), (3, (-3, 0, 1)), (2, (-2, 0, 1)), (3, (3, 3, 0, 1))]
+# the benchmark's four fields (e = 1, 2, 2, 3) and the quintic
+# u^5 + 3u^4 - 6u^2 + 3u + 12 over Q_3
+KERNEL_FIELDS = [(3, (-3, 1)), (3, (-3, 0, 1)), (2, (-2, 0, 1)), (3, (3, 3, 0, 1)),
+                 (3, (12, 3, -6, 0, 3, 1))]
 
 
 def family_by_products(phi1, a, count):
@@ -515,9 +517,21 @@ def dense_operator(draw):
     return spec, Matrix(spec, rows)
 
 
+def _quintic_operator(zero):
+    from prismlab.field import FieldSpec
+    spec = FieldSpec(3, [12, 3, -6, 0, 3, 1])
+    return spec, Matrix(spec, [[0 if zero else spec.element([r - c, Fraction(1, 3), 0, 2, -r])
+                                for c in range(3)] for r in range(3)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(op=dense_operator(), choice=st.sampled_from(KERNEL_SCALARS),
        count=st.integers(1, 8))
+@example(op=_quintic_operator(False), choice="irrational", count=1)
+@example(op=_quintic_operator(False), choice="prism", count=2)
+@example(op=_quintic_operator(False), choice="log", count=3)
+@example(op=_quintic_operator(True), choice="prism", count=6)
+@example(op=_quintic_operator(False), choice=0, count=6)
 def test_operator_family_matches_matrix_products(op, choice, count):
     spec, phi1 = op
     a = kernel_scalar(spec, choice)
@@ -592,3 +606,70 @@ def test_round_trip_makes_no_matrix_products(monkeypatch):
     assert calls["mul"] <= l * m * l
     monkeypatch.undo()
     assert back == conn
+
+
+def test_operator_family_folds_only_for_its_operators(monkeypatch):
+    """Operation counts, no timing: operator_family makes no field product
+    or sum, and calls field._fold only for the regular representations of
+    phi_1's nonzero entries and of a, e - 1 each, so 3 and 12 operators
+    cost the same folds."""
+    import random
+
+    from prismlab import field
+    from prismlab.field import FieldElement
+    spec = field.FieldSpec(3, [12, 3, -6, 0, 3, 1])
+    rng = random.Random(5)
+    phi1 = Matrix(spec, [[random_element(rng, spec, 9) if (r + c) % 3 else 0
+                          for c in range(4)] for r in range(4)])
+    nonzero = sum(not x.is_zero() for row in phi1.rows for x in row)
+    a = spec.a_prism()
+    calls = {"mul": 0, "add": 0, "fold": 0}
+
+    def counting(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(FieldElement, name, counting("mul", getattr(FieldElement, name)))
+    for name in ("__add__", "__radd__", "__sub__"):
+        monkeypatch.setattr(FieldElement, name, counting("add", getattr(FieldElement, name)))
+    monkeypatch.setattr(field, "_fold", counting("fold", field._fold))
+    for count in (3, 12):
+        calls.update(mul=0, add=0, fold=0)
+        got = operator_family(phi1, a, count)
+        assert calls == {"mul": 0, "add": 0, "fold": (nonzero + 1) * (spec.e - 1)}
+    monkeypatch.undo()
+    assert got == family_by_products(phi1, a, 12)
+
+
+def test_first_off_recurrence_stops_at_first_mismatch(monkeypatch):
+    """Step counts, no timing: with D = 12, a family broken at phi_2 makes
+    one kernel step before first_off_recurrence answers 2, and a genuine
+    family makes D - 1."""
+    import random
+
+    from prismlab import strat as strat_module
+    from prismlab.field import FieldSpec
+    from prismlab.strat import first_off_recurrence
+    spec = FieldSpec(3, [3, 3, 0, 1])
+    D = 12
+    genuine = from_connection(random_connection(random.Random(12), spec, 2, 2),
+                              spec.a_prism(), D)
+    broken = genuine.perturbed(2, Matrix(spec, [[1 if (r, c) == (1, 0) else 0
+                                                 for c in range(4)] for r in range(4)]))
+    steps = []
+    kernel = strat_module.falling_powers
+
+    def counting(M, c, count):
+        for P in kernel(M, c, count):
+            steps.append(1)
+            yield P
+
+    monkeypatch.setattr(strat_module, "falling_powers", counting)
+    assert first_off_recurrence(broken.phi, broken.a) == 2
+    assert len(steps) == 1
+    steps.clear()
+    assert first_off_recurrence(genuine.phi, genuine.a) is None
+    assert len(steps) == D - 1
