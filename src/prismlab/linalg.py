@@ -60,6 +60,10 @@ class Matrix:
             return NotImplemented
         return self.spec == other.spec and self.rows == other.rows
 
+    def _check_square(self, what):
+        if self.nrows != self.ncols:
+            raise ValueError(f"cannot take the {what} of a {self.nrows}x{self.ncols} matrix")
+
     def _check_shape(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError(f"shapes {self.nrows}x{self.ncols} and "
@@ -119,7 +123,7 @@ class Matrix:
         return all(a.is_zero() for r in self.rows for a in r)
 
     def trace(self) -> FieldElement:
-        assert self.nrows == self.ncols
+        self._check_square("trace")
         t = self.spec.zero()
         for i in range(self.nrows):
             t = t + self.rows[i][i]
@@ -176,7 +180,7 @@ class Matrix:
 
     def charpoly(self) -> List[FieldElement]:
         """Coefficients of det(x*I - A), low-to-high, leading 1."""
-        assert self.nrows == self.ncols
+        self._check_square("charpoly")
         n = self.nrows
         spec = self.spec
         coeffs = [spec.zero()] * n + [spec.one()]

@@ -4,13 +4,15 @@ A log connection is an l x l matrix N of truncated series: the operator
 x -> T dx/dT + N x on column vectors. A stratification is the family
 phi_0..phi_D of K-linear operators on the flattened K-basis
 {T^k e_j : 0 <= k < m, 1 <= j <= l}; the two are equivalent via
-phi_1 = a * nabla and the descending product family.
+phi_1 = a * nabla and the descending product family. A stratification
+made from a connection holds phi_1 and computes phi_n when it is first read.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
-from typing import Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from .errors import (LeibnizViolation, NotAStratification, RingMismatch)
 from .field import FieldElement, FieldSpec
@@ -26,7 +28,8 @@ def flat_index(k: int, j: int, l: int) -> int:
 
 class LogConnection:
     def __init__(self, spec: FieldSpec, unif: str, l: int, m: int, N: List[List[TruncSeries]]):
-        assert l >= 1 and m >= 1
+        if l < 1 or m < 1:
+            raise RingMismatch(f"rank l = {l} and truncation m = {m} must be >= 1")
         self.spec = spec
         self.unif = unif
         self.l = l
@@ -125,7 +128,7 @@ def operator_family(phi1: Matrix, a, count: int) -> List[Matrix]:
     return list(iter_family(phi1, a, count))
 
 
-def first_off_recurrence(phi: List[Matrix], a) -> Optional[int]:
+def first_off_recurrence(phi: Sequence[Matrix], a) -> Optional[int]:
     """The least n >= 2 with phi_n unequal to operator_family(phi_1, a)[n],
     or None when phi_2..phi_D all follow phi_(n+1) = (phi_1 - n*a) phi_n.
     The family is computed only up to the first mismatch."""
@@ -135,14 +138,73 @@ def first_off_recurrence(phi: List[Matrix], a) -> Optional[int]:
                  if n >= 2 and phi[n] != psi), None)
 
 
+class Family(Sequence):
+    """The operators phi_0..phi_D of a stratification, a read-only sequence.
+
+    A family given explicitly holds all of its operators. Family.generated
+    holds the iter_family generator over (phi_1, a, D + 1) instead: the first
+    read of index n generates phi_2..phi_n and keeps them, later reads take
+    no kernel step, and once phi_D is read the generator is dropped with the
+    kernel state it suspends. Indexing, slicing (to a list), iteration and
+    == against a list or a family behave as on a list of the operators.
+    """
+    __slots__ = ("_ops", "_rest", "_len")
+
+    def __init__(self, ops: Iterable[Matrix], rest: Optional[Iterator[Matrix]] = None,
+                 length: int = 0):
+        self._ops = list(ops)
+        self._rest = rest
+        self._len = len(self._ops) if rest is None else length
+
+    @classmethod
+    def generated(cls, phi1: Matrix, a: FieldElement, D: int) -> "Family":
+        return cls((), iter_family(phi1, a, D + 1), D + 1)
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, n):
+        if self._rest is None:
+            return self._ops[n]
+        if isinstance(n, slice):
+            return [self[k] for k in range(*n.indices(self._len))]
+        if n < 0:
+            n += self._len
+        if not 0 <= n < self._len:
+            raise IndexError("operator index out of range")
+        ops = self._ops
+        while len(ops) <= n:
+            ops.append(next(self._rest))
+            if len(ops) == self._len:
+                self._rest = None
+        return ops[n]
+
+    def __iter__(self):
+        if self._rest is None:
+            return iter(self._ops)
+        return map(self.__getitem__, range(self._len))
+
+    def __eq__(self, other):
+        if not isinstance(other, (Family, list)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    def __repr__(self):
+        return f"Family(D={self._len - 1}, computed={len(self._ops)})"
+
+
 class Stratification:
     def __init__(self, spec: FieldSpec, l: int, m: int, D: int, a: FieldElement,
-                 phi: List[Matrix]):
-        assert D >= 0
+                 phi: Sequence[Matrix]):
+        """phi is a Family or the list phi_0..phi_D; a generated family's
+        operators all have the shape of its phi_1."""
+        if D < 0:
+            raise NotAStratification(f"pd-degree D = {D} must be >= 0")
+        phi = phi if isinstance(phi, Family) else Family(phi)
         if len(phi) != D + 1:
             raise NotAStratification(f"need operators up to pd-degree {D}")
         n = l * m
-        for op in phi:
+        for op in phi._ops:
             if len(op.rows) != n:
                 raise NotAStratification(f"operators must be {n}x{n}")
         self.spec = spec
@@ -150,7 +212,7 @@ class Stratification:
         self.m = m
         self.D = D
         self.a = a if isinstance(a, FieldElement) else spec.from_rational(Fraction(a))
-        self.phi = list(phi)
+        self.phi = phi
 
     def __eq__(self, other):
         if not isinstance(other, Stratification):
@@ -166,11 +228,12 @@ class Stratification:
 
 def from_connection(conn: LogConnection, a, D: int) -> Stratification:
     """The stratification phi_0..phi_D of conn at a, with phi_1 =
-    conn.operator(a) = a * (T d/dT + N)."""
+    conn.operator(a) = a * (T d/dT + N); phi_2..phi_D are generated when
+    first read (Family.generated)."""
     if not isinstance(a, FieldElement):
         a = conn.spec.from_rational(Fraction(a))
-    phi = operator_family(conn.operator(a), a, D + 1)
-    return Stratification(conn.spec, conn.l, conn.m, D, a, phi)
+    return Stratification(conn.spec, conn.l, conn.m, D, a,
+                          Family.generated(conn.operator(a), a, D))
 
 
 def check_leibniz(strat: Stratification) -> dict:

@@ -143,13 +143,18 @@ def run_cli_stderr(argv, stdin_text=""):
     return code, out, err.getvalue()
 
 
-def run_module(flags, argv, stdin_text=""):
-    """python [flags] -m prismlab.cli argv in a subprocess."""
+def run_python(args, stdin_text=""):
+    """python args in a subprocess that imports prismlab from src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, *flags, "-m", "prismlab.cli", *argv],
-                          input=stdin_text.encode(), capture_output=True, env=env)
+    return subprocess.run([sys.executable, *args], input=stdin_text.encode(),
+                          capture_output=True, env=env)
+
+
+def run_module(flags, argv, stdin_text=""):
+    """python [flags] -m prismlab.cli argv in a subprocess."""
+    return run_python([*flags, "-m", "prismlab.cli", *argv], stdin_text)
 
 
 @pytest.fixture
@@ -525,6 +530,33 @@ class TestOptimizedMode:
         obj["phi"][2][0][0] = [7]
         proc = self.both(["strat", "to-conn"], canonical_json(obj))
         assert proc.returncode == 1 and json.loads(proc.stdout)["status"] == "fail"
+
+    def test_constructor_and_trace_errors(self):
+        """The constructor and trace checks raise under python -O too."""
+        script = """
+from prismlab.errors import NotAStratification, RingMismatch
+from prismlab.field import FieldSpec
+from prismlab.linalg import Matrix
+from prismlab.strat import LogConnection, Stratification, from_connection
+q3 = FieldSpec(3, [-3, 1])
+cases = [
+    (lambda: Stratification(q3, 1, 1, -1, 1, []), NotAStratification),
+    (lambda: from_connection(LogConnection.trivial(q3, 1, 1), 1, -1), NotAStratification),
+    (lambda: LogConnection(q3, "T", 0, 1, []), RingMismatch),
+    (lambda: Matrix(q3, [[1, 2, 3], [4, 5, 6]]).trace(), ValueError),
+    (lambda: Matrix(q3, [[1, 2, 3], [4, 5, 6]]).charpoly(), ValueError),
+]
+print(__debug__)
+for build, error in cases:
+    try:
+        build()
+        print("accepted")
+    except error:
+        print("raised")
+"""
+        proc = run_python(["-O", "-c", script])
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.split() == [b"False"] + [b"raised"] * 5
 
     def test_readme_pipeline(self, tmp_path, field_file):
         assert self.both(["field", "check", field_file]).returncode == 0

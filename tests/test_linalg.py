@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from prismlab.linalg import Matrix, eval_poly, poly_deflate
 
 from conftest import random_element
@@ -72,3 +74,11 @@ def test_column_pivots(q3s):
 def test_scale_and_fraction(q3s):
     A = Matrix(q3s, [[2, 0], [0, 2]])
     assert A.scale(Fraction(1, 2)) == Matrix.identity(q3s, 2)
+
+
+def test_trace_and_charpoly_refuse_non_square(q3):
+    A = Matrix(q3, [[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match="trace of a 2x3"):
+        A.trace()
+    with pytest.raises(ValueError, match="charpoly of a 2x3"):
+        A.charpoly()

@@ -5,11 +5,11 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from prismlab.errors import LeibnizViolation, NotAStratification
+from prismlab.errors import LeibnizViolation, NotAStratification, RingMismatch
 from prismlab.linalg import Matrix
 from prismlab.pdalg import CosimpConfig, PDElement, face, one_plus_a_x_pow
 from prismlab.series import TruncSeries
-from prismlab.strat import (LogConnection, Stratification, check_cocycle,
+from prismlab.strat import (Family, LogConnection, Stratification, check_cocycle,
                             check_leibniz, flat_index, from_connection,
                             multiplication_by_t_power, operator_family,
                             to_connection, verify_key_lemma)
@@ -117,6 +117,21 @@ class TestLeibnizGate:
                              [strat.phi[0].scale(2)] + strat.phi[1:])
         with pytest.raises(NotAStratification):
             to_connection(bad)
+
+
+class TestConstructorChecks:
+    """Raised errors, not asserts, so they hold under python -O too."""
+
+    def test_negative_degree_rejected(self, q3):
+        with pytest.raises(NotAStratification):
+            Stratification(q3, 1, 1, -1, 1, [])
+        with pytest.raises(NotAStratification):
+            from_connection(LogConnection.trivial(q3, 1, 1), q3.a_prism(), -1)
+
+    @pytest.mark.parametrize("l,m", [(0, 1), (1, 0), (-1, 2)])
+    def test_empty_module_rejected(self, q3, l, m):
+        with pytest.raises(RingMismatch):
+            LogConnection(q3, "T", l, m, [])
 
 
 def leibniz_every_power(strat):
@@ -644,13 +659,32 @@ def test_operator_family_folds_only_for_its_operators(monkeypatch):
     assert got == family_by_products(phi1, a, 12)
 
 
+def counting_kernel(monkeypatch):
+    """Patch strat.falling_powers to record each kernel call, each step (one
+    operator yielded) and each kernel generator finished or released."""
+    from prismlab import strat as strat_module
+    calls = {"calls": 0, "steps": 0, "released": 0}
+    kernel = strat_module.falling_powers
+
+    def counting(M, c, count):
+        calls["calls"] += 1
+        try:
+            for P in kernel(M, c, count):
+                calls["steps"] += 1
+                yield P
+        finally:
+            calls["released"] += 1
+
+    monkeypatch.setattr(strat_module, "falling_powers", counting)
+    return calls
+
+
 def test_first_off_recurrence_stops_at_first_mismatch(monkeypatch):
     """Step counts, no timing: with D = 12, a family broken at phi_2 makes
     one kernel step before first_off_recurrence answers 2, and a genuine
     family makes D - 1."""
     import random
 
-    from prismlab import strat as strat_module
     from prismlab.field import FieldSpec
     from prismlab.strat import first_off_recurrence
     spec = FieldSpec(3, [3, 3, 0, 1])
@@ -659,17 +693,102 @@ def test_first_off_recurrence_stops_at_first_mismatch(monkeypatch):
                               spec.a_prism(), D)
     broken = genuine.perturbed(2, Matrix(spec, [[1 if (r, c) == (1, 0) else 0
                                                  for c in range(4)] for r in range(4)]))
-    steps = []
-    kernel = strat_module.falling_powers
-
-    def counting(M, c, count):
-        for P in kernel(M, c, count):
-            steps.append(1)
-            yield P
-
-    monkeypatch.setattr(strat_module, "falling_powers", counting)
+    calls = counting_kernel(monkeypatch)
     assert first_off_recurrence(broken.phi, broken.a) == 2
-    assert len(steps) == 1
-    steps.clear()
+    assert calls["steps"] == 1
+    calls["steps"] = 0
     assert first_off_recurrence(genuine.phi, genuine.a) is None
-    assert len(steps) == D - 1
+    assert calls["steps"] == D - 1
+
+
+def test_round_trip_takes_no_kernel_step(monkeypatch):
+    """Step counts, no timing: to_connection(from_connection(M, a, D)) reads
+    phi_0 and phi_1 only, so falling_powers is never called, at D = 2m + 2."""
+    import random
+
+    from prismlab.field import FieldSpec
+    spec = FieldSpec(3, [3, 3, 0, 1])
+    calls = counting_kernel(monkeypatch)
+    for l, m in ((1, 6), (2, 3), (3, 2)):
+        conn = random_connection(random.Random(l), spec, l, m)
+        assert to_connection(from_connection(conn, spec.a_prism(), 2 * m + 2)) == conn
+    assert calls == {"calls": 0, "steps": 0, "released": 0}
+
+
+def test_reading_phi_k_takes_k_minus_one_steps(monkeypatch):
+    """Step counts, no timing: with D = 10, reading phi[k] first takes
+    max(k - 1, 0) kernel steps, a second read of it or a read below it takes
+    none, and reading phi_D (phi[-1] too) releases the kernel generator."""
+    import random
+
+    from prismlab.field import FieldSpec
+    spec = FieldSpec(3, [3, 3, 0, 1])
+    D = 10
+    conn = random_connection(random.Random(10), spec, 2, 2)
+    calls = counting_kernel(monkeypatch)
+    for k in range(D + 1):
+        strat = from_connection(conn, spec.a_prism(), D)
+        calls.update(steps=0, released=0)
+        first = strat.phi[k]
+        assert calls["steps"] == max(k - 1, 0)
+        assert strat.phi[k] is first and strat.phi[k - D - 1] is first
+        strat.phi[:k]
+        assert calls["steps"] == max(k - 1, 0)
+        assert calls["released"] == (k == D)
+    strat = from_connection(conn, spec.a_prism(), D)
+    calls.update(steps=0, released=0)
+    strat.phi[-1]
+    assert (calls["steps"], calls["released"]) == (D - 1, 1)
+    list(strat.phi)
+    assert calls["steps"] == D - 1
+
+
+slice_bounds = st.none() | st.integers(-10, 10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(op=dense_operator(), choice=st.sampled_from(KERNEL_SCALARS), D=st.integers(0, 8),
+       reads=st.lists(st.integers(-10, 9), max_size=3),
+       cut=st.builds(slice, slice_bounds, slice_bounds, st.sampled_from([None, 1, 2, -1])),
+       at=st.integers(0, 8))
+@example(op=_quintic_operator(False), choice="prism", D=8, reads=[5, -1, 9],
+         cut=slice(1, None), at=2)
+@example(op=_quintic_operator(True), choice="log", D=0, reads=[-1, 1],
+         cut=slice(None, None, -1), at=0)
+def test_lazy_family_matches_eager_references(op, choice, D, reads, cut, at):
+    """A generated family (from_connection's) against operator_family and
+    the product reference on the benchmark fields and the quintic: reads in
+    a drawn order, negative and out-of-range indices, slices, iteration and
+    ==, and Stratification.__eq__ and perturbed against the same family
+    given explicitly."""
+    spec, phi1 = op
+    a = kernel_scalar(spec, choice)
+    n = phi1.nrows
+    want = family_by_products(phi1, a, D + 1)
+    assert operator_family(phi1, a, D + 1) == want
+    lazy = Family.generated(phi1, a, D)
+    assert len(lazy) == D + 1
+    for k in reads:
+        if -D - 1 <= k <= D:
+            assert lazy[k] == want[k]
+        else:
+            with pytest.raises(IndexError):
+                lazy[k]
+    assert lazy[cut] == want[cut]
+    assert lazy == want and want == lazy and not lazy != want
+    assert lazy != want[:-1] and lazy != want + want[:1]
+    assert list(lazy) == want and lazy == Family(want)
+    assert Family.generated(phi1, a, D) == lazy
+
+    def generated():
+        return Stratification(spec, 1, n, D, a, Family.generated(phi1, a, D))
+    explicit = Stratification(spec, 1, n, D, a, want)
+    assert generated() == explicit and explicit == generated()
+    delta = Matrix(spec, [[1 if (r, c) == (0, n - 1) else 0 for c in range(n)]
+                          for r in range(n)])
+    k = at % (D + 1)
+    moved = generated().perturbed(k, delta)
+    assert moved == explicit.perturbed(k, delta) and moved != explicit
+    assert generated() != moved and moved != generated()
+    assert moved.phi[k] == want[k] + delta
+    assert moved.phi[:k] + moved.phi[k + 1:] == want[:k] + want[k + 1:]
