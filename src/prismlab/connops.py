@@ -9,8 +9,8 @@ from typing import Dict, List, Optional, Sequence
 
 from .errors import BadTruncationIndex, NotAUniformizer, RingMismatch
 from .field import FieldElement, FieldSpec, Valuation, vp_rational
-from .linalg import Matrix, eval_poly, poly_deflate
-from .series import TruncSeries, lambda_approx, rewrite_in_uniformizer
+from .linalg import Matrix, eval_poly, null_basis, poly_deflate
+from .series import TruncSeries, lambda_approx
 from .strat import LogConnection
 
 PROBE_THRESHOLD = 50
@@ -59,6 +59,22 @@ def bk_twist(M: LogConnection, n) -> LogConnection:
     return LogConnection(M.spec, M.unif, M.l, M.m, N)
 
 
+def _multiplier_and_reversion(y: TruncSeries, naive: Optional[TruncSeries] = None):
+    """(c, g): the multiplier of _log_multiplier and the reversion g of y,
+    both from one reversion of y lifted to modulus m + 1. naive is the
+    uncorrected multiplier (y/T) / y' when the caller has it already."""
+    spec, m = y.spec, y.m
+    c = naive if naive is not None else y.shift_down() * y.derivative().invert_unit()
+    rev = TruncSeries._trusted(spec, m + 1, y.coeffs + (spec.zero(),), y.unif).reversion()
+    r = rev.coeffs[m]
+    if not r.is_zero():
+        # c * (1 + top T^(m-1)) changes the top coefficient only
+        top = r * y.coeffs[1] ** m * Fraction(1 - m, 2)
+        c = TruncSeries._trusted(spec, m, c.coeffs[:-1] + (c.coeffs[-1] + c.coeffs[0] * top,),
+                                 c.unif)
+    return c, rev.truncate(m)
+
+
 def _log_multiplier(y: TruncSeries) -> TruncSeries:
     """The unit series c with c * T * y' = y, normalized for exact round trips.
 
@@ -73,34 +89,47 @@ def _log_multiplier(y: TruncSeries) -> TruncSeries:
     consistent both ways because the reversion's own defect coefficient is
     r * y1^(m+1).)
     """
-    spec, m = y.spec, y.m
-    base = y.shift_down()
-    c = base * y.derivative().invert_unit()
-    if m >= 2:
-        lift = TruncSeries(spec, m + 1, list(y.coeffs), y.unif)
-        r = lift.reversion().coeffs[m]
-        if not r.is_zero():
-            y1 = y.coeffs[1]
-            top = r * y1 ** m * Fraction(1 - m, 2)
-            corr = [spec.one()] + [spec.zero()] * (m - 2) + [top]
-            c = c * TruncSeries(spec, m, corr, y.unif)
-    return c
+    return _multiplier_and_reversion(y)[0]
 
 
-def change_uniformizer(M: LogConnection, y: TruncSeries) -> LogConnection:
-    """Transport the connection to the coordinate y; matrix c*N rewritten in y."""
+def change_uniformizer(M: LogConnection, y: TruncSeries, *,
+                       naive: Optional[TruncSeries] = None) -> LogConnection:
+    """Transport the connection to the coordinate y; matrix c*N rewritten in y.
+
+    Rewriting in y is composing with the reversion g of y, a ring map, so
+    entry (c N_ij)(g) is sum_k N_ij,k * c(g) g^k over one table of the
+    series c(g) g^k: y is reverted once, and an entry costs no series
+    product. naive, if given, is the uncorrected multiplier (y/T) / y'.
+    """
     if y.spec != M.spec or y.m != M.m:
         raise RingMismatch("substitution series lives over a different ring")
-    if M.m == 1:
+    spec, m = M.spec, M.m
+    if m == 1:
         # nothing to transport at modulus 1: constants, multiplier 1
-        return LogConnection(M.spec, y.unif, M.l, 1,
+        return LogConnection(spec, y.unif, M.l, 1,
                              [[s.with_unif(y.unif) for s in row] for row in M.N])
     if not y.is_uniformizer():
         raise NotAUniformizer("substitution series must vanish to exact order one")
-    c = _log_multiplier(y)
-    N = [[rewrite_in_uniformizer(c * M.N[i][j], y) for j in range(M.l)]
-         for i in range(M.l)]
-    return LogConnection(M.spec, y.unif, M.l, M.m, N)
+    c, g = _multiplier_and_reversion(y, naive)
+    gk = [TruncSeries.one(spec, m), g]
+    while len(gk) < m:
+        gk.append(gk[-1] * g)
+    cg = sum((gk[k] * x for k, x in enumerate(c.coeffs) if not x.is_zero()),
+             TruncSeries.zero(spec, m))
+    # c(g) g^k vanishes below degree k, since g does below degree 1
+    table = [(k, (cg * gk[k] if k else cg).coeffs[k:]) for k in range(m)]
+    zero = spec.zero()
+
+    def rewrite(s: TruncSeries) -> TruncSeries:
+        acc = [zero] * m
+        for (k, col), a in zip(table, s.coeffs):
+            if not a.is_zero():
+                for j, b in enumerate(col, k):
+                    if not b.is_zero():
+                        acc[j] = acc[j] + a * b
+        return TruncSeries._trusted(spec, m, tuple(acc), y.unif)
+
+    return LogConnection(spec, y.unif, M.l, m, [[rewrite(s) for s in row] for row in M.N])
 
 
 def kummer_sen_operator(M: LogConnection, F: int) -> LogConnection:
@@ -109,19 +138,22 @@ def kummer_sen_operator(M: LogConnection, F: int) -> LogConnection:
     Requires the module to be presented in the coordinate u - pi. Also
     verifies, exactly in the truncated ring, that clearing the unit u from
     numerator and denominator of the transport multiplier is legitimate:
-    (1/(u l'))(u l/T) = (1/l')(l/T) with T = u - pi.
+    (1/(u l'))(u l/T) = (1/l')(l/T) with T = u - pi. The right side is
+    the uncorrected transport multiplier, so the transport reuses it.
     """
     if M.unif != "u-pi":
         raise RingMismatch("module must be presented in the coordinate u-pi")
     spec, m = M.spec, M.m
     lam = lambda_approx(spec, F, m)
-    if m >= 2:
-        u = TruncSeries(spec, m, [spec.pi(), spec.one()], "u-pi")
-        lhs = (u * lam.derivative()).invert_unit() * (u * lam.shift_down())
-        rhs = lam.derivative().invert_unit() * lam.shift_down()
-        if lhs != rhs:
-            raise ValueError(f"lambda{F} fails the unit-clearing identity at m = {m}")
-    return change_uniformizer(M, lam)
+    if m == 1:
+        return change_uniformizer(M, lam)
+    u = TruncSeries(spec, m, [spec.pi(), spec.one()], "u-pi")
+    deriv, base = lam.derivative(), lam.shift_down()
+    lhs = (u * deriv).invert_unit() * (u * base)
+    rhs = deriv.invert_unit() * base
+    if lhs != rhs:
+        raise ValueError(f"lambda{F} fails the unit-clearing identity at m = {m}")
+    return change_uniformizer(M, lam, naive=rhs)
 
 
 def _divisors(n: int) -> List[int]:
@@ -367,14 +399,17 @@ def cohomology(M: LogConnection) -> dict:
     """Kernel and cokernel of the connection operator on the flattened basis.
 
     h1 representatives follow the echelon convention: standard basis
-    vectors at the non-pivot coordinates of the column space.
+    vectors at the non-pivot coordinates of the column space. One pass of
+    elimination over the operator's rows gives both: its final basis is
+    the rref that the kernel is read from, and the rows that stay nonzero
+    are the column space's pivot coordinates.
     """
     op = M.operator()
     n = M.size()
-    ker = op.kernel_basis()
-    pivots = op.column_pivots()
-    reps = [i for i in range(n) if i not in pivots]
-    return {"h0": len(ker), "h1": n - len(pivots),
+    R, pivots, independent = op.reduce_rows()
+    ker = null_basis(M.spec, n, R, pivots)
+    reps = sorted(set(range(n)).difference(independent))
+    return {"h0": len(ker), "h1": n - len(independent),
             "h0_basis": ker, "h1_representatives": reps}
 
 

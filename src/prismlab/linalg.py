@@ -160,18 +160,42 @@ class Matrix:
         _, pivots = self.rref()
         return len(pivots)
 
+    def reduce_rows(self):
+        """rref(self) in one pass over the rows in order: (R, pivots,
+        independent).
+
+        Each row is reduced against the rows kept so far, which stay in
+        reduced echelon form; a row that stays nonzero is normalized and
+        kept. R lists the nonzero rows of rref(self), pivots their leading
+        columns, and independent the indices of the rows that are no
+        combination of earlier rows: the pivot columns of rref(self^T),
+        which column_pivots finds by a second elimination.
+        """
+        basis = {}
+        independent = []
+        for i, row in enumerate(self.rows):
+            for pc, b in basis.items():
+                f = row[pc]
+                if not f.is_zero():
+                    row = [a if y.is_zero() else a - f * y for a, y in zip(row, b)]
+            lead = next((j for j, a in enumerate(row) if not a.is_zero()), None)
+            if lead is None:
+                continue
+            inv = row[lead].invert()
+            row = [a * inv for a in row]
+            for pc, b in basis.items():
+                f = b[lead]
+                if not f.is_zero():
+                    basis[pc] = [a if y.is_zero() else a - f * y for a, y in zip(b, row)]
+            basis[lead] = row
+            independent.append(i)
+        pivots = sorted(basis)
+        return [basis[pc] for pc in pivots], pivots, independent
+
     def kernel_basis(self) -> List[List[FieldElement]]:
         """Basis of the null space, one vector per free column."""
         R, pivots = self.rref()
-        free = [j for j in range(self.ncols) if j not in pivots]
-        basis = []
-        for f in free:
-            v = [self.spec.zero()] * self.ncols
-            v[f] = self.spec.one()
-            for r, pc in enumerate(pivots):
-                v[pc] = -R.rows[r][f]
-            basis.append(v)
-        return basis
+        return null_basis(self.spec, self.ncols, R.rows, pivots)
 
     def column_pivots(self) -> List[int]:
         """Leading coordinate indices of the column space (echelonized)."""
@@ -194,6 +218,23 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
+
+
+def null_basis(spec: FieldSpec, ncols: int, R: Sequence[Sequence[FieldElement]],
+               pivots: Sequence[int]) -> List[List[FieldElement]]:
+    """The null space of a matrix from its rref rows R and their pivot
+    columns: one vector per free column."""
+    pset = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pset:
+            continue
+        v = [spec.zero()] * ncols
+        v[f] = spec.one()
+        for row, pc in zip(R, pivots):
+            v[pc] = -row[f]
+        basis.append(v)
+    return basis
 
 
 def lift(M: Matrix, c: FieldElement):

@@ -6,10 +6,11 @@ is bookkeeping only; arithmetic never inspects it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from operator import add
-from typing import List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
-from .errors import NotAUnit, NotAUniformizer
+from .errors import NotAUnit, NotAUniformizer, RingMismatch
 from .field import FieldElement, FieldSpec
 
 SCALARS = (int, Fraction, FieldElement)
@@ -17,7 +18,8 @@ SCALARS = (int, Fraction, FieldElement)
 
 class TruncSeries:
     def __init__(self, spec: FieldSpec, m: int, coeffs: Sequence, unif: str = "T"):
-        assert m >= 1
+        if m < 1:
+            raise ValueError(f"need m >= 1, got {m}")
         self.spec = spec
         self.m = m
         self.unif = unif
@@ -58,9 +60,13 @@ class TruncSeries:
     def with_unif(self, unif: str) -> "TruncSeries":
         return TruncSeries._trusted(self.spec, self.m, self.coeffs, unif)
 
+    def _check_ring(self, other: "TruncSeries"):
+        if other.m != self.m or (other.spec is not self.spec and other.spec != self.spec):
+            raise RingMismatch("series over different rings K[[T]]/T^m")
+
     def __add__(self, other):
         if isinstance(other, TruncSeries):
-            assert other.spec == self.spec and other.m == self.m
+            self._check_ring(other)
             cs = tuple(map(add, self.coeffs, other.coeffs))
         elif isinstance(other, SCALARS):
             # a scalar touches the constant coefficient only
@@ -91,7 +97,7 @@ class TruncSeries:
             return TruncSeries._trusted(spec, m, tuple([a * c for a in self.coeffs]), self.unif)
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        assert other.spec == spec and other.m == m
+        self._check_ring(other)
         out = [spec.zero()] * m
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
@@ -105,7 +111,8 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        assert n >= 0
+        if n < 0:
+            raise ValueError(f"need a power n >= 0, got {n}")
         out = TruncSeries.one(self.spec, self.m, self.unif)
         base = self
         while n:
@@ -134,7 +141,8 @@ class TruncSeries:
         return self.coeffs[0].is_zero() and self.m >= 2 and not self.coeffs[1].is_zero()
 
     def truncate(self, new_m: int) -> "TruncSeries":
-        assert 1 <= new_m <= self.m
+        if not 1 <= new_m <= self.m:
+            raise ValueError(f"need 1 <= new_m <= {self.m}, got {new_m}")
         return TruncSeries._trusted(self.spec, new_m, self.coeffs[:new_m], self.unif)
 
     def invert_unit(self) -> "TruncSeries":
@@ -152,38 +160,48 @@ class TruncSeries:
     def derivative(self) -> "TruncSeries":
         # only trustworthy through degree m - 2: the dropped T^m term
         # would contribute at degree m - 1
-        out = [(k + 1) * self.coeffs[k + 1] for k in range(self.m - 1)]
-        return TruncSeries(self.spec, self.m, out, self.unif)
+        out = [self.coeffs[k + 1] * (k + 1) for k in range(self.m - 1)]
+        return TruncSeries._trusted(self.spec, self.m, (*out, self.spec.zero()), self.unif)
 
     def t_log_derivative(self) -> "TruncSeries":
-        return TruncSeries(self.spec, self.m,
-                           [k * c for k, c in enumerate(self.coeffs)], self.unif)
+        return TruncSeries._trusted(self.spec, self.m,
+                                    tuple([c * k for k, c in enumerate(self.coeffs)]), self.unif)
 
     def shift_down(self) -> "TruncSeries":
         """Divide by T; requires vanishing constant term. Top degree is lost."""
-        assert self.coeffs[0].is_zero()
-        return TruncSeries(self.spec, self.m, list(self.coeffs[1:]) + [0], self.unif)
+        if not self.coeffs[0].is_zero():
+            raise NotAUniformizer("cannot divide by T: the constant term is nonzero")
+        return TruncSeries._trusted(self.spec, self.m, (*self.coeffs[1:], self.spec.zero()),
+                                    self.unif)
 
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
         """self(inner(T)), requiring inner(0) = 0 so truncation is stable."""
-        assert inner.spec == self.spec and inner.m == self.m
-        assert inner.coeffs[0].is_zero()
+        self._check_ring(inner)
+        if not inner.coeffs[0].is_zero():
+            raise NotAUniformizer("inner series must vanish at T = 0")
         acc = TruncSeries._trusted(self.spec, self.m, (self.spec.zero(),) * self.m, inner.unif)
         for c in reversed(self.coeffs):
             acc = acc * inner + c
         return acc
 
     def reversion(self) -> "TruncSeries":
-        """Compositional inverse g with self(g) = g(self) = T mod T^m."""
+        """Compositional inverse g with self(g) = g(self) = T mod T^m.
+
+        By Lagrange inversion, with h = (self/T)^(-1), the T^k coefficient
+        of g is [T^(k-1)] h^k / k: one unit inversion and m - 2 products
+        (R. P. Brent and H. T. Kung, J. ACM 25 (1978)).
+        """
         if not self.is_uniformizer():
             raise NotAUniformizer("series must vanish to exact order one")
-        c1inv = self.coeffs[1].invert()
-        d = [self.spec.zero(), c1inv]
-        for k in range(2, self.m):
-            partial = TruncSeries(self.spec, self.m, d + [0] * (self.m - len(d)), self.unif)
-            err = self.compose(partial).coeffs[k]
-            d.append(-(err * c1inv))
-        return TruncSeries(self.spec, self.m, d, self.unif)
+        spec, m = self.spec, self.m
+        # [T^(k-1)] h^k for k < m reads h below degree m - 1 only
+        h = self.shift_down().truncate(m - 1).invert_unit()
+        out = [spec.zero(), h.coeffs[0]]
+        hk = h
+        for k in range(2, m):
+            hk = hk * h
+            out.append(hk.coeffs[k - 1] * spec.from_rational(Fraction(1, k)))
+        return TruncSeries._trusted(spec, m, tuple(out), self.unif)
 
 
 def rewrite_in_uniformizer(f: TruncSeries, y: TruncSeries) -> TruncSeries:
@@ -194,6 +212,18 @@ def rewrite_in_uniformizer(f: TruncSeries, y: TruncSeries) -> TruncSeries:
     return g.with_unif(y.unif)
 
 
+def _pi_powers(spec: FieldSpec, exponents: Iterable[int]) -> Dict[int, FieldElement]:
+    """{j: pi^j} over the exponents, built in ascending order: each power is
+    the previous one times pi to the gap between them."""
+    pi, out, prev, acc = spec.pi(), {}, 0, spec.one()
+    for j in sorted(set(exponents)):
+        gap = j - prev
+        if gap:
+            acc = acc * (pi if gap == 1 else pi ** gap)
+        out[j], prev = acc, j
+    return out
+
+
 def lambda_approx(spec: FieldSpec, F: int, m: int) -> TruncSeries:
     """The finite product prod_{n=0}^{F} E(u^(p^n))/E(0) as a series in u - pi.
 
@@ -202,16 +232,29 @@ def lambda_approx(spec: FieldSpec, F: int, m: int) -> TruncSeries:
     differs from 1 by coefficients of valuation at least
     p^n/e - (m-1)/e - 1 through the retained degrees, so the coefficients
     of this approximation converge rapidly in F.
+
+    In closed form, with u = pi + T and q = p^n, the T^k coefficient of
+    E(u^q) = sum_i e_i (pi + T)^(iq) is sum_i e_i C(iq, k) pi^(iq-k): the
+    factors read one table of pi powers, and each factor after the first
+    costs one series product.
     """
     if F < 0:
         raise ValueError(f"need F >= 0, got {F}")
-    u = TruncSeries(spec, m, [spec.pi(), spec.one()], unif=f"lambda{F}")
-    e0inv = Fraction(1, spec.ecoeffs[0])
-    out = TruncSeries.one(spec, m, unif=f"lambda{F}")
-    for n in range(F + 1):
-        upow = u ** (spec.p ** n)
-        acc = TruncSeries.zero(spec, m, unif=f"lambda{F}")
-        for c in reversed(spec.ecoeffs):
-            acc = acc * upow + c
-        out = out * (acc * e0inv)
-    return out
+    unif = f"lambda{F}"
+    terms = [(i, c) for i, c in enumerate(spec.ecoeffs) if c]
+    qs = [spec.p ** n for n in range(F + 1)]
+    pows = _pi_powers(spec, (i * q - k for q in qs for i, _ in terms
+                             for k in range(min(m, i * q + 1))))
+    zero = spec.zero()
+    out = None
+    for q in qs:
+        cs = []
+        for k in range(m):
+            acc = zero
+            for i, c in terms:
+                if i * q >= k:
+                    acc = acc + pows[i * q - k] * (c * comb(i * q, k))
+            cs.append(acc)
+        factor = TruncSeries._trusted(spec, m, tuple(cs), unif)
+        out = factor if out is None else out * factor
+    return out * spec.from_rational(Fraction(1, spec.ecoeffs[0] ** (F + 1)))

@@ -109,11 +109,14 @@ def multiplication_by_t_power(spec: FieldSpec, l: int, m: int, d: int) -> Matrix
 
 def iter_family(phi1: Matrix, a, count: int) -> Iterator[Matrix]:
     """phi_0, ..., phi_{count-1} with phi_{n+1} = (phi_1 - n*a) o phi_n,
-    one at a time: phi_{n+1} is computed when it is asked for.
+    one at a time: phi_{n+1} is computed when it is asked for. A count
+    below 1 yields nothing.
 
     phi_2 onward come from one integer kernel, linalg.falling_powers: the
     recurrence in the regular representation on Kronecker-packed rows.
     """
+    if count < 1:
+        return
     spec = phi1.spec
     if not isinstance(a, FieldElement):
         a = spec.from_rational(a)

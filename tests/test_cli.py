@@ -143,13 +143,13 @@ def run_cli_stderr(argv, stdin_text=""):
     return code, out, err.getvalue()
 
 
-def run_python(args, stdin_text=""):
+def run_python(args, stdin_text="", timeout=None):
     """python args in a subprocess that imports prismlab from src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, *args], input=stdin_text.encode(),
-                          capture_output=True, env=env)
+                          capture_output=True, env=env, timeout=timeout)
 
 
 def run_module(flags, argv, stdin_text=""):
@@ -557,6 +557,41 @@ for build, error in cases:
         proc = run_python(["-O", "-c", script])
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert proc.stdout.split() == [b"False"] + [b"raised"] * 5
+
+    def test_series_errors(self):
+        """The series checks raise under python -O too; a negative power
+        raises instead of looping, which the timeout would catch."""
+        script = """
+from prismlab.errors import NotAUniformizer, RingMismatch
+from prismlab.field import FieldSpec
+from prismlab.series import TruncSeries
+q3, q3s = FieldSpec(3, [-3, 1]), FieldSpec(3, [-3, 0, 1])
+f = TruncSeries(q3, 3, [1, 2, 3])
+t = TruncSeries(q3, 3, [0, 1])
+cases = [
+    (lambda: f + TruncSeries(q3, 2, [1, 1]), RingMismatch),
+    (lambda: f + TruncSeries(q3s, 3, [1, 1]), RingMismatch),
+    (lambda: f * TruncSeries(q3, 2, [1, 1]), RingMismatch),
+    (lambda: f * TruncSeries(q3s, 3, [1, 1]), RingMismatch),
+    (lambda: f.compose(TruncSeries(q3, 2, [0, 1])), RingMismatch),
+    (lambda: t.compose(f), NotAUniformizer),
+    (lambda: f.shift_down(), NotAUniformizer),
+    (lambda: TruncSeries(q3, 0, []), ValueError),
+    (lambda: f.truncate(5), ValueError),
+    (lambda: f.truncate(0), ValueError),
+    (lambda: f ** -1, ValueError),
+]
+print(__debug__)
+for build, error in cases:
+    try:
+        build()
+        print("accepted")
+    except error:
+        print("raised")
+"""
+        proc = run_python(["-O", "-c", script], timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.split() == [b"False"] + [b"raised"] * 11
 
     def test_readme_pipeline(self, tmp_path, field_file):
         assert self.both(["field", "check", field_file]).returncode == 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from prismlab import connops
+from prismlab import connops, series
 from prismlab.connops import (PROBE_THRESHOLD, PROBE_WINDOW, bk_twist,
                               change_uniformizer, check_nilpotent,
                               classify_ndR, cohomology, dual,
@@ -16,10 +16,10 @@ from prismlab.connops import (PROBE_THRESHOLD, PROBE_WINDOW, bk_twist,
 from prismlab.errors import (BadTruncationIndex, NotAUniformizer, RingMismatch)
 from prismlab.field import FieldSpec, Valuation
 from prismlab.linalg import Matrix
-from prismlab.series import TruncSeries, lambda_approx
+from prismlab.series import TruncSeries, lambda_approx, rewrite_in_uniformizer
 from prismlab.strat import LogConnection, from_connection, to_connection
 
-from conftest import random_element, random_rational
+from conftest import FOUR_FIELDS, count_calls, random_element, random_rational
 from test_strat import random_connection
 
 
@@ -129,6 +129,19 @@ class TestChangeUniformizer:
                 back = change_uniformizer(My, lam.reversion().with_unif("u-pi"))
                 assert back == M
                 assert My.unif == f"lambda{F}"
+
+    def test_one_reversion_and_no_composition(self, rng, q3s, monkeypatch):
+        """Operation counts: a 3 x 3 transport reverts y once, composes
+        nothing and rewrites no entry on its own."""
+        calls = count_calls(monkeypatch, [(TruncSeries, "reversion"),
+                                          (TruncSeries, "compose"),
+                                          (series, "rewrite_in_uniformizer")])
+        M = random_connection(rng, q3s, 3, 4)
+        y = TruncSeries(q3s, 4, [0, 2, 1, random_element(rng, q3s, 3)], "y")
+        change_uniformizer(M, y)
+        assert calls == {"reversion": 1, "compose": 0, "rewrite_in_uniformizer": 0}
+        kummer_sen_operator(random_connection(rng, q3s, 3, 4, unif="u-pi"), 2)
+        assert calls == {"reversion": 2, "compose": 0, "rewrite_in_uniformizer": 0}
 
     def test_modulus_one_relabel(self, rng, q3):
         M = random_connection(rng, q3, 2, 1, unif="u-pi")
@@ -468,6 +481,13 @@ class TestCohomology:
         back = to_connection(from_connection(M, q3.a_prism(), 6))
         assert cohomology(back) == cohomology(M)
 
+    def test_one_elimination(self, rng, q3s, monkeypatch):
+        """Operation counts: one pass of elimination, no rref."""
+        calls = count_calls(monkeypatch, [(Matrix, "reduce_rows"), (Matrix, "rref"),
+                                          (Matrix, "transpose")])
+        cohomology(bk_twist(random_connection(rng, q3s, 2, 3), -1))
+        assert calls == {"reduce_rows": 1, "rref": 0, "transpose": 0}
+
     def test_kernel_vectors_annihilated(self, rng, q3s):
         M = random_connection(rng, q3s, 2, 3)
         op = M.operator()
@@ -524,10 +544,6 @@ def test_twist_preserves_classification(seed, n):
     assert (a["nearly_dR"], a["log_nearly_dR"]) == (b["nearly_dR"], b["log_nearly_dR"])
 
 
-FOUR_FIELDS = (FieldSpec(3, [-3, 1]), FieldSpec(3, [-3, 0, 1]),
-               FieldSpec(2, [-2, 0, 1]), FieldSpec(3, [3, 3, 0, 1]))
-
-
 def near_weight_count(M, a):
     """The number of residual weights w, with multiplicity, with
     dist(w, Z) > c = -val(a), read off Newton polygons.
@@ -580,3 +596,25 @@ def test_nilpotency_matches_margins_and_probe(seed, field, l, scalar):
     if sen["split"]:
         assert nilpotent == all(a.val() + pw["dist"] > 0 for pw in sen["per_weight"])
     assert nilpotent == (near_weight_count(M, a) == l)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), field=st.integers(0, 3), l=st.integers(1, 3),
+       m=st.integers(2, 6))
+def test_change_uniformizer_matches_entrywise_rewrite(seed, field, l, m):
+    """The shared-table transport against rewriting each entry c * N_ij in
+    y on its own, one reversion per entry."""
+    import random
+    spec = FOUR_FIELDS[field]
+    rng = random.Random(seed)
+    M = random_connection(rng, spec, l, m, unif="u-pi")
+    if rng.random() < 0.5:
+        y = lambda_approx(spec, rng.randrange(3), m)
+    else:
+        y = TruncSeries(spec, m, [0, rng.choice([1, 2, Fraction(1, 3)])]
+                        + [random_element(rng, spec, 3) for _ in range(m - 2)], "y")
+    c = _log_multiplier(y)
+    want = [[rewrite_in_uniformizer(c * M.N[i][j], y) for j in range(l)] for i in range(l)]
+    got = change_uniformizer(M, y)
+    assert got.N == want and got.unif == y.unif
+    assert all(s.unif == y.unif for row in got.N for s in row)

@@ -92,6 +92,14 @@ class TestHSeries:
         assert H[2] == (op - one).scale(a)
         assert H[3] == ((op - one.scale(2)) * (op - one)).scale(a * a)
 
+    def test_degree_zero_and_below(self, rng, q3):
+        """Below degree 1 the series holds only its zero slot 0, whatever
+        operator_family yields for a count below 1."""
+        M = random_connection(rng, q3, 2, 1)
+        zero = Matrix.zero(q3, 2, 2)
+        for D in (0, -1, -3):
+            assert h_series(M, q3.one(), D) == [zero]
+
     def test_d0_trivial(self, q3):
         rep = d0_check(LogConnection.trivial(q3, 2, 1), 1, 4)
         assert rep["ok"] and rep["witness"] is None

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from prismlab.linalg import Matrix, eval_poly, poly_deflate
+from prismlab.linalg import Matrix, eval_poly, null_basis, poly_deflate
 
-from conftest import random_element
+from conftest import FOUR_FIELDS, random_element
 
 
 def test_identity_and_mul(q3s):
@@ -82,3 +84,38 @@ def test_trace_and_charpoly_refuse_non_square(q3):
         A.trace()
     with pytest.raises(ValueError, match="charpoly of a 2x3"):
         A.charpoly()
+
+
+def test_reduce_rows_example(q3):
+    A = Matrix(q3, [[0, 0, 0], [1, 2, 0], [2, 4, 0], [0, 1, 3]])
+    R, pivots, independent = A.reduce_rows()
+    assert pivots == [0, 1] and independent == [1, 3]
+    assert R == [list(row) for row in A.rref()[0].rows[:2]]
+    assert null_basis(q3, 3, R, pivots) == A.kernel_basis()
+
+
+def rank_deficient(rng, spec, nrows, ncols, rank):
+    """A random nrows x ncols matrix of rank at most rank: a product of
+    random nrows x rank and rank x ncols factors with sparse entries, so
+    zero rows, repeated rows and zero columns occur."""
+    def entry():
+        return random_element(rng, spec, 4) if rng.random() < 0.6 else 0
+    B = Matrix(spec, [[entry() for _ in range(rank)] for _ in range(nrows)])
+    C = Matrix(spec, [[entry() for _ in range(ncols)] for _ in range(rank)])
+    return B * C if rank else Matrix.zero(spec, nrows, ncols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), field=st.integers(0, 3), nrows=st.integers(1, 7),
+       ncols=st.integers(1, 7), rank=st.integers(0, 7))
+def test_reduce_rows_matches_two_eliminations(seed, field, nrows, ncols, rank):
+    """One pass over the rows against the rref-based kernel_basis and the
+    transpose-rref column_pivots that cohomology used to run."""
+    spec = FOUR_FIELDS[field]
+    A = rank_deficient(random.Random(seed), spec, nrows, ncols, min(rank, nrows, ncols))
+    R, pivots, independent = A.reduce_rows()
+    full, rref_pivots = A.rref()
+    assert pivots == rref_pivots
+    assert R == [list(row) for row in full.rows[:len(pivots)]]
+    assert independent == A.column_pivots()
+    assert null_basis(spec, ncols, R, pivots) == A.kernel_basis()

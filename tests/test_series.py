@@ -1,16 +1,45 @@
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from prismlab.errors import NotAUnit, NotAUniformizer
 from prismlab.series import TruncSeries, lambda_approx, rewrite_in_uniformizer
 
-from conftest import random_element
+from conftest import FOUR_FIELDS, count_calls, random_element
 
 
 def random_series(rng, spec, m, unif="T"):
     return TruncSeries(spec, m, [random_element(rng, spec, span=6) for _ in range(m)], unif)
+
+
+def reversion_by_composition(y):
+    """The reversion of y one coefficient at a time: the T^k coefficient of
+    y(d) for the partial inverse d through degree k - 1 is the error that
+    the next coefficient cancels. m - 2 full compositions."""
+    spec, m = y.spec, y.m
+    c1inv = y.coeffs[1].invert()
+    d = [spec.zero(), c1inv]
+    for k in range(2, m):
+        err = y.compose(TruncSeries(spec, m, d, y.unif)).coeffs[k]
+        d.append(-(err * c1inv))
+    return TruncSeries(spec, m, d, y.unif)
+
+
+def lambda_by_powers(spec, F, m):
+    """prod_n E(u^(p^n))/E(0) by Horner's scheme in the series u ** p^n."""
+    unif = f"lambda{F}"
+    u = TruncSeries(spec, m, [spec.pi(), spec.one()], unif)
+    out = TruncSeries.one(spec, m, unif)
+    for n in range(F + 1):
+        upow = u ** (spec.p ** n)
+        acc = TruncSeries.zero(spec, m, unif)
+        for c in reversed(spec.ecoeffs):
+            acc = acc * upow + c
+        out = out * (acc * Fraction(1, spec.ecoeffs[0]))
+    return out
 
 
 def taylor_coeff_oracle(spec, F, m):
@@ -110,6 +139,13 @@ class TestComposition:
             assert y.compose(rev) == t
             assert rev.compose(y) == t
 
+    def test_reversion_makes_no_composition(self, q3s, monkeypatch):
+        """Operation counts: one unit inversion and m - 2 products."""
+        calls = count_calls(monkeypatch, [(TruncSeries, "compose"), (TruncSeries, "__mul__"),
+                                          (TruncSeries, "invert_unit")])
+        TruncSeries(q3s, 6, [0, 2, 1, 0, 5, 1]).reversion()
+        assert calls == {"compose": 0, "__mul__": 4, "invert_unit": 1}
+
     def test_reversion_requires_uniformizer(self, q3):
         with pytest.raises(NotAUniformizer):
             TruncSeries(q3, 4, [0, 0, 1]).reversion()
@@ -188,3 +224,26 @@ class TestLambda:
                     acc = acc + c * x**i
                 expect = expect * acc * (1 / e0)
             assert unit0 == expect
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), field=st.integers(0, 3), m=st.integers(2, 6))
+def test_reversion_matches_composition_loop(seed, field, m):
+    spec = FOUR_FIELDS[field]
+    rng = random.Random(seed)
+    slope = rng.choice([1, 2, -3, Fraction(1, 2), random_element(rng, spec, 4)])
+    if spec.from_rational(0) == slope:
+        slope = 1
+    y = TruncSeries(spec, m, [0, slope] + [random_element(rng, spec, 4) if rng.random() < 0.8
+                                           else 0 for _ in range(m - 2)], "y")
+    rev = y.reversion()
+    assert rev == reversion_by_composition(y) and rev.unif == "y"
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=st.integers(0, 3), m=st.integers(2, 6), F=st.integers(0, 2))
+def test_lambda_matches_power_products(field, m, F):
+    spec = FOUR_FIELDS[field]
+    lam = lambda_approx(spec, F, m)
+    ref = lambda_by_powers(spec, F, m)
+    assert lam == ref and lam.unif == ref.unif == f"lambda{F}"

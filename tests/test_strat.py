@@ -459,6 +459,15 @@ class TestKeyLemma:
             verify_key_lemma(phi, q3.one(), 3, 6)
 
 
+def test_operator_family_length_is_count(q3):
+    """operator_family(phi1, a, count) has max(count, 0) operators: a count
+    below 1 yields nothing, phi_0 included."""
+    phi1 = Matrix(q3, [[2, 1], [0, 3]])
+    for count in (-3, -1, 0, 1, 2, 5):
+        assert len(operator_family(phi1, q3.one(), count)) == max(count, 0)
+    assert operator_family(phi1, q3.one(), 1) == [Matrix.identity(q3, 2)]
+
+
 @settings(max_examples=20, deadline=None)
 @given(l=st.integers(1, 2), m=st.integers(1, 3), seed=st.integers(0, 10 ** 6))
 def test_round_trip_property(l, m, seed):
