@@ -59,12 +59,11 @@ def bk_twist(M: LogConnection, n) -> LogConnection:
     return LogConnection(M.spec, M.unif, M.l, M.m, N)
 
 
-def _multiplier_and_reversion(y: TruncSeries, naive: Optional[TruncSeries] = None):
+def _multiplier_and_reversion(y: TruncSeries):
     """(c, g): the multiplier of _log_multiplier and the reversion g of y,
-    both from one reversion of y lifted to modulus m + 1. naive is the
-    uncorrected multiplier (y/T) / y' when the caller has it already."""
+    both from one reversion of y lifted to modulus m + 1."""
     spec, m = y.spec, y.m
-    c = naive if naive is not None else y.shift_down() * y.derivative().invert_unit()
+    c = y.shift_down() * y.derivative().invert_unit()
     rev = TruncSeries._trusted(spec, m + 1, y.coeffs + (spec.zero(),), y.unif).reversion()
     r = rev.coeffs[m]
     if not r.is_zero():
@@ -92,14 +91,13 @@ def _log_multiplier(y: TruncSeries) -> TruncSeries:
     return _multiplier_and_reversion(y)[0]
 
 
-def change_uniformizer(M: LogConnection, y: TruncSeries, *,
-                       naive: Optional[TruncSeries] = None) -> LogConnection:
+def change_uniformizer(M: LogConnection, y: TruncSeries) -> LogConnection:
     """Transport the connection to the coordinate y; matrix c*N rewritten in y.
 
     Rewriting in y is composing with the reversion g of y, a ring map, so
     entry (c N_ij)(g) is sum_k N_ij,k * c(g) g^k over one table of the
     series c(g) g^k: y is reverted once, and an entry costs no series
-    product. naive, if given, is the uncorrected multiplier (y/T) / y'.
+    product.
     """
     if y.spec != M.spec or y.m != M.m:
         raise RingMismatch("substitution series lives over a different ring")
@@ -110,7 +108,7 @@ def change_uniformizer(M: LogConnection, y: TruncSeries, *,
                              [[s.with_unif(y.unif) for s in row] for row in M.N])
     if not y.is_uniformizer():
         raise NotAUniformizer("substitution series must vanish to exact order one")
-    c, g = _multiplier_and_reversion(y, naive)
+    c, g = _multiplier_and_reversion(y)
     gk = [TruncSeries.one(spec, m), g]
     while len(gk) < m:
         gk.append(gk[-1] * g)
@@ -138,22 +136,20 @@ def kummer_sen_operator(M: LogConnection, F: int) -> LogConnection:
     Requires the module to be presented in the coordinate u - pi. Also
     verifies, exactly in the truncated ring, that clearing the unit u from
     numerator and denominator of the transport multiplier is legitimate:
-    (1/(u l'))(u l/T) = (1/l')(l/T) with T = u - pi. The right side is
-    the uncorrected transport multiplier, so the transport reuses it.
+    (1/(u l'))(u l/T) = (1/l')(l/T) with T = u - pi.
     """
     if M.unif != "u-pi":
         raise RingMismatch("module must be presented in the coordinate u-pi")
     spec, m = M.spec, M.m
     lam = lambda_approx(spec, F, m)
-    if m == 1:
-        return change_uniformizer(M, lam)
-    u = TruncSeries(spec, m, [spec.pi(), spec.one()], "u-pi")
-    deriv, base = lam.derivative(), lam.shift_down()
-    lhs = (u * deriv).invert_unit() * (u * base)
-    rhs = deriv.invert_unit() * base
-    if lhs != rhs:
-        raise ValueError(f"lambda{F} fails the unit-clearing identity at m = {m}")
-    return change_uniformizer(M, lam, naive=rhs)
+    if m >= 2:
+        u = TruncSeries(spec, m, [spec.pi(), spec.one()], "u-pi")
+        deriv, base = lam.derivative(), lam.shift_down()
+        lhs = (u * deriv).invert_unit() * (u * base)
+        rhs = deriv.invert_unit() * base
+        if lhs != rhs:
+            raise ValueError(f"lambda{F} fails the unit-clearing identity at m = {m}")
+    return change_uniformizer(M, lam)
 
 
 def _divisors(n: int) -> List[int]:

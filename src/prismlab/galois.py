@@ -86,7 +86,7 @@ def h_series(M: LogConnection, a, D: int) -> List[Matrix]:
     # operator_family(op - I, 1, D)[n] = (op - 1)...(op - n)
     family = operator_family(op - Matrix.identity(spec, size), 1, D)
     return [Matrix.zero(spec, size, size)] + [P.scale(a ** n)
-                                              for n, P in enumerate(family[:D])]
+                                              for n, P in enumerate(family)]
 
 
 def d0_check(M: LogConnection, a, D: int = 6) -> dict:

@@ -129,47 +129,16 @@ class Matrix:
             t = t + self.rows[i][i]
         return t
 
-    def rref(self):
-        """Row-reduced echelon form; returns (matrix, pivot column list)."""
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        pr = 0
-        for pc in range(self.ncols):
-            pivot_row = None
-            for i in range(pr, len(rows)):
-                if not rows[i][pc].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-            inv = rows[pr][pc].invert()
-            rows[pr] = [a * inv for a in rows[pr]]
-            for i in range(len(rows)):
-                if i != pr and not rows[i][pc].is_zero():
-                    f = rows[i][pc]
-                    rows[i] = [a if b.is_zero() else a - f * b
-                               for a, b in zip(rows[i], rows[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == len(rows):
-                break
-        return Matrix._trusted(self.spec, tuple(map(tuple, rows))), pivots
-
-    def rank(self) -> int:
-        _, pivots = self.rref()
-        return len(pivots)
-
     def reduce_rows(self):
-        """rref(self) in one pass over the rows in order: (R, pivots,
-        independent).
+        """The row-reduced echelon form in one pass over the rows in order:
+        (R, pivots, independent).
 
         Each row is reduced against the rows kept so far, which stay in
         reduced echelon form; a row that stays nonzero is normalized and
-        kept. R lists the nonzero rows of rref(self), pivots their leading
+        kept. R lists the nonzero rows of the rref, pivots their leading
         columns, and independent the indices of the rows that are no
-        combination of earlier rows: the pivot columns of rref(self^T),
-        which column_pivots finds by a second elimination.
+        combination of earlier rows: the pivot columns of the transpose's
+        rref, so no second elimination is needed for them.
         """
         basis = {}
         independent = []
@@ -192,15 +161,24 @@ class Matrix:
         pivots = sorted(basis)
         return [basis[pc] for pc in pivots], pivots, independent
 
+    def rref(self):
+        """Row-reduced echelon form; returns (matrix, pivot column list)."""
+        R, pivots, _ = self.reduce_rows()
+        zero_row = (self.spec.zero(),) * self.ncols
+        rows = tuple(map(tuple, R)) + (zero_row,) * (self.nrows - len(R))
+        return Matrix._trusted(self.spec, rows), pivots
+
+    def rank(self) -> int:
+        return len(self.reduce_rows()[1])
+
     def kernel_basis(self) -> List[List[FieldElement]]:
         """Basis of the null space, one vector per free column."""
-        R, pivots = self.rref()
-        return null_basis(self.spec, self.ncols, R.rows, pivots)
+        R, pivots, _ = self.reduce_rows()
+        return null_basis(self.spec, self.ncols, R, pivots)
 
     def column_pivots(self) -> List[int]:
         """Leading coordinate indices of the column space (echelonized)."""
-        _, pivots = self.transpose().rref()
-        return pivots
+        return self.reduce_rows()[2]
 
     def charpoly(self) -> List[FieldElement]:
         """Coefficients of det(x*I - A), low-to-high, leading 1."""

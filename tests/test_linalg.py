@@ -86,11 +86,35 @@ def test_trace_and_charpoly_refuse_non_square(q3):
         A.charpoly()
 
 
+def rref_by_columns(A):
+    """Reference: Gauss-Jordan elimination column by column, as rref ran
+    before it was built on reduce_rows. Returns (rows, pivot columns)."""
+    rows = [list(r) for r in A.rows]
+    pivots = []
+    pr = 0
+    for pc in range(A.ncols):
+        pivot_row = next((i for i in range(pr, len(rows)) if not rows[i][pc].is_zero()), None)
+        if pivot_row is None:
+            continue
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        inv = rows[pr][pc].invert()
+        rows[pr] = [a * inv for a in rows[pr]]
+        for i in range(len(rows)):
+            if i != pr and not rows[i][pc].is_zero():
+                f = rows[i][pc]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == len(rows):
+            break
+    return rows, pivots
+
+
 def test_reduce_rows_example(q3):
     A = Matrix(q3, [[0, 0, 0], [1, 2, 0], [2, 4, 0], [0, 1, 3]])
     R, pivots, independent = A.reduce_rows()
     assert pivots == [0, 1] and independent == [1, 3]
-    assert R == [list(row) for row in A.rref()[0].rows[:2]]
+    assert R == rref_by_columns(A)[0][:2]
     assert null_basis(q3, 3, R, pivots) == A.kernel_basis()
 
 
@@ -109,13 +133,17 @@ def rank_deficient(rng, spec, nrows, ncols, rank):
 @given(seed=st.integers(0, 10 ** 6), field=st.integers(0, 3), nrows=st.integers(1, 7),
        ncols=st.integers(1, 7), rank=st.integers(0, 7))
 def test_reduce_rows_matches_two_eliminations(seed, field, nrows, ncols, rank):
-    """One pass over the rows against the rref-based kernel_basis and the
-    transpose-rref column_pivots that cohomology used to run."""
+    """One pass over the rows against the column-order elimination of the
+    matrix (its rref, rank and kernel) and of its transpose (the
+    column-space pivots)."""
     spec = FOUR_FIELDS[field]
     A = rank_deficient(random.Random(seed), spec, nrows, ncols, min(rank, nrows, ncols))
     R, pivots, independent = A.reduce_rows()
-    full, rref_pivots = A.rref()
-    assert pivots == rref_pivots
-    assert R == [list(row) for row in full.rows[:len(pivots)]]
-    assert independent == A.column_pivots()
-    assert null_basis(spec, ncols, R, pivots) == A.kernel_basis()
+    full, ref_pivots = rref_by_columns(A)
+    assert pivots == ref_pivots and A.rank() == len(ref_pivots)
+    assert R == full[:len(pivots)]
+    rref_matrix, rref_pivots = A.rref()
+    assert rref_pivots == ref_pivots and [list(r) for r in rref_matrix.rows] == full
+    assert independent == rref_by_columns(A.transpose())[1] == A.column_pivots()
+    kernel = null_basis(spec, ncols, full, ref_pivots)
+    assert null_basis(spec, ncols, R, pivots) == A.kernel_basis() == kernel
