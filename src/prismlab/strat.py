@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .errors import (LeibnizViolation, NotAStratification, RingMismatch)
 from .field import FieldElement, FieldSpec
@@ -300,6 +300,41 @@ def _t_linear(phi: Matrix, l: int) -> Matrix:
               for c in range(phi.ncols)) for r in range(phi.nrows)))
 
 
+def _leibniz_part(phi1: Matrix, l: int, a: FieldElement) -> Matrix:
+    """psi_1 = Lin(phi_1) + a*diag(t) on T^t e_i: the operator that phi_1
+    equals exactly when it obeys the twisted Leibniz law, and that agrees
+    with phi_1 on the generator columns."""
+    return Matrix._trusted(phi1.spec, tuple(
+        tuple(x + a * (r // l) if r == c else x for c, x in enumerate(row))
+        for r, row in enumerate(_t_linear(phi1, l).rows)))
+
+
+def _first_off_family(phi: Sequence[Matrix], psi1: Matrix,
+                      a) -> Optional[Tuple[int, int, int]]:
+    """(x0, n0, r) against psi = iter_family(psi1, a, len(phi)): x0 is the
+    least column on which some phi_n (n >= 1) differs from psi_n, n0 the
+    least such n for that column, and r the least row on which phi_n0 and
+    psi_n0 differ there. None when every phi_n equals psi_n.
+
+    One walk of psi, compared level by level in full with phi: once a
+    column is found, a later level compares only the columns before it.
+    """
+    found, bound = None, psi1.ncols
+    for n, psi in enumerate(iter_family(psi1, a, len(phi))):
+        if n == 0:
+            continue
+        rows = phi[n].rows
+        if found is None and rows == psi.rows:
+            continue
+        for r, (x, y) in enumerate(zip(rows, psi.rows)):
+            if x[:bound] != y[:bound]:
+                bound = next(c for c in range(bound) if x[c] != y[c])
+                found = (bound, n, r)
+        if bound == 0:
+            break
+    return found
+
+
 def _falling(x: int, r: int) -> int:
     out = 1
     for k in range(r):
@@ -307,36 +342,43 @@ def _falling(x: int, r: int) -> int:
     return out
 
 
-def _cocycle_witness(strat: Stratification) -> dict:
-    """The first generator x0, then the least (k1 + k2, k1, t, i), where the
+def _cocycle_witness(strat: Stratification, first: int) -> dict:
+    """The witness when the least column off psi is the generator first:
+    the least (k1 + k2, k1, t, i), over generators x0 <= first, where the
     two composites differ at X1^[k1] X2^[k2] T^t e_i, from closed forms.
 
     For k1 >= 1 that difference is column x0 of
       Delta(k1, k2) = sum_mm C(k1, mm) Lin(phi_mm) B(k1 - mm, k2),
       B(j, k2) = sum_s (-1)^s C(j, s) a^(j-s) F(j-s, k2+s) phi_(k2+s),
     F(r, n) scaling row (t, i) by (t-n)(t-n-1)...(t-n-r+1); for k1 = 0 it
-    vanishes once phi_0 = I. Delta(1, n) = (psi_1 - n*a) phi_n - phi_(n+1)
-    with psi_1 = Lin(phi_1) + a*diag(t), so a column off psi =
-    operator_family(psi_1) fails. Once the generator columns follow psi,
-    Lin(phi_mm) = Lin(psi_mm) and every column on psi passes: only the first
-    column off psi, or else the generator columns up to it, are expanded.
+    vanishes once phi_0 = I. Column first of Lin(phi_mm) is off psi, so
+    the generators before it may fail too, and each one is expanded
+    degree by degree. Lin(phi_mm), the columns of phi_n and the powers of
+    a are built only up to the degree that the expansion reaches.
     """
     spec, l, D, a = strat.spec, strat.l, strat.D, strat.a
     n = l * strat.m
     zero = spec.zero()
-    lin = [_t_linear(p, l) for p in strat.phi]
-    apow = [a ** r for r in range(D + 1)]
-    tilt = Matrix._trusted(spec, tuple(tuple(a * (r // l) if r == c else zero
-                                             for c in range(n)) for r in range(n)))
-    psi = operator_family(lin[1] + tilt, a, D + 1)
-    first = next(x0 for x0 in range(n) if any(
-        p[r, x0] != q[r, x0] for p, q in zip(strat.phi, psi) for r in range(n)))
-    for x0 in (range(first + 1) if first < l else (first,)):
-        cols = [[p[r, x0] for r in range(n)] for p in strat.phi]
-        B = {}
+    lin = {}
+    apow = [spec.one()]
+
+    def lin_apply(mm, v):
+        if mm == 0:
+            return v  # Lin(phi_0) = Lin(I) = I
+        if mm not in lin:
+            lin[mm] = _t_linear(strat.phi[mm], l)
+        return lin[mm].apply(v)
+
+    for x0 in range(first + 1):
+        cols, B = [], {}
 
         def b(j, k2):
             if (j, k2) not in B:
+                while len(cols) <= k2 + j:
+                    rows = strat.phi[len(cols)].rows
+                    cols.append([row[x0] for row in rows])
+                while len(apow) <= j:
+                    apow.append(apow[-1] * a)
                 v = [zero] * n
                 for s in range(j + 1):
                     for r, x in enumerate(cols[k2 + s]):
@@ -351,7 +393,7 @@ def _cocycle_witness(strat: Stratification) -> dict:
             for k1 in range(1, deg + 1):
                 delta = [zero] * n
                 for mm in range(k1 + 1):
-                    part = lin[mm].apply(b(k1 - mm, deg - k1))
+                    part = lin_apply(mm, b(k1 - mm, deg - k1))
                     delta = [d + y * comb(k1, mm) for d, y in zip(delta, part)]
                 keys += [(k1, r) for r, d in enumerate(delta) if not d.is_zero()]
             if keys:
@@ -361,20 +403,43 @@ def _cocycle_witness(strat: Stratification) -> dict:
 
 
 def check_cocycle(strat: Stratification) -> dict:
-    """The cocycle identity of the gluing datum, decided on matrices.
+    """The cocycle identity of the gluing datum, decided on matrices from
+    one walk of the operator family.
 
     phi_0..phi_D is a stratification iff phi_0 = I and, for D >= 1, phi_1
-    obeys the twisted Leibniz law and phi_(n+1) = (phi_1 - n*a) phi_n. A
-    failure after phi_0 = I reports where the level-2 expansions of both
-    composites first differ (_cocycle_witness).
+    obeys the twisted Leibniz law and phi_(n+1) = (phi_1 - n*a) phi_n. Let
+    psi_1 = Lin(phi_1) + a*diag(t), which is phi_1 itself when the Leibniz
+    law holds, and psi = operator_family(psi_1, a). The check walks psi
+    once against phi (_first_off_family); it passes iff no phi_n is off
+    psi. Otherwise let x0 be the least column off psi, n0 the least level
+    at which column x0 is off, and r the least row off there. The witness
+    is where the level-2 expansions of both composites first differ.
+
+    If x0 >= l the witness is X1^[1] X2^[n0 - 1] T^(r div l) e_(r mod l) at
+    generator x0, in closed form. Every generator column of every phi_n
+    follows psi, so Lin(phi_mm) = Lin(psi_mm) in the differences
+    Delta(k1, k2) of _cocycle_witness. Below total degree n0 the columns x0
+    that they read are psi's, so both composites equal psi's, which agree.
+    At degree n0 the only new term is (-1)^k1 (phi_n0 - psi_n0) e_x0, which
+    is nonzero already at k1 = 1, first at row r. If x0 < l, Lin(phi_mm)
+    itself is off psi, and _cocycle_witness expands the generators up to x0.
     """
-    spec, l, m, D = strat.spec, strat.l, strat.m, strat.D
+    spec, l, m, D, a = strat.spec, strat.l, strat.m, strat.D, strat.a
     if not strat.phi[0] == Matrix.identity(spec, l * m):
         return {"ok": False, "degeneracy_ok": False, "witness": None}
-    if D == 0 or (check_leibniz(strat)["ok"]
-                  and first_off_recurrence(strat.phi, strat.a) is None):
+    if D == 0:
         return {"ok": True, "degeneracy_ok": True, "witness": None}
-    return {"ok": False, "degeneracy_ok": True, "witness": _cocycle_witness(strat)}
+    psi1 = strat.phi[1] if check_leibniz(strat)["ok"] else _leibniz_part(strat.phi[1], l, a)
+    off = _first_off_family(strat.phi, psi1, a)
+    if off is None:
+        return {"ok": True, "degeneracy_ok": True, "witness": None}
+    x0, n0, r = off
+    if x0 >= l:
+        witness = {"generator": x0, "component": r % l,
+                   "monomial": {"x1": 1, "x2": n0 - 1, "t": r // l}}
+    else:
+        witness = _cocycle_witness(strat, x0)
+    return {"ok": False, "degeneracy_ok": True, "witness": witness}
 
 
 def verify_key_lemma(phi: List[Matrix], a: FieldElement, n_max: int, D: int) -> dict:

@@ -531,6 +531,17 @@ class TestOptimizedMode:
         proc = self.both(["strat", "to-conn"], canonical_json(obj))
         assert proc.returncode == 1 and json.loads(proc.stdout)["status"] == "fail"
 
+    def test_check_cocycle_failures(self, rng, q3):
+        """A family first off at a generator column (expanded) and one first
+        off at a column c >= l (closed form) both exit 1."""
+        st = from_connection(random_connection(rng, q3, 1, 2), q3.a_prism(), 3)
+        for col in (0, 1):
+            obj = encode_stratification(st)
+            obj["phi"][2][1][col] = [7]
+            proc = self.both(["strat", "check-cocycle"], canonical_json(obj))
+            assert proc.returncode == 1
+            assert json.loads(proc.stdout)["witness"]["generator"] == col
+
     def test_constructor_and_trace_errors(self):
         """The constructor and trace checks raise under python -O too."""
         script = """

@@ -173,6 +173,19 @@ class TestKummerSen:
         rep = residual_sen(kummer_sen_operator(M, 2))
         assert rep["split"] and rep["weights"][0] == q3.from_rational(Fraction(4))
 
+    def test_unit_clearing_identity(self):
+        """(u lambda')^-1 (u lambda/T) = (lambda')^-1 (lambda/T) with
+        T = u - pi, so the transport multiplier may drop the unit u; over
+        the benchmark's four fields, F = 0..3 and m = 2..6."""
+        for spec in FOUR_FIELDS:
+            for F in range(4):
+                for m in range(2, 7):
+                    lam = lambda_approx(spec, F, m)
+                    u = TruncSeries(spec, m, [spec.pi(), spec.one()], "u-pi")
+                    deriv, base = lam.derivative(), lam.shift_down()
+                    assert (u * deriv).invert_unit() * (u * base) == \
+                        deriv.invert_unit() * base
+
     def test_depth_zero_rational_field_is_scalar_case(self, rng, q3):
         # E = u - 3: lambda_0 = -(u - pi)/3, a scalar multiple of T
         lam = lambda_approx(q3, 0, 2)

@@ -14,7 +14,7 @@ from prismlab.strat import (Family, LogConnection, Stratification, check_cocycle
                             multiplication_by_t_power, operator_family,
                             to_connection, verify_key_lemma)
 
-from conftest import random_element
+from conftest import FOUR_FIELDS, count_calls, random_element
 
 
 def random_connection(rng, spec, l, m, unif="T"):
@@ -370,13 +370,21 @@ def random_matrix(rng, spec, n):
     return Matrix(spec, [[random_element(rng, spec, 3) for _ in range(n)] for _ in range(n)])
 
 
+def single_entry(spec, n, r, c, rng):
+    """The n x n matrix with one nonzero random entry, at (r, c)."""
+    x = random_element(rng, spec, 3)
+    x = spec.one() if x.is_zero() else x
+    return Matrix(spec, [[x if (i, j) == (r, c) else 0 for j in range(n)] for i in range(n)])
+
+
 @settings(max_examples=25, deadline=None)
 @given(field=st.integers(0, 3), l=st.integers(1, 2), m=st.integers(1, 3),
        D=st.integers(0, 5), log=st.booleans(), seed=st.integers(0, 10 ** 6))
 def test_cocycle_matches_expansion(field, l, m, D, log, seed):
     """check_cocycle's report, witness included, is the level-2 expansion's,
-    on genuine families, each phi_n with one entry changed, the recurrence
-    from a random phi_1, and random families with phi_0 = I."""
+    on genuine families, each phi_n with one entry changed, phi_1 changed
+    off the generator columns, the recurrence from a random phi_1, and
+    random families with phi_0 = I."""
     import random
 
     from prismlab.field import FieldSpec
@@ -392,6 +400,11 @@ def test_cocycle_matches_expansion(field, l, m, D, log, seed):
         families.append(genuine.perturbed(k, Matrix(spec, [
             [random_element(rng, spec, 3) if (i, j) == (r, c) else 0 for j in range(n)]
             for i in range(n)])))
+    if D >= 1 and n > l:
+        # phi_1 off the Leibniz law on a column c >= l only: the family is
+        # first off at level 1 there
+        families.append(genuine.perturbed(1, single_entry(spec, n, rng.randrange(n),
+                                                          rng.randrange(l, n), rng)))
     if D >= 1:
         families.append(Stratification(spec, l, m, D, a, operator_family(
             random_matrix(rng, spec, n), a, D + 1)))
@@ -403,8 +416,8 @@ def test_cocycle_matches_expansion(field, l, m, D, log, seed):
 
 def test_cocycle_pass_uses_matrices_only(monkeypatch):
     """A genuine family at E = u^3 + 3u + 3, l = 2, m = 8, D = 16 passes with
-    no PDElement product and at most D + 4 matrix products: D for the
-    recurrence, four for the Leibniz law at T^0 and T^1."""
+    no PDElement product and no Matrix product: the recurrence runs in the
+    integer kernel falling_powers and the Leibniz law is an index shift."""
     import random
 
     from prismlab.field import FieldSpec
@@ -424,7 +437,58 @@ def test_cocycle_pass_uses_matrices_only(monkeypatch):
     monkeypatch.setattr(PDElement, "__mul__", counting("pd", pd_mul))
     monkeypatch.setattr(Matrix, "__mul__", counting("mat", mat_mul))
     assert check_cocycle(strat) == {"ok": True, "degeneracy_ok": True, "witness": None}
-    assert calls["pd"] == 0 and calls["mat"] <= D + 4
+    assert calls == {"pd": 0, "mat": 0}
+
+
+def test_off_generator_perturbations_match_expansion():
+    """Every single-entry change of phi_n (1 <= n <= D) in a column c >= l
+    gets the level-2 expansion's report, whose witness is the closed form
+    X1^[1] X2^[n-1] T^(r div l) e_(r mod l) at generator c; cells with
+    l, m <= 2 and D <= 3 over the benchmark's four fields."""
+    import random
+
+    rng = random.Random(13)
+    for spec in FOUR_FIELDS:
+        for l, m, D in ((1, 2, 1), (1, 2, 3), (2, 2, 2), (2, 2, 3)):
+            n = l * m
+            genuine = from_connection(random_connection(rng, spec, l, m), spec.a_prism(), D)
+            for k in range(1, D + 1):
+                for r in range(n):
+                    for c in range(l, n):
+                        bad = genuine.perturbed(k, single_entry(spec, n, r, c, rng))
+                        rep = check_cocycle(bad)
+                        assert rep == cocycle_by_expansion(bad)
+                        assert rep["witness"] == {"generator": c, "component": r % l,
+                                                  "monomial": {"x1": 1, "x2": k - 1,
+                                                               "t": r // l}}
+
+
+def test_off_generator_failure_walks_the_family_once(monkeypatch):
+    """Counts, no timing: a failing check whose least bad column is not a
+    generator column makes one falling_powers walk of the whole family and
+    no Matrix.apply, Matrix product or PDElement product, both for a
+    changed phi_2 (the benchmark's failing jobs) and for a phi_1 off the
+    Leibniz law."""
+    import random
+
+    from prismlab.field import FieldSpec
+    spec = FieldSpec(3, [3, 3, 0, 1])
+    D = 8
+    genuine = from_connection(random_connection(random.Random(13), spec, 2, 4),
+                              spec.a_prism(), D)
+    delta = single_entry(spec, 8, 5, 3, random.Random(5))
+    for k in (1, 2):
+        bad = genuine.perturbed(k, delta)
+        kernel = counting_kernel(monkeypatch)
+        # Matrix.__mul__ and PDElement.__mul__ both count under "__mul__"
+        products = count_calls(monkeypatch, [(Matrix, "apply"), (Matrix, "__mul__"),
+                                             (PDElement, "__mul__")])
+        rep = check_cocycle(bad)
+        monkeypatch.undo()
+        assert rep["witness"] == {"generator": 3, "component": 1,
+                                  "monomial": {"x1": 1, "x2": k - 1, "t": 2}}
+        assert kernel == {"calls": 1, "steps": D - 1, "released": 1}
+        assert products == {"apply": 0, "__mul__": 0}
 
 
 class TestKeyLemma:
