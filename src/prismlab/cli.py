@@ -242,11 +242,14 @@ def cmd_conn_nilpotent(args) -> int:
 
 def cmd_conn_galois_kernel(args) -> int:
     _require_at_least("--D", args.D, 0)
+    if args.variant is not None and args.tau is None:
+        raise InputFormatError("--variant needs --tau")
     M = _lenient_connection(_read_json(args.file))
     a = _scalar_choice(M.spec, args.a)
     if args.tau is not None:
-        _require_printable_tau(args.tau, M.spec.p, args.variant)
-        kernel = tau_power_kernel(M, args.tau, args.variant, a=a, D=args.D)
+        variant = args.variant or "K"
+        _require_printable_tau(args.tau, M.spec.p, variant)
+        kernel = tau_power_kernel(M, args.tau, variant, a=a, D=args.D)
     else:
         kernel = action_kernel(M, a, args.D)
     _emit(encode_kernel(kernel))
@@ -325,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=int, default=6)
     p.add_argument("--a", choices=["prism", "log"], default="prism")
     p.add_argument("--tau", type=int, default=None)
-    p.add_argument("--variant", choices=["K", "Kpi1"], default="K")
+    p.add_argument("--variant", choices=["K", "Kpi1"], default=None)
     _add_input(p)
     p = conn.add_parser("converges")
     p.add_argument("--v0", required=True)

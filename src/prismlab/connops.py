@@ -248,13 +248,9 @@ def _nearest_integer(w: FieldElement) -> Optional[int]:
 
 
 def matrix_gauss_val(mat: Matrix) -> Valuation:
-    best = Valuation.infinity()
-    for row in mat.rows:
-        for x in row:
-            v = x.val()
-            if v < best:
-                best = v
-    return best
+    """The least valuation of an entry: one integer minimum of e*val."""
+    evs = [ev for row in mat.rows for x in row if (ev := x._ev()) is not None]
+    return Valuation.from_ev(min(evs) if evs else None, mat.spec.e)
 
 
 def trace_tail_verdict(trace: List[Valuation]) -> str:
@@ -293,7 +289,7 @@ def probe_nilpotency(M: LogConnection, a, n_max: int = 200) -> dict:
     """
     spec = M.spec
     if not isinstance(a, FieldElement):
-        a = spec.from_rational(Fraction(a))
+        a = spec.from_rational(a)
     res = M.residual_matrix()
     va = a.val()
     P = Matrix.identity(spec, M.l)
@@ -312,9 +308,13 @@ def probe_nilpotency(M: LogConnection, a, n_max: int = 200) -> dict:
 def _roots_above(chi: Sequence[FieldElement], c: Fraction) -> int:
     """Roots of the monic chi of valuation > c, with multiplicity: by its
     Newton polygon, the smallest j minimising v(chi_j) + j*c over the
-    nonzero coefficients (a zero root leaves chi_0 = 0 out)."""
-    return min((coef.val().value + j * c, j) for j, coef in enumerate(chi)
-               if not coef.is_zero())[1]
+    nonzero coefficients (a zero root leaves chi_0 = 0 out). Compared on
+    integers: e * den(c) times each term is ev_j * den(c) + j * e * num(c),
+    with ev_j = e * v(chi_j)."""
+    e = chi[0].spec.e
+    num, den = c.numerator * e, c.denominator
+    return min((ev * den + j * num, j) for j, ev in enumerate(map(FieldElement._ev, chi))
+               if ev is not None)[1]
 
 
 def _taylor_shift(chi: Sequence[FieldElement], s: int) -> List[FieldElement]:
@@ -364,7 +364,7 @@ def check_nilpotent(M: LogConnection, a) -> dict:
     residual weight w, from the residual charpoly alone: no weight is
     searched for."""
     if not isinstance(a, FieldElement):
-        a = M.spec.from_rational(Fraction(a))
+        a = M.spec.from_rational(a)
     near = _near_weights(M.residual_matrix().charpoly(), a)
     return {"status": "ProvenNilpotent" if near == M.l else "ProvenNotNilpotent",
             "evidence": {"near_weights": near}}

@@ -48,6 +48,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _exact(r: Rat) -> Fraction:
+    """r as a Fraction. A float is refused: its value is a binary fraction,
+    so 0.1 would become 3602879701896397/36028797018963968."""
+    if isinstance(r, float):
+        raise TypeError(f"float {r!r} is not exact; give an int, a Fraction or a string")
+    return Fraction(r)
+
+
 def vp_rational(r: Fraction, p: int):
     """p-adic valuation of a rational; None stands for +infinity (r = 0)."""
     if r == 0:
@@ -60,11 +68,19 @@ class Valuation:
 
     def __init__(self, value=None):
         # value None encodes +infinity
-        self._v = None if value is None else Fraction(value)
+        self._v = None if value is None else _exact(value)
 
     @classmethod
     def infinity(cls) -> "Valuation":
         return cls(None)
+
+    @classmethod
+    def from_ev(cls, ev, e: int) -> "Valuation":
+        """The valuation ev/e of an element x with e*val(x) = ev
+        (FieldElement._ev); ev None stands for +infinity."""
+        out = _new(cls)
+        out._v = None if ev is None else Fraction(ev, e)
+        return out
 
     @property
     def is_infinite(self) -> bool:
@@ -145,6 +161,8 @@ class FieldSpec:
         self._higher = (0,) * (e - 1)
         self._zero = _make(self, (0,) * e, 1)
         self._one = _make(self, (1,) + self._higher, 1)
+        # the canonical scalars, built on first use
+        self._a_prism = self._a_log = None
 
     def __eq__(self, other):
         return (isinstance(other, FieldSpec)
@@ -170,33 +188,33 @@ class FieldSpec:
 
     def from_rational(self, r: Rat) -> "FieldElement":
         if type(r) is not int:
-            r = Fraction(r)
+            r = _exact(r)
             return _make(self, (r.numerator,) + self._higher, r.denominator)
         return _make(self, (r,) + self._higher, 1)
 
     def pi(self) -> "FieldElement":
         if self.e == 1:
             # u = pi is rational here: pi = -c0
-            return self.element([-self.ecoeffs[0]])
-        return self.element([0, 1])
+            return _make(self, (-self.ecoeffs[0],), 1)
+        return _make(self, (0, 1) + self._higher[1:], 1)
 
     def eval_deriv_at_pi(self) -> "FieldElement":
-        """E'(pi), evaluated exactly in the pi-power basis."""
-        deriv = [i * c for i, c in enumerate(self.ecoeffs)][1:]
-        acc = self.zero()
-        pw = self.one()
-        for c in deriv:
-            acc = acc + pw * c
-            pw = pw * self.pi()
-        return acc
+        """E'(pi) = sum_i i c_i pi^(i-1). E' has degree e - 1, so its
+        coefficients (c_1, 2 c_2, ..., e c_e) are the coordinates, with no
+        reduction mod E."""
+        return _make(self, tuple([i * c for i, c in enumerate(self.ecoeffs)][1:]), 1)
 
     def a_prism(self) -> "FieldElement":
-        """The nilpotency scalar -E'(pi)."""
-        return -self.eval_deriv_at_pi()
+        """The nilpotency scalar -E'(pi), built once."""
+        if self._a_prism is None:
+            self._a_prism = -self.eval_deriv_at_pi()
+        return self._a_prism
 
     def a_log(self) -> "FieldElement":
-        """The nilpotency scalar -pi * E'(pi)."""
-        return -(self.pi() * self.eval_deriv_at_pi())
+        """The nilpotency scalar -pi * E'(pi), built once."""
+        if self._a_log is None:
+            self._a_log = self.pi() * self.a_prism()
+        return self._a_log
 
 
 def _vp_int(n: int, p: int) -> int:
@@ -274,7 +292,7 @@ class FieldElement:
     __slots__ = ("spec", "_num", "_den")
 
     def __init__(self, spec: FieldSpec, coords):
-        cs = [Fraction(c) for c in coords]
+        cs = [_exact(c) for c in coords]
         if len(cs) != spec.e:
             raise ValueError(f"expected {spec.e} coordinates, got {len(cs)}")
         den = lcm(*(c.denominator for c in cs))
@@ -451,12 +469,21 @@ class FieldElement:
         den = self._den if det > 0 else -self._den
         return _make(spec, tuple([den * v for v in y]), abs(det))
 
-    def _pi_adic_terms(self, start: int):
-        """v_p(coordinate i) + i/e for each nonzero coordinate i >= start."""
+    def _ev(self, start: int = 0):
+        """e * val on the coordinates i >= start, an int: the min over the
+        nonzero numerators n_i of e*v_p(n_i) + i, less e*v_p(den). None
+        when those coordinates all vanish."""
         p, e = self.spec.p, self.spec.e
-        vden = _vp_int(self._den, p)
-        return [Fraction((_vp_int(n, p) - vden) * e + i, e)
-                for i, n in enumerate(self._num) if i >= start and n]
+        best = None
+        for i in range(start, e):
+            n = self._num[i]
+            if n:
+                t = i if n % p else e * _vp_int(n, p) + i
+                if best is None or t < best:
+                    best = t
+        if best is None or self._den % p:
+            return best
+        return best - e * _vp_int(self._den, p)
 
     def val(self) -> Valuation:
         """min over nonzero coordinates of v_p(a_i) + i/e, +inf for zero.
@@ -464,8 +491,7 @@ class FieldElement:
         Exact because distinct i give distinct fractional parts i/e, so no
         two terms of the minimum can collide.
         """
-        terms = self._pi_adic_terms(0)
-        return Valuation(min(terms)) if terms else Valuation.infinity()
+        return Valuation.from_ev(self._ev(), self.spec.e)
 
     def dist_to_integers(self) -> Valuation:
         """sup over integers k of val(self - k).
@@ -475,13 +501,13 @@ class FieldElement:
         (no integer can repair a pole), and m1 otherwise (integers are
         dense in Z_p, so the a_0 part can be matched arbitrarily well).
         """
-        higher = self._pi_adic_terms(1)
-        m1 = min(higher) if higher else None
+        p, e = self.spec.p, self.spec.e
+        m1 = self._ev(1)
         if self._num[0]:
-            v0 = _vp_int(self._num[0], self.spec.p) - _vp_int(self._den, self.spec.p)
-            if v0 < 0:
-                return Valuation(v0 if m1 is None or v0 < m1 else m1)
-        return Valuation.infinity() if m1 is None else Valuation(m1)
+            v0 = _vp_int(self._num[0], p) - _vp_int(self._den, p)
+            if v0 < 0 and (m1 is None or v0 * e < m1):
+                m1 = v0 * e
+        return Valuation.from_ev(m1, e)
 
     def __repr__(self):
         return f"FieldElement({list(self.coords)})"

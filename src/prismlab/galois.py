@@ -48,7 +48,7 @@ class GaloisElementData:
 
     def __init__(self, v0):
         if not isinstance(v0, Valuation):
-            v0 = Valuation(Fraction(v0))
+            v0 = Valuation(v0)
         self.v0 = v0
 
 
@@ -61,7 +61,7 @@ def action_kernel(M: LogConnection, a, D: int,
     """
     spec = M.spec
     if not isinstance(a, FieldElement):
-        a = spec.from_rational(Fraction(a))
+        a = spec.from_rational(a)
     if tag is None:
         if a == spec.a_prism():
             tag = "prismatic"
@@ -80,7 +80,7 @@ def h_series(M: LogConnection, a, D: int) -> List[Matrix]:
     """
     spec = M.spec
     if not isinstance(a, FieldElement):
-        a = spec.from_rational(Fraction(a))
+        a = spec.from_rational(a)
     op = M.operator()
     size = op.nrows
     # operator_family(op - I, 1, D)[n] = (op - 1)...(op - n)

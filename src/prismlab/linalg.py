@@ -10,7 +10,6 @@ once per result.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from operator import add, mul, neg, sub
 from typing import Iterator, List, Sequence
@@ -181,17 +180,21 @@ class Matrix:
         return self.reduce_rows()[2]
 
     def charpoly(self) -> List[FieldElement]:
-        """Coefficients of det(x*I - A), low-to-high, leading 1."""
+        """Coefficients of det(x*I - A), low-to-high, leading 1, by
+        Faddeev-LeVerrier (H. Cohen, GTM 138, 2.2): M_1 = A and
+        M_(k+1) = A (M_k + c_(n-k) I), with c_(n-k) = -tr(M_k) / k."""
         self._check_square("charpoly")
         n = self.nrows
         spec = self.spec
         coeffs = [spec.zero()] * n + [spec.one()]
-        M = Matrix.identity(spec, n)
+        M = self
         for k in range(1, n + 1):
-            M = self * M
-            c = -(M.trace() * Fraction(1, k))
+            t = M.trace()
+            c = _make(spec, tuple([-x for x in t._num]), t._den * k)
             coeffs[n - k] = c
-            M = M + Matrix.identity(spec, n).scale(c)
+            if k < n:
+                M = self * Matrix._trusted(spec, tuple(
+                    row[:i] + (row[i] + c,) + row[i + 1:] for i, row in enumerate(M.rows)))
         return coeffs
 
     def __repr__(self):

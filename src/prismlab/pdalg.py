@@ -21,7 +21,7 @@ class CosimpConfig:
         assert D >= 0 and m >= 1
         self.spec = spec
         if not isinstance(a, FieldElement):
-            a = spec.from_rational(Fraction(a))
+            a = spec.from_rational(a)
         self.a = a
         self.D = D
         self.m = m
@@ -76,7 +76,7 @@ class PDElement:
     @classmethod
     def monomial(cls, config, degree, ks, j, c):
         if not isinstance(c, FieldElement):
-            c = config.spec.from_rational(Fraction(c))
+            c = config.spec.from_rational(c)
         return cls(config, degree, {(tuple(ks), j): c})
 
     @classmethod
@@ -116,7 +116,7 @@ class PDElement:
 
     def scale(self, s) -> "PDElement":
         if not isinstance(s, FieldElement):
-            s = self.config.spec.from_rational(Fraction(s))
+            s = self.config.spec.from_rational(s)
         return PDElement._trusted(self.config, self.degree,
                                   {k: c * s for k, c in self.terms.items()})
 

@@ -28,7 +28,7 @@ class TruncSeries:
             if isinstance(c, FieldElement):
                 cs.append(c)
             else:
-                cs.append(spec.from_rational(Fraction(c)))
+                cs.append(spec.from_rational(c))
         while len(cs) < m:
             cs.append(spec.zero())
         self.coeffs = tuple(cs)

@@ -10,7 +10,6 @@ made from a connection holds phi_1 and computes phi_n when it is first read.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, List, Optional, Tuple
 
@@ -214,7 +213,7 @@ class Stratification:
         self.l = l
         self.m = m
         self.D = D
-        self.a = a if isinstance(a, FieldElement) else spec.from_rational(Fraction(a))
+        self.a = a if isinstance(a, FieldElement) else spec.from_rational(a)
         self.phi = phi
 
     def __eq__(self, other):
@@ -234,7 +233,7 @@ def from_connection(conn: LogConnection, a, D: int) -> Stratification:
     conn.operator(a) = a * (T d/dT + N); phi_2..phi_D are generated when
     first read (Family.generated)."""
     if not isinstance(a, FieldElement):
-        a = conn.spec.from_rational(Fraction(a))
+        a = conn.spec.from_rational(a)
     return Stratification(conn.spec, conn.l, conn.m, D, a,
                           Family.generated(conn.operator(a), a, D))
 

@@ -340,6 +340,22 @@ class TestConnCommands:
         assert code == 0
         assert json.loads(out)["c"] == 6
 
+    def test_variant_without_tau_is_refused(self, q3):
+        # it would otherwise be read by nothing and change no byte
+        conn_json = canonical_json(encode_connection(constant_conn(q3, 1, [[1]])))
+        for variant in ("K", "Kpi1"):
+            code, out, err = run_cli_stderr(["conn", "galois-kernel", "--variant", variant],
+                                            conn_json)
+            assert (code, out, err) == (2, "", "error: --variant needs --tau\n")
+
+    def test_tau_alone_means_variant_k(self, q3):
+        conn_json = canonical_json(encode_connection(constant_conn(q3, 1, [[1]])))
+        alone = run_cli(["conn", "galois-kernel", "--tau", "1", "--D", "2"], conn_json)
+        explicit = run_cli(["conn", "galois-kernel", "--tau", "1", "--variant", "K", "--D", "2"],
+                           conn_json)
+        assert alone == explicit and alone[0] == 0
+        assert json.loads(alone[1])["c"] == 3
+
 
 class TestFailurePaths:
     def test_cocycle_violation_exits_one(self, rng, q3):

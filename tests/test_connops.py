@@ -12,9 +12,11 @@ from prismlab.connops import (PROBE_THRESHOLD, PROBE_WINDOW, bk_twist,
                               classify_ndR, cohomology, dual,
                               kummer_sen_operator, matrix_gauss_val,
                               probe_nilpotency, reduction_ses, residual_sen,
-                              tensor, trace_tail_verdict, _log_multiplier)
+                              tensor, trace_tail_verdict, _log_multiplier,
+                              _roots_above)
 from prismlab.errors import (BadTruncationIndex, NotAUniformizer, RingMismatch)
-from prismlab.field import FieldSpec, Valuation
+from prismlab.field import FieldElement, FieldSpec, Valuation
+from prismlab.galois import _slope_threshold
 from prismlab.linalg import Matrix
 from prismlab.series import TruncSeries, lambda_approx, rewrite_in_uniformizer
 from prismlab.strat import LogConnection, from_connection, to_connection
@@ -283,6 +285,18 @@ class TestNilpotency:
         assert len(calls) == 1
         # at most l discs live per level, each shifted p - 1 times
         assert 41 <= len(shifts) <= (3 - 1) * 2 * 41
+
+    def test_verdicts_read_no_coefficient_valuation(self, q3, cubic3, monkeypatch):
+        """Operation counts: a verdict takes val() of its scalar only; the
+        charpoly's coefficients and their Taylor shifts are compared on
+        integers. Weights +-sqrt 7 at a = 3^-6 walk seven levels of discs."""
+        calls = count_calls(monkeypatch, [(FieldElement, "val")])
+        M = constant_conn(q3, 1, [[0, 7], [1, 0]])
+        assert check_nilpotent(M, Fraction(1, 3 ** 6))["status"] == "ProvenNilpotent"
+        assert calls["val"] <= 1
+        calls["val"] = 0
+        classify_ndR(constant_conn(cubic3, 1, [[0, 7, 1], [1, 0, 2], [0, 1, 5]]))
+        assert calls["val"] <= 2
 
     def test_probe_trace_exact_slope(self, q3):
         # integer entries and unit determinant of chi(i) pin the trace to
@@ -631,3 +645,35 @@ def test_change_uniformizer_matches_entrywise_rewrite(seed, field, l, m):
     got = change_uniformizer(M, y)
     assert got.N == want and got.unif == y.unif
     assert all(s.unif == y.unif for row in got.N for s in row)
+
+
+def roots_above_by_fractions(chi, c):
+    """connops._roots_above as it was: the Newton polygon compared on
+    Fraction valuations, one Valuation per coefficient."""
+    return min((coef.val().value + j * c, j) for j, coef in enumerate(chi)
+               if not coef.is_zero())[1]
+
+
+@st.composite
+def monic_polys(draw):
+    """A monic polynomial of degree 1-5 over a benchmark field, its lower
+    coefficients zero or carrying powers of p."""
+    spec = draw(st.sampled_from(FOUR_FIELDS))
+    p = spec.p
+    coord = st.builds(lambda n, k, d: n * Fraction(p) ** k / d, st.integers(-10 ** 4, 10 ** 4),
+                      st.integers(-6, 6), st.integers(1, 20))
+    coef = st.lists(st.one_of(st.just(0), coord), min_size=spec.e, max_size=spec.e).map(spec.element)
+    lower = draw(st.lists(coef, min_size=1, max_size=5))
+    return lower + [spec.one()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(monic_polys(), st.one_of(
+    # the convergence thresholds d*: denominators (p-1) p^(q+1) do not divide e
+    st.fractions(min_value=Fraction(1, 400), max_value=3, max_denominator=400).map(lambda s: ("d*", s)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12).map(lambda c: ("c", c))))
+def test_roots_above_matches_fraction_newton_polygon(chi, threshold):
+    kind, x = threshold
+    c = _slope_threshold(x, chi[0].spec.p) if kind == "d*" else x
+    assert _roots_above(chi, c) == roots_above_by_fractions(chi, c)
+    assert _roots_above(chi, math.floor(c)) == roots_above_by_fractions(chi, math.floor(c))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from prismlab.errors import ZeroInversion
 from prismlab.field import PRIME_BOUND, FieldSpec, Valuation, _is_prime, _vp_int, vp_rational
 
-from conftest import random_element, random_rational
+from conftest import FOUR_FIELDS, random_element, random_rational
 
 # the four benchmark fields, the cubic u^3 + 3u^2 + 3 and a quintic
 INVERT_FIELDS = (FieldSpec(3, [-3, 1]), FieldSpec(3, [-3, 0, 1]), FieldSpec(2, [-2, 0, 1]),
@@ -246,6 +246,109 @@ class TestDerivAtPi:
     def test_scalars(self, q3s):
         assert q3s.a_prism() == q3s.element([0, -2])
         assert q3s.a_log() == q3s.from_rational(-6)
+
+
+def deriv_by_products(spec):
+    """E'(pi) as FieldSpec built it before its closed form: the sum of
+    i c_i times successive products of pi."""
+    acc, pw = spec.zero(), spec.one()
+    for i, c in enumerate(spec.ecoeffs[1:], 1):
+        acc = acc + pw * (i * c)
+        pw = pw * spec.pi()
+    return acc
+
+
+@st.composite
+def eisenstein_fields(draw):
+    """One of the four benchmark fields, or a random Eisenstein E of degree
+    1-4 over p in {2, 3, 5}."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(FOUR_FIELDS))
+    p = draw(st.sampled_from([2, 3, 5]))
+    e = draw(st.integers(1, 4))
+    c0 = p * draw(st.integers(1, 40).filter(lambda k: k % p))
+    rest = [p * draw(st.integers(-20, 20)) for _ in range(e - 1)]
+    return FieldSpec(p, [draw(st.sampled_from([c0, -c0]))] + rest + [1])
+
+
+class TestCanonicalScalars:
+    @settings(max_examples=150, deadline=None)
+    @given(eisenstein_fields())
+    def test_match_product_loop(self, spec):
+        deriv = deriv_by_products(spec)
+        assert spec.eval_deriv_at_pi() == deriv
+        assert spec.a_prism() == -deriv
+        assert spec.a_log() == -(spec.pi() * deriv)
+
+    def test_built_once(self, cubic3):
+        spec = FieldSpec(cubic3.p, cubic3.ecoeffs)
+        assert spec.a_prism() is spec.a_prism()
+        assert spec.a_log() is spec.a_log()
+
+
+class TestExactEntryPoints:
+    """A float is a binary fraction: 0.1 would enter as
+    3602879701896397/36028797018963968, so the rational entry points
+    refuse it."""
+
+    def test_element(self, q3s):
+        with pytest.raises(TypeError, match="float"):
+            q3s.element([0, 0.1])
+        assert q3s.element([0, "1/10"]) == q3s.element([0, Fraction(1, 10)])
+
+    def test_from_rational(self, q3):
+        with pytest.raises(TypeError, match="float"):
+            q3.from_rational(0.1)
+        assert q3.from_rational(Fraction(1, 10)).coords == (Fraction(1, 10),)
+
+    def test_valuation(self):
+        with pytest.raises(TypeError, match="float"):
+            Valuation(0.1)
+        assert Valuation("1/10") == Valuation(Fraction(1, 10))
+
+
+def val_by_terms(x, start=0):
+    """The minimum valuation kernel as it was: v_p(a_i) + i/e as a Fraction
+    for each nonzero coordinate i >= start; None when there is none."""
+    p, e = x.spec.p, x.spec.e
+    vden = _vp_int(x._den, p)
+    terms = [Fraction((_vp_int(n, p) - vden) * e + i, e)
+             for i, n in enumerate(x._num) if i >= start and n]
+    return min(terms) if terms else None
+
+
+def dist_by_terms(x):
+    """dist_to_integers as it was, on val_by_terms."""
+    m1 = val_by_terms(x, 1)
+    if x._num[0]:
+        v0 = _vp_int(x._num[0], x.spec.p) - _vp_int(x._den, x.spec.p)
+        if v0 < 0:
+            return Valuation(v0 if m1 is None or v0 < m1 else m1)
+    return Valuation.infinity() if m1 is None else Valuation(m1)
+
+
+@st.composite
+def field_elements(draw):
+    """An element of a benchmark field, zero coordinates and powers of p in
+    numerators and denominators included; zero itself too."""
+    spec = draw(st.sampled_from(FOUR_FIELDS))
+    p = spec.p
+    coord = st.builds(lambda n, k, d: n * Fraction(p) ** k / d, st.integers(-10 ** 6, 10 ** 6),
+                      st.integers(-9, 9), st.integers(1, 60))
+    return spec.element(draw(st.lists(st.one_of(st.just(0), coord),
+                                      min_size=spec.e, max_size=spec.e)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_elements())
+def test_integer_valuation_matches_fraction_terms(x):
+    old = val_by_terms(x)
+    ev = x._ev()
+    assert ev == (None if old is None else old * x.spec.e)
+    assert str(x.val()) == str(Valuation.infinity() if old is None else Valuation(old))
+    assert str(x.dist_to_integers()) == str(dist_by_terms(x))
+    higher = val_by_terms(x, 1)
+    assert x._ev(1) == (None if higher is None else higher * x.spec.e)
 
 
 class TestDistToIntegers:

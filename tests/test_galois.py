@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from prismlab import connops
 from prismlab.connops import matrix_gauss_val
 from prismlab.errors import InvalidValuation
-from prismlab.field import FieldSpec, Valuation
+from prismlab.field import FieldElement, FieldSpec, Valuation
 from prismlab.galois import (GaloisElementData, GaloisKernel, action_kernel,
                              converges_at, d0_check, digit_sum, factorial_val,
                              h_series, tau_power_kernel)
@@ -16,7 +16,7 @@ from prismlab.linalg import Matrix
 from prismlab.series import TruncSeries
 from prismlab.strat import LogConnection, from_connection
 
-from conftest import random_element
+from conftest import count_calls, random_element
 from test_connops import constant_conn, twist
 from test_strat import falling, random_connection
 
@@ -249,6 +249,26 @@ class TestConvergence:
         assert rep["status"] == "Convergent"
         assert rep["trace"][0] == Valuation(0)
         assert all(t.is_infinite for t in rep["trace"][1:])
+
+
+class TestIntegerValuations:
+    def test_converges_at_reads_one_valuation(self, q3s, monkeypatch):
+        """Operation counts: converges_at takes val() of a alone; the trace's
+        Gauss valuations and the verdict's Newton polygons read no
+        Valuation per entry or coefficient."""
+        M = constant_conn(q3s, 2, [[0, 2], [1, q3s.pi()]])
+        kernels = [action_kernel(M, q3s.a_prism(), 6), action_kernel(M, Fraction(1, 9), 6)]
+        calls = count_calls(monkeypatch, [(FieldElement, "val")])
+        for kernel in kernels:
+            for v0 in (Fraction(1, 2), 3):
+                calls["val"] = 0
+                converges_at(kernel, GaloisElementData(v0))
+                assert calls["val"] <= 1
+
+    def test_element_data_refuses_float(self):
+        with pytest.raises(TypeError, match="float"):
+            GaloisElementData(0.25)
+        assert GaloisElementData(Fraction(1, 4)).v0 == Valuation(Fraction(1, 4))
 
 
 class TestTauPower:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from prismlab.linalg import Matrix, eval_poly, null_basis, poly_deflate
 
-from conftest import FOUR_FIELDS, random_element
+from conftest import FOUR_FIELDS, count_calls, random_element
 
 
 def test_identity_and_mul(q3s):
@@ -147,3 +147,42 @@ def test_reduce_rows_matches_two_eliminations(seed, field, nrows, ncols, rank):
     assert independent == rref_by_columns(A.transpose())[1] == A.column_pivots()
     kernel = null_basis(spec, ncols, full, ref_pivots)
     assert null_basis(spec, ncols, R, pivots) == A.kernel_basis() == kernel
+
+
+def charpoly_by_identity_products(A):
+    """Matrix.charpoly as it was: Faddeev-LeVerrier with M_k = A M_(k-1)
+    from M_0 = I, and M_k + c I formed through Matrix.identity and scale."""
+    n, spec = A.nrows, A.spec
+    coeffs = [spec.zero()] * n + [spec.one()]
+    M = Matrix.identity(spec, n)
+    for k in range(1, n + 1):
+        M = A * M
+        c = -(M.trace() * Fraction(1, k))
+        coeffs[n - k] = c
+        M = M + Matrix.identity(spec, n).scale(c)
+    return coeffs
+
+
+@st.composite
+def square_matrices(draw):
+    spec = draw(st.sampled_from(FOUR_FIELDS))
+    n = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    zero_frac = draw(st.sampled_from([0, 0.3, 0.7]))
+    return Matrix(spec, [[0 if rng.random() < zero_frac else random_element(rng, spec, 5)
+                          for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices())
+def test_charpoly_matches_identity_product_loop(A):
+    assert A.charpoly() == charpoly_by_identity_products(A)
+
+
+def test_charpoly_builds_no_identity_or_scale(q3s, monkeypatch):
+    """Operation counts: the diagonal shift is added in place."""
+    rng = random.Random(5)
+    A = Matrix(q3s, [[random_element(rng, q3s) for _ in range(4)] for _ in range(4)])
+    calls = count_calls(monkeypatch, [(Matrix, "identity"), (Matrix, "scale")])
+    A.charpoly()
+    assert calls == {"identity": 0, "scale": 0}
