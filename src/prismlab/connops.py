@@ -60,22 +60,9 @@ def bk_twist(M: LogConnection, n) -> LogConnection:
 
 
 def _multiplier_and_reversion(y: TruncSeries):
-    """(c, g): the multiplier of _log_multiplier and the reversion g of y,
-    both from one reversion of y lifted to modulus m + 1."""
-    spec, m = y.spec, y.m
-    c = y.shift_down() * y.derivative().invert_unit()
-    rev = TruncSeries._trusted(spec, m + 1, y.coeffs + (spec.zero(),), y.unif).reversion()
-    r = rev.coeffs[m]
-    if not r.is_zero():
-        # c * (1 + top T^(m-1)) changes the top coefficient only
-        top = r * y.coeffs[1] ** m * Fraction(1 - m, 2)
-        c = TruncSeries._trusted(spec, m, c.coeffs[:-1] + (c.coeffs[-1] + c.coeffs[0] * top,),
-                                 c.unif)
-    return c, rev.truncate(m)
-
-
-def _log_multiplier(y: TruncSeries) -> TruncSeries:
-    """The unit series c with c * T * y' = y, normalized for exact round trips.
+    """(c, g): the unit series c with c * T * y' = y, normalized for exact
+    round trips, and the reversion g of y, both from one reversion of y
+    lifted to modulus m + 1.
 
     The quotient (y/T) / y' only determines c below its top coefficient,
     because the T^(m-1) coefficient of y' would need the dropped degree-m
@@ -88,7 +75,16 @@ def _log_multiplier(y: TruncSeries) -> TruncSeries:
     consistent both ways because the reversion's own defect coefficient is
     r * y1^(m+1).)
     """
-    return _multiplier_and_reversion(y)[0]
+    spec, m = y.spec, y.m
+    c = y.shift_down() * y.derivative().invert_unit()
+    rev = TruncSeries._trusted(spec, m + 1, y.coeffs + (spec.zero(),), y.unif).reversion()
+    r = rev.coeffs[m]
+    if not r.is_zero():
+        # c * (1 + top T^(m-1)) changes the top coefficient only
+        top = r * y.coeffs[1] ** m * Fraction(1 - m, 2)
+        c = TruncSeries._trusted(spec, m, c.coeffs[:-1] + (c.coeffs[-1] + c.coeffs[0] * top,),
+                                 c.unif)
+    return c, rev.truncate(m)
 
 
 def change_uniformizer(M: LogConnection, y: TruncSeries) -> LogConnection:
@@ -420,7 +416,7 @@ def reduction_ses(M: LogConnection, k: int) -> dict:
                          for r in range(l * k)])
     intertwines = (M.operator() * incl) == (incl * sub.operator())
     composes_to_zero = (proj * incl).is_zero()
-    exact = (incl.rank() == l * msub and proj.rank() == l * k
-             and composes_to_zero and incl.rank() + proj.rank() == l * m)
+    # l*msub + l*k = l*m, so the two ranks also add up to the ambient rank
+    exact = incl.rank() == l * msub and proj.rank() == l * k and composes_to_zero
     return {"sub": sub, "quotient": quotient, "inclusion": incl,
             "projection": proj, "intertwines": intertwines, "exact": exact}

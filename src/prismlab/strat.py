@@ -16,7 +16,6 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 from .errors import (LeibnizViolation, NotAStratification, RingMismatch)
 from .field import FieldElement, FieldSpec
 from .linalg import Matrix, falling_powers
-from .pdalg import CosimpConfig, PDElement, one_plus_a_x_pow
 from .series import TruncSeries
 
 
@@ -448,12 +447,19 @@ def verify_key_lemma(phi: List[Matrix], a: FieldElement, n_max: int, D: int) -> 
     phi_i o phi_{mm+n} * (1+aX)^(-mm-n) * (-1)^mm * C(i+mm, i) * X^[i+mm]
     must reduce to the constant phi_n, coefficient by coefficient in X^[k]
     for k <= D. Requires the family up to index n_max + D.
+
+    The X^[k] coefficient of a term is a scalar in closed form: in divided
+    powers X^[j] X^[q] = C(j+q, j) X^[j+q] and (1+aX)^r = sum_q
+    r(r-1)...(r-q+1) a^q X^[q], so with j = i + mm and q = k - j it is
+    (-1)^mm C(j, i) C(k, j) falling(-(mm+n), q) a^q.
     """
     if len(phi) < n_max + D + 1:
         raise ValueError("operator family too short for this check")
     spec = phi[0].spec
     size = len(phi[0].rows)
-    cfg = CosimpConfig(spec, a, D, 1)
+    apow = [spec.one()]
+    for _ in range(D):
+        apow.append(apow[-1] * a)
     prod_cache = {}
 
     def pp(i, k):
@@ -461,22 +467,15 @@ def verify_key_lemma(phi: List[Matrix], a: FieldElement, n_max: int, D: int) -> 
             prod_cache[(i, k)] = phi[i] * phi[k]
         return prod_cache[(i, k)]
 
-    scal = {}
-    for n in range(n_max + 1):
-        for i in range(D + 1):
-            for mm in range(D + 1 - i):
-                s = one_plus_a_x_pow(cfg, 1, 1, -(mm + n))
-                sign = -1 if mm % 2 else 1
-                coef = sign * comb(i + mm, i)
-                scal[(n, i, mm)] = (PDElement.monomial(cfg, 1, (i + mm,), 0, coef) * s)
-
     zero = Matrix.zero(spec, size, size)
     for k in range(D + 1):
         for n in range(n_max + 1):
             acc = zero
             for i in range(k + 1):
                 for mm in range(k + 1 - i):
-                    c = scal[(n, i, mm)].coeff((k,))
+                    j = i + mm
+                    c = apow[k - j] * ((-1) ** mm * comb(j, i) * comb(k, j)
+                                       * _falling(-(mm + n), k - j))
                     if not c.is_zero():
                         acc = acc + pp(i, mm + n).scale(c)
             target = phi[n] if k == 0 else zero

@@ -547,6 +547,16 @@ class TestOptimizedMode:
         proc = self.both(["strat", "to-conn"], canonical_json(obj))
         assert proc.returncode == 1 and json.loads(proc.stdout)["status"] == "fail"
 
+    def test_key_lemma(self, rng, q3):
+        """A passing family and one whose phi_2 is phi_1 squared: the key
+        lemma runs no assert-guarded code."""
+        st = from_connection(random_connection(rng, q3, 1, 2), q3.a_prism(), 4)
+        bad = st.perturbed(2, st.phi[1] * st.phi[1] - st.phi[2])
+        for strat, code in ((st, 0), (bad, 1)):
+            proc = self.both(["verify", "key-lemma", "--n-max", "2"],
+                             canonical_json(encode_stratification(strat)))
+            assert proc.returncode == code
+
     def test_check_cocycle_failures(self, rng, q3):
         """A family first off at a generator column (expanded) and one first
         off at a column c >= l (closed form) both exit 1."""

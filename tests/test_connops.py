@@ -12,8 +12,8 @@ from prismlab.connops import (PROBE_THRESHOLD, PROBE_WINDOW, bk_twist,
                               classify_ndR, cohomology, dual,
                               kummer_sen_operator, matrix_gauss_val,
                               probe_nilpotency, reduction_ses, residual_sen,
-                              tensor, trace_tail_verdict, _log_multiplier,
-                              _roots_above)
+                              tensor, trace_tail_verdict,
+                              _multiplier_and_reversion, _roots_above)
 from prismlab.errors import (BadTruncationIndex, NotAUniformizer, RingMismatch)
 from prismlab.field import FieldElement, FieldSpec, Valuation
 from prismlab.galois import _slope_threshold
@@ -103,11 +103,11 @@ class TestChangeUniformizer:
         # y = T + T^2 at m = 4; worked out by hand, the top coefficient
         # carries the round-trip gauge correction
         y = TruncSeries(q3, 4, [0, 1, 1, 0], "y")
-        c = _log_multiplier(y)
+        c = _multiplier_and_reversion(y)[0]
         assert [x.rational_value() for x in c.coeffs] == [
             Fraction(1), Fraction(-1), Fraction(2), Fraction(7, 2)]
         z = y.reversion()
-        cz = _log_multiplier(z)
+        cz = _multiplier_and_reversion(z)[0]
         assert [x.rational_value() for x in cz.coeffs] == [
             Fraction(1), Fraction(1), Fraction(-2), Fraction(-5, 2)]
         # composing the two legs multiplies c_z(y(T)) by c(T): exactly 1
@@ -543,6 +543,13 @@ class TestReduction:
             with pytest.raises(BadTruncationIndex):
                 reduction_ses(M, k)
 
+    def test_two_eliminations(self, rng, q3s, monkeypatch):
+        """Operation counts: exactness reads the rank of the inclusion and
+        of the projection once each, since l*(m-k) + l*k = l*m."""
+        calls = count_calls(monkeypatch, [(Matrix, "reduce_rows")])
+        assert reduction_ses(random_connection(rng, q3s, 2, 4), 1)["exact"]
+        assert calls == {"reduce_rows": 2}
+
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), m=st.integers(2, 4))
@@ -640,7 +647,7 @@ def test_change_uniformizer_matches_entrywise_rewrite(seed, field, l, m):
     else:
         y = TruncSeries(spec, m, [0, rng.choice([1, 2, Fraction(1, 3)])]
                         + [random_element(rng, spec, 3) for _ in range(m - 2)], "y")
-    c = _log_multiplier(y)
+    c = _multiplier_and_reversion(y)[0]
     want = [[rewrite_in_uniformizer(c * M.N[i][j], y) for j in range(l)] for i in range(l)]
     got = change_uniformizer(M, y)
     assert got.N == want and got.unif == y.unif

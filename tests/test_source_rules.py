@@ -1,8 +1,9 @@
 """Rules on the library's source that no behavioural test would notice.
 
 Checks that carry correctness must hold under python -O, which strips
-assert statements, so no module of src/prismlab may use one. pdalg.py is
-exempt while it lives in the library as the divided-power reference.
+assert statements, so no module of src/prismlab may use one. pdalg.py, the
+divided-power reference, may keep its asserts because no other module of
+the library imports it: only the tests and the benchmark load it.
 Arithmetic stays exact, so no module writes a float literal or calls
 float() or round(). The runtime uses only the standard library, so every
 import is of a standard module or of prismlab itself.
@@ -50,6 +51,26 @@ def foreign_imports(source):
     return [r for r in roots if r not in sys.stdlib_module_names and r != "prismlab"]
 
 
+def pdalg_imports(source):
+    """Line numbers of the imports of prismlab's pdalg module in source, a
+    module of the package: relative, absolute, or of the name from the
+    package."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            package = node.module or ""
+            if node.level:
+                package = f"prismlab.{package}".rstrip(".")
+            names = [package] + [f"{package}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if "prismlab.pdalg" in names:
+            lines.append(node.lineno)
+    return lines
+
+
 def test_no_floats():
     found = {name: lines for name, source in sources() if (lines := float_lines(source))}
     assert found == {}
@@ -83,3 +104,17 @@ def test_an_assert_is_found():
     source = "def f(x):\n    if x:\n        assert x > 0, 'positive'\n    return x\n"
     assert assert_lines(source) == [3]
     assert assert_lines("x = 1  # assert nothing\n") == []
+
+
+def test_product_imports_no_pdalg():
+    found = {name: lines for name, source in sources()
+             if name != "pdalg.py" and (lines := pdalg_imports(source))}
+    assert found == {}
+
+
+def test_a_pdalg_import_is_found():
+    source = ("from .pdalg import PDElement\nfrom . import field, pdalg\n"
+              "import prismlab.pdalg\nfrom prismlab.pdalg import face\n"
+              "from prismlab import pdalg as pd\nfrom .field import pdalg_like\n"
+              "import pdalg\nfrom .linalg import Matrix  # pdalg\n")
+    assert pdalg_imports(source) == [1, 2, 3, 4, 5]

@@ -491,6 +491,51 @@ def test_off_generator_failure_walks_the_family_once(monkeypatch):
         assert products == {"apply": 0, "__mul__": 0}
 
 
+def key_lemma_by_expansion(phi, a, n_max, D):
+    """The key lemma's scalars read off PDElement expansions: the X^[k]
+    coefficient of (-1)^mm C(i+mm, i) X^[i+mm] (1+aX)^(-(mm+n)) in the
+    level-1 divided-power ring, the same product cache, loop order and
+    witness search as verify_key_lemma. The literal reference for it."""
+    if len(phi) < n_max + D + 1:
+        raise ValueError("operator family too short for this check")
+    spec = phi[0].spec
+    size = len(phi[0].rows)
+    cfg = CosimpConfig(spec, a, D, 1)
+    prod_cache = {}
+
+    def pp(i, k):
+        if (i, k) not in prod_cache:
+            prod_cache[(i, k)] = phi[i] * phi[k]
+        return prod_cache[(i, k)]
+
+    scal = {}
+    for n in range(n_max + 1):
+        for i in range(D + 1):
+            for mm in range(D + 1 - i):
+                s = one_plus_a_x_pow(cfg, 1, 1, -(mm + n))
+                sign = -1 if mm % 2 else 1
+                coef = sign * comb(i + mm, i)
+                scal[(n, i, mm)] = (PDElement.monomial(cfg, 1, (i + mm,), 0, coef) * s)
+
+    zero = Matrix.zero(spec, size, size)
+    for k in range(D + 1):
+        for n in range(n_max + 1):
+            acc = zero
+            for i in range(k + 1):
+                for mm in range(k + 1 - i):
+                    c = scal[(n, i, mm)].coeff((k,))
+                    if not c.is_zero():
+                        acc = acc + pp(i, mm + n).scale(c)
+            target = phi[n] if k == 0 else zero
+            if not acc == target:
+                gap = acc - target
+                where = next((r, cc) for r in range(size) for cc in range(size)
+                             if not gap[r, cc].is_zero())
+                return {"ok": False,
+                        "witness": {"n": n, "pd_degree": k, "entry": where}}
+    return {"ok": True, "witness": None}
+
+
 class TestKeyLemma:
     def test_scalar_family_passes(self, q3):
         a = q3.a_prism()
@@ -521,6 +566,44 @@ class TestKeyLemma:
         phi = operator_family(Matrix(q3, [[1]]), q3.one(), 4)
         with pytest.raises(ValueError):
             verify_key_lemma(phi, q3.one(), 3, 6)
+
+
+KEY_LEMMA_SCALARS = ("prism", "log", 1, Fraction(2, 3), 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=st.integers(0, 3), l=st.integers(1, 2), m=st.integers(1, 2),
+       n_max=st.integers(0, 2), D=st.integers(0, 3),
+       choice=st.sampled_from(KEY_LEMMA_SCALARS), seed=st.integers(0, 10 ** 6))
+def test_key_lemma_matches_expansion(field, l, m, n_max, D, choice, seed):
+    """verify_key_lemma's report, witness included, is the PDElement
+    expansion's, on a genuine family and on the family with one entry
+    changed at each level phi_0..phi_(n_max + D)."""
+    import random
+
+    spec = FOUR_FIELDS[field]
+    a = {"prism": spec.a_prism(), "log": spec.a_log()}.get(choice, choice)
+    rng = random.Random(seed)
+    n = l * m
+    genuine = from_connection(random_connection(rng, spec, l, m), a, n_max + D)
+    families = [genuine] + [genuine.perturbed(k, single_entry(
+        spec, n, rng.randrange(n), rng.randrange(n), rng)) for k in range(n_max + D + 1)]
+    for strat in families:
+        phi = list(strat.phi)
+        assert verify_key_lemma(phi, strat.a, n_max, D) == \
+            key_lemma_by_expansion(phi, strat.a, n_max, D)
+
+
+def test_key_lemma_builds_no_pd_element(rng, q3s, monkeypatch):
+    """Counts only: verify_key_lemma reads its scalars in closed form and
+    builds no PDElement, on a passing and on a failing family."""
+    phi1 = Matrix(q3s, [[random_element(rng, q3s, 4) for _ in range(2)] for _ in range(2)])
+    phi = operator_family(phi1, q3s.a_prism(), 10)
+    bad = phi[:2] + [phi[1] * phi[1]] + phi[3:]
+    calls = count_calls(monkeypatch, [(PDElement, "__init__"), (PDElement, "_trusted")])
+    assert verify_key_lemma(phi, q3s.a_prism(), 3, 6)["ok"]
+    assert not verify_key_lemma(bad, q3s.a_prism(), 3, 6)["ok"]
+    assert calls == {"__init__": 0, "_trusted": 0}
 
 
 def test_operator_family_length_is_count(q3):
