@@ -3,6 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prismlab.errors import InputFormatError
 from prismlab.field import FieldSpec, Valuation
@@ -17,6 +18,7 @@ from prismlab.serialize import (canonical_json, encode_connection,
 from prismlab.series import TruncSeries
 from prismlab.strat import LogConnection, from_connection
 
+from conftest import FOUR_FIELDS
 from test_strat import random_connection
 
 
@@ -38,6 +40,84 @@ class TestRational:
         for bad in ("a/b", "1/0", 1.5, None, True, "1.5"):
             with pytest.raises(InputFormatError):
                 parse_rational(bad)
+
+
+# the syntax of a JSON coordinate: what parse_rational and parse_element
+# accept, how it encodes back, and the message on each refusal
+ACCEPTED_COORDINATES = {
+    7: 7, -3: -3, 0: 0, "12": 12, " -5 ": -5, "+4": 4, "1_000": 1000,
+    " 1 / 2 ": "1/2", "3/1": 3, "6/4": "3/2", "0/-7": 0, "1_0/4": "5/2",
+    " 1 / -2 ": "-1/2", "-2/-4": "1/2", "-4/2": -2,
+}
+REFUSED_COORDINATES = [
+    ("1/0", "bad rational '1/0'"),
+    ("1/-0", "bad rational '1/-0'"),
+    ("1/2/3", "bad rational '1/2/3'"),
+    ("1.5", "bad rational '1.5'"),
+    ("", "bad rational ''"),
+    ("/2", "bad rational '/2'"),
+    (1.5, "expected a rational, got float"),
+    (None, "expected a rational, got NoneType"),
+    (True, "expected a rational, got True"),
+    (False, "expected a rational, got False"),
+    ([1], "expected a rational, got list"),
+]
+
+
+class TestRationalSyntax:
+    @pytest.mark.parametrize("text", ACCEPTED_COORDINATES)
+    def test_accepted(self, text, q3, q3s):
+        assert encode_rational(parse_rational(text)) == ACCEPTED_COORDINATES[text]
+        assert encode_element(parse_element(q3, [text])) == [ACCEPTED_COORDINATES[text]]
+        assert encode_element(parse_element(q3s, [1, text])) == \
+            [1, ACCEPTED_COORDINATES[text]]
+
+    @pytest.mark.parametrize("bad,message", REFUSED_COORDINATES)
+    def test_refused_with_message(self, bad, message, q3s):
+        for parse in (parse_rational, lambda x: parse_element(q3s, [0, x]),
+                      lambda x: parse_element(q3s, [x, "1/3"])):
+            with pytest.raises(InputFormatError) as exc:
+                parse(bad)
+            assert str(exc.value) == message
+
+    def test_field_coefficients(self):
+        assert parse_field({"p": 3, "E": [" -3 ", "1_0/10"]}) == FieldSpec(3, [-3, 1])
+        assert parse_field({"p": 3, "E": ["6/-2", 1]}) == FieldSpec(3, [-3, 1])
+        for E, message in (([-3, "1/2"], "E coefficients must be integers"),
+                           ([-3, True], "expected a rational, got True"),
+                           ([-3, "1/0"], "bad rational '1/0'")):
+            with pytest.raises(InputFormatError) as exc:
+                parse_field({"p": 3, "E": E})
+            assert str(exc.value) == message
+
+
+def coordinate_text(draw):
+    """A JSON coordinate as a (value, json form) pair: an int, or an "n/d"
+    string with a signed, unreduced denominator and optional spaces."""
+    n = draw(st.integers(-10 ** 30, 10 ** 30) | st.integers(-40, 40))
+    if draw(st.booleans()):
+        return Fraction(n), n
+    d = draw(st.integers(1, 10 ** 12) | st.integers(1, 60)) * draw(st.sampled_from([1, -1]))
+    pad = draw(st.sampled_from(["", " "]))
+    return Fraction(n, d), f"{pad}{n}{pad}/{pad}{d}{pad}"
+
+
+@st.composite
+def coordinate_arrays(draw):
+    spec = draw(st.sampled_from(FOUR_FIELDS))
+    pairs = [coordinate_text(draw) for _ in range(spec.e)]
+    return spec, [v for v, _ in pairs], [t for _, t in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=coordinate_arrays())
+def test_parse_and_encode_match_fraction_path(case):
+    spec, values, texts = case
+    x = parse_element(spec, texts)
+    y = spec.element(values)
+    assert (x._num, x._den) == (y._num, y._den)
+    assert encode_element(x) == [encode_rational(c) for c in x.coords]
+    assert parse_element(spec, encode_element(x)) == x
 
 
 class TestFieldForms:
