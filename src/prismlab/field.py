@@ -303,7 +303,9 @@ class FieldElement:
 
     @property
     def coords(self) -> tuple:
-        """The pi-power coordinates as Fractions in lowest terms."""
+        """The pi-power coordinates as Fractions in lowest terms. The JSON
+        I/O boundary does not read it: serialize encodes from the integer
+        numerators and denominator, one gcd per coordinate."""
         den = self._den
         return tuple([Fraction(n, den) for n in self._num])
 

@@ -7,11 +7,13 @@ JSON integers, everything else as "num/den" strings.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
-from typing import Any, List, Optional
+from math import gcd, lcm
+from typing import Any, List, Optional, Tuple
 
 from .errors import InputFormatError
-from .field import FieldElement, FieldSpec, Valuation
+from .field import FieldElement, FieldSpec, Valuation, _make
 from .galois import GaloisKernel
 from .linalg import Matrix
 from .series import TruncSeries
@@ -19,7 +21,17 @@ from .strat import LogConnection, Stratification, first_off_recurrence
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    except ValueError as exc:
+        raise _too_many_digits() from exc
+
+
+def _too_many_digits() -> InputFormatError:
+    """The error for an output integer with more digits than Python
+    converts to text (sys.get_int_max_str_digits)."""
+    return InputFormatError(f"an output integer has more than "
+                            f"{sys.get_int_max_str_digits()} digits")
 
 
 def encode_rational(r) -> Any:
@@ -29,21 +41,31 @@ def encode_rational(r) -> Any:
     return f"{r.numerator}/{r.denominator}"
 
 
-def parse_rational(x) -> Fraction:
+def _rational_pair(x) -> Tuple[int, int]:
+    """The JSON coordinate x as (num, den) with den > 0, not reduced: an
+    int, or a string "n" or "n/d" with a signed d, as int() reads n and d."""
+    if type(x) is int:
+        return x, 1
+    if isinstance(x, str):
+        num, slash, den = x.partition("/")
+        try:
+            n, d = int(num.strip()), (int(den.strip()) if slash else 1)
+        except ValueError:
+            d = 0
+        if d > 0:
+            return n, d
+        if d:
+            return -n, -d
+        raise InputFormatError(f"bad rational {x!r}")
     if isinstance(x, bool):
         raise InputFormatError(f"expected a rational, got {x!r}")
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        # accept a signed denominator, which Fraction's parser does not
-        try:
-            if "/" in x:
-                num, den = x.split("/", 1)
-                return Fraction(int(num.strip()), int(den.strip()))
-            return Fraction(int(x.strip()))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputFormatError(f"bad rational {x!r}") from exc
+        return int(x), 1
     raise InputFormatError(f"expected a rational, got {type(x).__name__}")
+
+
+def parse_rational(x) -> Fraction:
+    return Fraction(*_rational_pair(x))
 
 
 def encode_field(spec: FieldSpec) -> dict:
@@ -54,14 +76,14 @@ def parse_field(obj) -> FieldSpec:
     if not isinstance(obj, dict) or "p" not in obj or "E" not in obj:
         raise InputFormatError("field spec needs keys p and E")
     p, E = obj["p"], obj["E"]
-    if not isinstance(p, int) or not isinstance(E, list):
+    if type(p) is not int or not isinstance(E, list):
         raise InputFormatError("field spec: p must be an integer, E a list")
     coeffs = []
     for c in E:
-        r = parse_rational(c)
-        if r.denominator != 1:
+        n, d = _rational_pair(c)
+        if n % d:
             raise InputFormatError("E coefficients must be integers")
-        coeffs.append(int(r))
+        coeffs.append(n // d)
     try:
         return FieldSpec(p, coeffs)
     except ValueError as exc:
@@ -69,7 +91,18 @@ def parse_field(obj) -> FieldSpec:
 
 
 def encode_element(x: FieldElement) -> list:
-    return [encode_rational(c) for c in x.coords]
+    """The coordinates of x, each a bare int or "num/den" in lowest terms."""
+    den = x._den
+    if den == 1:
+        return list(x._num)
+    out = []
+    try:
+        for n in x._num:
+            g = gcd(n, den)
+            out.append(n // g if g == den else f"{n // g}/{den // g}")
+    except ValueError as exc:
+        raise _too_many_digits() from exc
+    return out
 
 
 def parse_element(spec: FieldSpec, arr) -> FieldElement:
@@ -77,7 +110,9 @@ def parse_element(spec: FieldSpec, arr) -> FieldElement:
         raise InputFormatError("field element must be a coordinate array")
     if len(arr) != spec.e:
         raise InputFormatError(f"expected {spec.e} coordinates, got {len(arr)}")
-    return spec.element([parse_rational(c) for c in arr])
+    pairs = [_rational_pair(c) for c in arr]
+    den = lcm(*[d for _, d in pairs])
+    return _make(spec, tuple([n * (den // d) for n, d in pairs]), den)
 
 
 def encode_valuation(v: Valuation) -> Any:

@@ -418,6 +418,20 @@ class TestFailurePaths:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("entry", [int("7" * 4000), "1/" + "7" * 4000],
+                             ids=["integer", "fraction"])
+    def test_output_integer_past_digit_limit_exits_two(self, entry):
+        # the input's integers convert, but phi_3 holds the entry's cube,
+        # past the 4,300 digits Python converts to text by default
+        conn = {"field": {"p": 3, "E": [-3, 1]}, "l": 1, "m": 1, "N": [[entry]]}
+        code, out, err = run_cli_stderr(["conn", "strat", "--D", "1"],
+                                        stdin_text=canonical_json(conn))
+        assert code == 0
+        code, out, err = run_cli_stderr(["conn", "strat", "--D", "3"],
+                                        stdin_text=canonical_json(conn))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_large_prime_accepted_and_beyond_bound_exits_two(self):
         p = 100000000000031
         code, out = run_cli(["field", "check"], stdin_text=json.dumps({"p": p, "E": [-p, 1]}))

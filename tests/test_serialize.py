@@ -18,7 +18,7 @@ from prismlab.serialize import (canonical_json, encode_connection,
 from prismlab.series import TruncSeries
 from prismlab.strat import LogConnection, from_connection
 
-from conftest import FOUR_FIELDS
+from conftest import FOUR_FIELDS, count_calls
 from test_strat import random_connection
 
 
@@ -131,6 +131,13 @@ class TestFieldForms:
             parse_field({"p": 4, "E": [-4, 1]})
         with pytest.raises(InputFormatError):
             parse_field({"p": 3, "E": ["1/2", 1]})
+
+    def test_boolean_p_rejected(self):
+        # True would pass for 1 and be reported as "p = True is not prime"
+        for p in (True, False, 3.0, "3"):
+            with pytest.raises(InputFormatError) as exc:
+                parse_field({"p": p, "E": [-3, 1]})
+            assert str(exc.value) == "field spec: p must be an integer, E a list"
 
     def test_element_round_trip(self, rng, q3s):
         from conftest import random_element
@@ -262,6 +269,27 @@ class TestKernelForms:
             bad["A"][n][1][0] = encode_element(k.A[n][1, 0] + 1)
             with pytest.raises(InputFormatError, match=f"A_{n} "):
                 parse_kernel(bad)
+
+
+class TestNoFractions:
+    def test_io_boundary_builds_no_fraction(self, monkeypatch, rng, q3s, cubic3):
+        """Parsing and re-encoding a connection, a stratification and a
+        kernel stays on integer pairs: no Fraction is built."""
+        objs = []
+        for spec in (q3s, cubic3):
+            M = random_connection(rng, spec, 2, 2)
+            objs += [(parse_connection, encode_connection(M)),
+                     (parse_stratification,
+                      encode_stratification(from_connection(M, spec.a_prism(), 3))),
+                     (parse_kernel, encode_kernel(action_kernel(M, spec.a_log(), 3)))]
+        texts = [(parse, canonical_json(obj)) for parse, obj in objs]
+        encoders = {parse_connection: encode_connection,
+                    parse_stratification: encode_stratification, parse_kernel: encode_kernel}
+        calls = count_calls(monkeypatch, [(Fraction, "__new__")])
+        for parse, text in texts:
+            out = canonical_json(encoders[parse](parse(json.loads(text))))
+            assert out == text
+        assert calls == {"__new__": 0}
 
 
 class TestDeterminism:
