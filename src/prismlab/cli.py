@@ -275,73 +275,91 @@ def _add_input(p, name="file"):
 
 
 class _Parser(argparse.ArgumentParser):
-    """A usage error is bad input: main reports it in one error: line."""
+    """A usage error is bad input: main reports it in one error: line.
+    commands maps each subcommand's name to its parser, and command_dest
+    names the attribute that holds the chosen one, for main's walk."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.commands = {}
+        self.command_dest = None
 
     def error(self, message):
         raise InputFormatError(message)
+
+    def subcommands(self, dest):
+        """A function that adds one subcommand and records its parser."""
+        action = self.add_subparsers(dest=dest)
+        self.command_dest = dest
+
+        def add(name, **kwargs):
+            parser = self.commands[name] = action.add_parser(name, **kwargs)
+            return parser
+        return add
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on first use and shared: parse_args returns a
-    fresh namespace each call and leaves the parser unchanged."""
+    fresh namespace each call and leaves the parser unchanged. Each node
+    records its subcommands' parsers, which carry their own prog."""
     parser = _Parser(prog="prismlab")
-    top = parser.add_subparsers(dest="group")
+    top = parser.subcommands("group")
 
-    field = top.add_parser("field").add_subparsers(dest="op")
-    p = field.add_parser("check", help="validate a field description")
+    field = top("field").subcommands("op")
+    p = field("check", help="validate a field description")
     _add_input(p)
 
-    conn = top.add_parser("conn").add_subparsers(dest="op")
-    p = conn.add_parser("new", help="validate and canonicalize a connection")
+    conn = top("conn").subcommands("op")
+    p = conn("new", help="validate and canonicalize a connection")
     _add_input(p)
-    p = conn.add_parser("tensor")
+    p = conn("tensor")
     p.add_argument("files", nargs="+")
-    p = conn.add_parser("dual")
+    p = conn("dual")
     _add_input(p)
-    p = conn.add_parser("twist")
+    p = conn("twist")
     p.add_argument("--n", type=int, required=True)
     _add_input(p)
-    p = conn.add_parser("change-unif")
+    p = conn("change-unif")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--lambda-F", dest="lambda_F", type=int)
     group.add_argument("--y", help="series file for the new coordinate")
     _add_input(p)
-    p = conn.add_parser("strat")
+    p = conn("strat")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--a", choices=["prism", "log"], default="prism")
     _add_input(p)
-    p = conn.add_parser("cohomology")
+    p = conn("cohomology")
     p.add_argument("--bases", action="store_true")
     _add_input(p)
-    p = conn.add_parser("classify")
+    p = conn("classify")
     _add_input(p)
-    p = conn.add_parser("nilpotent")
+    p = conn("nilpotent")
     p.add_argument("--a", choices=["prism", "log"], default="prism")
     _add_input(p)
-    p = conn.add_parser("galois-kernel")
+    p = conn("galois-kernel")
     p.add_argument("--D", type=int, default=6)
     p.add_argument("--a", choices=["prism", "log"], default="prism")
     p.add_argument("--tau", type=int, default=None)
     p.add_argument("--variant", choices=["K", "Kpi1"], default=None)
     _add_input(p)
-    p = conn.add_parser("converges")
+    p = conn("converges")
     p.add_argument("--v0", required=True)
     _add_input(p)
 
-    strat = top.add_parser("strat").add_subparsers(dest="op")
-    p = strat.add_parser("check-cocycle")
+    strat = top("strat").subcommands("op")
+    p = strat("check-cocycle")
     _add_input(p)
-    p = strat.add_parser("to-conn")
+    p = strat("to-conn")
     _add_input(p)
 
-    verify = top.add_parser("verify").add_subparsers(dest="op")
-    p = verify.add_parser("key-lemma")
+    verify = top("verify").subcommands("op")
+    p = verify("key-lemma")
     p.add_argument("--n-max", dest="n_max", type=int, required=True)
     _add_input(p)
 
-    examples = top.add_parser("examples").add_subparsers(dest="op")
-    p = examples.add_parser("bk-twist")
+    examples = top("examples").subcommands("op")
+    p = examples("bk-twist")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--field", required=True)
@@ -351,7 +369,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        # descend the command tree along argv's leading subcommand names,
+        # then parse the rest once, with the parser reached
+        parser, chosen = build_parser(), {}
+        for name in argv:
+            if name not in parser.commands:
+                break
+            chosen[parser.command_dest] = name
+            parser = parser.commands[name]
+        rest = argv[len(chosen):]
+        if parser.commands and rest and not rest[0].startswith("-"):
+            what = (f"subcommand {rest[0]!r} of {argv[len(chosen) - 1]}" if chosen
+                    else f"command {rest[0]!r}")
+            raise InputFormatError(f"unknown {what}; {parser.prog} -h lists them")
+        args = parser.parse_args(rest)
+        vars(args).update(chosen)
         if getattr(args, "op", None) is None:
             raise InputFormatError(f"missing subcommand of {args.group}; "
                                    f"prismlab {args.group} -h lists them" if args.group

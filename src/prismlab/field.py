@@ -413,10 +413,12 @@ class FieldElement:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.spec.from_rational(other)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
+        # an element first: isinstance against the Fraction ABC is slow
+        if type(other) is not FieldElement:
+            if isinstance(other, (int, Fraction)):
+                other = self.spec.from_rational(other)
+            elif not isinstance(other, FieldElement):
+                return NotImplemented
         return (self._num == other._num and self._den == other._den
                 and (self.spec is other.spec or self.spec == other.spec))
 

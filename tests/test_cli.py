@@ -4,11 +4,13 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prismlab import cli
 from prismlab.cli import _read_json, build_parser, main as cli_main
@@ -20,7 +22,7 @@ from prismlab.serialize import (canonical_json, encode_connection, encode_elemen
 from prismlab.series import TruncSeries
 from prismlab.strat import LogConnection, from_connection
 
-from conftest import random_element, random_rational
+from conftest import count_calls, random_element, random_rational
 from test_connops import constant_conn
 from test_strat import random_connection
 
@@ -65,6 +67,13 @@ USAGE_ERRORS = {
     "tensor-without-files": ["conn", "tensor"],
     "bare-group": ["conn"],
     "empty": [],
+}
+
+# the line main prints for a name that is no command of the parser reached
+UNKNOWN_COMMANDS = {
+    ("conn", "frobnicate"):
+        "error: unknown subcommand 'frobnicate' of conn; prismlab conn -h lists them\n",
+    ("frobnicate",): "error: unknown command 'frobnicate'; prismlab -h lists them\n",
 }
 
 
@@ -454,6 +463,8 @@ class TestFailurePaths:
             assert (code, out) == (2, ""), name
             assert err.startswith("error: ") and err.count("\n") == 1, name
         assert "subcommand of conn" in run_cli_stderr(["conn"])[2]
+        for argv, line in UNKNOWN_COMMANDS.items():
+            assert run_cli_stderr(list(argv)) == (2, "", line)
 
     def test_help_unchanged(self):
         # -h prints help to stdout and exits 0, as argparse does
@@ -479,6 +490,15 @@ class TestParser:
         # and no handler is orphaned
         assert set(names) == {name for name in vars(cli) if name.startswith("cmd_")}
 
+    def test_recorded_tree_is_argparse_tree(self):
+        """main walks the commands each parser recorded as it was built:
+        they are argparse's own subparsers, node for node."""
+        def check(parser):
+            assert parser.commands == _subcommands(parser)
+            for sub in parser.commands.values():
+                check(sub)
+        check(build_parser())
+
     def test_parser_built_once(self):
         assert build_parser() is build_parser()
 
@@ -497,6 +517,141 @@ class TestParser:
             alone.append(run_cli_stderr(argv, conn_json))
         assert together == alone
         assert together[0][0] == 0 and together[0][1] != together[1][1]
+
+
+# a valid argv of each leaf; the dispatch tests stub the handlers, so no
+# file is read
+LEAF_ARGVS = (
+    ["field", "check", "f.json"],
+    ["conn", "new", "-"],
+    ["conn", "tensor", "a.json", "b.json"],
+    ["conn", "dual"],
+    ["conn", "twist", "--n", "2", "-"],
+    ["conn", "change-unif", "--lambda-F", "1"],
+    ["conn", "strat", "--D", "2", "--a", "log", "-"],
+    ["conn", "cohomology", "--bases"],
+    ["conn", "classify", "c.json"],
+    ["conn", "nilpotent", "--a", "prism"],
+    ["conn", "galois-kernel", "--D", "3", "--tau", "1", "--variant", "Kpi1"],
+    ["conn", "converges", "--v0", "1/2", "k.json"],
+    ["strat", "check-cocycle"],
+    ["strat", "to-conn", "-"],
+    ["verify", "key-lemma", "--n-max", "2"],
+    ["examples", "bk-twist", "--n", "-1", "--m", "3", "--field", "f.json"],
+)
+# tokens the differential test inserts: help, the end of options, a
+# negative number, unknown flags and flag prefixes, values and names
+MUTATION_TOKENS = ("-h", "--help", "--", "-1", "--bogus", "--lam", "--D", "--n", "--a",
+                   "--ba", "--v", "--ta", "--field", "-", "2", "conn", "strat", "field",
+                   "check", "new", "twist", "frobnicate")
+HANDLERS = tuple(name for name in vars(cli) if name.startswith("cmd_"))
+
+
+def whole_tree_main(argv):
+    """main's dispatch by one parse of argv through the whole parser tree,
+    argparse recursing into a subparser per level: the reference."""
+    try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "op", None) is None:
+            raise InputFormatError(f"missing subcommand of {args.group}; "
+                                   f"prismlab {args.group} -h lists them" if args.group
+                                   else "missing command; prismlab -h lists them")
+        return getattr(cli, f"cmd_{args.group}_{args.op}".replace("-", "_"))(args)
+    except InputFormatError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
+
+
+def dispatch_outcome(run, argv):
+    """(exit code, stdout, stderr, the namespaces handed to a handler) of
+    run(argv), with every cmd_* handler stubbed to record its namespace."""
+    seen = []
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in HANDLERS:
+            mp.setattr(cli, name, lambda args: seen.append(dict(vars(args))) or 0)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run(list(argv))
+            except SystemExit as exc:  # --help
+                code = exc.code
+    return code, out.getvalue(), err.getvalue(), seen
+
+
+def expected_dispatch(argv):
+    """The reference's outcome, except where it reports argparse's invalid
+    choice for a leading name that is no command: main's own line then."""
+    reference = dispatch_outcome(whole_tree_main, argv)
+    bad = re.match(r"error: argument (group|op): invalid choice: (.*?) \(choose from ",
+                   reference[2])
+    if bad is None:
+        return reference
+    # the name argparse refused is argv[0] (group) or argv[1] after a group
+    at = 0 if bad[1] == "group" else 1
+    if (repr(argv[at]) != bad[2] or argv[at].startswith("-")
+            or (at and argv[0] not in build_parser().commands)):
+        return reference
+    line = (f"error: unknown subcommand {argv[1]!r} of {argv[0]}; "
+            f"prismlab {argv[0]} -h lists them\n" if at
+            else f"error: unknown command {argv[0]!r}; prismlab -h lists them\n")
+    return 2, "", line, []
+
+
+@st.composite
+def mutated_argvs(draw):
+    """A leaf's valid argv after one to three token inserts, deletes or swaps."""
+    argv = list(draw(st.sampled_from(LEAF_ARGVS)))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("insert", "delete", "swap")))
+        i = draw(st.integers(0, len(argv)))
+        if kind == "insert":
+            argv.insert(i, draw(st.sampled_from(MUTATION_TOKENS)))
+        elif argv:
+            i %= len(argv)
+            if kind == "delete":
+                del argv[i]
+            else:
+                j = draw(st.integers(0, len(argv) - 1))
+                argv[i], argv[j] = argv[j], argv[i]
+    return argv
+
+
+class TestDispatch:
+    """main walks argv's leading subcommand names down the tree and parses
+    the rest once, with the parser it reached."""
+
+    def assert_like_whole_tree(self, argv):
+        got = dispatch_outcome(cli_main, argv)
+        assert got == expected_dispatch(argv), argv
+        code, out, err, _ = got
+        assert code in (0, 2), argv
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+            assert "Traceback" not in err
+
+    def test_leaf_argvs_cover_the_tree(self):
+        tree = build_parser().commands
+        assert ({tuple(argv[:2]) for argv in LEAF_ARGVS}
+                == {(group, op) for group, sub in tree.items() for op in sub.commands})
+
+    @pytest.mark.parametrize("argv", [
+        *LEAF_ARGVS, [], ["-h"], ["conn"], ["conn", "-h"], ["frobnicate"],
+        ["conn", "frobnicate"], ["frobnicate", "-h"], ["conn", "-1"], ["-1"], ["--", "conn"],
+        ["conn", "--", "strat"], ["--bogus", "conn", "conn"], ["conn", "strat", "--he"],
+    ], ids=" ".join)
+    def test_fixed_argvs(self, argv):
+        self.assert_like_whole_tree(argv)
+
+    @settings(max_examples=250, deadline=None)
+    @given(mutated_argvs())
+    def test_mutated_argvs(self, argv):
+        self.assert_like_whole_tree(argv)
+
+    def test_one_parse_per_call(self, monkeypatch, q3):
+        conn_json = canonical_json(encode_connection(constant_conn(q3, 1, [[2]])))
+        calls = count_calls(monkeypatch, [(argparse.ArgumentParser, "_parse_known_args")])
+        assert run_cli(["conn", "strat", "--D", "2", "-"], conn_json)[0] == 0
+        assert calls == {"_parse_known_args": 1}
 
 
 class TestSession:
@@ -536,6 +691,19 @@ class TestOptimizedMode:
             proc = self.both(*bad_flag_input(name, q3_field_file, q3))
             assert proc.returncode == 2 and proc.stdout == b""
             assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+
+    def test_dispatch(self, q3):
+        """Help, both unknown-command lines and a leaf command: the walk
+        down the command tree runs no assert-guarded code."""
+        conn_json = canonical_json(encode_connection(constant_conn(q3, 1, [[2]])))
+        for argv, stdin_text, code in ((["conn", "strat", "-h"], "", 0),
+                                       (["conn", "frobnicate"], "", 2),
+                                       (["frobnicate"], "", 2),
+                                       (["conn", "strat", "--D", "2"], conn_json, 0)):
+            proc = self.both(argv, stdin_text)
+            assert proc.returncode == code
+            if tuple(argv) in UNKNOWN_COMMANDS:
+                assert proc.stderr == UNKNOWN_COMMANDS[tuple(argv)].encode()
 
     def test_huge_integer_literal(self):
         proc = self.both(["field", "check"], HUGE_LITERAL_FIELD)

@@ -231,6 +231,38 @@ class TestRingAxioms:
             assert acc.is_zero()
 
 
+def _q3s(coords, spec=FOUR_FIELDS[1]):
+    return spec.element(coords)
+
+
+# (left, right, left == right): elements against elements of the same field,
+# of an equal field built apart and of another field, and against ints,
+# bools, Fractions, floats and non-numbers
+EQUALITY_CASES = {
+    "same-element": (_q3s([1, 2]), _q3s([1, 2]), True),
+    "other-element": (_q3s([1, 2]), _q3s([1, 3]), False),
+    "equal-field-built-apart": (_q3s([0, 1]), _q3s([0, 1], FieldSpec(3, [-3, 0, 1])), True),
+    "other-field": (_q3s([1]), FOUR_FIELDS[0].one(), False),
+    "int": (_q3s([3]), 3, True),
+    "int-other": (_q3s([3, 1]), 3, False),
+    "bool": (_q3s([1]), True, True),
+    "fraction": (_q3s(["1/2"]), Fraction(1, 2), True),
+    "fraction-other": (_q3s(["1/2"]), Fraction(1, 3), False),
+    "float": (_q3s([1]), 1.0, False),
+    "string": (_q3s([1]), "1", False),
+    "none": (_q3s([0]), None, False),
+    "list": (_q3s([1, 2]), [1, 2], False),
+}
+
+
+class TestEquality:
+    @pytest.mark.parametrize("case", EQUALITY_CASES)
+    def test_operand_kinds(self, case):
+        left, right, equal = EQUALITY_CASES[case]
+        assert (left == right, left != right) == (equal, not equal)
+        assert (right == left, right != left) == (equal, not equal)
+
+
 class TestDerivAtPi:
     def test_linear(self, q3):
         assert q3.eval_deriv_at_pi() == q3.one()
