@@ -2,27 +2,29 @@
 
 Subcommands read JSON objects (file argument, or standard input when the
 argument is omitted or "-") and write one canonical JSON report to standard
-output. Exit codes: 0 success/pass, 1 mathematical failure (a check that
-ran and found a violation), 2 malformed input or usage error.
+output. Each cmd_* handler returns its report; main writes it and picks
+the exit code: 0 success/pass, 1 mathematical failure (a report whose
+status is "fail"), 2 malformed input or usage error.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import re
 import sys
 from typing import Optional
 
 from . import connops
 from .errors import (InputFormatError, LeibnizViolation, NotAStratification,
                      PrismlabError)
-from .field import FieldSpec, Valuation
+from .field import FieldSpec
 from .galois import GaloisElementData, action_kernel, converges_at, tau_power_kernel
 from .serialize import (canonical_json, encode_connection, encode_element,
                         encode_field, encode_kernel, encode_stratification,
                         encode_verdict,
                         parse_connection, parse_field, parse_kernel,
-                        parse_rational, parse_series, parse_stratification)
+                        parse_series, parse_stratification, parse_valuation)
 from .strat import (LogConnection, check_cocycle, check_leibniz,
                     first_off_recurrence, from_connection, to_connection,
                     verify_key_lemma)
@@ -71,7 +73,7 @@ def _lenient_connection(obj) -> LogConnection:
         m, N = obj.get("m"), obj.get("N")
         E = obj["field"].get("E") if isinstance(obj.get("field"), dict) else None
         # anything else makes parse_connection fail before it reads a cell
-        if (type(m) is int and isinstance(N, list) and isinstance(E, list)
+        if (type(m) is int and m >= 1 and isinstance(N, list) and isinstance(E, list)
                 and all(isinstance(row, list) for row in N)):
             obj["N"] = [[_series_object(cell, unif, m, len(E) - 1) for cell in row]
                         for row in N]
@@ -83,6 +85,8 @@ def _series_object(cell, unif, m: int, e: int):
         return cell
     coeffs = [c if isinstance(c, list) else [c] + [0] * (e - 1)
               for c in (cell if isinstance(cell, list) else [cell])]
+    if m > sys.maxsize:  # longer than any list
+        raise InputFormatError(f"cannot pad a shorthand cell to m = {m} coefficients")
     return {"unif": unif, "m": m, "coeffs": coeffs + [[0] * e] * (m - len(coeffs))}
 
 
@@ -114,18 +118,15 @@ def _scalar_choice(spec: FieldSpec, name: str):
     return spec.a_log() if name == "log" else spec.a_prism()
 
 
-def cmd_field_check(args) -> int:
-    spec = _field_from(_read_json(args.file))
-    _emit(encode_field(spec))
-    return 0
+def cmd_field_check(args) -> dict:
+    return encode_field(_field_from(_read_json(args.file)))
 
 
-def cmd_conn_new(args) -> int:
-    _emit(encode_connection(_lenient_connection(_read_json(args.file))))
-    return 0
+def cmd_conn_new(args) -> dict:
+    return encode_connection(_lenient_connection(_read_json(args.file)))
 
 
-def cmd_conn_tensor(args) -> int:
+def cmd_conn_tensor(args) -> dict:
     if len(args.files) == 2:
         left = _lenient_connection(_read_json(args.files[0]))
         right = _lenient_connection(_read_json(args.files[1]))
@@ -134,58 +135,49 @@ def cmd_conn_tensor(args) -> int:
         right = _lenient_connection(_read_json(args.files[0]))
     else:
         raise InputFormatError("tensor takes one or two connection files")
-    _emit(encode_connection(connops.tensor(left, right)))
-    return 0
+    return encode_connection(connops.tensor(left, right))
 
 
-def cmd_conn_dual(args) -> int:
-    _emit(encode_connection(connops.dual(_lenient_connection(_read_json(args.file)))))
-    return 0
+def cmd_conn_dual(args) -> dict:
+    return encode_connection(connops.dual(_lenient_connection(_read_json(args.file))))
 
 
-def cmd_conn_twist(args) -> int:
+def cmd_conn_twist(args) -> dict:
     M = _lenient_connection(_read_json(args.file))
-    _emit(encode_connection(connops.bk_twist(M, args.n)))
-    return 0
+    return encode_connection(connops.bk_twist(M, args.n))
 
 
-def cmd_conn_change_unif(args) -> int:
+def cmd_conn_change_unif(args) -> dict:
     M = _lenient_connection(_read_json(args.file))
     if args.lambda_F is not None:
         _require_at_least("--lambda-F", args.lambda_F, 0)
-        moved = connops.kummer_sen_operator(M, args.lambda_F)
-    else:
-        y = parse_series(M.spec, _read_json(args.y))
-        moved = connops.change_uniformizer(M, y)
-    _emit(encode_connection(moved))
-    return 0
+        return encode_connection(connops.kummer_sen_operator(M, args.lambda_F))
+    y = parse_series(M.spec, _read_json(args.y))
+    return encode_connection(connops.change_uniformizer(M, y))
 
 
-def cmd_conn_strat(args) -> int:
+def cmd_conn_strat(args) -> dict:
     _require_at_least("--D", args.D, 0)
     M = _lenient_connection(_read_json(args.file))
     a = _scalar_choice(M.spec, args.a)
-    _emit(encode_stratification(from_connection(M, a, args.D)))
-    return 0
+    return encode_stratification(from_connection(M, a, args.D))
 
 
-def cmd_strat_check_cocycle(args) -> int:
+def cmd_strat_check_cocycle(args) -> dict:
     st = parse_stratification(_read_json(args.file))
     rep = check_cocycle(st)
     if rep["ok"]:
-        _emit({"status": "pass"})
-        return 0
+        return {"status": "pass"}
     lb = check_leibniz(st)
     out = {"status": "fail", "degeneracy_ok": rep["degeneracy_ok"]}
     if not lb["ok"]:
         out["leibniz_witness"] = lb["witness"]
     if rep["witness"] is not None:
         out["witness"] = rep["witness"]
-    _emit(out)
-    return 1
+    return out
 
 
-def cmd_strat_to_conn(args) -> int:
+def cmd_strat_to_conn(args) -> dict:
     st = parse_stratification(_read_json(args.file))
     M = to_connection(st)
     # to_connection reads phi_0 and phi_1 only: the rest must follow from them
@@ -193,11 +185,10 @@ def cmd_strat_to_conn(args) -> int:
     if bad is not None:
         raise NotAStratification(
             f"operator phi_{bad} breaks phi_(n+1) = (phi_1 - n*a) phi_n")
-    _emit(encode_connection(M))
-    return 0
+    return encode_connection(M)
 
 
-def cmd_verify_key_lemma(args) -> int:
+def cmd_verify_key_lemma(args) -> dict:
     _require_at_least("--n-max", args.n_max, 0)
     st = parse_stratification(_read_json(args.file))
     D_eff = st.D - args.n_max
@@ -205,37 +196,30 @@ def cmd_verify_key_lemma(args) -> int:
         raise InputFormatError(f"stratification only reaches pd-degree {st.D}, "
                                f"cannot verify n-max {args.n_max}")
     rep = verify_key_lemma(st.phi, st.a, args.n_max, D_eff)
-    if rep["ok"]:
-        _emit({"status": "pass"})
-        return 0
-    _emit({"status": "fail", "witness": rep["witness"]})
-    return 1
+    return {"status": "pass"} if rep["ok"] else {"status": "fail", "witness": rep["witness"]}
 
 
-def cmd_conn_cohomology(args) -> int:
+def cmd_conn_cohomology(args) -> dict:
     rep = connops.cohomology(_lenient_connection(_read_json(args.file)))
     out = {"h0": rep["h0"], "h1": rep["h1"]}
     if args.bases:
         out["h0_basis"] = [[encode_element(x) for x in v] for v in rep["h0_basis"]]
         out["h1_representatives"] = rep["h1_representatives"]
-    _emit(out)
-    return 0
+    return out
 
 
-def cmd_conn_classify(args) -> int:
+def cmd_conn_classify(args) -> dict:
     rep = connops.classify_ndR(_lenient_connection(_read_json(args.file)))
-    _emit({"nearly_dR": rep["nearly_dR"], "log_nearly_dR": rep["log_nearly_dR"]})
-    return 0
+    return {"nearly_dR": rep["nearly_dR"], "log_nearly_dR": rep["log_nearly_dR"]}
 
 
-def cmd_conn_nilpotent(args) -> int:
+def cmd_conn_nilpotent(args) -> dict:
     M = _lenient_connection(_read_json(args.file))
     rep = connops.check_nilpotent(M, _scalar_choice(M.spec, args.a))
-    _emit({"status": rep["status"]})
-    return 0
+    return {"status": rep["status"]}
 
 
-def cmd_conn_galois_kernel(args) -> int:
+def cmd_conn_galois_kernel(args) -> dict:
     _require_at_least("--D", args.D, 0)
     if args.variant is not None and args.tau is None:
         raise InputFormatError("--variant needs --tau")
@@ -247,30 +231,23 @@ def cmd_conn_galois_kernel(args) -> int:
         kernel = tau_power_kernel(M, args.tau, variant, a=a, D=args.D)
     else:
         kernel = action_kernel(M, a, args.D)
-    _emit(encode_kernel(kernel))
-    return 0
+    return encode_kernel(kernel)
 
 
-def cmd_conn_converges(args) -> int:
+def cmd_conn_converges(args) -> dict:
     kernel = parse_kernel(_read_json(args.file))
-    if args.v0 == "inf":
-        g = GaloisElementData(Valuation.infinity())
-    else:
-        g = GaloisElementData(parse_rational(args.v0))
-    _emit(encode_verdict(converges_at(kernel, g)))
-    return 0
+    g = GaloisElementData(parse_valuation(args.v0))
+    return encode_verdict(converges_at(kernel, g))
 
 
-def cmd_examples_bk_twist(args) -> int:
+def cmd_examples_bk_twist(args) -> dict:
     _require_at_least("--m", args.m, 1)
     spec = _field_from(_read_json(args.field))
-    M = connops.bk_twist(LogConnection.trivial(spec, 1, args.m), args.n)
-    _emit(encode_connection(M))
-    return 0
+    return encode_connection(connops.bk_twist(LogConnection.trivial(spec, 1, args.m), args.n))
 
 
-def _add_input(p, name="file"):
-    p.add_argument(name, nargs="?", default=None,
+def _add_input(p):
+    p.add_argument("file", nargs="?", default=None,
                    help="input file; omit or use - for standard input")
 
 
@@ -367,7 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a token argparse reads as a positional although it starts with "-"
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
 def main(argv=None) -> int:
+    """Run the command argv names and write its report: the only write to
+    standard output. Bad input is one error: line on standard error."""
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
         # descend the command tree along argv's leading subcommand names,
@@ -379,7 +362,8 @@ def main(argv=None) -> int:
             chosen[parser.command_dest] = name
             parser = parser.commands[name]
         rest = argv[len(chosen):]
-        if parser.commands and rest and not rest[0].startswith("-"):
+        if parser.commands and rest and (not rest[0].startswith("-")
+                                         or _NEGATIVE_NUMBER.match(rest[0])):
             what = (f"subcommand {rest[0]!r} of {argv[len(chosen) - 1]}" if chosen
                     else f"command {rest[0]!r}")
             raise InputFormatError(f"unknown {what}; {parser.prog} -h lists them")
@@ -389,11 +373,13 @@ def main(argv=None) -> int:
             raise InputFormatError(f"missing subcommand of {args.group}; "
                                    f"prismlab {args.group} -h lists them" if args.group
                                    else "missing command; prismlab -h lists them")
-        # looked up per call, so a handler rebound in this module is the one run
-        return globals()[f"cmd_{args.group}_{args.op}".replace("-", "_")](args)
-    except (NotAStratification, LeibnizViolation) as exc:
-        _emit({"status": "fail", "error": str(exc)})
-        return 1
+        try:
+            # looked up per call, so a handler rebound in this module is the one run
+            report = globals()[f"cmd_{args.group}_{args.op}".replace("-", "_")](args)
+        except (NotAStratification, LeibnizViolation) as exc:
+            report = {"status": "fail", "error": str(exc)}
+        _emit(report)
+        return 1 if report.get("status") == "fail" else 0
     except (PrismlabError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

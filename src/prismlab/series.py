@@ -163,10 +163,6 @@ class TruncSeries:
         out = [self.coeffs[k + 1] * (k + 1) for k in range(self.m - 1)]
         return TruncSeries._trusted(self.spec, self.m, (*out, self.spec.zero()), self.unif)
 
-    def t_log_derivative(self) -> "TruncSeries":
-        return TruncSeries._trusted(self.spec, self.m,
-                                    tuple([c * k for k, c in enumerate(self.coeffs)]), self.unif)
-
     def shift_down(self) -> "TruncSeries":
         """Divide by T; requires vanishing constant term. Top degree is lost."""
         if not self.coeffs[0].is_zero():

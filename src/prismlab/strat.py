@@ -45,11 +45,6 @@ class LogConnection:
         z = TruncSeries.zero(spec, m, unif)
         return cls(spec, unif, l, m, [[z for _ in range(l)] for _ in range(l)])
 
-    @classmethod
-    def from_constant(cls, spec, m, c, unif="T"):
-        """Rank 1 with constant matrix entry c."""
-        return cls(spec, unif, 1, m, [[TruncSeries.constant(spec, m, c, unif)]])
-
     def size(self) -> int:
         return self.l * self.m
 

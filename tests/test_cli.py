@@ -1,9 +1,11 @@
 """Command line behaviour: pipelines, exit codes, deterministic bytes."""
 import argparse
+import ast
 import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -74,6 +76,11 @@ UNKNOWN_COMMANDS = {
     ("conn", "frobnicate"):
         "error: unknown subcommand 'frobnicate' of conn; prismlab conn -h lists them\n",
     ("frobnicate",): "error: unknown command 'frobnicate'; prismlab -h lists them\n",
+    # argparse reads a negative number as a positional, so as a name
+    ("conn", "-1"): "error: unknown subcommand '-1' of conn; prismlab conn -h lists them\n",
+    ("conn", "-.5"): "error: unknown subcommand '-.5' of conn; prismlab conn -h lists them\n",
+    ("-1",): "error: unknown command '-1'; prismlab -h lists them\n",
+    ("-1.5",): "error: unknown command '-1.5'; prismlab -h lists them\n",
 }
 
 
@@ -107,6 +114,9 @@ MALFORMED_CONNECTIONS = {
     "non-string-unif": lambda o: {**o, "unif": 5, "N": [[{**_cell(o), "unif": 5}]]},
     "boolean-l": lambda o: {**o, "l": True},
     "boolean-m": lambda o: {**o, "m": True},
+    # a shorthand cell is padded to m coefficients: no list is this long
+    "shorthand-m-past-maxsize": lambda o: {**o, "m": 2 ** 64, "N": [[1]]},
+    "shorthand-m-huge-negative": lambda o: {**o, "m": -10 ** 200, "N": [[1]]},
 }
 
 
@@ -499,6 +509,22 @@ class TestParser:
                 check(sub)
         check(build_parser())
 
+    def test_only_main_writes_a_report(self):
+        """Handlers return their reports: main alone calls _emit, and no
+        handler writes to a stream or returns an exit code."""
+        with open(cli.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        emitters = {f.name for f in functions for node in ast.walk(f)
+                    if isinstance(node, ast.Name) and node.id == "_emit"}
+        assert emitters == {"main"}
+        for f in functions:
+            if f.name.startswith("cmd_"):
+                words = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(f)}
+                assert not words & {"print", "stdout", "stderr"}, f.name
+                assert not [node for node in ast.walk(f) if isinstance(node, ast.Return)
+                            and isinstance(node.value, ast.Constant)], f.name
+
     def test_parser_built_once(self):
         assert build_parser() is build_parser()
 
@@ -541,7 +567,7 @@ LEAF_ARGVS = (
 )
 # tokens the differential test inserts: help, the end of options, a
 # negative number, unknown flags and flag prefixes, values and names
-MUTATION_TOKENS = ("-h", "--help", "--", "-1", "--bogus", "--lam", "--D", "--n", "--a",
+MUTATION_TOKENS = ("-h", "--help", "--", "-1", "-.5", "-x", "--bogus", "--lam", "--D", "--n", "--a",
                    "--ba", "--v", "--ta", "--field", "-", "2", "conn", "strat", "field",
                    "check", "new", "twist", "frobnicate")
 HANDLERS = tuple(name for name in vars(cli) if name.startswith("cmd_"))
@@ -556,7 +582,9 @@ def whole_tree_main(argv):
             raise InputFormatError(f"missing subcommand of {args.group}; "
                                    f"prismlab {args.group} -h lists them" if args.group
                                    else "missing command; prismlab -h lists them")
-        return getattr(cli, f"cmd_{args.group}_{args.op}".replace("-", "_"))(args)
+        report = getattr(cli, f"cmd_{args.group}_{args.op}".replace("-", "_"))(args)
+        sys.stdout.write(canonical_json(report) + "\n")
+        return 1 if report.get("status") == "fail" else 0
     except InputFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -569,7 +597,7 @@ def dispatch_outcome(run, argv):
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         for name in HANDLERS:
-            mp.setattr(cli, name, lambda args: seen.append(dict(vars(args))) or 0)
+            mp.setattr(cli, name, lambda args: seen.append(dict(vars(args))) or {})
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = run(list(argv))
@@ -580,7 +608,9 @@ def dispatch_outcome(run, argv):
 
 def expected_dispatch(argv):
     """The reference's outcome, except where it reports argparse's invalid
-    choice for a leading name that is no command: main's own line then."""
+    choice for a leading name that is no command: main's own line then.
+    Such a name is a token argparse reads as a positional: one that does
+    not start with "-", or a negative number."""
     reference = dispatch_outcome(whole_tree_main, argv)
     bad = re.match(r"error: argument (group|op): invalid choice: (.*?) \(choose from ",
                    reference[2])
@@ -588,7 +618,9 @@ def expected_dispatch(argv):
         return reference
     # the name argparse refused is argv[0] (group) or argv[1] after a group
     at = 0 if bad[1] == "group" else 1
-    if (repr(argv[at]) != bad[2] or argv[at].startswith("-")
+    name = argv[at]
+    if (repr(name) != bad[2]
+            or name.startswith("-") and not build_parser()._negative_number_matcher.match(name)
             or (at and argv[0] not in build_parser().commands)):
         return reference
     line = (f"error: unknown subcommand {argv[1]!r} of {argv[0]}; "
@@ -636,7 +668,8 @@ class TestDispatch:
 
     @pytest.mark.parametrize("argv", [
         *LEAF_ARGVS, [], ["-h"], ["conn"], ["conn", "-h"], ["frobnicate"],
-        ["conn", "frobnicate"], ["frobnicate", "-h"], ["conn", "-1"], ["-1"], ["--", "conn"],
+        ["conn", "frobnicate"], ["frobnicate", "-h"], ["conn", "-1"], ["-1"], ["-1.5"],
+        ["conn", "-.5"], ["-x"], ["conn", "--bogus"], ["-"], ["--", "conn"],
         ["conn", "--", "strat"], ["--bogus", "conn", "conn"], ["conn", "strat", "--he"],
     ], ids=" ".join)
     def test_fixed_argvs(self, argv):
@@ -647,11 +680,178 @@ class TestDispatch:
     def test_mutated_argvs(self, argv):
         self.assert_like_whole_tree(argv)
 
+    @pytest.mark.parametrize("token", ["-1", "-12", "-1.5", "-.5", "-1.", "-1e3", "-1_0",
+                                       "-", "--", "--1", "-x", "- 1", "-1\n"])
+    def test_negative_number_rule_is_argparses(self, token):
+        matcher = build_parser()._negative_number_matcher
+        assert bool(cli._NEGATIVE_NUMBER.match(token)) == bool(matcher.match(token))
+
     def test_one_parse_per_call(self, monkeypatch, q3):
         conn_json = canonical_json(encode_connection(constant_conn(q3, 1, [[2]])))
         calls = count_calls(monkeypatch, [(argparse.ArgumentParser, "_parse_known_args")])
         assert run_cli(["conn", "strat", "--D", "2", "-"], conn_json)[0] == 0
         assert calls == {"_parse_known_args": 1}
+
+
+# the leaves whose report may fail a mathematical check (exit 1)
+FAILING_LEAVES = {("strat", "check-cocycle"), ("strat", "to-conn"), ("verify", "key-lemma")}
+# values the input fuzz puts in place of a node; HUGE_LITERAL stands for an
+# integer literal over the interpreter's digit limit
+HUGE_LITERAL = "<integer literal over the digit limit>"
+SWAPS = ({}, [], [[]], "", "x", "1/0", 0, -1, None)
+FLOATS = (1.5, 1.0, -0.0, 1e308, float("nan"), float("inf"), float("-inf"))
+HUGE = (2 ** 64, 10 ** 200, -10 ** 200, HUGE_LITERAL)
+
+
+@pytest.fixture(scope="module")
+def json_leaves(tmp_path_factory, q3):
+    """(argv, a valid input read from standard input) for every leaf; conn
+    tensor and conn change-unif --y read their other input from a file."""
+    M = constant_conn(q3, 2, [[0, 2], [1, 0]])
+    field = encode_field(q3)
+    conn = encode_connection(M)
+    short = {"field": field, "l": 2, "m": 2, "N": [[0, [2, "1/3"]], [1, 0]]}
+    strat = encode_stratification(from_connection(M, q3.a_prism(), 3))
+    kernel = encode_kernel(action_kernel(constant_conn(q3, 1, [[Fraction(1, 3)]]),
+                                         q3.a_prism(), 2))
+    path = tmp_path_factory.mktemp("fuzz") / "conn.json"
+    path.write_text(canonical_json(conn))
+    return (
+        (["field", "check"], field), (["field", "check", "-"], {"field": field}),
+        (["conn", "new"], short), (["conn", "new", "-"], conn),
+        (["conn", "tensor", str(path)], short), (["conn", "dual"], conn),
+        (["conn", "twist", "--n", "1"], short),
+        (["conn", "change-unif", "--lambda-F", "1"],
+         encode_connection(constant_conn(q3, 2, [[0, 2], [1, 0]], unif="u-pi"))),
+        (["conn", "change-unif", "--y", "-", str(path)],
+         {"unif": "T", "m": 2, "coeffs": [[0], [1]]}),
+        (["conn", "strat", "--D", "2"], short), (["conn", "cohomology", "--bases"], conn),
+        (["conn", "classify"], short), (["conn", "nilpotent"], conn),
+        (["conn", "galois-kernel", "--D", "2"], short),
+        (["conn", "converges", "--v0", "1/2"], kernel),
+        (["strat", "check-cocycle"], strat), (["strat", "to-conn"], strat),
+        (["verify", "key-lemma", "--n-max", "1"], strat),
+        (["examples", "bk-twist", "--n", "1", "--m", "2", "--field", "-"], field),
+    )
+
+
+def _nodes(obj, path=()):
+    """The path of every node of a JSON value, the root's () first."""
+    yield path
+    items = (obj.items() if isinstance(obj, dict) else enumerate(obj)
+             if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _replaced(obj, path, value):
+    """A copy of obj with the node at path replaced by value."""
+    if not path:
+        return value
+    out = dict(obj) if isinstance(obj, dict) else list(obj)
+    out[path[0]] = _replaced(obj[path[0]], path[1:], value)
+    return out
+
+
+def mutated(obj, pick):
+    """obj after one mutation, each choice made by pick(options): a key
+    dropped, a node of another type or a float, a boolean or huge number for
+    an integer, or a list made ragged by dropping or repeating an element."""
+    paths = list(_nodes(obj))
+
+    def where(test):
+        return [p for p in paths if test(_at(obj, p))]
+    ints = where(lambda x: type(x) is int)
+    targets = {"swap": paths, "float": paths, "bool": ints, "huge": ints,
+               "drop": where(lambda x: isinstance(x, dict) and x),
+               "ragged": where(lambda x: isinstance(x, list) and x)}
+    kind = pick([kind for kind, found in targets.items() if found])
+    path = pick(targets[kind])
+    values = {"swap": SWAPS, "float": FLOATS, "bool": (True, False), "huge": HUGE}
+    if kind in values:
+        return _replaced(obj, path, pick(values[kind]))
+    node = _at(obj, path)
+    if kind == "drop":
+        key = pick(sorted(node))
+        return _replaced(obj, path, {k: v for k, v in node.items() if k != key})
+    i = pick(range(len(node)))
+    return _replaced(obj, path, node[:i] + node[i + 1:] if pick((True, False))
+                     else node + [node[i]])
+
+
+def input_text(obj):
+    """obj as JSON text; floats, NaN and infinities appear as raw text."""
+    return json.dumps(obj).replace(json.dumps(HUGE_LITERAL), "9" * 4400)
+
+
+def assert_input_contract(argv, code, out, err):
+    """Bad input is exit 2, one error: line and nothing on stdout; else one
+    report, which fails (exit 1) only where a mathematical check runs."""
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+        assert err.endswith("\n"), argv
+        return
+    assert err == "" and out.count("\n") == 1 and out.endswith("\n"), argv
+    failed = json.loads(out).get("status") == "fail"
+    assert code == (1 if failed else 0), argv
+    assert not failed or tuple(argv[:2]) in FAILING_LEAVES, argv
+
+
+# runs each [argv, text] case of standard input through cli.main, in one
+# process, and prints the [exit code, stdout, stderr] of each
+CASES_SCRIPT = """
+import io, json, sys
+from prismlab import cli
+outcomes = []
+for argv, text in json.load(sys.stdin):
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(text), io.StringIO(), io.StringIO()
+    code = cli.main(argv)
+    outcomes.append([code, sys.stdout.getvalue(), sys.stderr.getvalue()])
+sys.__stdout__.write(json.dumps(outcomes))
+"""
+
+
+class TestInputFuzz:
+    """Mutated JSON inputs: exit 2 with one error: line, or a report whose
+    status decides between exit 1 and 0; never a traceback."""
+
+    def test_leaves_cover_the_tree(self, json_leaves):
+        tree = build_parser().commands
+        assert ({tuple(argv[:2]) for argv, _ in json_leaves}
+                == {(group, op) for group, sub in tree.items() for op in sub.commands})
+
+    def test_valid_inputs_pass(self, json_leaves):
+        for argv, obj in json_leaves:
+            code, out, err = run_cli_stderr(argv, input_text(obj))
+            assert (code, err) == (0, ""), argv
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_inputs(self, json_leaves, data):
+        argv, obj = data.draw(st.sampled_from(json_leaves))
+        for _ in range(data.draw(st.integers(1, 2))):
+            obj = mutated(obj, lambda options: data.draw(st.sampled_from(options)))
+        assert_input_contract(argv, *run_cli_stderr(argv, input_text(obj)))
+
+    def test_fixed_sample_optimized(self, json_leaves):
+        """A fixed sample gives the same outcomes under python -O."""
+        rng = random.Random(20261019)
+        cases = []
+        for argv, obj in json_leaves * 12:
+            for _ in range(rng.randint(1, 2)):
+                obj = mutated(obj, rng.choice)
+            cases.append([argv, input_text(obj)])
+        proc = run_python(["-O", "-c", CASES_SCRIPT], json.dumps(cases))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        for (argv, text), got in zip(cases, json.loads(proc.stdout), strict=True):
+            assert got == list(run_cli_stderr(argv, text)), argv
+            assert_input_contract(argv, *got)
 
 
 class TestSession:
@@ -693,12 +893,12 @@ class TestOptimizedMode:
             assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
 
     def test_dispatch(self, q3):
-        """Help, both unknown-command lines and a leaf command: the walk
+        """Help, the unknown-command lines and a leaf command: the walk
         down the command tree runs no assert-guarded code."""
         conn_json = canonical_json(encode_connection(constant_conn(q3, 1, [[2]])))
         for argv, stdin_text, code in ((["conn", "strat", "-h"], "", 0),
                                        (["conn", "frobnicate"], "", 2),
-                                       (["frobnicate"], "", 2),
+                                       (["frobnicate"], "", 2), (["conn", "-1"], "", 2),
                                        (["conn", "strat", "--D", "2"], conn_json, 0)):
             proc = self.both(argv, stdin_text)
             assert proc.returncode == code

@@ -111,16 +111,6 @@ class TestDerivatives:
             # derivative only carries degrees < m - 1
             assert lhs.truncate(m - 1) == rhs.truncate(m - 1)
 
-    def test_log_derivative_leibniz_exact(self, q3s, rng):
-        m = 6
-        for _ in range(10):
-            f = random_series(rng, q3s, m)
-            g = random_series(rng, q3s, m)
-            assert (f * g).t_log_derivative() == f.t_log_derivative() * g + f * g.t_log_derivative()
-
-    def test_log_derivative_of_power(self, q3):
-        f = TruncSeries(q3, 5, [0, 0, 0, 7])
-        assert f.t_log_derivative() == TruncSeries(q3, 5, [0, 0, 0, 21])
 
 
 class TestComposition:

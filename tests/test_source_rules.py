@@ -6,13 +6,19 @@ divided-power reference, may keep its asserts because no other module of
 the library imports it: only the tests and the benchmark load it.
 Arithmetic stays exact, so no module writes a float literal or calls
 float() or round(). The runtime uses only the standard library, so every
-import is of a standard module or of prismlab itself.
+import is of a standard module or of prismlab itself. Every definition is
+reached from the product's entry points, the README, the acceptance tests
+or the benchmark's code, so nothing is kept that only its tests use.
 """
 import ast
 import os
+import re
 import sys
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "prismlab")
+from test_traced_names import load_layertrace
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SRC = os.path.join(ROOT, "src", "prismlab")
 EXEMPT = {"pdalg.py"}
 
 
@@ -118,3 +124,152 @@ def test_a_pdalg_import_is_found():
               "from prismlab import pdalg as pd\nfrom .field import pdalg_like\n"
               "import pdalg\nfrom .linalg import Matrix  # pdalg\n")
     assert pdalg_imports(source) == [1, 2, 3, 4, 5]
+
+
+WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def mentioned(nodes):
+    """The words that nodes mention: names, attributes, and the words of
+    string constants (docstrings included)."""
+    words = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                words.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                words.add(sub.attr)
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                words.update(WORD.findall(sub.value))
+    return words
+
+
+def definitions(module, tree):
+    """(qualified name, name, the nodes of its body) of every function and
+    class at module level or in a module-level class, and ("", "", nodes)
+    for the module's other statements. A class's body leaves out its
+    methods, which are definitions of their own."""
+    defs = [("", "", [n for n in tree.body
+                      if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                            ast.ClassDef))])]
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs.append((f"{module}.{node.name}", node.name, [node]))
+        elif isinstance(node, ast.ClassDef):
+            methods = [n for n in node.body if isinstance(n, (ast.FunctionDef,
+                                                               ast.AsyncFunctionDef))]
+            rest = [n for n in node.body if n not in methods]
+            defs.append((f"{module}.{node.name}", node.name,
+                         node.decorator_list + node.bases + node.keywords + rest))
+            defs += [(f"{module}.{node.name}.{m.name}", m.name, [m]) for m in methods]
+    return defs
+
+
+def unreached(modules, roots, prefixes=(), reaching=()):
+    """Qualified names of the definitions in modules ({name: source}) that
+    no root reaches. A definition is reached when its name is a root, starts
+    with one of prefixes, is a dunder or is mentioned by a reached body.
+    Module-level statements and the modules in reaching count as reached;
+    the latter's own definitions are not reported. By name alone, so this
+    over-approximates the reached set: what it reports is surely unused."""
+    reached, left = [], []
+    for module, source in modules.items():
+        for qualname, name, body in definitions(module.removesuffix(".py"), ast.parse(source)):
+            (reached if module in reaching or not name else left).append((qualname, name, body))
+    names = set(roots)
+    while reached:
+        for _, _, body in reached:
+            names |= mentioned(body)
+        reached = [d for d in left if d[1] in names or d[1].startswith(prefixes)
+                   or d[1].startswith("__") and d[1].endswith("__")]
+        left = [d for d in left if d not in reached]
+    return sorted(qualname for qualname, _, _ in left)
+
+
+def product_roots():
+    """The names the product is entered by: "main", the README's backticked
+    words, and every word that the acceptance tests or the benchmark's code
+    mention (the benchmark's tracer names each function it wraps in a
+    string); and the prefixes "cmd_" and those of the tracer's "prefix*"
+    entries."""
+    def read(*parts):
+        with open(os.path.join(ROOT, *parts), encoding="utf-8") as fh:
+            return fh.read()
+    roots = {"main"} | {w for span in re.findall(r"`([^`]*)`", read("README.md"))
+                        for w in WORD.findall(span)}
+    for parts in [("tests", "test_acceptance.py")] + [
+            ("perfbench", name) for name in sorted(os.listdir(os.path.join(ROOT, "perfbench")))
+            if name.endswith(".py")]:
+        roots |= mentioned([ast.parse(read(*parts))])
+    traced = load_layertrace().TRACED
+    return roots, ("cmd_",) + tuple(name[:-1] for names in traced.values()
+                                    for name in names if name.endswith("*"))
+
+
+def test_every_definition_is_reached():
+    roots, prefixes = product_roots()
+    assert unreached(dict(sources()), roots, prefixes, reaching={"pdalg.py"}) == []
+
+
+def test_an_unreached_definition_is_found():
+    modules = {"a.py": """
+X = helper_for_module()
+
+
+def helper_for_module():
+    return 1
+
+
+def main():
+    return used() + Box().shown
+
+
+def used():
+    \"\"\"Calls nothing, but names in_docstring.\"\"\"
+
+
+def in_docstring():
+    pass
+
+
+def orphan():
+    return orphan_callee()
+
+
+def orphan_callee():
+    pass
+
+
+class Box:
+    size = sized()
+
+    def __init__(self):
+        pass
+
+    @property
+    def shown(self):
+        pass
+
+    def hidden(self):
+        pass
+
+
+def sized():
+    pass
+
+
+def cmd_x():
+    pass
+""", "ref.py": """
+def reference_only():
+    return orphan_callee_2()
+""", "b.py": """
+def orphan_callee_2():
+    pass
+
+
+def root_by_name():
+    pass
+"""}
+    assert unreached(modules, {"main", "root_by_name"}, ("cmd_",), reaching={"ref.py"}) == [
+        "a.Box.hidden", "a.orphan", "a.orphan_callee"]

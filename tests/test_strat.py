@@ -50,7 +50,7 @@ class TestOperatorFamily:
 
     def test_scalar_degree_two(self, q3):
         c = q3.from_rational(Fraction(5))
-        conn = LogConnection.from_constant(q3, 1, c)
+        conn = LogConnection(q3, "T", 1, 1, [[TruncSeries.constant(q3, 1, c)]])
         a = q3.a_prism()
         strat = from_connection(conn, a, 2)
         assert strat.phi[1][0, 0] == a * c
@@ -60,7 +60,7 @@ class TestOperatorFamily:
         # N = n * id on a rank one module: the degree-j operator acts on
         # T^k by a^j * (n + k)(n + k - 1)...(n + k - j + 1)
         n, m, D = 3, 3, 4
-        conn = LogConnection.from_constant(q3s, m, q3s.from_rational(Fraction(n)))
+        conn = LogConnection(q3s, "T", 1, m, [[TruncSeries.constant(q3s, m, n)]])
         a = q3s.a_prism()
         strat = from_connection(conn, a, D)
         for j in range(D + 1):
