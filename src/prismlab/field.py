@@ -359,9 +359,6 @@ class FieldElement:
         s1, s2 = d2 // g, d1 // g
         return _make(self.spec, tuple([x * s1 - y * s2 for x, y in zip(a, b)]), d1 * s1)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         spec = self.spec
         a = self._num
@@ -390,15 +387,6 @@ class FieldElement:
         return _make(spec, _fold(spec, prod), self._den * other._den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.invert()
-
-    def __rtruediv__(self, other):
-        return self.spec.from_rational(other) / self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -515,16 +503,3 @@ class FieldElement:
 
     def __repr__(self):
         return f"FieldElement({list(self.coords)})"
-
-    def __str__(self):
-        terms = []
-        for i, c in enumerate(self.coords):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*pi")
-            else:
-                terms.append(f"{c}*pi^{i}")
-        return " + ".join(terms) if terms else "0"

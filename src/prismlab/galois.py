@@ -52,23 +52,22 @@ class GaloisElementData:
         self.v0 = v0
 
 
-def action_kernel(M: LogConnection, a, D: int,
-                  tag: Optional[str] = None) -> GaloisKernel:
+def action_kernel(M: LogConnection, a, D: int) -> GaloisKernel:
     """The operator family driving the group action on the module.
 
     Same recurrence and code path as the stratification built from M: A_1
-    is a times the connection operator and A_(n+1) = (A_1 - n*a) A_n.
+    is a times the connection operator and A_(n+1) = (A_1 - n*a) A_n. The
+    tag names a: "prismatic", "log" or "custom".
     """
     spec = M.spec
     if not isinstance(a, FieldElement):
         a = spec.from_rational(a)
-    if tag is None:
-        if a == spec.a_prism():
-            tag = "prismatic"
-        elif a == spec.a_log():
-            tag = "log"
-        else:
-            tag = "custom"
+    if a == spec.a_prism():
+        tag = "prismatic"
+    elif a == spec.a_log():
+        tag = "log"
+    else:
+        tag = "custom"
     return GaloisKernel(spec, D, from_connection(M, a, D).phi, a, tag)
 
 

@@ -83,7 +83,7 @@ class Matrix:
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
-            return self.scale(other)
+            return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} "
                              f"by {other.nrows}x{other.ncols}")
@@ -101,9 +101,6 @@ class Matrix:
                         acc[j] = acc[j] + a * b
             out.append(tuple(acc))
         return Matrix._trusted(self.spec, tuple(out))
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def scale(self, c) -> "Matrix":
         if type(c) is not int and not isinstance(c, FieldElement):

@@ -59,9 +59,16 @@ def _rational_pair(x) -> Tuple[int, int]:
         raise InputFormatError(f"bad rational {x!r}")
     if isinstance(x, bool):
         raise InputFormatError(f"expected a rational, got {x!r}")
-    if isinstance(x, int):
-        return int(x), 1
     raise InputFormatError(f"expected a rational, got {type(x).__name__}")
+
+
+def _require_keys(obj, what: str, keys) -> None:
+    """Refuse obj unless it is a JSON object holding every one of keys."""
+    if not isinstance(obj, dict):
+        raise InputFormatError(f"{what} must be an object")
+    for key in keys:
+        if key not in obj:
+            raise InputFormatError(f"{what} needs key {key}")
 
 
 def parse_rational(x) -> Fraction:
@@ -112,7 +119,9 @@ def parse_element(spec: FieldSpec, arr) -> FieldElement:
         raise InputFormatError(f"expected {spec.e} coordinates, got {len(arr)}")
     pairs = [_rational_pair(c) for c in arr]
     den = lcm(*[d for _, d in pairs])
-    return _make(spec, tuple([n * (den // d) for n, d in pairs]), den)
+    num = tuple([n * (den // d) for n, d in pairs])
+    # zero is the field's shared element: a padded cell builds no new one
+    return _make(spec, num, den) if any(num) else spec.zero()
 
 
 def encode_valuation(v: Valuation) -> Any:
@@ -133,11 +142,7 @@ def encode_series(s: TruncSeries) -> dict:
 
 
 def parse_series(spec: FieldSpec, obj) -> TruncSeries:
-    if not isinstance(obj, dict):
-        raise InputFormatError("series must be an object")
-    for key in ("unif", "m", "coeffs"):
-        if key not in obj:
-            raise InputFormatError(f"series needs key {key}")
+    _require_keys(obj, "series", ("unif", "m", "coeffs"))
     m, coeffs = obj["m"], obj["coeffs"]
     if type(m) is not int or m < 1:
         raise InputFormatError("series modulus must be a positive integer")
@@ -172,11 +177,7 @@ def encode_connection(M: LogConnection) -> dict:
 
 
 def parse_connection(obj) -> LogConnection:
-    if not isinstance(obj, dict):
-        raise InputFormatError("connection must be an object")
-    for key in ("field", "unif", "m", "l", "N"):
-        if key not in obj:
-            raise InputFormatError(f"connection needs key {key}")
+    _require_keys(obj, "connection", ("field", "unif", "m", "l", "N"))
     spec = parse_field(obj["field"])
     m, l, N = obj["m"], obj["l"], obj["N"]
     if not (type(m) is int and m >= 1 and type(l) is int and l >= 1):
@@ -205,11 +206,7 @@ def encode_stratification(strat: Stratification) -> dict:
 
 
 def parse_stratification(obj) -> Stratification:
-    if not isinstance(obj, dict):
-        raise InputFormatError("stratification must be an object")
-    for key in ("field", "l", "m", "D", "a", "phi"):
-        if key not in obj:
-            raise InputFormatError(f"stratification needs key {key}")
+    _require_keys(obj, "stratification", ("field", "l", "m", "D", "a", "phi"))
     spec = parse_field(obj["field"])
     l, m, D = obj["l"], obj["m"], obj["D"]
     if not all(type(v) is int for v in (l, m, D)) or l < 1 or m < 1 or D < 0:
@@ -231,11 +228,7 @@ def encode_kernel(k: GaloisKernel) -> dict:
 
 
 def parse_kernel(obj) -> GaloisKernel:
-    if not isinstance(obj, dict):
-        raise InputFormatError("kernel must be an object")
-    for key in ("field", "a", "D", "A", "tag"):
-        if key not in obj:
-            raise InputFormatError(f"kernel needs key {key}")
+    _require_keys(obj, "kernel", ("field", "a", "D", "A", "tag"))
     spec = parse_field(obj["field"])
     D, A, tag, c = obj["D"], obj["A"], obj["tag"], obj.get("c")
     if type(D) is not int or D < 0:

@@ -50,10 +50,6 @@ class TruncSeries:
         return cls(spec, m, [1], unif)
 
     @classmethod
-    def variable(cls, spec, m, unif="T"):
-        return cls(spec, m, [0, 1], unif)
-
-    @classmethod
     def constant(cls, spec, m, c, unif="T"):
         return cls(spec, m, [c], unif)
 

@@ -260,28 +260,29 @@ def check_leibniz(strat: Stratification) -> dict:
     return {"ok": True, "witness": None}
 
 
-def to_connection(strat: Stratification, unif: str = "T") -> LogConnection:
+def to_connection(strat: Stratification) -> LogConnection:
     """The log connection of a stratification, read from phi_0 and phi_1.
 
-    phi_0 must be I and phi_1 must obey the twisted Leibniz law; phi_2..phi_D
-    are not read (check_cocycle tests them). Entry (i, j) of N has T^k
-    coefficient phi_1[(k, i), (0, j)] / a, so only the l*m*l entries of the
-    generator columns are multiplied by a^-1.
+    phi_0 must be I, D at least 1 and phi_1 must obey the twisted Leibniz
+    law; phi_2..phi_D are not read (check_cocycle tests them). Entry (i, j)
+    of N has T^k coefficient phi_1[(k, i), (0, j)] / a, so only the l*m*l
+    entries of the generator columns are multiplied by a^-1. The
+    uniformizer label is "T".
     """
     spec, l, m = strat.spec, strat.l, strat.m
     if not strat.phi[0] == Matrix.identity(spec, l * m):
         raise NotAStratification("operator of pd-degree zero is not the identity")
+    if strat.D < 1:
+        raise NotAStratification("a stratification of pd-degree 0 has no phi_1 to read N from")
     leib = check_leibniz(strat)
     if not leib["ok"]:
         raise LeibnizViolation(f"twisted Leibniz law fails at T^{leib['witness']['power']}")
-    if strat.D < 1:
-        return LogConnection.trivial(spec, l, m, unif)
     inv = strat.a.invert()
     rows = strat.phi[1].rows
     N = [[TruncSeries._trusted(spec, m, tuple([rows[flat_index(k, i, l)][j] * inv
-                                               for k in range(m)]), unif)
+                                               for k in range(m)]), "T")
           for j in range(l)] for i in range(l)]
-    return LogConnection(spec, unif, l, m, N)
+    return LogConnection(spec, "T", l, m, N)
 
 
 def _t_linear(phi: Matrix, l: int) -> Matrix:

@@ -47,8 +47,8 @@ class TestActionKernel:
 
     def test_zero_operator(self, q3):
         M = LogConnection.trivial(q3, 2, 1)
-        k = action_kernel(M, 1, 4, tag="log")
-        assert k.tag == "log"
+        k = action_kernel(M, 1, 4)
+        assert k.tag == "custom"
         for n in range(1, 5):
             assert k.A[n].is_zero()
 

@@ -118,6 +118,12 @@ class TestLeibnizGate:
         with pytest.raises(NotAStratification):
             to_connection(bad)
 
+    def test_degree_zero_has_no_connection(self, rng, q3):
+        """D = 0 leaves no phi_1 to read N from, so no N = 0 is made up."""
+        strat = from_connection(random_connection(rng, q3, 2, 2), q3.a_prism(), 0)
+        with pytest.raises(NotAStratification, match="pd-degree 0 has no phi_1"):
+            to_connection(strat)
+
 
 class TestConstructorChecks:
     """Raised errors, not asserts, so they hold under python -O too."""
