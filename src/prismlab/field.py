@@ -9,6 +9,7 @@ terms. The valuation is normalized so that v(p) = 1, hence v(pi) = 1/e.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import add, sub
 from typing import Iterable, Sequence, Union
@@ -158,6 +159,7 @@ class FieldSpec:
         self.ecoeffs = tuple(coeffs)
         # pi^e = -(c_0 + c_1 pi + ... + c_{e-1} pi^(e-1)): the nonzero c_i
         self._fold = tuple((i, c) for i, c in enumerate(coeffs[:-1]) if c)
+        self._mulnum = _product_kernel(self._fold, e)
         self._higher = (0,) * (e - 1)
         self._zero = _make(self, (0,) * e, 1)
         self._one = _make(self, (1,) + self._higher, 1)
@@ -265,6 +267,29 @@ def _fold(spec: FieldSpec, prod: list) -> tuple:
             for i, ci in spec._fold:
                 prod[k - e + i] -= c * ci
     return tuple(prod[:e])
+
+
+@cache
+def _product_kernel(fold: tuple, e: int):
+    """mul(a, b): the numerator tuple of a * b mod E for numerator tuples
+    a and b of length e, where fold is FieldSpec._fold. Straight-line code,
+    compiled once per E: the 2e - 1 convolution sums p_k, then each p_k
+    with k >= e folded down, highest first, as _fold does. E's constants
+    are names of the function's globals, not literals in its source, so a
+    coefficient of any size builds."""
+    xs, ys = [f"a{i}" for i in range(e)], [f"b{i}" for i in range(e)]
+    lines = ["def mul(a, b):",
+             f"    {', '.join(xs)}, = a",
+             f"    {', '.join(ys)}, = b"]
+    for k in range(2 * e - 1):
+        terms = [f"{xs[i]} * {ys[k - i]}" for i in range(max(0, k - e + 1), min(k, e - 1) + 1)]
+        lines.append(f"    p{k} = {' + '.join(terms)}")
+    for k in range(2 * e - 2, e - 1, -1):
+        lines += [f"    p{k - e + i} -= p{k} * c{i}" for i, _ in fold]
+    lines.append(f"    return ({''.join(f'p{k}, ' for k in range(e))})")
+    namespace = {f"c{i}": c for i, c in fold}
+    exec("\n".join(lines), namespace)
+    return namespace["mul"]
 
 
 def regular(spec: FieldSpec, num: tuple) -> list:
@@ -375,16 +400,9 @@ class FieldElement:
             return self
         if not any(b):
             return other
-        e = spec.e
-        if e == 1:
+        if spec.e == 1:
             return _make(spec, (a[0] * b[0],), self._den * other._den)
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return _make(spec, _fold(spec, prod), self._den * other._den)
+        return _make(spec, spec._mulnum(a, b), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -411,7 +429,11 @@ class FieldElement:
                 and (self.spec is other.spec or self.spec == other.spec))
 
     def __hash__(self):
-        return hash((self.spec, self._num, self._den))
+        # a rational element equals its rational value, so it hashes as one
+        num = self._num
+        if any(num[1:]):
+            return hash((self.spec, num, self._den))
+        return hash(num[0]) if self._den == 1 else hash(Fraction(num[0], self._den))
 
     def is_zero(self) -> bool:
         return not any(self._num)

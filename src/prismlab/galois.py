@@ -32,7 +32,7 @@ class GaloisKernel:
                  tag: str, c: Optional[int] = None):
         if len(A) != D + 1:
             raise ValueError(f"kernel needs operators A_0..A_{D}, got {len(A)}")
-        if A[0] != Matrix.identity(spec, len(A[0].rows)):
+        if not A[0].is_identity():
             raise ValueError("kernel slot 0 must be the identity")
         self.spec = spec
         self.D = D

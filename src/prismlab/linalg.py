@@ -41,9 +41,8 @@ class Matrix:
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "Matrix":
-        zero, one = spec.zero(), spec.one()
-        return cls._trusted(spec, tuple(tuple(one if i == j else zero for j in range(n))
-                                        for i in range(n)))
+        zeros, one = (spec.zero(),) * n, (spec.one(),)
+        return cls._trusted(spec, tuple(zeros[:i] + one + zeros[i + 1:] for i in range(n)))
 
     @classmethod
     def zero(cls, spec: FieldSpec, nrows: int, ncols: int) -> "Matrix":
@@ -117,6 +116,15 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for r in self.rows for a in r)
+
+    def is_identity(self) -> bool:
+        """Square with ones on the diagonal and zeros elsewhere: row by row,
+        each one tuple comparison, so shared entries compare by identity."""
+        n = self.nrows
+        if n != self.ncols:
+            return False
+        zeros, one = (self.spec.zero(),) * n, (self.spec.one(),)
+        return all(row == zeros[:i] + one + zeros[i + 1:] for i, row in enumerate(self.rows))
 
     def trace(self) -> FieldElement:
         self._check_square("trace")

@@ -168,7 +168,8 @@ def parse_matrix(spec: FieldSpec, obj, nrows: Optional[int] = None,
         raise InputFormatError(f"expected {nrows} rows, got {len(obj)}")
     if ncols is not None and len(obj[0]) != ncols:
         raise InputFormatError(f"expected {ncols} columns, got {len(obj[0])}")
-    return Matrix(spec, [[parse_element(spec, x) for x in row] for row in obj])
+    return Matrix._trusted(spec, tuple(tuple([parse_element(spec, x) for x in row])
+                                       for row in obj))
 
 
 def encode_connection(M: LogConnection) -> dict:

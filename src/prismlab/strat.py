@@ -36,7 +36,7 @@ class LogConnection:
             raise RingMismatch(f"matrix must be {l}x{l}")
         for row in N:
             for s in row:
-                if s.spec != spec or s.m != m:
+                if s.spec is not spec and s.spec != spec or s.m != m:
                     raise RingMismatch("matrix entry over a different ring")
         self.N = [list(row) for row in N]
 
@@ -60,12 +60,12 @@ class LogConnection:
                 for d, x in enumerate(self.N[i][j].coeffs):
                     if not x.is_zero():
                         x = x if a is None else a * x
-                        for k in range(m - d):
-                            rows[flat_index(k + d, i, l)][flat_index(k, j, l)] = x
+                        # T^(k+d) e_i in the column of T^k e_j, k < m - d
+                        for r, c in zip(range(d * l + i, n, l), range(j, n, l)):
+                            rows[r][c] = x
         for k in range(1, m):
             ka = k if a is None else a * k
-            for j in range(l):
-                r = flat_index(k, j, l)
+            for r in range(k * l, k * l + l):
                 rows[r][r] = rows[r][r] + ka
         return Matrix._trusted(self.spec, tuple(map(tuple, rows)))
 
@@ -247,15 +247,16 @@ def check_leibniz(strat: Stratification) -> dict:
     l, a = strat.l, strat.a
     if strat.D < 1:
         return {"ok": True, "witness": None}
-    rows = strat.phi[1].rows
-    zeros = (strat.spec.zero(),) * len(rows)
+    phi1 = strat.phi[1]
+    rows, zeros = phi1.rows, [strat.spec.zero()] * phi1.ncols
     for r, row in enumerate(rows):
-        shifted, below = list(row[l:] + zeros[:l]), zeros
+        shifted, below = [*row[l:], *zeros[:l]], zeros
         if r >= l:
-            below = rows[r - l]
+            below = list(rows[r - l])
             shifted[r - l] = shifted[r - l] - a
-        c = next((c for c, (x, y) in enumerate(zip(shifted, below)) if x != y), None)
-        if c is not None:
+        # one list comparison; the column is looked for only when it fails
+        if shifted != below:
+            c = next(c for c, (x, y) in enumerate(zip(shifted, below)) if x != y)
             return {"ok": False, "witness": {"power": 1, "entry": (r, c)}}
     return {"ok": True, "witness": None}
 
@@ -270,7 +271,7 @@ def to_connection(strat: Stratification) -> LogConnection:
     uniformizer label is "T".
     """
     spec, l, m = strat.spec, strat.l, strat.m
-    if not strat.phi[0] == Matrix.identity(spec, l * m):
+    if not strat.phi[0].is_identity():
         raise NotAStratification("operator of pd-degree zero is not the identity")
     if strat.D < 1:
         raise NotAStratification("a stratification of pd-degree 0 has no phi_1 to read N from")
@@ -279,8 +280,8 @@ def to_connection(strat: Stratification) -> LogConnection:
         raise LeibnizViolation(f"twisted Leibniz law fails at T^{leib['witness']['power']}")
     inv = strat.a.invert()
     rows = strat.phi[1].rows
-    N = [[TruncSeries._trusted(spec, m, tuple([rows[flat_index(k, i, l)][j] * inv
-                                               for k in range(m)]), "T")
+    N = [[TruncSeries._trusted(spec, m, tuple([rows[r][j] * inv
+                                               for r in range(i, l * m, l)]), "T")
           for j in range(l)] for i in range(l)]
     return LogConnection(spec, "T", l, m, N)
 
@@ -418,8 +419,8 @@ def check_cocycle(strat: Stratification) -> dict:
     is nonzero already at k1 = 1, first at row r. If x0 < l, Lin(phi_mm)
     itself is off psi, and _cocycle_witness expands the generators up to x0.
     """
-    spec, l, m, D, a = strat.spec, strat.l, strat.m, strat.D, strat.a
-    if not strat.phi[0] == Matrix.identity(spec, l * m):
+    l, D, a = strat.l, strat.D, strat.a
+    if not strat.phi[0].is_identity():
         return {"ok": False, "degeneracy_ok": False, "witness": None}
     if D == 0:
         return {"ok": True, "degeneracy_ok": True, "witness": None}

@@ -420,3 +420,31 @@ class TestDistToIntegers:
             a = random_element(rng, q3s)
             if a.dist_to_integers().is_infinite:
                 assert all(c == 0 for c in a.coords[1:])
+
+
+@pytest.mark.parametrize("spec", FOUR_FIELDS, ids=repr)
+class TestHashAgreesWithEquality:
+    """An element equal to an int or a Fraction hashes as it, so sets and
+    dicts treat the two as one key."""
+
+    @pytest.mark.parametrize("r", [0, 1, -7, 3 ** 40, Fraction(1, 2), Fraction(-5, 9),
+                                   Fraction(2 ** 70, 3)])
+    def test_rational_element_hashes_as_its_value(self, spec, r):
+        x = spec.from_rational(r)
+        assert x == r and hash(x) == hash(r)
+        assert r in {x} and x in {r}
+        assert len({x, r}) == 1
+        assert {r: "value"}[x] == "value" and {x: "element"}[r] == "element"
+
+    def test_integral_fraction_hashes_as_the_int(self, spec):
+        x = spec.from_rational(Fraction(6, 3))
+        assert hash(x) == hash(2) == hash(Fraction(2))
+        assert {x, 2, Fraction(2)} == {2}
+
+
+@pytest.mark.parametrize("spec", [s for s in FOUR_FIELDS if s.e > 1], ids=repr)
+def test_element_off_the_rationals_keeps_its_own_hash(spec):
+    x = spec.element([Fraction(1, 2), 1])
+    assert x not in {Fraction(1, 2), 1, 0}
+    assert hash(x) == hash(spec.element([Fraction(1, 2), 1]))
+    assert len({x, spec.element([Fraction(2, 4), 1]), spec.from_rational(Fraction(1, 2))}) == 2

@@ -6,6 +6,7 @@ multiply and the fold pi^e = -(c_0 + ... + c_{e-1} pi^(e-1)); the matrix
 reference is the dense dot product over every index.
 """
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prismlab.errors import ZeroInversion
-from prismlab.field import FieldElement, FieldSpec
+from prismlab.field import FieldElement, FieldSpec, _product_kernel
 from prismlab.linalg import Matrix, poly_deflate
+from prismlab.serialize import parse_field
 
 from conftest import random_element
 
@@ -125,6 +127,59 @@ def test_zero_has_one_form(data):
     for z in zeros:
         assert z.is_zero() and z == spec.zero() and hash(z) == hash(spec.zero())
         assert_canonical(z)
+
+
+@st.composite
+def eisenstein(draw):
+    """A random monic Eisenstein E at p in {2, 3, 5, 7} of degree 1 to 6,
+    its coefficients up to p * 2^100 in size and of either sign."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    e = draw(st.integers(1, 6))
+    big = st.integers(-2 ** 100, 2 ** 100)
+    unit = draw(big.filter(lambda k: k % p))
+    return FieldSpec(p, [p * unit] + [p * draw(big) for _ in range(e - 1)] + [1])
+
+
+@st.composite
+def numerators(draw, spec):
+    """An element of spec from integer numerators of both signs over one
+    common denominator."""
+    den = draw(st.integers(1, 10 ** 6))
+    nums = draw(st.lists(st.integers(-2 ** 80, 2 ** 80), min_size=spec.e, max_size=spec.e))
+    return spec.element([Fraction(n, den) for n in nums])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_product_kernel_matches_reference(data):
+    spec = data.draw(eisenstein())
+    x, y = data.draw(numerators(spec)), data.draw(numerators(spec))
+    prod = x * y
+    assert prod.coords == ref_mul(spec, x.coords, y.coords)
+    assert_canonical(prod)
+
+
+def test_product_kernel_takes_a_coefficient_too_long_to_print():
+    """E's constants are bound as names, not printed into the kernel's
+    source, so a coefficient past the int-to-str digit limit still builds."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    p = 3
+    c0 = p * (p * 10 ** (limit + 10) + 1)
+    spec = FieldSpec(p, [c0, 0, 1])
+    x, y = spec.element([1, Fraction(-2, 5)]), spec.element([Fraction(7, 3), 4])
+    assert (x * y).coords == ref_mul(spec, x.coords, y.coords)
+
+
+def test_product_kernel_is_compiled_once_per_polynomial():
+    coeffs = [5 * 29, 5 * 31, 5 * 37, 1]
+    before = _product_kernel.cache_info()
+    first, second = FieldSpec(5, coeffs), FieldSpec(5, coeffs)
+    assert first._mulnum is second._mulnum
+    for _ in range(100):
+        assert parse_field({"p": 5, "E": coeffs})._mulnum is first._mulnum
+    after = _product_kernel.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == 101
 
 
 def test_coords_are_read_only(q3s):

@@ -16,6 +16,26 @@ def test_identity_and_mul(q3s):
     assert I * A == A
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_is_identity(q3s, n):
+    I = Matrix.identity(q3s, n)
+    assert I.is_identity()
+    # built from fresh elements, not the shared zero and one
+    assert Matrix(q3s, [[int(i == j) for j in range(n)] for i in range(n)]).is_identity()
+    for i in range(n):
+        for j in range(n):
+            for x in (0, 2, q3s.pi()) if i == j else (1, q3s.pi()):
+                rows = [list(r) for r in I.rows]
+                rows[i][j] = x
+                assert not Matrix(q3s, rows).is_identity()
+
+
+def test_is_identity_refuses_a_non_square_matrix(q3s):
+    assert not Matrix(q3s, [[1, 0, 0], [0, 1, 0]]).is_identity()
+    assert not Matrix(q3s, [[1, 0], [0, 1], [0, 0]]).is_identity()
+    assert not Matrix(q3s, [[1, 0]]).is_identity()
+
+
 def test_rref_and_rank(q3s):
     A = Matrix(q3s, [[1, 2], [2, 4]])
     assert A.rank() == 1

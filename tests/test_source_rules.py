@@ -9,6 +9,8 @@ float() or round(). The runtime uses only the standard library, so every
 import is of a standard module or of prismlab itself. Every definition is
 reached from the product's entry points, the README, the acceptance tests
 or the benchmark's code, so nothing is kept that only its tests use.
+Code is generated in one place, the field's compiled product kernel, so
+no other function calls exec, eval or compile.
 """
 import ast
 import os
@@ -124,6 +126,50 @@ def test_a_pdalg_import_is_found():
               "from prismlab import pdalg as pd\nfrom .field import pdalg_like\n"
               "import pdalg\nfrom .linalg import Matrix  # pdalg\n")
     assert pdalg_imports(source) == [1, 2, 3, 4, 5]
+
+
+CODEGEN = {"exec", "eval", "compile"}
+# the one function of the library that may generate code
+CODEGEN_HOME = "field._product_kernel"
+
+
+def codegen_calls(module, source):
+    """(where, line) of every call of the builtin exec, eval or compile in
+    source: where is the qualified name of the innermost enclosing function
+    (module.Class.method, module.f.inner) or the module's name at module
+    level. A method of that name, such as re.compile, is not the builtin."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in CODEGEN):
+                found.append((where, child.lineno))
+            visit(child, where)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_code_is_generated_only_by_the_field_kernel():
+    found = [call for name, source in sources()
+             for call in codegen_calls(name.removesuffix(".py"), source)]
+    assert [where for where, _ in found if where != CODEGEN_HOME] == []
+    assert found, "the field's product kernel is compiled with exec"
+
+
+def test_a_codegen_call_is_found():
+    source = ("import re\nexec('x = 1')\nPAT = re.compile('a')\n\n\n"
+              "class Box:\n    def run(self, s):\n        return eval(s)\n\n\n"
+              "def outer():\n    def inner():\n        return compile('1', '<s>', 'eval')\n"
+              "    return inner  # exec(no call)\n\n\n"
+              "def _product_kernel():\n    exec('def mul(): pass', {})\n")
+    assert codegen_calls("field", source) == [
+        ("field", 2), ("field.Box.run", 8), ("field.outer.inner", 13),
+        ("field._product_kernel", 18)]
 
 
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

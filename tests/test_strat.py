@@ -118,6 +118,20 @@ class TestLeibnizGate:
         with pytest.raises(NotAStratification):
             to_connection(bad)
 
+    @pytest.mark.parametrize("entry,value", [((0, 0), 2), ((3, 3), 0), ((1, 2), 1),
+                                             ((3, 0), Fraction(1, 3))])
+    def test_degree_zero_off_identity_in_one_entry(self, rng, q3s, entry, value):
+        """phi_0 = I changed in one entry, on or off the diagonal, is
+        refused by to_connection and check_cocycle alike."""
+        strat = from_connection(random_connection(rng, q3s, 2, 2), q3s.a_prism(), 3)
+        rows = [list(r) for r in strat.phi[0].rows]
+        rows[entry[0]][entry[1]] = q3s.from_rational(value)
+        bad = Stratification(q3s, 2, 2, 3, strat.a, [Matrix(q3s, rows)] + strat.phi[1:])
+        with pytest.raises(NotAStratification,
+                           match="^operator of pd-degree zero is not the identity$"):
+            to_connection(bad)
+        assert check_cocycle(bad) == {"ok": False, "degeneracy_ok": False, "witness": None}
+
     def test_degree_zero_has_no_connection(self, rng, q3):
         """D = 0 leaves no phi_1 to read N from, so no N = 0 is made up."""
         strat = from_connection(random_connection(rng, q3, 2, 2), q3.a_prism(), 0)
