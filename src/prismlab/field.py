@@ -159,7 +159,7 @@ class FieldSpec:
         self.ecoeffs = tuple(coeffs)
         # pi^e = -(c_0 + c_1 pi + ... + c_{e-1} pi^(e-1)): the nonzero c_i
         self._fold = tuple((i, c) for i, c in enumerate(coeffs[:-1]) if c)
-        self._mulnum = _product_kernel(self._fold, e)
+        self._mulnum, self._invnum = _product_kernel(self._fold, e)
         self._higher = (0,) * (e - 1)
         self._zero = _make(self, (0,) * e, 1)
         self._one = _make(self, (1,) + self._higher, 1)
@@ -271,12 +271,19 @@ def _fold(spec: FieldSpec, prod: list) -> tuple:
 
 @cache
 def _product_kernel(fold: tuple, e: int):
-    """mul(a, b): the numerator tuple of a * b mod E for numerator tuples
-    a and b of length e, where fold is FieldSpec._fold. Straight-line code,
-    compiled once per E: the 2e - 1 convolution sums p_k, then each p_k
-    with k >= e folded down, highest first, as _fold does. E's constants
-    are names of the function's globals, not literals in its source, so a
-    coefficient of any size builds."""
+    """(mul, inv) for numerator tuples of length e, where fold is
+    FieldSpec._fold, compiled once per E: the CLI builds a FieldSpec on
+    every call, and compiling per spec halved its jobs per second.
+
+    mul(a, b) is the numerator tuple of a * b mod E: the 2e - 1 convolution
+    sums p_k, then each p_k with k >= e folded down, highest first, as _fold
+    does. inv(a) is (r, d_e) with a * r = -d_e, by Cayley-Hamilton: the
+    traces s_k of a^k, k <= e, are dot products with the power traces
+    t_j = Tr(pi^j), and Newton's identities (Cohen, GTM 138, 2.2) give the
+    characteristic polynomial x^e + d_1 x^(e-1) + ... + d_e of a from them,
+    so r = a^(e-1) + d_1 a^(e-2) + ... + d_(e-1) and d_e = (-1)^e N(a).
+    E's constants and the t_j are names of the functions' globals, not
+    literals in their source, so a coefficient of any size builds."""
     xs, ys = [f"a{i}" for i in range(e)], [f"b{i}" for i in range(e)]
     lines = ["def mul(a, b):",
              f"    {', '.join(xs)}, = a",
@@ -287,9 +294,26 @@ def _product_kernel(fold: tuple, e: int):
     for k in range(2 * e - 2, e - 1, -1):
         lines += [f"    p{k - e + i} -= p{k} * c{i}" for i, _ in fold]
     lines.append(f"    return ({''.join(f'p{k}, ' for k in range(e))})")
-    namespace = {f"c{i}": c for i, c in fold}
+    # Newton's identities on E: t_j = -(j c_(e-j) + sum_(i<j) c_(e-i) t_(j-i))
+    c, t = dict(fold), [e]
+    for j in range(1, e):
+        t.append(-j * c.get(e - j, 0) - sum([c.get(e - i, 0) * t[j - i] for i in range(1, j)]))
+    # w{k}_{j} is coordinate j of a^k, and Newton's identities give each d_k
+    lines.append("def inv(w1):")
+    for k in range(1, e + 1):
+        if k > 1:
+            lines.append(f"    w{k} = mul(w1, w{k - 1})")
+        lines.append(f"    {''.join(f'w{k}_{j}, ' for j in range(e))}= w{k}")
+        lines.append(f"    s{k} = {' + '.join([f't{j} * w{k}_{j}' for j in range(e) if t[j]])}")
+        terms = [f"s{k}"] + [f"d{i} * s{k - i}" for i in range(1, k)]
+        lines.append(f"    d{k} = -({' + '.join(terms)}){f' // {k}' if k > 1 else ''}")
+    r = [f"w{e - 1}_{j}" + "".join([f" + d{i} * w{e - 1 - i}_{j}" for i in range(1, e - 1)])
+         for j in range(e)]
+    r[0] = f"{r[0]} + d{e - 1}" if e > 1 else "1"
+    lines.append(f"    return ({''.join(f'{x}, ' for x in r)}), d{e}")
+    namespace = {f"c{i}": ci for i, ci in fold} | {f"t{j}": tj for j, tj in enumerate(t)}
     exec("\n".join(lines), namespace)
-    return namespace["mul"]
+    return namespace["mul"], namespace["inv"]
 
 
 def regular(spec: FieldSpec, num: tuple) -> list:
@@ -447,41 +471,20 @@ class FieldElement:
         return Fraction(self._num[0], self._den)
 
     def invert(self) -> "FieldElement":
-        """The inverse, by fraction-free linear algebra over Z.
+        """The inverse, by the field's compiled Cayley-Hamilton kernel.
 
-        x = num/den has inverse den * y for the y with M y = e_0, where
-        column j of the integer matrix M is num * pi^j mod E. Bareiss
-        elimination (Math. Comp. 22 (1968)) keeps every entry a minor of M,
-        so each division is exact, and back-substitution solves for det(M) * y,
-        the integral first column of the adjugate. det(M) is the norm of num,
-        nonzero because E is Eisenstein, hence irreducible."""
+        x = num/den has inverse den * num^-1, and the kernel gives r and
+        c = (-1)^e N(num) with num * r = -c, so x^-1 = -den * r / c. The
+        norm c is nonzero because E is Eisenstein, hence irreducible."""
         if self.is_zero():
             raise ZeroInversion("cannot invert zero")
-        spec, e = self.spec, self.spec.e
-        if e == 1:
+        spec = self.spec
+        if spec.e == 1:
             n = self._num[0]
             return _make(spec, (self._den if n > 0 else -self._den,), abs(n))
-        cols = regular(spec, self._num)
-        # rows of the augmented system [M | e_0]
-        a = [[*row, int(i == 0)] for i, row in enumerate(zip(*cols))]
-        prev = 1
-        for k in range(e - 1):
-            if not a[k][k]:
-                # some lower row has a nonzero entry here, since det(M) != 0
-                i = next(i for i in range(k + 1, e) if a[i][k])
-                a[k], a[i] = a[i], a[k]
-            pivot, top = a[k][k], a[k][k + 1:]
-            for row in a[k + 1:]:
-                f = row[k]
-                row[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1:], top)]
-            prev = pivot
-        det = a[e - 1][e - 1]
-        y = [0] * e
-        for i in range(e - 1, -1, -1):
-            row = a[i]
-            y[i] = (det * row[e] - sum([row[j] * y[j] for j in range(i + 1, e)])) // row[i]
-        den = self._den if det > 0 else -self._den
-        return _make(spec, tuple([den * v for v in y]), abs(det))
+        r, c = spec._invnum(self._num)
+        den = -self._den if c > 0 else self._den
+        return _make(spec, tuple([den * v for v in r]), abs(c))
 
     def _ev(self, start: int = 0):
         """e * val on the coordinates i >= start, an int: the min over the

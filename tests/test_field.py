@@ -60,7 +60,7 @@ def nonzero_elements(draw):
     spec = draw(st.sampled_from(INVERT_FIELDS))
     p, e = spec.p, spec.e
     if draw(st.booleans()):
-        # c * p^k * pi^j: zero leading coordinates force the pivot row swap
+        # c * p^k * pi^j: the elements with zero leading coordinates
         c = draw(st.sampled_from([1, -1, 2, -7]))
         k = draw(st.integers(-6, 6))
         return spec.element([0] * draw(st.integers(0, e - 1)) + [c * Fraction(p) ** k])

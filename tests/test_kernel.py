@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prismlab.errors import ZeroInversion
-from prismlab.field import FieldElement, FieldSpec, _product_kernel
+from prismlab.field import FieldElement, FieldSpec, _product_kernel, regular
 from prismlab.linalg import Matrix, poly_deflate
 from prismlab.serialize import parse_field
 
@@ -170,13 +170,56 @@ def test_product_kernel_takes_a_coefficient_too_long_to_print():
     assert (x * y).coords == ref_mul(spec, x.coords, y.coords)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_inverse_kernel_matches_reference(data):
+    spec = data.draw(eisenstein())
+    x = data.draw(numerators(spec).filter(lambda x: not x.is_zero()))
+    inv = x.invert()
+    assert ref_mul(spec, x.coords, inv.coords) == ref_one(spec)
+    assert_canonical(inv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_inverse_kernel_norm_matches_faddeev_leverrier(data):
+    """The kernel's characteristic polynomial, from Newton's identities on
+    traces, against Matrix.charpoly (Faddeev-LeVerrier) of the regular
+    matrix of num over Q: d_e is its constant term det(-M) = (-1)^e N(num),
+    and r = num^(e-1) + d_1 num^(e-2) + ... + d_(e-1)."""
+    spec = data.draw(eisenstein())
+    num = data.draw(numerators(spec).filter(lambda x: not x.is_zero()))._num
+    r, c = spec._invnum(num)
+    q = FieldSpec(spec.p, [-spec.p, 1])
+    chi = Matrix(q, list(zip(*regular(spec, num)))).charpoly()
+    assert c == chi[0] and c != 0
+    want, power = [Fraction(0)] * spec.e, ref_one(spec)
+    for coeff in chi[1:]:
+        want = ref_add(want, tuple(coeff.rational_value() * w for w in power))
+        power = ref_mul(spec, power, num)
+    assert r == want
+
+
+def test_inverse_kernel_takes_a_coefficient_too_long_to_print():
+    """E's constants and its power traces are bound as names, not printed
+    into the kernel's source, so a coefficient past the int-to-str digit
+    limit still builds."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    p = 3
+    c1 = p * (p * 10 ** (limit + 10) + 1)
+    spec = FieldSpec(p, [p, c1, p, 1])
+    x = spec.element([1, Fraction(-2, 5), 7])
+    assert ref_mul(spec, x.coords, x.invert().coords) == ref_one(spec)
+
+
 def test_product_kernel_is_compiled_once_per_polynomial():
     coeffs = [5 * 29, 5 * 31, 5 * 37, 1]
     before = _product_kernel.cache_info()
     first, second = FieldSpec(5, coeffs), FieldSpec(5, coeffs)
-    assert first._mulnum is second._mulnum
+    assert first._mulnum is second._mulnum and first._invnum is second._invnum
     for _ in range(100):
-        assert parse_field({"p": 5, "E": coeffs})._mulnum is first._mulnum
+        spec = parse_field({"p": 5, "E": coeffs})
+        assert spec._mulnum is first._mulnum and spec._invnum is first._invnum
     after = _product_kernel.cache_info()
     assert after.misses - before.misses == 1
     assert after.hits - before.hits == 101
