@@ -47,13 +47,20 @@ def _loads(text: str):
     except ValueError as exc:
         # an integer literal longer than the interpreter converts
         raise InputFormatError(f"bad JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputFormatError("bad JSON: nested too deeply") from exc
 
 
 def _read_json(path: Optional[str]):
-    if path in (None, "-"):
-        return _loads(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return _loads(fh.read())
+    try:
+        if path in (None, "-"):
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"input is not UTF-8: {exc.reason}") from exc
+    return _loads(text)
 
 
 def _emit(obj) -> None:
@@ -382,6 +389,9 @@ def main(argv=None) -> int:
         return 1 if report.get("status") == "fail" else 0
     except (PrismlabError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return 2
 
 

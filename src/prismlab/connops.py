@@ -8,7 +8,7 @@ from math import floor
 from typing import Dict, List, Optional, Sequence
 
 from .errors import BadTruncationIndex, NotAUniformizer, RingMismatch
-from .field import FieldElement, FieldSpec, Valuation, vp_rational
+from .field import INF, FieldElement, FieldSpec, from_ev, vp_rational
 from .linalg import Matrix, eval_poly, null_basis, poly_deflate
 from .series import TruncSeries, lambda_approx
 from .strat import LogConnection
@@ -231,25 +231,24 @@ def _nearest_integer(w: FieldElement) -> Optional[int]:
     modulo a sufficiently high power of p.
     """
     d = w.dist_to_integers()
-    if d.is_infinite:
+    if d is INF:
         return None
     p = w.spec.p
     a0 = w.coords[0]
-    v0 = vp_rational(a0, p)
-    if a0 == 0 or (v0 is not None and v0 < 0):
+    if a0 == 0 or vp_rational(a0, p) < 0:
         return 0
-    t = max(1, int(d.value) + 2)
+    t = max(1, int(d) + 2)
     mod = p ** t
     return (a0.numerator * pow(a0.denominator, -1, mod)) % mod
 
 
-def matrix_gauss_val(mat: Matrix) -> Valuation:
+def matrix_gauss_val(mat: Matrix):
     """The least valuation of an entry: one integer minimum of e*val."""
     evs = [ev for row in mat.rows for x in row if (ev := x._ev()) is not None]
-    return Valuation.from_ev(min(evs) if evs else None, mat.spec.e)
+    return from_ev(min(evs, default=None), mat.spec.e)
 
 
-def trace_tail_verdict(trace: List[Valuation]) -> str:
+def trace_tail_verdict(trace: list) -> str:
     """Convergent, Divergent or Unknown from the tail of a valuation trace;
     probe_nilpotency is its only caller.
 
@@ -259,7 +258,7 @@ def trace_tail_verdict(trace: List[Valuation]) -> str:
     falling window is Divergent. A trace with fewer than two entries has
     no tail and is Unknown.
     """
-    if trace[-1].is_infinite:
+    if trace[-1] is INF:
         return "Convergent"
     w = min(PROBE_WINDOW, len(trace) - 1)
     if w <= 0:
@@ -273,7 +272,7 @@ def trace_tail_verdict(trace: List[Valuation]) -> str:
 
 
 def probe_nilpotency(M: LogConnection, a, n_max: int = 200) -> dict:
-    """Valuation trace of a^n * (residual - 0)(residual - 1)...(residual - n + 1).
+    """The valuation trace of a^n * (residual - 0)...(residual - n + 1).
 
     Semi-decision procedure: the verdict is driven by the tail behaviour
     of the Gauss valuations (trace_tail_verdict) and by exact vanishing,
@@ -292,10 +291,10 @@ def probe_nilpotency(M: LogConnection, a, n_max: int = 200) -> dict:
     trace = [matrix_gauss_val(P)]
     for n in range(1, n_max + 1):
         P = (res - Matrix.identity(spec, M.l).scale(n - 1)) * P
-        if P.is_zero() or va.is_infinite:
-            trace.append(Valuation.infinity())
+        if P.is_zero() or va is INF:
+            trace.append(INF)
             break
-        trace.append(Valuation(n * va.value) + matrix_gauss_val(P))
+        trace.append(n * va + matrix_gauss_val(P))
     verdict = trace_tail_verdict(trace)
     status = "Unknown" if verdict == "Unknown" else "Probe" + verdict
     return {"status": status, "trace": trace}
@@ -351,8 +350,7 @@ def _near_integer_roots(chi: Sequence[FieldElement], c: Fraction) -> Dict[int, i
 def _near_weights(chi: Sequence[FieldElement], a: FieldElement) -> int:
     """Roots w of chi, with multiplicity, with val(a) + dist(w, Z) > 0."""
     va = a.val()
-    return len(chi) - 1 if va.is_infinite else sum(
-        _near_integer_roots(chi, -va.value).values())
+    return len(chi) - 1 if va is INF else sum(_near_integer_roots(chi, -va).values())
 
 
 def check_nilpotent(M: LogConnection, a) -> dict:

@@ -42,7 +42,7 @@ class BadTruncationIndex(PrismlabError):
 
 
 class InvalidValuation(PrismlabError):
-    """Valuation input outside the meaningful range."""
+    """A valuation input outside the meaningful range."""
 
 
 class InputFormatError(PrismlabError):

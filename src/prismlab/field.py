@@ -4,7 +4,8 @@ An element is a vector of integer numerators over one positive common
 denominator in the basis 1, pi, ..., pi^(e-1), where pi is the class of u,
 reduced so that the denominator and the numerators share no factor. The
 read-only `coords` view gives the same coordinates as Fractions in lowest
-terms. The valuation is normalized so that v(p) = 1, hence v(pi) = 1/e.
+terms. The valuation is normalized so that v(p) = 1, hence v(pi) = 1/e: a
+Fraction, and INF for zero.
 """
 from __future__ import annotations
 
@@ -57,84 +58,48 @@ def _exact(r: Rat) -> Fraction:
     return Fraction(r)
 
 
-def vp_rational(r: Fraction, p: int):
-    """p-adic valuation of a rational; None stands for +infinity (r = 0)."""
-    if r == 0:
-        return None
-    return _vp_int(r.numerator, p) - _vp_int(r.denominator, p)
+class _Infinity:
+    """+infinity, the valuation of zero: above every int and Fraction,
+    absorbing addition from either side, equal only to itself. INF is the
+    one instance; a finite valuation is a Fraction."""
 
-
-class Valuation:
-    """A rational valuation value, or +infinity."""
-
-    def __init__(self, value=None):
-        # value None encodes +infinity
-        self._v = None if value is None else _exact(value)
-
-    @classmethod
-    def infinity(cls) -> "Valuation":
-        return cls(None)
-
-    @classmethod
-    def from_ev(cls, ev, e: int) -> "Valuation":
-        """The valuation ev/e of an element x with e*val(x) = ev
-        (FieldElement._ev); ev None stands for +infinity."""
-        out = _new(cls)
-        out._v = None if ev is None else Fraction(ev, e)
-        return out
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._v is None
-
-    @property
-    def value(self) -> Fraction:
-        if self._v is None:
-            raise ValueError("infinite valuation has no finite value")
-        return self._v
-
-    def _coerce(self, other):
-        if isinstance(other, Valuation):
-            return other
-        return Valuation(other)
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        return self._v == other._v
+    __slots__ = ()
 
     def __lt__(self, other):
-        other = self._coerce(other)
-        if self._v is None:
-            return False
-        if other._v is None:
-            return True
-        return self._v < other._v
+        return False
 
     def __le__(self, other):
-        return self == other or self < other
+        return other is self
 
     def __gt__(self, other):
-        return not self <= other
+        return other is not self
 
     def __ge__(self, other):
-        return not self < other
+        return True
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if self._v is None or other._v is None:
-            return Valuation.infinity()
-        return Valuation(self._v + other._v)
+        return self
 
     __radd__ = __add__
 
-    def __hash__(self):
-        return hash(self._v)
-
     def __repr__(self):
-        return "Valuation(+inf)" if self._v is None else f"Valuation({self._v})"
+        return "+inf"
 
-    def __str__(self):
-        return "+inf" if self._v is None else str(self._v)
+
+INF = _Infinity()
+
+
+def from_ev(ev, e: int):
+    """The valuation ev/e of an element x with e*val(x) = ev
+    (FieldElement._ev): a Fraction, or INF when ev is None."""
+    return INF if ev is None else Fraction(ev, e)
+
+
+def vp_rational(r: Fraction, p: int):
+    """p-adic valuation of a rational, a Fraction; INF for r = 0."""
+    if r == 0:
+        return INF
+    return Fraction(_vp_int(r.numerator, p) - _vp_int(r.denominator, p))
 
 
 class FieldSpec:
@@ -502,15 +467,15 @@ class FieldElement:
             return best
         return best - e * _vp_int(self._den, p)
 
-    def val(self) -> Valuation:
-        """min over nonzero coordinates of v_p(a_i) + i/e, +inf for zero.
+    def val(self):
+        """min over nonzero coordinates of v_p(a_i) + i/e, INF for zero.
 
         Exact because distinct i give distinct fractional parts i/e, so no
         two terms of the minimum can collide.
         """
-        return Valuation.from_ev(self._ev(), self.spec.e)
+        return from_ev(self._ev(), self.spec.e)
 
-    def dist_to_integers(self) -> Valuation:
+    def dist_to_integers(self):
         """sup over integers k of val(self - k).
 
         With a_0 the rational coordinate and m1 the min over i >= 1 of
@@ -524,7 +489,7 @@ class FieldElement:
             v0 = _vp_int(self._num[0], p) - _vp_int(self._den, p)
             if v0 < 0 and (m1 is None or v0 * e < m1):
                 m1 = v0 * e
-        return Valuation.from_ev(m1, e)
+        return from_ev(m1, e)
 
     def __repr__(self):
         return f"FieldElement({list(self.coords)})"

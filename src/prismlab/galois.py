@@ -7,7 +7,7 @@ from typing import List, Optional
 
 from .connops import _near_integer_roots, matrix_gauss_val
 from .errors import InvalidValuation
-from .field import FieldElement, Valuation
+from .field import INF, FieldElement, _exact
 from .linalg import Matrix
 from .strat import LogConnection, from_connection, operator_family
 
@@ -43,13 +43,11 @@ class GaloisKernel:
 
 
 class GaloisElementData:
-    """Valuation-level data of a group element: v0, the p-adic valuation of
-    the evaluation point of the series."""
+    """The valuation-level data of a group element: v0, the p-adic
+    valuation of the evaluation point of the series, a Fraction or INF."""
 
     def __init__(self, v0):
-        if not isinstance(v0, Valuation):
-            v0 = Valuation(v0)
-        self.v0 = v0
+        self.v0 = v0 if v0 is INF else _exact(v0)
 
 
 def action_kernel(M: LogConnection, a, D: int) -> GaloisKernel:
@@ -161,22 +159,18 @@ def converges_at(kernel: GaloisKernel, g: GaloisElementData) -> dict:
     and its integer Taylor shifts. The trace is reported, not consulted.
     """
     v0 = g.v0
-    if not v0.is_infinite and v0.value <= 0:
-        raise InvalidValuation(f"need v0 > 0, got {v0.value}")
-    spec = kernel.spec
-    p = spec.p
-    trace: List[Valuation] = []
+    if v0 <= 0:
+        raise InvalidValuation(f"need v0 > 0, got {v0}")
+    p = kernel.spec.p
+    trace = []
     for n, A in enumerate(kernel.A):
         gv = matrix_gauss_val(A)
-        if gv.is_infinite or (v0.is_infinite and n > 0):
-            trace.append(Valuation.infinity())
-        elif n == 0:
-            trace.append(gv)
-        else:
-            trace.append(Valuation(gv.value + n * v0.value - factorial_val(n, p)))
+        if n and gv is not INF:
+            gv = INF if v0 is INF else gv + n * v0 - factorial_val(n, p)
+        trace.append(gv)
     va = kernel.a.val()
-    if (va.is_infinite or v0.is_infinite or kernel.D == 0
-            or _converges(kernel.A[1].scale(kernel.a.invert()), va.value + v0.value)):
+    if (va is INF or v0 is INF or kernel.D == 0
+            or _converges(kernel.A[1].scale(kernel.a.invert()), va + v0)):
         status = "Convergent"
     else:
         status = "Divergent"

@@ -10,10 +10,10 @@ import json
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from .errors import InputFormatError
-from .field import FieldElement, FieldSpec, Valuation, _make
+from .field import INF, FieldElement, FieldSpec, _make
 from .galois import GaloisKernel
 from .linalg import Matrix
 from .series import TruncSeries
@@ -124,16 +124,12 @@ def parse_element(spec: FieldSpec, arr) -> FieldElement:
     return _make(spec, num, den) if any(num) else spec.zero()
 
 
-def encode_valuation(v: Valuation) -> Any:
-    if v.is_infinite:
-        return "inf"
-    return encode_rational(v.value)
+def encode_valuation(v) -> Any:
+    return "inf" if v is INF else encode_rational(v)
 
 
-def parse_valuation(x) -> Valuation:
-    if x == "inf":
-        return Valuation.infinity()
-    return Valuation(parse_rational(x))
+def parse_valuation(x):
+    return INF if x == "inf" else parse_rational(x)
 
 
 def encode_series(s: TruncSeries) -> dict:
@@ -256,7 +252,7 @@ def parse_kernel(obj) -> GaloisKernel:
     return kernel
 
 
-def encode_valuation_list(vs: List[Valuation]) -> list:
+def encode_valuation_list(vs: list) -> list:
     return [encode_valuation(v) for v in vs]
 
 

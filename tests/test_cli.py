@@ -30,9 +30,16 @@ from test_connops import constant_conn
 from test_strat import random_connection
 
 
+def stdin_of(text):
+    """text as a standard input that decodes strict UTF-8 from bytes; a
+    lone surrogate escape such as "\\udcff" stands for the raw byte 0xff."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8", "surrogateescape")),
+                            encoding="utf-8", newline="")
+
+
 def run_cli(argv, stdin_text=""):
     old = sys.stdin
-    sys.stdin = io.StringIO(stdin_text)
+    sys.stdin = stdin_of(stdin_text)
     buf = io.StringIO()
     try:
         with contextlib.redirect_stdout(buf):
@@ -86,6 +93,7 @@ UNKNOWN_COMMANDS = {
 
 
 HUGE_LITERAL_FIELD = '{"p":' + "1" * 4301 + ',"E":[-3,1]}'
+DEEP_NEST = "[" * 100000 + "]" * 100000
 
 
 def bad_flag_input(name, field_path, spec):
@@ -163,12 +171,15 @@ def run_cli_stderr(argv, stdin_text=""):
     return code, out, err.getvalue()
 
 
-def run_python(args, stdin_text="", timeout=None):
-    """python args in a subprocess that imports prismlab from src/."""
-    env = dict(os.environ)
+def run_python(args, stdin_text="", timeout=None, **env):
+    """python args in a subprocess that imports prismlab from src/, with
+    the variables env added to its environment; stdin_text is encoded as
+    stdin_of encodes it."""
+    env = dict(os.environ) | env
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, *args], input=stdin_text.encode(),
+    return subprocess.run([sys.executable, *args],
+                          input=stdin_text.encode("utf-8", "surrogateescape"),
                           capture_output=True, env=env, timeout=timeout)
 
 
@@ -498,6 +509,29 @@ class TestFailurePaths:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_deep_nesting_exits_two(self):
+        # valid JSON, but nested past the interpreter's recursion limit
+        assert run_cli_stderr(["conn", "new"], DEEP_NEST) == (
+            2, "", "error: bad JSON: nested too deeply\n")
+
+    def test_invalid_utf8_exits_two(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"p":3,"E":[-3,1]}\xff')
+        expect = (2, "", "error: input is not UTF-8: invalid start byte\n")
+        assert run_cli_stderr(["field", "check", str(path)]) == expect
+        assert run_cli_stderr(["field", "check"], '{"p":3,"E":[-3,1]}\udcff') == expect
+        proc = run_python(["-m", "prismlab.cli", "field", "check"], '{"p":3,"E":[-3,1]}\udcff',
+                          PYTHONIOENCODING="utf-8:strict")
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == expect
+
+    def test_out_of_memory_exits_two(self, monkeypatch, q3_field_file):
+        # main looks its handler up per call, so the rebound one runs
+        def exhausted(args):
+            raise MemoryError
+        monkeypatch.setattr(cli, "cmd_field_check", exhausted)
+        assert run_cli_stderr(["field", "check", q3_field_file]) == (
+            2, "", "error: out of memory\n")
+
     @pytest.mark.parametrize("entry", [int("7" * 4000), "1/" + "7" * 4000],
                              ids=["integer", "fraction"])
     def test_output_integer_past_digit_limit_exits_two(self, entry):
@@ -759,6 +793,9 @@ FAILING_LEAVES = {("strat", "check-cocycle"), ("strat", "to-conn"), ("verify", "
 # values the input fuzz puts in place of a node; HUGE_LITERAL stands for an
 # integer literal over the interpreter's digit limit
 HUGE_LITERAL = "<integer literal over the digit limit>"
+# an array nested past the recursion limit, and the raw byte 0xff
+DEEP = "<array nested 100,000 deep>"
+BAD_BYTE = "<byte that is not UTF-8>"
 SWAPS = ({}, [], [[]], "", "x", "1/0", 0, -1, None)
 FLOATS = (1.5, 1.0, -0.0, 1e308, float("nan"), float("inf"), float("-inf"))
 HUGE = (2 ** 64, 10 ** 200, -10 ** 200, HUGE_LITERAL)
@@ -822,19 +859,22 @@ def _replaced(obj, path, value):
 
 def mutated(obj, pick):
     """obj after one mutation, each choice made by pick(options): a key
-    dropped, a node of another type or a float, a boolean or huge number for
-    an integer, or a list made ragged by dropping or repeating an element."""
+    dropped, a node of another type or a float, a node nested too deeply or
+    holding a byte that is not UTF-8, a boolean or huge number for an
+    integer, or a list made ragged by dropping or repeating an element."""
     paths = list(_nodes(obj))
 
     def where(test):
         return [p for p in paths if test(_at(obj, p))]
     ints = where(lambda x: type(x) is int)
-    targets = {"swap": paths, "float": paths, "bool": ints, "huge": ints,
+    targets = {"swap": paths, "float": paths, "deep": paths, "byte": paths,
+               "bool": ints, "huge": ints,
                "drop": where(lambda x: isinstance(x, dict) and x),
                "ragged": where(lambda x: isinstance(x, list) and x)}
     kind = pick([kind for kind, found in targets.items() if found])
     path = pick(targets[kind])
-    values = {"swap": SWAPS, "float": FLOATS, "bool": (True, False), "huge": HUGE}
+    values = {"swap": SWAPS, "float": FLOATS, "deep": (DEEP,), "byte": (BAD_BYTE,),
+              "bool": (True, False), "huge": HUGE}
     if kind in values:
         return _replaced(obj, path, pick(values[kind]))
     node = _at(obj, path)
@@ -847,8 +887,10 @@ def mutated(obj, pick):
 
 
 def input_text(obj):
-    """obj as JSON text; floats, NaN and infinities appear as raw text."""
-    return json.dumps(obj).replace(json.dumps(HUGE_LITERAL), "9" * 4400)
+    """obj as JSON text; floats, NaN and infinities appear as raw text, and
+    the bad byte as the surrogate escape that stdin_of reads as 0xff."""
+    return (json.dumps(obj).replace(json.dumps(HUGE_LITERAL), "9" * 4400)
+            .replace(json.dumps(DEEP), DEEP_NEST).replace(json.dumps(BAD_BYTE), "\udcff"))
 
 
 def assert_input_contract(argv, code, out, err):
@@ -871,7 +913,9 @@ import io, json, sys
 from prismlab import cli
 outcomes = []
 for argv, text in json.load(sys.stdin):
-    sys.stdin, sys.stdout, sys.stderr = io.StringIO(text), io.StringIO(), io.StringIO()
+    sys.stdin = io.TextIOWrapper(io.BytesIO(text.encode("utf-8", "surrogateescape")),
+                                 encoding="utf-8", newline="")
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
     code = cli.main(argv)
     outcomes.append([code, sys.stdout.getvalue(), sys.stderr.getvalue()])
 sys.__stdout__.write(json.dumps(outcomes))

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prismlab.errors import ZeroInversion
-from prismlab.field import PRIME_BOUND, FieldSpec, Valuation, _is_prime, _vp_int, vp_rational
+from prismlab.field import INF, PRIME_BOUND, FieldSpec, _is_prime, _vp_int, vp_rational
+from prismlab.galois import GaloisElementData
 
 from conftest import FOUR_FIELDS, random_element, random_rational
 
@@ -72,7 +73,6 @@ def nonzero_elements(draw):
 
 def window_dist_oracle(alpha, window=200):
     """Independent lower-bound oracle: max of val(alpha - k) over a window."""
-    best = Valuation(None)
     best = None
     for k in range(-window, window + 1):
         v = (alpha - k).val()
@@ -120,24 +120,39 @@ class TestFieldSpec:
 
 class TestValuation:
     def test_val_of_p(self, q3):
-        assert q3.from_rational(3).val() == Valuation(1)
+        assert q3.from_rational(3).val() == Fraction(1)
 
     def test_val_of_pi_quadratic(self, q3s):
-        assert q3s.pi().val() == Valuation(Fraction(1, 2))
+        assert q3s.pi().val() == Fraction(1, 2)
 
     def test_val_mixed(self, q3s):
         # min(v3(1/2) + 0, v3(1) + 1/2) = min(0, 1/2)
         alpha = q3s.element([Fraction(1, 2), 1])
-        assert alpha.val() == Valuation(0)
+        assert alpha.val() == Fraction(0)
 
     def test_val_zero_is_infinite(self, q3s):
-        assert q3s.zero().val().is_infinite
+        assert q3s.zero().val() is INF
 
     def test_val_ordering(self):
-        assert Valuation(1) < Valuation.infinity()
-        assert not (Valuation.infinity() < Valuation(100))
-        assert Valuation.infinity() + Valuation(-5) == Valuation.infinity()
-        assert Valuation(Fraction(1, 2)) + Valuation(1) == Valuation(Fraction(3, 2))
+        assert Fraction(1) < INF
+        assert not (INF < Fraction(100))
+        assert INF + Fraction(-5) == INF
+        assert Fraction(1, 2) + Fraction(1) == Fraction(3, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                       st.fractions(max_denominator=10 ** 6)),
+           xs=st.lists(st.one_of(st.integers(), st.fractions(), st.just(INF)), max_size=8))
+    def test_infinity_orders_above_and_absorbs(self, x, xs):
+        assert x < INF and x <= INF and not x > INF and not x >= INF
+        assert INF > x and INF >= x and not INF < x and not INF <= x
+        assert INF <= INF and INF >= INF and not INF < INF and not INF > INF
+        assert INF + x is INF and x + INF is INF and INF + INF is INF
+        assert INF == INF and INF != x and x != INF
+        assert min(x, INF) == min(INF, x) == x and max(x, INF) is max(INF, x) is INF
+        finite = sorted(v for v in xs if v is not INF)
+        assert sorted(xs) == finite + [INF] * (len(xs) - len(finite))
+        assert str(INF) == "+inf"
 
     def test_val_multiplicative_random(self, q3s, q2s, rng):
         for spec in (q3s, q2s):
@@ -273,7 +288,7 @@ class TestDerivAtPi:
     def test_cubic_with_valuation(self, cubic3):
         d = cubic3.eval_deriv_at_pi()
         assert d == cubic3.element([3, 0, 3])
-        assert d.val() == Valuation(1)
+        assert d.val() == Fraction(1)
 
     def test_scalars(self, q3s):
         assert q3s.a_prism() == q3s.element([0, -2])
@@ -335,8 +350,8 @@ class TestExactEntryPoints:
 
     def test_valuation(self):
         with pytest.raises(TypeError, match="float"):
-            Valuation(0.1)
-        assert Valuation("1/10") == Valuation(Fraction(1, 10))
+            GaloisElementData(0.1)
+        assert GaloisElementData("1/10").v0 == Fraction(1, 10)
 
 
 def val_by_terms(x, start=0):
@@ -355,8 +370,8 @@ def dist_by_terms(x):
     if x._num[0]:
         v0 = _vp_int(x._num[0], x.spec.p) - _vp_int(x._den, x.spec.p)
         if v0 < 0:
-            return Valuation(v0 if m1 is None or v0 < m1 else m1)
-    return Valuation.infinity() if m1 is None else Valuation(m1)
+            return Fraction(v0 if m1 is None or v0 < m1 else m1)
+    return INF if m1 is None else m1
 
 
 @st.composite
@@ -377,7 +392,7 @@ def test_integer_valuation_matches_fraction_terms(x):
     old = val_by_terms(x)
     ev = x._ev()
     assert ev == (None if old is None else old * x.spec.e)
-    assert str(x.val()) == str(Valuation.infinity() if old is None else Valuation(old))
+    assert str(x.val()) == str(INF if old is None else old)
     assert str(x.dist_to_integers()) == str(dist_by_terms(x))
     higher = val_by_terms(x, 1)
     assert x._ev(1) == (None if higher is None else higher * x.spec.e)
@@ -386,20 +401,20 @@ def test_integer_valuation_matches_fraction_terms(x):
 class TestDistToIntegers:
     def test_half_is_three_adic_integer(self, q3):
         alpha = q3.from_rational(Fraction(1, 2))
-        assert alpha.dist_to_integers().is_infinite
+        assert alpha.dist_to_integers() is INF
         # window oracle only ever certifies lower bounds here; it must keep growing
-        assert window_dist_oracle(alpha, 50) >= Valuation(3)
-        assert window_dist_oracle(alpha, 200) >= Valuation(4)
+        assert window_dist_oracle(alpha, 50) >= Fraction(3)
+        assert window_dist_oracle(alpha, 200) >= Fraction(4)
 
     def test_third_has_pole(self, q3):
         alpha = q3.from_rational(Fraction(1, 3))
-        assert alpha.dist_to_integers() == Valuation(-1)
-        assert window_dist_oracle(alpha) == Valuation(-1)
+        assert alpha.dist_to_integers() == Fraction(-1)
+        assert window_dist_oracle(alpha) == Fraction(-1)
 
     def test_pi_over_three(self, q3s):
         alpha = q3s.element([0, Fraction(1, 3)])
-        assert alpha.dist_to_integers() == Valuation(Fraction(-1, 2))
-        assert window_dist_oracle(alpha) == Valuation(Fraction(-1, 2))
+        assert alpha.dist_to_integers() == Fraction(-1, 2)
+        assert window_dist_oracle(alpha) == Fraction(-1, 2)
 
     def test_translation_invariance(self, q3s, q2s, rng):
         for spec in (q3s, q2s):
@@ -413,12 +428,12 @@ class TestDistToIntegers:
         for _ in range(200):
             r = random_rational(rng)
             a = q3.from_rational(r)
-            got = a.dist_to_integers().is_infinite
-            expect = (vp_rational(r, 3) is None) or vp_rational(r, 3) >= 0
+            got = a.dist_to_integers() is INF
+            expect = vp_rational(r, 3) >= 0
             assert got == expect
         for _ in range(200):
             a = random_element(rng, q3s)
-            if a.dist_to_integers().is_infinite:
+            if a.dist_to_integers() is INF:
                 assert all(c == 0 for c in a.coords[1:])
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from prismlab import connops
 from prismlab.connops import matrix_gauss_val
 from prismlab.errors import InvalidValuation
-from prismlab.field import FieldElement, FieldSpec, Valuation
+from prismlab.field import INF, FieldElement, FieldSpec
 from prismlab.galois import (GaloisElementData, GaloisKernel, action_kernel,
                              converges_at, d0_check, digit_sum, factorial_val,
                              h_series, tau_power_kernel)
@@ -155,7 +155,7 @@ class TestConvergence:
         rep = converges_at(k, GaloisElementData(Fraction(1, 2)))
         assert rep["status"] == "Divergent"
         expect = [Fraction(-n) + Fraction(digit_sum(n, 3), 2) for n in range(13)]
-        assert [t.value for t in rep["trace"]] == expect
+        assert rep["trace"] == expect
         assert all(b < a for a, b in zip(expect, expect[1:]))
 
     def test_one_third_threshold_shift(self, q3):
@@ -172,7 +172,7 @@ class TestConvergence:
         k = action_kernel(M, Fraction(1, 3), 12)
         rep = converges_at(k, GaloisElementData(Fraction(1, 2)))
         assert rep["status"] == "Divergent"
-        assert [t.value for t in rep["trace"]] == [Fraction(-n, 2) for n in range(13)]
+        assert rep["trace"] == [Fraction(-n, 2) for n in range(13)]
 
     def test_non_split_probe_paths(self, q3):
         # weights +-sqrt 2 lie outside Q_3 at distance 0 from Z: slope
@@ -206,7 +206,7 @@ class TestConvergence:
         # diag(0, 1) is diagonalizable with weights 0 and 1: A_2 = 0
         k = action_kernel(constant_conn(q3, 1, [[0, 0], [0, 1]]), Fraction(1, 27), 8)
         rep = converges_at(k, GaloisElementData(1))
-        assert rep["status"] == "Convergent" and rep["trace"][2].is_infinite
+        assert rep["status"] == "Convergent" and rep["trace"][2] is INF
 
     def test_half_weight_at_negative_slope(self, q3):
         # val(a) + v0 = -1/2 and the weight 1/2 is no integer
@@ -245,17 +245,17 @@ class TestConvergence:
 
     def test_infinite_v0(self, q3):
         k = action_kernel(twist(q3, 1, 1), 1, 3)
-        rep = converges_at(k, GaloisElementData(Valuation.infinity()))
+        rep = converges_at(k, GaloisElementData(INF))
         assert rep["status"] == "Convergent"
-        assert rep["trace"][0] == Valuation(0)
-        assert all(t.is_infinite for t in rep["trace"][1:])
+        assert rep["trace"][0] == Fraction(0)
+        assert all(t is INF for t in rep["trace"][1:])
 
 
 class TestIntegerValuations:
     def test_converges_at_reads_one_valuation(self, q3s, monkeypatch):
         """Operation counts: converges_at takes val() of a alone; the trace's
         Gauss valuations and the verdict's Newton polygons read no
-        Valuation per entry or coefficient."""
+        valuation per entry or coefficient."""
         M = constant_conn(q3s, 2, [[0, 2], [1, q3s.pi()]])
         kernels = [action_kernel(M, q3s.a_prism(), 6), action_kernel(M, Fraction(1, 9), 6)]
         calls = count_calls(monkeypatch, [(FieldElement, "val")])
@@ -268,7 +268,7 @@ class TestIntegerValuations:
     def test_element_data_refuses_float(self):
         with pytest.raises(TypeError, match="float"):
             GaloisElementData(0.25)
-        assert GaloisElementData(Fraction(1, 4)).v0 == Valuation(Fraction(1, 4))
+        assert GaloisElementData(Fraction(1, 4)).v0 == Fraction(1, 4)
 
 
 class TestTauPower:
@@ -329,7 +329,7 @@ def trace_growth(op, sigma, p):
         if P.is_zero():
             return None
         if n in (p ** (K - 1), p ** K):
-            t[n] = matrix_gauss_val(P).value + n * sigma - factorial_val(n, p)
+            t[n] = matrix_gauss_val(P) + n * sigma - factorial_val(n, p)
     return t[p ** K] - t[p ** (K - 1)]
 
 
@@ -365,5 +365,5 @@ def test_convergence_matches_trace_growth(field, seed, l, k, r, v0):
     a = spec.pi() ** (k * spec.e + r)
     rep = converges_at(action_kernel(M, a, 2), GaloisElementData(v0))
     assert rep["status"] in ("Convergent", "Divergent")
-    g = trace_growth(M.operator(), a.val().value + v0, spec.p)
+    g = trace_growth(M.operator(), a.val() + v0, spec.p)
     assert rep["status"] == ("Convergent" if g is None or g >= 8 else "Divergent"), g

@@ -38,13 +38,22 @@ def sources():
                 yield name, fh.read()
 
 
+# the float constants of the math module; +infinity is field.INF
+MATH_FLOATS = {"inf", "nan"}
+
+
 def float_lines(source):
-    """Line numbers of the float or complex literals and of the calls to
-    float() or round() in source."""
+    """Line numbers of the float or complex literals, of the calls to
+    float() or round(), and of math.inf, math.nan and their imports from
+    math in source."""
     return sorted({node.lineno for node in ast.walk(ast.parse(source))
                    if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                   and node.func.id in ("float", "round")})
+                   and node.func.id in ("float", "round")
+                   or isinstance(node, ast.Attribute) and node.attr in MATH_FLOATS
+                   and isinstance(node.value, ast.Name) and node.value.id == "math"
+                   or isinstance(node, ast.ImportFrom) and node.module == "math"
+                   and any(alias.name in MATH_FLOATS for alias in node.names)})
 
 
 def foreign_imports(source):
@@ -85,9 +94,12 @@ def test_no_floats():
 
 
 def test_a_float_is_found():
-    source = "x = 0.5\ny = float('1')\nz = round(x)\nw = 2j\nv = Fraction(1, 2)  # 0.5\n"
-    assert float_lines(source) == [1, 2, 3, 4]
-    assert float_lines("from math import floor\nk = floor(x)  # round down\n") == []
+    source = ("x = 0.5\ny = float('1')\nz = round(x)\nw = 2j\nv = Fraction(1, 2)  # 0.5\n"
+              "top = math.inf\nbad = math.nan\nfrom math import floor, inf\n"
+              "from math import nan as missing\n")
+    assert float_lines(source) == [1, 2, 3, 4, 6, 7, 8, 9]
+    assert float_lines("from math import floor\nk = floor(x)  # round down\n"
+                       "top = INF  # not math.inf\ninf = field.inf\n") == []
 
 
 def test_stdlib_only():
