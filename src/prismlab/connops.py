@@ -8,13 +8,10 @@ from math import floor
 from typing import Dict, List, Optional, Sequence
 
 from .errors import BadTruncationIndex, NotAUniformizer, RingMismatch
-from .field import INF, FieldElement, FieldSpec, from_ev, vp_rational
+from .field import INF, FieldElement, FieldSpec, from_ev
 from .linalg import Matrix, eval_poly, null_basis, poly_deflate
 from .series import TruncSeries, lambda_approx
 from .strat import LogConnection
-
-PROBE_THRESHOLD = 50
-PROBE_WINDOW = 20
 
 
 def _require_same_ring(M1: LogConnection, M2: LogConnection):
@@ -235,7 +232,7 @@ def _nearest_integer(w: FieldElement) -> Optional[int]:
         return None
     p = w.spec.p
     a0 = w.coords[0]
-    if a0 == 0 or vp_rational(a0, p) < 0:
+    if a0 == 0 or a0.denominator % p == 0:
         return 0
     t = max(1, int(d) + 2)
     mod = p ** t
@@ -248,40 +245,11 @@ def matrix_gauss_val(mat: Matrix):
     return from_ev(min(evs, default=None), mat.spec.e)
 
 
-def trace_tail_verdict(trace: list) -> str:
-    """Convergent, Divergent or Unknown from the tail of a valuation trace;
-    probe_nilpotency is its only caller.
-
-    An infinite last entry means the terms vanished. Otherwise the last
-    PROBE_WINDOW steps decide: a final entry at or above PROBE_THRESHOLD
-    that exceeds the window's first entry is Convergent, a strictly
-    falling window is Divergent. A trace with fewer than two entries has
-    no tail and is Unknown.
-    """
-    if trace[-1] is INF:
-        return "Convergent"
-    w = min(PROBE_WINDOW, len(trace) - 1)
-    if w <= 0:
-        return "Unknown"
-    tail = trace[-(w + 1):]
-    if trace[-1] >= PROBE_THRESHOLD and trace[-1] > tail[0]:
-        return "Convergent"
-    if all(tail[i + 1] < tail[i] for i in range(w)):
-        return "Divergent"
-    return "Unknown"
-
-
 def probe_nilpotency(M: LogConnection, a, n_max: int = 200) -> dict:
-    """The valuation trace of a^n * (residual - 0)...(residual - n + 1).
-
-    Semi-decision procedure: the verdict is driven by the tail behaviour
-    of the Gauss valuations (trace_tail_verdict) and by exact vanishing,
-    never by rounding. check_nilpotent decides exactly; this probe is kept
-    as a reference for tests. Its window misjudges val(a) <= -3: for a
-    weight w in Z_3 the factor w - i reaches valuation 3 only once in 27
-    steps, so at a = 1/27 the 20-step window at step 200 can fall strictly
-    and answer ProbeDivergent for a nilpotent connection.
-    """
+    """{"trace": t}: t[n] is the Gauss valuation of
+    a^n * (residual - 0)...(residual - n + 1) for n <= n_max, ending at INF
+    when the product vanishes. It gives no verdict: check_nilpotent
+    decides a-nilpotency exactly."""
     spec = M.spec
     if not isinstance(a, FieldElement):
         a = spec.from_rational(a)
@@ -295,9 +263,7 @@ def probe_nilpotency(M: LogConnection, a, n_max: int = 200) -> dict:
             trace.append(INF)
             break
         trace.append(n * va + matrix_gauss_val(P))
-    verdict = trace_tail_verdict(trace)
-    status = "Unknown" if verdict == "Unknown" else "Probe" + verdict
-    return {"status": status, "trace": trace}
+    return {"trace": trace}
 
 
 def _roots_above(chi: Sequence[FieldElement], c: Fraction) -> int:

@@ -95,13 +95,6 @@ def from_ev(ev, e: int):
     return INF if ev is None else Fraction(ev, e)
 
 
-def vp_rational(r: Fraction, p: int):
-    """p-adic valuation of a rational, a Fraction; INF for r = 0."""
-    if r == 0:
-        return INF
-    return Fraction(_vp_int(r.numerator, p) - _vp_int(r.denominator, p))
-
-
 class FieldSpec:
     """The field K = Q_p[u]/(E(u)) with E monic Eisenstein at p."""
 
@@ -123,11 +116,13 @@ class FieldSpec:
         self.e = e
         self.ecoeffs = tuple(coeffs)
         # pi^e = -(c_0 + c_1 pi + ... + c_{e-1} pi^(e-1)): the nonzero c_i
-        self._fold = tuple((i, c) for i, c in enumerate(coeffs[:-1]) if c)
-        self._mulnum, self._invnum = _product_kernel(self._fold, e)
+        fold = tuple((i, c) for i, c in enumerate(coeffs[:-1]) if c)
+        self._mulnum, self._invnum = _product_kernel(fold, e)
         self._higher = (0,) * (e - 1)
         self._zero = _make(self, (0,) * e, 1)
         self._one = _make(self, (1,) + self._higher, 1)
+        # u = pi is rational at e = 1: pi = -c_0
+        self._pi = _make(self, (0, 1) + self._higher[1:] if e > 1 else (-coeffs[0],), 1)
         # the canonical scalars, built on first use
         self._a_prism = self._a_log = None
 
@@ -145,7 +140,10 @@ class FieldSpec:
         cs = list(coords)
         if len(cs) > self.e:
             raise ValueError(f"at most {self.e} coordinates expected")
-        return FieldElement(self, cs + [0] * (self.e - len(cs)))
+        cs = [_exact(c) for c in cs]
+        den = lcm(*[c.denominator for c in cs])
+        return _make(self, tuple([c.numerator * (den // c.denominator) for c in cs])
+                     + (0,) * (self.e - len(cs)), den)
 
     def zero(self) -> "FieldElement":
         return self._zero
@@ -160,10 +158,7 @@ class FieldSpec:
         return _make(self, (r,) + self._higher, 1)
 
     def pi(self) -> "FieldElement":
-        if self.e == 1:
-            # u = pi is rational here: pi = -c0
-            return _make(self, (-self.ecoeffs[0],), 1)
-        return _make(self, (0, 1) + self._higher[1:], 1)
+        return self._pi
 
     def eval_deriv_at_pi(self) -> "FieldElement":
         """E'(pi) = sum_i i c_i pi^(i-1). E' has degree e - 1, so its
@@ -222,31 +217,21 @@ def _make(spec: FieldSpec, num: tuple, den: int) -> "FieldElement":
     return x
 
 
-def _fold(spec: FieldSpec, prod: list) -> tuple:
-    """The numerator tuple of the integer polynomial prod in pi, of degree
-    at most 2e - 2, reduced mod E: pi^e = -(c_(e-1) pi^(e-1) + ... + c_0)."""
-    e = spec.e
-    for k in range(len(prod) - 1, e - 1, -1):
-        c = prod[k]
-        if c:
-            for i, ci in spec._fold:
-                prod[k - e + i] -= c * ci
-    return tuple(prod[:e])
-
-
 @cache
 def _product_kernel(fold: tuple, e: int):
-    """(mul, inv) for numerator tuples of length e, where fold is
-    FieldSpec._fold, compiled once per E: the CLI builds a FieldSpec on
-    every call, and compiling per spec halved its jobs per second.
+    """(mul, inv) for numerator tuples of length e, where fold lists the
+    nonzero (i, c_i) of E below its leading term, compiled once per E: the
+    CLI builds a FieldSpec on every call, and compiling per spec halved its
+    jobs per second.
 
     mul(a, b) is the numerator tuple of a * b mod E: the 2e - 1 convolution
-    sums p_k, then each p_k with k >= e folded down, highest first, as _fold
-    does. inv(a) is (r, d_e) with a * r = -d_e, by Cayley-Hamilton: the
-    traces s_k of a^k, k <= e, are dot products with the power traces
-    t_j = Tr(pi^j), and Newton's identities (Cohen, GTM 138, 2.2) give the
-    characteristic polynomial x^e + d_1 x^(e-1) + ... + d_e of a from them,
-    so r = a^(e-1) + d_1 a^(e-2) + ... + d_(e-1) and d_e = (-1)^e N(a).
+    sums p_k, then each p_k with k >= e folded down, highest first, by
+    pi^e = -(c_(e-1) pi^(e-1) + ... + c_0). inv(a) is (r, d_e) with
+    a * r = -d_e, by Cayley-Hamilton: the traces s_k of a^k, k <= e, are
+    dot products with the power traces t_j = Tr(pi^j), and Newton's
+    identities (Cohen, GTM 138, 2.2) give the characteristic polynomial
+    x^e + d_1 x^(e-1) + ... + d_e of a from them, so
+    r = a^(e-1) + d_1 a^(e-2) + ... + d_(e-1) and d_e = (-1)^e N(a).
     E's constants and the t_j are names of the functions' globals, not
     literals in their source, so a coefficient of any size builds."""
     xs, ys = [f"a{i}" for i in range(e)], [f"b{i}" for i in range(e)]
@@ -285,10 +270,10 @@ def regular(spec: FieldSpec, num: tuple) -> list:
     """The columns of the e x e integer matrix of multiplication by the
     numerator num, its regular representation (H. Cohen, A Course in
     Computational Algebraic Number Theory, GTM 138, 4.2): column j is
-    num * pi^j mod E."""
-    cols = [num]
+    num * pi^j mod E, each column the compiled product of the last by pi."""
+    cols, pi = [num], spec._pi._num
     for _ in range(spec.e - 1):
-        cols.append(_fold(spec, [0, *cols[-1]]))
+        cols.append(spec._mulnum(cols[-1], pi))
     return cols
 
 
@@ -301,19 +286,11 @@ def lift(xs: Sequence["FieldElement"]):
 
 
 class FieldElement:
-    """An element of K: integer pi-power numerators over one denominator."""
+    """An element of K: integer pi-power numerators over one denominator.
+    It has no __init__: _make builds it, and FieldSpec.element is the
+    checked entry point."""
 
     __slots__ = ("spec", "_num", "_den")
-
-    def __init__(self, spec: FieldSpec, coords):
-        cs = [_exact(c) for c in coords]
-        if len(cs) != spec.e:
-            raise ValueError(f"expected {spec.e} coordinates, got {len(cs)}")
-        den = lcm(*(c.denominator for c in cs))
-        self.spec = spec
-        # den is the least common denominator, so no factor is left to divide out
-        self._num = tuple([c.numerator * (den // c.denominator) for c in cs])
-        self._den = den
 
     @property
     def coords(self) -> tuple:
@@ -389,8 +366,6 @@ class FieldElement:
             return self
         if not any(b):
             return other
-        if spec.e == 1:
-            return _make(spec, (a[0] * b[0],), self._den * other._den)
         return _make(spec, spec._mulnum(a, b), self._den * other._den)
 
     __rmul__ = __mul__
@@ -444,9 +419,6 @@ class FieldElement:
         if self.is_zero():
             raise ZeroInversion("cannot invert zero")
         spec = self.spec
-        if spec.e == 1:
-            n = self._num[0]
-            return _make(spec, (self._den if n > 0 else -self._den,), abs(n))
         r, c = spec._invnum(self._num)
         den = -self._den if c > 0 else self._den
         return _make(spec, tuple([den * v for v in r]), abs(c))

@@ -146,8 +146,8 @@ def parse_series(spec: FieldSpec, obj) -> TruncSeries:
         raise InputFormatError("series unif must be a string")
     if not isinstance(coeffs, list) or len(coeffs) != m:
         raise InputFormatError("series needs exactly m coefficients")
-    return TruncSeries(spec, m, [parse_element(spec, c) for c in coeffs],
-                       obj["unif"])
+    return TruncSeries._trusted(spec, m, tuple([parse_element(spec, c) for c in coeffs]),
+                                obj["unif"])
 
 
 def encode_matrix(mat: Matrix) -> list:

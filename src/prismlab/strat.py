@@ -264,11 +264,11 @@ def check_leibniz(strat: Stratification) -> dict:
 def to_connection(strat: Stratification) -> LogConnection:
     """The log connection of a stratification, read from phi_0 and phi_1.
 
-    phi_0 must be I, D at least 1 and phi_1 must obey the twisted Leibniz
-    law; phi_2..phi_D are not read (check_cocycle tests them). Entry (i, j)
-    of N has T^k coefficient phi_1[(k, i), (0, j)] / a, so only the l*m*l
-    entries of the generator columns are multiplied by a^-1. The
-    uniformizer label is "T".
+    phi_0 must be I, D at least 1, phi_1 must obey the twisted Leibniz
+    law and a must be nonzero; phi_2..phi_D are not read (check_cocycle
+    tests them). Entry (i, j) of N has T^k coefficient
+    phi_1[(k, i), (0, j)] / a, so only the l*m*l entries of the generator
+    columns are multiplied by a^-1. The uniformizer label is "T".
     """
     spec, l, m = strat.spec, strat.l, strat.m
     if not strat.phi[0].is_identity():
@@ -278,6 +278,8 @@ def to_connection(strat: Stratification) -> LogConnection:
     leib = check_leibniz(strat)
     if not leib["ok"]:
         raise LeibnizViolation(f"twisted Leibniz law fails at T^{leib['witness']['power']}")
+    if strat.a.is_zero():
+        raise NotAStratification("a = 0: N cannot be read from phi_1 = a N")
     inv = strat.a.invert()
     rows = strat.phi[1].rows
     N = [[TruncSeries._trusted(spec, m, tuple([rows[r][j] * inv

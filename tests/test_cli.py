@@ -171,16 +171,22 @@ def run_cli_stderr(argv, stdin_text=""):
     return code, out, err.getvalue()
 
 
+def python_env(**env):
+    """The environment with the variables env added and src/ put first on
+    PYTHONPATH, so that a subprocess imports prismlab from the checkout."""
+    env = dict(os.environ) | env
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 def run_python(args, stdin_text="", timeout=None, **env):
     """python args in a subprocess that imports prismlab from src/, with
     the variables env added to its environment; stdin_text is encoded as
     stdin_of encodes it."""
-    env = dict(os.environ) | env
-    env["PYTHONPATH"] = os.pathsep.join(
-        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, *args],
                           input=stdin_text.encode("utf-8", "surrogateescape"),
-                          capture_output=True, env=env, timeout=timeout)
+                          capture_output=True, env=python_env(**env), timeout=timeout)
 
 
 def run_module(flags, argv, stdin_text=""):
@@ -262,7 +268,8 @@ class TestPipelines:
         shell = (f"{sys.executable} -m prismlab.cli examples bk-twist --n -1 --m 3 "
                  f"--field {q3_field_file} | "
                  f"{sys.executable} -m prismlab.cli conn cohomology")
-        proc = subprocess.run(shell, shell=True, capture_output=True, text=True)
+        proc = subprocess.run(shell, shell=True, capture_output=True, text=True,
+                              env=python_env())
         assert proc.returncode == 0
         assert proc.stdout == '{"h0":1,"h1":1}\n'
 
@@ -477,6 +484,16 @@ class TestFailurePaths:
         assert run_cli_stderr(["strat", "to-conn"], stdin_text=out) == (
             1, '{"error":"a stratification of pd-degree 0 has no phi_1 to read N from",'
                '"status":"fail"}\n', "")
+
+    def test_to_conn_at_a_zero_fails(self):
+        """At a = 0 with phi_1 = 0 the cocycle check passes, but N = phi_1 / a
+        cannot be read: a failed check, not bad input."""
+        text = ('{"D":1,"a":[0],"field":{"E":[-3,1],"p":3},"l":1,"m":2,'
+                '"phi":[[[[1],[0]],[[0],[1]]],[[[0],[0]],[[0],[0]]]]}')
+        assert run_cli(["strat", "check-cocycle"], stdin_text=text) == (
+            0, '{"status":"pass"}\n')
+        assert run_cli_stderr(["strat", "to-conn"], stdin_text=text) == (
+            1, '{"error":"a = 0: N cannot be read from phi_1 = a N","status":"fail"}\n', "")
 
     def test_key_lemma_cli(self, rng, q3):
         M = random_connection(rng, q3, 1, 2)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prismlab.errors import ZeroInversion
-from prismlab.field import INF, PRIME_BOUND, FieldSpec, _is_prime, _vp_int, vp_rational
+from prismlab.field import INF, PRIME_BOUND, FieldSpec, _is_prime, _vp_int
 from prismlab.galois import GaloisElementData
 
 from conftest import FOUR_FIELDS, random_element, random_rational
@@ -189,8 +189,9 @@ def test_vp_int_matches_single_factor_loop(p, k, u, negative):
     n = p ** k * u * (-1 if negative else 1)
     v = vp_by_single_factors(n, p)
     assert _vp_int(n, p) == v
-    assert vp_rational(Fraction(n, p ** (k + 3)), p) == v - k - 3
-    assert vp_rational(Fraction(p ** (k + 3), n), p) == k + 3 - v
+    qp = FieldSpec(p, [-p, 1])
+    assert qp.from_rational(Fraction(n, p ** (k + 3))).val() == v - k - 3
+    assert qp.from_rational(Fraction(p ** (k + 3), n)).val() == k + 3 - v
 
 
 class TestInvert:
@@ -429,7 +430,8 @@ class TestDistToIntegers:
             r = random_rational(rng)
             a = q3.from_rational(r)
             got = a.dist_to_integers() is INF
-            expect = vp_rational(r, 3) >= 0
+            # r is in lowest terms: v_3(r) >= 0 exactly when 3 misses its denominator
+            expect = r.denominator % 3 != 0
             assert got == expect
         for _ in range(200):
             a = random_element(rng, q3s)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prismlab.errors import ZeroInversion
-from prismlab.field import FieldElement, FieldSpec, _product_kernel, regular
+from prismlab.field import FieldSpec, _product_kernel, regular
 from prismlab.linalg import Matrix, poly_deflate
 from prismlab.serialize import parse_field
 
@@ -159,6 +159,22 @@ def test_product_kernel_matches_reference(data):
     assert_canonical(prod)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_regular_columns_match_reference(data):
+    """Column j of the regular representation is num * pi^j mod E."""
+    spec = data.draw(eisenstein())
+    num = data.draw(numerators(spec))._num
+    e = spec.e
+    pi = ((Fraction(-spec.ecoeffs[0]),) if e == 1
+          else (Fraction(0), Fraction(1)) + (Fraction(0),) * (e - 2))
+    cols, power = regular(spec, num), ref_one(spec)
+    assert len(cols) == e
+    for col in cols:
+        assert col == ref_mul(spec, num, power)
+        power = ref_mul(spec, power, pi)
+
+
 def test_product_kernel_takes_a_coefficient_too_long_to_print():
     """E's constants are bound as names, not printed into the kernel's
     source, so a coefficient past the int-to-str digit limit still builds."""
@@ -232,11 +248,9 @@ def test_coords_are_read_only(q3s):
 
 
 def test_coordinate_count_is_checked_without_assert(q3s):
-    with pytest.raises(ValueError):
-        FieldElement(q3s, [1])
-    with pytest.raises(ValueError):
-        FieldElement(q3s, [1, 2, 3])
-    assert FieldElement(q3s, ["1/2", 3]) == q3s.element([Fraction(1, 2), 3])
+    with pytest.raises(ValueError, match="at most 2 coordinates"):
+        q3s.element([1, 2, 3])
+    assert q3s.element(["1/2", 3]) == q3s.from_rational(Fraction(1, 2)) + 3 * q3s.pi()
 
 
 def test_zero_and_one_are_shared(q3s):

@@ -801,9 +801,9 @@ def test_round_trip_makes_no_matrix_products(monkeypatch):
 
 def test_operator_family_folds_only_for_its_operators(monkeypatch):
     """Operation counts, no timing: operator_family makes no field product
-    or sum, and calls field._fold only for the regular representations of
-    phi_1's nonzero entries and of a, e - 1 each, so 3 and 12 operators
-    cost the same folds."""
+    or sum, and calls the compiled product spec._mulnum only for the
+    regular representations of phi_1's nonzero entries and of a, e - 1
+    each, so 3 and 12 operators cost the same folds."""
     import random
 
     from prismlab import field
@@ -826,7 +826,7 @@ def test_operator_family_folds_only_for_its_operators(monkeypatch):
         monkeypatch.setattr(FieldElement, name, counting("mul", getattr(FieldElement, name)))
     for name in ("__add__", "__radd__", "__sub__"):
         monkeypatch.setattr(FieldElement, name, counting("add", getattr(FieldElement, name)))
-    monkeypatch.setattr(field, "_fold", counting("fold", field._fold))
+    monkeypatch.setattr(spec, "_mulnum", counting("fold", spec._mulnum))
     for count in (3, 12):
         calls.update(mul=0, add=0, fold=0)
         got = operator_family(phi1, a, count)
