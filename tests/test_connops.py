@@ -301,6 +301,24 @@ class TestNilpotency:
         probe = probe_nilpotency(M, 3, n_max=5)
         assert probe["trace"] == [0, 1, 2, 3, 4, 5]
 
+    @pytest.mark.parametrize("residue", [[[0, -3], [-2, -2]],
+                                         [[2, Fraction(1, 3)], [0, Fraction(1, 2)]]])
+    def test_weights_in_z3_nilpotent_where_the_trace_falls(self, q3, residue):
+        # every weight lies in Z_3, so M is a-nilpotent at every a; at
+        # a = 1/27 such a weight comes within 3 of an integer only once in
+        # 27 steps, so the last 20 steps of the trace fall strictly all the
+        # same: the verdict is the charpoly's, not the trace's
+        M = constant_conn(q3, 1, residue)
+        assert check_nilpotent(M, Fraction(1, 27))["status"] == "ProvenNilpotent"
+        tail = probe_nilpotency(M, Fraction(1, 27))["trace"][-21:]
+        assert all(b < a for a, b in zip(tail, tail[1:]))
+
+    def test_probe_without_steps(self, q3):
+        # the probe returns its trace and nothing else; at n_max = 0 that is
+        # the valuation of the empty product
+        M = constant_conn(q3, 1, [[0, 2], [1, 0]])
+        assert probe_nilpotency(M, Fraction(1, 3), n_max=0) == {"trace": [0]}
+
     def test_early_zero_product(self, q3):
         probe = probe_nilpotency(twist(q3, 1, 2), 1, n_max=50)
         assert probe["trace"][-1] is INF

@@ -125,6 +125,14 @@ class TestValuation:
     def test_val_of_pi_quadratic(self, q3s):
         assert q3s.pi().val() == Fraction(1, 2)
 
+    def test_pi_is_built_once(self, q3, cubic3):
+        # at e = 1, u = pi is the rational -c_0
+        assert q3.pi() is q3.pi() and q3.pi() == q3.from_rational(3)
+        q3m = FieldSpec(3, [3, 1])
+        assert q3m.pi() == q3m.from_rational(-3)
+        assert cubic3.pi() is cubic3.pi()
+        assert cubic3.pi().coords == (Fraction(0), Fraction(1), Fraction(0))
+
     def test_val_mixed(self, q3s):
         # min(v3(1/2) + 0, v3(1) + 1/2) = min(0, 1/2)
         alpha = q3s.element([Fraction(1, 2), 1])

@@ -253,6 +253,23 @@ def test_coordinate_count_is_checked_without_assert(q3s):
     assert q3s.element(["1/2", 3]) == q3s.from_rational(Fraction(1, 2)) + 3 * q3s.pi()
 
 
+def test_short_coordinate_lists_are_padded(q3s, cubic3):
+    """spec.element fills the missing higher coordinates with 0."""
+    assert q3s.element([1]) == q3s.one()
+    assert cubic3.element(["1/3", 2]) == cubic3.from_rational(Fraction(1, 3)) + 2 * cubic3.pi()
+    zero = cubic3.element([])
+    assert_canonical(zero)
+    assert zero == cubic3.zero()
+
+
+def test_inverse_at_e_one_is_canonical(q3):
+    """At e = 1 the compiled inverse is the only path: the sign of the
+    norm moves to the numerator and the denominator stays positive."""
+    x = q3.from_rational(Fraction(-2, 9)).invert()
+    assert_canonical(x)
+    assert x.coords == (Fraction(-9, 2),)
+
+
 def test_zero_and_one_are_shared(q3s):
     assert q3s.zero() is q3s.zero() and q3s.one() is q3s.one()
     assert q3s.one().coords == (Fraction(1), Fraction(0))
