@@ -299,9 +299,11 @@ def _near_integer_roots(chi: Sequence[FieldElement], c: Fraction) -> Dict[int, i
         near = _roots_above(chi, c)
         return {0: near} if near else {}
     p, n = chi[0].spec.p, floor(c) + 1
-    live = {0: (len(chi) - 1, chi)}
+    live, step = {0: (len(chi) - 1, chi)}, 1
     for t in range(1, n + 1):
-        bound, step = (c if t == n else t - 1), p ** (t - 1)
+        if not live:
+            break
+        bound = c if t == n else t - 1
         children = {}
         for r, (_, f) in live.items():
             for d in range(p):
@@ -309,7 +311,7 @@ def _near_integer_roots(chi: Sequence[FieldElement], c: Fraction) -> Dict[int, i
                     f = _taylor_shift(f, step)
                 if cnt := _roots_above(f, bound):
                     children[r + d * step] = (cnt, f)
-        live = children
+        live, step = children, step * p
     return {k: cnt for k, (cnt, _) in live.items()}
 
 

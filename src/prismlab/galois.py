@@ -115,10 +115,19 @@ def _slope_threshold(sigma: Fraction, p: int) -> Fraction:
     """
     if sigma >= Fraction(1, p - 1):
         return Fraction(1, p - 1) - sigma
-    q = 0
-    while sigma * (p - 1) * p ** (q + 1) < 1:
-        q += 1
-    return q + Fraction(p, p - 1) - sigma * p ** (q + 1)
+    # q is the least with sigma (p-1) p^(q+1) >= 1, that is the greatest
+    # with p^q < ceil(1 / (sigma (p-1))): up a ladder of p^(2^i) past that
+    # bound, then down it, most significant bit first
+    bound = -(-sigma.denominator // (sigma.numerator * (p - 1)))
+    ladder = [p]
+    while ladder[-1] < bound:
+        ladder.append(ladder[-1] * ladder[-1])
+    q, pq = 0, 1
+    for i in range(len(ladder) - 1, -1, -1):
+        if pq * ladder[i] < bound:
+            pq *= ladder[i]
+            q += 1 << i
+    return q + Fraction(p, p - 1) - sigma * pq * p
 
 
 def _converges(op: Matrix, sigma: Fraction) -> bool:

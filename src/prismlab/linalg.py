@@ -223,22 +223,16 @@ def null_basis(spec: FieldSpec, ncols: int, R: Sequence[Sequence[FieldElement]],
     return basis
 
 
-def lift(M: Matrix, c: FieldElement):
-    """M and c over one common denominator: (den, rows, c_num), with rows
-    the numerator tuples of M's entries."""
-    n = M.ncols
-    den, nums = field.lift([c, *chain.from_iterable(M.rows)])
-    return den, [nums[i:i + n] for i in range(1, len(nums), n)], nums[0]
-
-
 def falling_powers(M: Matrix, c: FieldElement, count: int) -> Iterator[Matrix]:
-    """Yield M (M - c) (M - 2c) ... (M - (k-1) c) for k = 2, ..., count - 1,
-    each as it is computed: P_(k+1) = (M - k c) P_k with P_1 = M.
+    """Yield P_0, ..., P_(count-1), P_k = M (M - c) ... (M - (k-1) c), each
+    as it is asked for: P_0 = I, P_1 = M and P_(k+1) = (M - k c) P_k. A
+    count below 1 yields nothing.
 
-    M and c are lifted once over their least common denominator den. B is
-    the ne x ne integer matrix whose block (r, j) is the regular
-    representation of the numerator of M[r][j], C that of c's numerator, so
-    den^k P_k is a ne x n integer matrix X_k with X_(k+1) = (B - k I(x)C) X_k.
+    For P_2 on, M and c are lifted once over their least common denominator
+    den (field.lift). B is the ne x ne integer matrix whose block (r, j) is
+    the regular representation of the numerator of M[r][j], C that of c's
+    numerator, so den^k P_k is a ne x n integer matrix X_k with
+    X_(k+1) = (B - k I(x)C) X_k.
     Row (j, t) of X_k, coordinate t of row j of P_k, is one integer: its n
     entries Kronecker-packed at a width fixed before the loop (D. Harvey,
     J. Symb. Comp. 44 (2009)). The columns never interact, so each step is
@@ -247,7 +241,11 @@ def falling_powers(M: Matrix, c: FieldElement, count: int) -> Iterator[Matrix]:
     norms, plus a sign bit.
     """
     spec, n, e = M.spec, M.nrows, M.spec.e
-    den, rows, cnum = lift(M, c)
+    yield from (Matrix.identity(spec, n), M)[:max(count, 0)]
+    if count < 3:
+        return
+    den, nums = field.lift([c, *chain.from_iterable(M.rows)])
+    rows, cnum = [nums[i:i + n] for i in range(1, len(nums), n)], nums[0]
     C = field.regular(spec, cnum)
     diag = [[(t, -col[s]) for t, col in enumerate(C) if col[s]] for s in range(e)]
     # row (r, s) of B - k I(x)C: the rows of X it reads, B's nonzero entries

@@ -82,9 +82,6 @@ class TruncSeries:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         spec, m = self.spec, self.m
         if isinstance(other, SCALARS):

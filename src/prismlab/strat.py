@@ -19,11 +19,6 @@ from .linalg import Matrix, falling_powers
 from .series import TruncSeries
 
 
-def flat_index(k: int, j: int, l: int) -> int:
-    """Position of T^k e_j in the flattened basis, T-degree major."""
-    return k * l + j
-
-
 class LogConnection:
     def __init__(self, spec: FieldSpec, unif: str, l: int, m: int, N: List[List[TruncSeries]]):
         if l < 1 or m < 1:
@@ -50,24 +45,14 @@ class LogConnection:
 
     def operator(self, a: Optional[FieldElement] = None) -> Matrix:
         """The l*m x l*m matrix of x -> T dx/dT + N x on the flattened basis,
-        times a if given: a * N_(ij,d) is formed once per coefficient and
-        placed on its m - d entries, and a * k is added on the diagonal."""
-        l, m, n = self.l, self.m, self.size()
-        zero = self.spec.zero()
-        rows = [[zero] * n for _ in range(n)]
-        for i in range(l):
-            for j in range(l):
-                for d, x in enumerate(self.N[i][j].coeffs):
-                    if not x.is_zero():
-                        x = x if a is None else a * x
-                        # T^(k+d) e_i in the column of T^k e_j, k < m - d
-                        for r, c in zip(range(d * l + i, n, l), range(j, n, l)):
-                            rows[r][c] = x
-        for k in range(1, m):
-            ka = k if a is None else a * k
-            for r in range(k * l, k * l + l):
-                rows[r][r] = rows[r][r] + ka
-        return Matrix._trusted(self.spec, tuple(map(tuple, rows)))
+        times a if given: the T-linear extension (_t_linear) of the
+        generator columns a * N, one product a * N_(ij,d) per coefficient,
+        plus a * t on the diagonal of T-degree t."""
+        if a is None:
+            gen = [[s.coeffs[d] for s in row] for d in range(self.m) for row in self.N]
+        else:
+            gen = [[a * s.coeffs[d] for s in row] for d in range(self.m) for row in self.N]
+        return _t_linear(self.spec, self.l, gen, 1 if a is None else a)
 
     def residual_matrix(self) -> Matrix:
         """N mod T, the l x l matrix whose eigenvalues are the residual weights."""
@@ -85,52 +70,52 @@ class LogConnection:
         return f"LogConnection(l={self.l}, m={self.m}, unif={self.unif!r})"
 
 
+def _t_linear(spec: FieldSpec, l: int, gen: Sequence[Sequence[FieldElement]], a) -> Matrix:
+    """Lin(gen) + a*diag(t): the T-linear operator with generator columns
+    gen (l*m rows, l columns) plus a * t on the diagonal of T-degree t.
+    T^s e_j goes to T^s times column j, so row (t, i) of Lin(gen) is row
+    (t, i) of gen followed by row (t - 1, i) of Lin(gen), then zeros; no
+    entry is multiplied. phi_1 obeys the twisted Leibniz law iff it is
+    _t_linear of its generator columns and a."""
+    n = len(gen)
+    zeros, lin, rows = (spec.zero(),) * n, [], []
+    twist = [a * t for t in range(1, n // l)]
+    for r, row in enumerate(gen):
+        x = tuple(row) + lin[r - l] if r >= l else tuple(row)
+        lin.append(x)
+        if r >= l:
+            x = x[:r] + (x[r] + twist[r // l - 1],) + x[r + 1:]
+        rows.append(x + zeros[len(x):])
+    return Matrix._trusted(spec, tuple(rows))
+
+
 def multiplication_by_t_power(spec: FieldSpec, l: int, m: int, d: int) -> Matrix:
-    """The matrix of x -> T^d x on the flattened basis.
+    """The matrix of x -> T^d x on the flattened basis: _t_linear of the
+    generator columns T^d e_j, with no twist.
 
     Only tests use it, as the every-power reference for check_leibniz. The
     benchmark's per-layer tracer still names it, so its deletion waits for
     the benchmark change of ROADMAP item 1, step A.
     """
-    n = l * m
-    rows = [[spec.zero() for _ in range(n)] for _ in range(n)]
-    for k in range(m - d):
-        for j in range(l):
-            rows[flat_index(k + d, j, l)][flat_index(k, j, l)] = spec.one()
-    return Matrix(spec, rows)
-
-
-def iter_family(phi1: Matrix, a, count: int) -> Iterator[Matrix]:
-    """phi_0, ..., phi_{count-1} with phi_{n+1} = (phi_1 - n*a) o phi_n,
-    one at a time: phi_{n+1} is computed when it is asked for. A count
-    below 1 yields nothing.
-
-    phi_2 onward come from one integer kernel, linalg.falling_powers: the
-    recurrence in the regular representation on Kronecker-packed rows.
-    """
-    if count < 1:
-        return
-    spec = phi1.spec
-    if not isinstance(a, FieldElement):
-        a = spec.from_rational(a)
-    yield Matrix.identity(spec, phi1.nrows)
-    if count > 1:
-        yield phi1
-        yield from falling_powers(phi1, a, count)
+    one, zero = spec.one(), spec.zero()
+    return _t_linear(spec, l, [[one if r == d * l + j else zero for j in range(l)]
+                               for r in range(l * m)], 0)
 
 
 def operator_family(phi1: Matrix, a, count: int) -> List[Matrix]:
     """[phi_0, ..., phi_{count-1}] with phi_{n+1} = (phi_1 - n*a) o phi_n."""
-    return list(iter_family(phi1, a, count))
+    if not isinstance(a, FieldElement):
+        a = phi1.spec.from_rational(a)
+    return list(falling_powers(phi1, a, count))
 
 
 def first_off_recurrence(phi: Sequence[Matrix], a) -> Optional[int]:
-    """The least n >= 2 with phi_n unequal to operator_family(phi_1, a)[n],
-    or None when phi_2..phi_D all follow phi_(n+1) = (phi_1 - n*a) phi_n.
-    The family is computed only up to the first mismatch."""
+    """The least n >= 2 with phi_n unequal to P_n of falling_powers(phi_1,
+    a), or None when phi_2..phi_D all follow phi_(n+1) = (phi_1 - n*a)
+    phi_n. The family is computed only up to the first mismatch."""
     if len(phi) < 3:
         return None
-    return next((n for n, psi in enumerate(iter_family(phi[1], a, len(phi)))
+    return next((n for n, psi in enumerate(falling_powers(phi[1], a, len(phi)))
                  if n >= 2 and phi[n] != psi), None)
 
 
@@ -138,11 +123,12 @@ class Family(Sequence):
     """The operators phi_0..phi_D of a stratification, a read-only sequence.
 
     A family given explicitly holds all of its operators. Family.generated
-    holds the iter_family generator over (phi_1, a, D + 1) instead: the first
-    read of index n generates phi_2..phi_n and keeps them, later reads take
-    no kernel step, and once phi_D is read the generator is dropped with the
-    kernel state it suspends. Indexing, slicing (to a list), iteration and
-    == against a list or a family behave as on a list of the operators.
+    holds the generator falling_powers(phi_1, a, D + 1) instead: the first
+    read of index n >= 2 runs the kernel up to phi_n and keeps phi_0..phi_n,
+    later reads take no kernel step, and once phi_D is read the generator
+    is dropped with the kernel state it suspends. Indexing, slicing (to a
+    list), iteration and == against a list or a family behave as on a list
+    of the operators.
     """
     __slots__ = ("_ops", "_rest", "_len")
 
@@ -154,7 +140,7 @@ class Family(Sequence):
 
     @classmethod
     def generated(cls, phi1: Matrix, a: FieldElement, D: int) -> "Family":
-        return cls((), iter_family(phi1, a, D + 1), D + 1)
+        return cls((), falling_powers(phi1, a, D + 1), D + 1)
 
     def __len__(self):
         return self._len
@@ -288,27 +274,9 @@ def to_connection(strat: Stratification) -> LogConnection:
     return LogConnection(spec, "T", l, m, N)
 
 
-def _t_linear(phi: Matrix, l: int) -> Matrix:
-    """Lin(phi), the T-linear extension of phi from the generators: column
-    (t, i) is column i shifted down t T-blocks, past T^(m-1) dropped."""
-    zero = phi.spec.zero()
-    return Matrix._trusted(phi.spec, tuple(
-        tuple(phi.rows[r - c + c % l][c % l] if r >= c - c % l else zero
-              for c in range(phi.ncols)) for r in range(phi.nrows)))
-
-
-def _leibniz_part(phi1: Matrix, l: int, a: FieldElement) -> Matrix:
-    """psi_1 = Lin(phi_1) + a*diag(t) on T^t e_i: the operator that phi_1
-    equals exactly when it obeys the twisted Leibniz law, and that agrees
-    with phi_1 on the generator columns."""
-    return Matrix._trusted(phi1.spec, tuple(
-        tuple(x + a * (r // l) if r == c else x for c, x in enumerate(row))
-        for r, row in enumerate(_t_linear(phi1, l).rows)))
-
-
 def _first_off_family(phi: Sequence[Matrix], psi1: Matrix,
                       a) -> Optional[Tuple[int, int, int]]:
-    """(x0, n0, r) against psi = iter_family(psi1, a, len(phi)): x0 is the
+    """(x0, n0, r) against psi = falling_powers(psi1, a, len(phi)): x0 is the
     least column on which some phi_n (n >= 1) differs from psi_n, n0 the
     least such n for that column, and r the least row on which phi_n0 and
     psi_n0 differ there. None when every phi_n equals psi_n.
@@ -317,7 +285,7 @@ def _first_off_family(phi: Sequence[Matrix], psi1: Matrix,
     column is found, a later level compares only the columns before it.
     """
     found, bound = None, psi1.ncols
-    for n, psi in enumerate(iter_family(psi1, a, len(phi))):
+    for n, psi in enumerate(falling_powers(psi1, a, len(phi))):
         if n == 0:
             continue
         rows = phi[n].rows
@@ -363,7 +331,7 @@ def _cocycle_witness(strat: Stratification, first: int) -> dict:
         if mm == 0:
             return v  # Lin(phi_0) = Lin(I) = I
         if mm not in lin:
-            lin[mm] = _t_linear(strat.phi[mm], l)
+            lin[mm] = _t_linear(spec, l, [row[:l] for row in strat.phi[mm].rows], 0)
         return lin[mm].apply(v)
 
     for x0 in range(first + 1):
@@ -405,8 +373,9 @@ def check_cocycle(strat: Stratification) -> dict:
 
     phi_0..phi_D is a stratification iff phi_0 = I and, for D >= 1, phi_1
     obeys the twisted Leibniz law and phi_(n+1) = (phi_1 - n*a) phi_n. Let
-    psi_1 = Lin(phi_1) + a*diag(t), which is phi_1 itself when the Leibniz
-    law holds, and psi = operator_family(psi_1, a). The check walks psi
+    psi_1 = Lin(phi_1) + a*diag(t), _t_linear of phi_1's generator columns,
+    which is phi_1 itself exactly when the Leibniz law holds, and
+    psi = falling_powers(psi_1, a, D + 1). The check walks psi
     once against phi (_first_off_family); it passes iff no phi_n is off
     psi. Otherwise let x0 be the least column off psi, n0 the least level
     at which column x0 is off, and r the least row off there. The witness
@@ -426,7 +395,8 @@ def check_cocycle(strat: Stratification) -> dict:
         return {"ok": False, "degeneracy_ok": False, "witness": None}
     if D == 0:
         return {"ok": True, "degeneracy_ok": True, "witness": None}
-    psi1 = strat.phi[1] if check_leibniz(strat)["ok"] else _leibniz_part(strat.phi[1], l, a)
+    psi1 = strat.phi[1] if check_leibniz(strat)["ok"] else _t_linear(
+        strat.spec, l, [row[:l] for row in strat.phi[1].rows], a)
     off = _first_off_family(strat.phi, psi1, a)
     if off is None:
         return {"ok": True, "degeneracy_ok": True, "witness": None}

@@ -9,9 +9,9 @@ from prismlab import connops
 from prismlab.connops import matrix_gauss_val
 from prismlab.errors import InvalidValuation
 from prismlab.field import INF, FieldElement, FieldSpec
-from prismlab.galois import (GaloisElementData, GaloisKernel, action_kernel,
-                             converges_at, d0_check, digit_sum, factorial_val,
-                             h_series, tau_power_kernel)
+from prismlab.galois import (GaloisElementData, GaloisKernel, _slope_threshold,
+                             action_kernel, converges_at, d0_check, digit_sum,
+                             factorial_val, h_series, tau_power_kernel)
 from prismlab.linalg import Matrix
 from prismlab.series import TruncSeries
 from prismlab.strat import LogConnection, from_connection
@@ -237,6 +237,32 @@ class TestConvergence:
         assert len(calls) == 1
         assert 63 <= len(shifts) <= (3 - 1) * 63
 
+    def test_tiny_slope_costs_no_step_per_digit(self, q3):
+        # weight 1/3 at v0 = 1/10^z: the threshold d* grows like z log_3 10,
+        # but v(1/3 - k) = -1 for every integer k, so the descent stops at
+        # level 1, and q is found down a ladder of log log 10^z rungs. Line
+        # events in the two functions are operation counts, not time.
+        import sys
+        k = action_kernel(constant_conn(q3, 1, [[Fraction(1, 3)]]), q3.a_prism(), 4)
+        codes = {connops._near_integer_roots.__code__: "descent",
+                 _slope_threshold.__code__: "threshold"}
+        seen = []
+        for z in (40, 400, 4000):
+            counts = dict.fromkeys(codes.values(), 0)
+
+            def count_lines(frame, event, arg):
+                counts[codes[frame.f_code]] += event == "line"
+                return count_lines
+            sys.settrace(lambda frame, event, arg: count_lines if frame.f_code in codes else None)
+            try:
+                rep = converges_at(k, GaloisElementData(Fraction(1, 10 ** z)))
+            finally:
+                sys.settrace(None)
+            assert rep["status"] == "Divergent"
+            seen.append(counts)
+        assert seen[0]["descent"] == seen[1]["descent"] == seen[2]["descent"]
+        assert seen[2]["threshold"] <= 2 * seen[0]["threshold"]
+
     def test_invalid_valuation(self, q3):
         k = action_kernel(twist(q3, 1, 1), 1, 3)
         for v0 in (0, -1, Fraction(-1, 2)):
@@ -367,3 +393,34 @@ def test_convergence_matches_trace_growth(field, seed, l, k, r, v0):
     assert rep["status"] in ("Convergent", "Divergent")
     g = trace_growth(M.operator(), a.val() + v0, spec.p)
     assert rep["status"] == ("Convergent" if g is None or g >= 8 else "Divergent"), g
+
+
+def slope_threshold_by_loop(sigma, p):
+    """_slope_threshold with q found one step at a time, the reference for
+    its ladder: the least q >= 0 with sigma (p-1) p^(q+1) >= 1."""
+    if sigma >= Fraction(1, p - 1):
+        return Fraction(1, p - 1) - sigma
+    q = 0
+    while sigma * (p - 1) * p ** (q + 1) < 1:
+        q += 1
+    return q + Fraction(p, p - 1) - sigma * p ** (q + 1)
+
+
+@st.composite
+def slopes(draw):
+    """(sigma, p) with sigma > 0: a random fraction, or one at or beside a
+    step 1 / ((p-1) p^k) of the threshold, where q changes."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    if draw(st.booleans()):
+        sigma = Fraction(draw(st.integers(1, 10 ** 6)), draw(st.integers(1, 10 ** 40)))
+    else:
+        k = draw(st.integers(0, 60))
+        sigma = Fraction(1, (p - 1) * p ** k + draw(st.integers(-1, 1)) or 1)
+    return sigma, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(slopes())
+def test_slope_threshold_matches_loop(case):
+    sigma, p = case
+    assert _slope_threshold(sigma, p) == slope_threshold_by_loop(sigma, p)

@@ -10,11 +10,15 @@ from prismlab.linalg import Matrix
 from prismlab.pdalg import CosimpConfig, PDElement, face, one_plus_a_x_pow
 from prismlab.series import TruncSeries
 from prismlab.strat import (Family, LogConnection, Stratification, check_cocycle,
-                            check_leibniz, flat_index, from_connection,
-                            multiplication_by_t_power, operator_family,
-                            to_connection, verify_key_lemma)
+                            check_leibniz, from_connection, multiplication_by_t_power,
+                            operator_family, to_connection, verify_key_lemma)
 
 from conftest import FOUR_FIELDS, count_calls, random_element
+
+
+def flat_index(k, j, l):
+    """Position of T^k e_j in the flattened basis, T-degree major."""
+    return k * l + j
 
 
 def random_connection(rng, spec, l, m, unif="T"):
@@ -766,6 +770,43 @@ def test_round_trip_matches_matrix_products(field, l, m, choice, D, big, seed):
                    for i in range(l) for j in range(l) for k in range(m))
 
 
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(KERNEL_FIELDS), l=st.integers(1, 3), m=st.integers(1, 4),
+       choice=st.sampled_from(KERNEL_SCALARS), seed=st.integers(0, 10 ** 6),
+       changes=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=3),
+       relinearize=st.booleans())
+def test_t_linear_is_the_leibniz_normal_form(field, l, m, choice, seed, changes,
+                                             relinearize):
+    """conn.operator(a) is _t_linear of its own generator columns and a, and
+    a phi_1 with entries changed (and, when relinearize is drawn, rebuilt
+    from its changed generator columns) passes check_leibniz exactly when
+    it equals _t_linear of its own generator columns and a."""
+    import random
+
+    from prismlab.field import FieldSpec
+    from prismlab.strat import _t_linear
+    spec = FieldSpec(field[0], list(field[1]))
+    rng = random.Random(seed)
+    conn = random_connection(rng, spec, l, m)
+    a = kernel_scalar(spec, choice)
+    n = l * m
+
+    def lin(phi, twist):
+        return _t_linear(spec, l, [row[:l] for row in phi.rows], twist)
+    assert conn.operator() == lin(conn.operator(), 1)
+    phi1 = conn.operator(a)
+    assert phi1 == lin(phi1, a)
+    rows = [list(row) for row in phi1.rows]
+    for r, c in changes:
+        rows[r % n][c % n] = random_element(rng, spec, 1)
+    phi1 = Matrix(spec, rows)
+    if relinearize:
+        phi1 = lin(phi1, a)
+    strat = Stratification(spec, l, m, 1, a, [Matrix.identity(spec, n), phi1])
+    assert check_leibniz(strat)["ok"] == (phi1 == lin(phi1, a))
+    assert check_leibniz(strat)["ok"] or not relinearize
+
+
 def test_round_trip_makes_no_matrix_products(monkeypatch):
     """Operation counts, no timing: on E = u^3 + 3u + 3, l = 1, m = 6,
     D = 14, from_connection and to_connection make no Matrix product, and
@@ -837,19 +878,25 @@ def test_operator_family_folds_only_for_its_operators(monkeypatch):
 
 def counting_kernel(monkeypatch):
     """Patch strat.falling_powers to record each kernel call, each step (one
-    operator yielded) and each kernel generator finished or released."""
+    operator yielded) and each kernel generator finished or released. Only
+    the integer kernel's own work counts: falling_powers yields P_0 = I and
+    P_1 = M before it, so a call, its steps and its release are counted
+    from the third yield on."""
     from prismlab import strat as strat_module
     calls = {"calls": 0, "steps": 0, "released": 0}
     kernel = strat_module.falling_powers
 
     def counting(M, c, count):
-        calls["calls"] += 1
+        started = False
         try:
-            for P in kernel(M, c, count):
-                calls["steps"] += 1
+            for n, P in enumerate(kernel(M, c, count)):
+                if n == 2:
+                    started = True
+                    calls["calls"] += 1
+                calls["steps"] += started
                 yield P
         finally:
-            calls["released"] += 1
+            calls["released"] += started
 
     monkeypatch.setattr(strat_module, "falling_powers", counting)
     return calls
