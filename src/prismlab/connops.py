@@ -8,7 +8,7 @@ from math import floor
 from typing import Dict, List, Optional, Sequence
 
 from .errors import BadTruncationIndex, NotAUniformizer, RingMismatch
-from .field import INF, FieldElement, FieldSpec, from_ev
+from .field import INF, FieldElement, FieldSpec, from_ev, lift, num_ev
 from .linalg import Matrix, eval_poly, null_basis, poly_deflate
 from .series import TruncSeries, lambda_approx
 from .strat import LogConnection
@@ -239,10 +239,16 @@ def _nearest_integer(w: FieldElement) -> Optional[int]:
     return (a0.numerator * pow(a0.denominator, -1, mod)) % mod
 
 
+def _gauss_ev(mat: Matrix):
+    """e times the least valuation of an entry, an int; None when every
+    entry is zero."""
+    return min([ev for row in mat.rows for x in row if (ev := x._ev()) is not None],
+               default=None)
+
+
 def matrix_gauss_val(mat: Matrix):
     """The least valuation of an entry: one integer minimum of e*val."""
-    evs = [ev for row in mat.rows for x in row if (ev := x._ev()) is not None]
-    return from_ev(min(evs, default=None), mat.spec.e)
+    return from_ev(_gauss_ev(mat), mat.spec.e)
 
 
 def probe_nilpotency(M: LogConnection, a, n_max: int = 200) -> dict:
@@ -266,78 +272,91 @@ def probe_nilpotency(M: LogConnection, a, n_max: int = 200) -> dict:
     return {"trace": trace}
 
 
-def _roots_above(chi: Sequence[FieldElement], c: Fraction) -> int:
-    """Roots of the monic chi of valuation > c, with multiplicity: by its
-    Newton polygon, the smallest j minimising v(chi_j) + j*c over the
-    nonzero coefficients (a zero root leaves chi_0 = 0 out). Compared on
-    integers: e * den(c) times each term is ev_j * den(c) + j * e * num(c),
-    with ev_j = e * v(chi_j)."""
-    e = chi[0].spec.e
+def _roots_above(spec: FieldSpec, f: Sequence[tuple], c: Fraction) -> int:
+    """Roots of valuation > c, with multiplicity, of the polynomial whose
+    coefficients are a positive multiple of the numerator tuples f: by its
+    Newton polygon, the smallest j minimising v(f_j) + j*c over the nonzero
+    coefficients (a zero root leaves f_0 = 0 out). Compared on integers:
+    e * den(c) times each term is ev_j * den(c) + j * e * num(c), with
+    ev_j = field.num_ev(f_j)."""
+    p, e = spec.p, spec.e
     num, den = c.numerator * e, c.denominator
-    return min((ev * den + j * num, j) for j, ev in enumerate(map(FieldElement._ev, chi))
+    return min((ev * den + j * num, j) for j, ev in enumerate([num_ev(x, p, e) for x in f])
                if ev is not None)[1]
 
 
-def _taylor_shift(chi: Sequence[FieldElement], s: int) -> List[FieldElement]:
-    """chi(x + s) for an integer s, by the O(l^2) Horner-scheme shift."""
-    out = list(chi)
+def _taylor_shift(f: Sequence[tuple], s: int) -> List[tuple]:
+    """f(x + s) for an integer s, by the O(l^2) Horner-scheme shift on the
+    numerator tuples of the coefficients."""
+    out = list(f)
     for i in range(len(out) - 1):
         for j in range(len(out) - 2, i - 1, -1):
-            out[j] = out[j] + out[j + 1] * s
+            out[j] = tuple([a + b * s for a, b in zip(out[j], out[j + 1])])
     return out
 
 
-def _near_integer_roots(chi: Sequence[FieldElement], c: Fraction) -> Dict[int, int]:
-    """Roots w of the monic chi with v(w - k) > c for some integer k, as
-    {k: count with multiplicity} over the discs that hold one. For c < 0
-    that is the one disc v(x) > c, keyed 0. For c >= 0 the disc v(x - k) > c
-    depends only on k mod p^n, n = floor(c) + 1: level t keeps each k mod p^t
-    whose disc v(x - k) > t - 1 (> c at t = n) holds a root of chi(x + k),
-    shifted from its parent disc's chi(x + r) by the integer k - r. Such
-    discs are disjoint: at most l survive a level."""
+def _near_integer_roots(spec: FieldSpec, f: Sequence[tuple], c: Fraction) -> Dict[int, int]:
+    """Roots w of a monic chi with v(w - k) > c for some integer k, as
+    {k: count with multiplicity} over the discs that hold one, from f, the
+    numerator tuples of chi's coefficients over one common denominator
+    (field.lift): a positive scale moves no root and no minimising j of a
+    Newton polygon, so the descent runs on integers alone.
+
+    For c < 0 that is the one disc v(x) > c, keyed 0. For c >= 0 the disc
+    v(x - k) > c depends only on k mod p^n, n = floor(c) + 1: level t keeps
+    each k mod p^t whose disc v(x - k) > t - 1 (> c at t = n) holds a root
+    of chi(x + k), shifted from its parent disc's chi(x + r) by the integer
+    k - r. Such discs are disjoint: at most l survive a level."""
     if c < 0:
-        near = _roots_above(chi, c)
+        near = _roots_above(spec, f, c)
         return {0: near} if near else {}
-    p, n = chi[0].spec.p, floor(c) + 1
-    live, step = {0: (len(chi) - 1, chi)}, 1
+    p, n = spec.p, floor(c) + 1
+    live, step = {0: (len(f) - 1, f)}, 1
     for t in range(1, n + 1):
         if not live:
             break
         bound = c if t == n else t - 1
         children = {}
-        for r, (_, f) in live.items():
+        for r, (_, g) in live.items():
             for d in range(p):
                 if d:
-                    f = _taylor_shift(f, step)
-                if cnt := _roots_above(f, bound):
-                    children[r + d * step] = (cnt, f)
+                    g = _taylor_shift(g, step)
+                if cnt := _roots_above(spec, g, bound):
+                    children[r + d * step] = (cnt, g)
         live, step = children, step * p
     return {k: cnt for k, (cnt, _) in live.items()}
 
 
-def _near_weights(chi: Sequence[FieldElement], a: FieldElement) -> int:
-    """Roots w of chi, with multiplicity, with val(a) + dist(w, Z) > 0."""
-    va = a.val()
-    return len(chi) - 1 if va is INF else sum(_near_integer_roots(chi, -va).values())
+def _near_weights(spec: FieldSpec, f: Sequence[tuple], a: FieldElement) -> int:
+    """Roots w, with multiplicity, with val(a) + dist(w, Z) > 0, of the
+    charpoly whose coefficients have the numerator tuples f (field.lift):
+    those within more than -val(a) = -ev/e of an integer."""
+    ev = a._ev()
+    if ev is None:
+        return len(f) - 1
+    return sum(_near_integer_roots(spec, f, Fraction(-ev, spec.e)).values())
 
 
 def check_nilpotent(M: LogConnection, a) -> dict:
     """Decide a-nilpotency exactly, val(a) + dist(w, Z) > 0 for every
     residual weight w, from the residual charpoly alone: no weight is
-    searched for."""
+    searched for. An a from another field is refused before any work."""
+    spec = M.spec
     if not isinstance(a, FieldElement):
-        a = M.spec.from_rational(a)
-    near = _near_weights(M.residual_matrix().charpoly(), a)
+        a = spec.from_rational(a)
+    elif a.spec != spec:
+        raise RingMismatch("scalar a lives over a different field")
+    near = _near_weights(spec, lift(M.residual_matrix().charpoly())[1], a)
     return {"status": "ProvenNilpotent" if near == M.l else "ProvenNotNilpotent",
             "evidence": {"near_weights": near}}
 
 
 def classify_ndR(M: LogConnection) -> dict:
     """Nearly and log-nearly de Rham flags: nilpotency at the two canonical
-    scalars a_prism and a_log, both read off one residual charpoly."""
+    scalars a_prism and a_log, both read off one lifted residual charpoly."""
     spec = M.spec
-    chi = M.residual_matrix().charpoly()
-    near, log_near = (_near_weights(chi, a) == M.l for a in (spec.a_prism(), spec.a_log()))
+    f = lift(M.residual_matrix().charpoly())[1]
+    near, log_near = (_near_weights(spec, f, a) == M.l for a in (spec.a_prism(), spec.a_log()))
     return {"status": "proven", "nearly_dR": near, "log_nearly_dR": log_near}
 
 

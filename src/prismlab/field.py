@@ -196,6 +196,20 @@ def _vp_int(n: int, p: int) -> int:
     return v
 
 
+def num_ev(num: tuple, p: int, e: int, start: int = 0):
+    """e * v_p on the numerator tuple num, coordinates i >= start, an int:
+    the min over the nonzero n_i of e*v_p(n_i) + i. None when those
+    coordinates all vanish."""
+    best = None
+    for i in range(start, e):
+        n = num[i]
+        if n:
+            t = i if n % p else e * _vp_int(n, p) + i
+            if best is None or t < best:
+                best = t
+    return best
+
+
 _new = object.__new__
 
 
@@ -424,17 +438,11 @@ class FieldElement:
         return _make(spec, tuple([den * v for v in r]), abs(c))
 
     def _ev(self, start: int = 0):
-        """e * val on the coordinates i >= start, an int: the min over the
-        nonzero numerators n_i of e*v_p(n_i) + i, less e*v_p(den). None
-        when those coordinates all vanish."""
+        """e * val on the coordinates i >= start, an int: num_ev of the
+        numerators less e*v_p(den). None when those coordinates all
+        vanish."""
         p, e = self.spec.p, self.spec.e
-        best = None
-        for i in range(start, e):
-            n = self._num[i]
-            if n:
-                t = i if n % p else e * _vp_int(n, p) + i
-                if best is None or t < best:
-                    best = t
+        best = num_ev(self._num, p, e, start)
         if best is None or self._den % p:
             return best
         return best - e * _vp_int(self._den, p)

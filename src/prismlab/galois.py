@@ -5,9 +5,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional
 
-from .connops import _near_integer_roots, matrix_gauss_val
+from .connops import _gauss_ev, _near_integer_roots
 from .errors import InvalidValuation
-from .field import INF, FieldElement, _exact
+from .field import INF, FieldElement, _exact, lift
 from .linalg import Matrix
 from .strat import LogConnection, from_connection, operator_family
 
@@ -18,6 +18,15 @@ def digit_sum(n: int, p: int) -> int:
         s += n % p
         n //= p
     return s
+
+
+def digit_count(n: int, p: int) -> int:
+    """The number of base-p digits of n >= 0, 0 for n = 0: the least K
+    with p^K > n, with p^K kept as a running product."""
+    K, pk = 0, 1
+    while pk <= n:
+        K, pk = K + 1, pk * p
+    return K
 
 
 def factorial_val(n: int, p: int) -> int:
@@ -143,18 +152,16 @@ def _converges(op: Matrix, sigma: Fraction) -> bool:
     """
     spec, size = op.spec, op.nrows
     if sigma > 0:
-        near = _near_integer_roots(op.charpoly(), _slope_threshold(sigma, spec.p))
+        near = _near_integer_roots(spec, lift(op.charpoly())[1], _slope_threshold(sigma, spec.p))
         return sum(near.values()) == size
     t = op.trace()
     t = t.rational_value() if t.is_rational() else None
     if t is None or t.denominator != 1 or t < 0:
         return False
-    K = 0
-    while spec.p ** K <= t:
-        K += 1
     ident = Matrix.identity(spec, size)
     prod = ident
-    for k in _near_integer_roots(op.charpoly(), Fraction(K - 1)):
+    f = lift(op.charpoly())[1]
+    for k in _near_integer_roots(spec, f, Fraction(digit_count(t.numerator, spec.p) - 1)):
         prod = (op - ident.scale(k)) * prod
     return prod.is_zero()
 
@@ -170,13 +177,16 @@ def converges_at(kernel: GaloisKernel, g: GaloisElementData) -> dict:
     v0 = g.v0
     if v0 <= 0:
         raise InvalidValuation(f"need v0 > 0, got {v0}")
-    p = kernel.spec.p
+    p, e = kernel.spec.p, kernel.spec.e
+    vn, vd = (0, 1) if v0 is INF else (v0.numerator, v0.denominator)
     trace = []
     for n, A in enumerate(kernel.A):
-        gv = matrix_gauss_val(A)
-        if n and gv is not INF:
-            gv = INF if v0 is INF else gv + n * v0 - factorial_val(n, p)
-        trace.append(gv)
+        ev = _gauss_ev(A)
+        if ev is None or n and v0 is INF:
+            trace.append(INF)
+        else:
+            # e * den(v0) times the term, on integers
+            trace.append(Fraction((ev - e * factorial_val(n, p)) * vd + n * e * vn, e * vd))
     va = kernel.a.val()
     if (va is INF or v0 is INF or kernel.D == 0
             or _converges(kernel.A[1].scale(kernel.a.invert()), va + v0)):

@@ -186,20 +186,52 @@ class Matrix:
 
     def charpoly(self) -> List[FieldElement]:
         """Coefficients of det(x*I - A), low-to-high, leading 1, by
-        Faddeev-LeVerrier (H. Cohen, GTM 138, 2.2): M_1 = A and
-        M_(k+1) = A (M_k + c_(n-k) I), with c_(n-k) = -tr(M_k) / k."""
+        Faddeev-LeVerrier (H. Cohen, GTM 138, 2.2) on integers.
+
+        A is lifted once over the least common denominator den of its
+        entries (field.lift), so X = den * A has entries in Z[pi], as
+        numerator tuples multiplied by the field's compiled product. Then
+        M_1 = X, d_(n-k) = -tr(M_k) / k and M_(k+1) = X (M_k + d_(n-k) I),
+        of which the last step needs the trace alone. E is monic, so Z[pi]
+        is free on 1, ..., pi^(e-1) and the charpoly of X lies in Z[pi][x]:
+        each division by k is exact coordinate by coordinate. The
+        coefficient of x^j is d_j / den^(n-j), one field element each.
+        """
         self._check_square("charpoly")
-        n = self.nrows
-        spec = self.spec
-        coeffs = [spec.zero()] * n + [spec.one()]
-        M = self
+        n, spec = self.nrows, self.spec
+        mul, zero = spec._mulnum, (0,) * spec.e
+        # M_k row by row in one flat list, its diagonal every n + 1 entries
+        den, M = field.lift([x for row in self.rows for x in row])
+        coeffs = [None] * n + [spec.one()]
+        terms, dk = M[::n + 1], 1
         for k in range(1, n + 1):
-            t = M.trace()
-            c = _make(spec, tuple([-x for x in t._num]), t._den * k)
-            coeffs[n - k] = c
-            if k < n:
-                M = self * Matrix._trusted(spec, tuple(
-                    row[:i] + (row[i] + c,) + row[i + 1:] for i, row in enumerate(M.rows)))
+            # the terms of tr(M_k), each a numerator tuple
+            d = tuple([-t // k for t in map(sum, zip(zero, *terms))])
+            dk *= den
+            coeffs[n - k] = _make(spec, d, dk)
+            if k == n:
+                break
+            if k == 1:
+                # row i of X as its nonzero (column, numerator) pairs
+                X = [[(l, x) for l, x in enumerate(M[i:i + n]) if any(x)]
+                     for i in range(0, n * n, n)]
+            for i in range(0, n * n, n + 1):
+                M[i] = tuple(map(add, M[i], d))
+            if k + 1 == n:
+                # tr(X (M_k + d I)) needs no other entry of the product
+                terms = [mul(x, M[l * n + i]) for i, xrow in enumerate(X) for l, x in xrow]
+                continue
+            # M_k + d I, each row its nonzero (column, numerator) pairs
+            S = [[(j, y) for j, y in enumerate(M[i:i + n]) if any(y)]
+                 for i in range(0, n * n, n)]
+            M = []
+            for xrow in X:
+                acc = [zero] * n
+                for l, x in xrow:
+                    for j, y in S[l]:
+                        acc[j] = tuple(map(add, acc[j], mul(x, y)))
+                M += acc
+            terms = M[::n + 1]
         return coeffs
 
     def __repr__(self):

@@ -56,8 +56,8 @@ class LogConnection:
 
     def residual_matrix(self) -> Matrix:
         """N mod T, the l x l matrix whose eigenvalues are the residual weights."""
-        return Matrix(self.spec, [[self.N[i][j].coeffs[0] for j in range(self.l)]
-                                  for i in range(self.l)])
+        return Matrix._trusted(self.spec, tuple(tuple([s.coeffs[0] for s in row])
+                                                for row in self.N))
 
     def __eq__(self, other):
         if not isinstance(other, LogConnection):

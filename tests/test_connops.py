@@ -11,9 +11,10 @@ from prismlab.connops import (bk_twist, change_uniformizer, check_nilpotent,
                               classify_ndR, cohomology, dual,
                               kummer_sen_operator, matrix_gauss_val,
                               probe_nilpotency, reduction_ses, residual_sen,
-                              tensor, _multiplier_and_reversion, _roots_above)
+                              tensor, _multiplier_and_reversion, _near_integer_roots,
+                              _roots_above, _taylor_shift)
 from prismlab.errors import (BadTruncationIndex, NotAUniformizer, RingMismatch)
-from prismlab.field import INF, FieldElement, FieldSpec
+from prismlab.field import INF, FieldElement, FieldSpec, lift
 from prismlab.galois import _slope_threshold
 from prismlab.linalg import Matrix
 from prismlab.series import TruncSeries, lambda_approx, rewrite_in_uniformizer
@@ -293,6 +294,29 @@ class TestNilpotency:
         calls["val"] = 0
         classify_ndR(constant_conn(cubic3, 1, [[0, 7, 1], [1, 0, 2], [0, 1, 5]]))
         assert calls["val"] <= 2
+
+    def test_verdicts_make_no_field_arithmetic(self, q3, cubic3, monkeypatch):
+        """Operation counts: the residual charpoly, its Taylor shifts and
+        its Newton polygons all run on integer numerators, so neither
+        verdict multiplies, adds or subtracts a field element."""
+        names = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__")
+        cubic3.a_log()
+        M = constant_conn(cubic3, 1, [[0, 7, 1], [1, 0, 2], [0, 1, Fraction(5, 3)]])
+        N = constant_conn(q3, 1, [[0, 7], [1, 0]])
+        calls = count_calls(monkeypatch, [(FieldElement, name) for name in names])
+        assert check_nilpotent(N, Fraction(1, 3 ** 6))["status"] == "ProvenNilpotent"
+        check_nilpotent(M, cubic3.pi())
+        classify_ndR(M)
+        assert calls == dict.fromkeys(names, 0)
+
+    def test_scalar_from_another_field_refused(self, q3, q3s):
+        # pi^3 of Q_3(sqrt 3) has valuation 3/2, and read as a scalar over
+        # Q_3 it would make the weight 1/3 near
+        M = constant_conn(q3, 1, [[Fraction(1, 3)]])
+        with pytest.raises(RingMismatch, match="different field"):
+            check_nilpotent(M, q3s.pi() ** 3)
+        assert check_nilpotent(M, 27)["status"] == "ProvenNilpotent"
+        assert check_nilpotent(M, q3.from_rational(3))["status"] == "ProvenNotNilpotent"
 
     def test_probe_trace_exact_slope(self, q3):
         # integer entries and unit determinant of chi(i) pin the trace to
@@ -630,6 +654,48 @@ def test_change_uniformizer_matches_entrywise_rewrite(seed, field, l, m):
     assert all(s.unif == y.unif for row in got.N for s in row)
 
 
+def roots_above_by_elements(chi, c):
+    """connops._roots_above before the integer descent: the Newton polygon
+    of the field-element coefficients, compared on integers."""
+    e = chi[0].spec.e
+    num, den = c.numerator * e, c.denominator
+    return min((ev * den + j * num, j) for j, ev in enumerate(map(FieldElement._ev, chi))
+               if ev is not None)[1]
+
+
+def taylor_shift_by_elements(chi, s):
+    """connops._taylor_shift before the integer descent: chi(x + s) on
+    field elements, two elements built per step."""
+    out = list(chi)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] = out[j] + out[j + 1] * s
+    return out
+
+
+def near_integer_roots_by_elements(chi, c):
+    """connops._near_integer_roots before the integer descent: the same
+    disc descent on the field-element charpoly."""
+    if c < 0:
+        near = roots_above_by_elements(chi, c)
+        return {0: near} if near else {}
+    p, n = chi[0].spec.p, math.floor(c) + 1
+    live, step = {0: (len(chi) - 1, chi)}, 1
+    for t in range(1, n + 1):
+        if not live:
+            break
+        bound = c if t == n else t - 1
+        children = {}
+        for r, (_, f) in live.items():
+            for d in range(p):
+                if d:
+                    f = taylor_shift_by_elements(f, step)
+                if cnt := roots_above_by_elements(f, bound):
+                    children[r + d * step] = (cnt, f)
+        live, step = children, step * p
+    return {k: cnt for k, (cnt, _) in live.items()}
+
+
 def roots_above_by_fractions(chi, c):
     """connops._roots_above as it was: the Newton polygon compared on
     Fraction valuations, one val() per coefficient."""
@@ -658,5 +724,35 @@ def monic_polys(draw):
 def test_roots_above_matches_fraction_newton_polygon(chi, threshold):
     kind, x = threshold
     c = _slope_threshold(x, chi[0].spec.p) if kind == "d*" else x
-    assert _roots_above(chi, c) == roots_above_by_fractions(chi, c)
-    assert _roots_above(chi, math.floor(c)) == roots_above_by_fractions(chi, math.floor(c))
+    spec, f = chi[0].spec, lift(chi)[1]
+    assert _roots_above(spec, f, c) == roots_above_by_fractions(chi, c)
+    assert _roots_above(spec, f, math.floor(c)) == roots_above_by_fractions(chi, math.floor(c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(monic_polys(), st.one_of(
+    st.fractions(min_value=Fraction(1, 400), max_value=3, max_denominator=400).map(lambda s: ("d*", s)),
+    st.integers(-4, 4).map(lambda c: ("c", Fraction(c))),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12).map(lambda c: ("c", c))))
+@example([FOUR_FIELDS[0].from_rational(-7), FOUR_FIELDS[0].zero(), FOUR_FIELDS[0].one()],
+         ("c", Fraction(3)))
+@example([FOUR_FIELDS[3].zero(), FOUR_FIELDS[3].one()], ("c", Fraction(0)))
+def test_near_integer_roots_match_element_descent(chi, threshold):
+    """The descent on the lifted numerator tuples against the same descent
+    on field elements, at c negative, zero, integral and fractional, and at
+    the convergence thresholds d*; x^2 - 7 over Q_3 walks every level."""
+    kind, x = threshold
+    spec = chi[0].spec
+    c = _slope_threshold(x, spec.p) if kind == "d*" else x
+    assert _near_integer_roots(spec, lift(chi)[1], c) == near_integer_roots_by_elements(chi, c)
+
+
+def test_taylor_shift_matches_element_shift():
+    """Coordinate j of the integer shift is den times the element shift's."""
+    for spec in FOUR_FIELDS:
+        chi = [spec.element([Fraction(i - j, 3 + j) for j in range(spec.e)]) for i in range(4)]
+        chi.append(spec.one())
+        den, f = lift(chi)
+        for s in (-4, 1, 9):
+            shifted = taylor_shift_by_elements(chi, s)
+            assert _taylor_shift(f, s) == [tuple(x * den for x in y.coords) for y in shifted]

@@ -10,7 +10,7 @@ from prismlab.connops import matrix_gauss_val
 from prismlab.errors import InvalidValuation
 from prismlab.field import INF, FieldElement, FieldSpec
 from prismlab.galois import (GaloisElementData, GaloisKernel, _slope_threshold,
-                             action_kernel, converges_at, d0_check, digit_sum,
+                             action_kernel, converges_at, d0_check, digit_count, digit_sum,
                              factorial_val, h_series, tau_power_kernel)
 from prismlab.linalg import Matrix
 from prismlab.series import TruncSeries
@@ -26,6 +26,14 @@ class TestFactorialVal:
         assert [factorial_val(n, 3) for n in range(10)] == [0, 0, 0, 1, 1, 1, 2, 2, 2, 4]
         assert factorial_val(12, 2) == 10
         assert digit_sum(26, 3) == 2 + 2 + 2
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_digit_count(self, p):
+        # the K of the vanishing branch: the least K with p^K > t
+        assert digit_count(0, p) == 0
+        for j in (1, 2, 3, 10, 64, 2000):
+            assert digit_count(p ** j - 1, p) == j
+            assert digit_count(p ** j, p) == j + 1
 
 
 class TestActionKernel:
@@ -290,6 +298,22 @@ class TestIntegerValuations:
                 calls["val"] = 0
                 converges_at(kernel, GaloisElementData(v0))
                 assert calls["val"] <= 1
+
+    @pytest.mark.parametrize("v0", [Fraction(1, 2), 3, Fraction(7, 9), INF])
+    def test_trace_matches_fraction_sum(self, rng, q3s, cubic3, v0):
+        """Each trace entry, built on integers as one Fraction, against
+        GaussVal(A_n) + n*v0 - v_p(n!) summed on valuations."""
+        for spec in (q3s, cubic3):
+            M = random_connection(rng, spec, 2, 2)
+            for a in (spec.a_prism(), Fraction(1, 9), spec.pi()):
+                kernel = action_kernel(M, a, 6)
+                want = []
+                for n, A in enumerate(kernel.A):
+                    gv = matrix_gauss_val(A)
+                    if n and gv is not INF:
+                        gv = INF if v0 is INF else gv + n * v0 - factorial_val(n, spec.p)
+                    want.append(gv)
+                assert converges_at(kernel, GaloisElementData(v0))["trace"] == want
 
     def test_element_data_refuses_float(self):
         with pytest.raises(TypeError, match="float"):

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prismlab import linalg
+from prismlab.field import FieldElement, FieldSpec, _make
 from prismlab.linalg import Matrix, eval_poly, null_basis, poly_deflate
 
 from conftest import FOUR_FIELDS, count_calls, random_element
@@ -206,3 +208,66 @@ def test_charpoly_builds_no_identity_or_scale(q3s, monkeypatch):
     calls = count_calls(monkeypatch, [(Matrix, "identity"), (Matrix, "scale")])
     A.charpoly()
     assert calls == {"identity": 0, "scale": 0}
+
+
+def charpoly_by_elements(A):
+    """Matrix.charpoly before it ran on integers: Faddeev-LeVerrier on
+    field elements, M_1 = A and M_(k+1) = A (M_k + c_(n-k) I)."""
+    n, spec = A.nrows, A.spec
+    coeffs = [spec.zero()] * n + [spec.one()]
+    M = A
+    for k in range(1, n + 1):
+        t = M.trace()
+        c = _make(spec, tuple([-x for x in t._num]), t._den * k)
+        coeffs[n - k] = c
+        if k < n:
+            M = A * Matrix._trusted(spec, tuple(
+                row[:i] + (row[i] + c,) + row[i + 1:] for i, row in enumerate(M.rows)))
+    return coeffs
+
+
+# the benchmark's four fields, the quintic u^5 + 3u^4 - 6u^2 + 3u + 12 and
+# u^3 + 3u^2 + 3, all over Q_3 but Q_2(sqrt 2)
+CHARPOLY_FIELDS = FOUR_FIELDS + (FieldSpec(3, [12, 3, -6, 0, 3, 1]), FieldSpec(3, [3, 0, 3, 1]))
+huge_numerators = st.integers(-9, 9) | st.integers(-2 ** 200, 2 ** 200)
+
+
+@st.composite
+def integer_kernel_matrices(draw):
+    """Square matrices of size 1-6 with numerators up to 2^200 over p-power
+    and coprime denominators, some rows and columns zero, entries with
+    nonzero higher coordinates."""
+    spec = draw(st.sampled_from(CHARPOLY_FIELDS))
+    n = draw(st.integers(1, 6))
+    p = spec.p
+    dens = st.sampled_from([1, p, p ** 4, p ** 40, 5 if p != 5 else 7, 7 * p ** 2, 2 ** 61 - 1])
+    zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+    coord = st.builds(Fraction, huge_numerators, dens)
+
+    def entry(r, c):
+        if r in zero_rows or c in zero_cols:
+            return 0
+        return spec.element(draw(st.lists(coord, min_size=spec.e, max_size=spec.e)))
+    return Matrix(spec, [[entry(r, c) for c in range(n)] for r in range(n)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(integer_kernel_matrices())
+def test_charpoly_stores_what_the_element_loop_stores(A):
+    got, want = A.charpoly(), charpoly_by_elements(A)
+    assert [(c._num, c._den) for c in got] == [(c._num, c._den) for c in want]
+    assert got[-1] is A.spec.one()
+
+
+def test_charpoly_makes_no_field_arithmetic(cubic3, monkeypatch):
+    """Operation counts: a 4 x 4 charpoly over the cubic runs on integer
+    numerators and builds one element per coefficient below the leading 1."""
+    rng = random.Random(11)
+    A = Matrix(cubic3, [[random_element(rng, cubic3) for _ in range(4)] for _ in range(4)])
+    want = charpoly_by_elements(A)
+    names = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__")
+    calls = count_calls(monkeypatch, [(FieldElement, name) for name in names]
+                        + [(linalg, "_make")])
+    assert A.charpoly() == want
+    assert calls == dict.fromkeys(names, 0) | {"_make": 4}
