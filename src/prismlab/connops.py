@@ -56,59 +56,38 @@ def bk_twist(M: LogConnection, n) -> LogConnection:
     return LogConnection(M.spec, M.unif, M.l, M.m, N)
 
 
-def _multiplier_and_reversion(y: TruncSeries):
-    """(c, g): the unit series c with c * T * y' = y, normalized for exact
-    round trips, and the reversion g of y, both from one reversion of y
-    lifted to modulus m + 1.
-
-    The quotient (y/T) / y' only determines c below its top coefficient,
-    because the T^(m-1) coefficient of y' would need the dropped degree-m
-    term of y; that slot is a free gauge. Composing the naive forward and
-    backward multipliers yields 1 + (m-1) * r * y1^m * T^(m-1), where r is
-    the degree-m coefficient of the reversion of y and y1 its slope, so
-    splitting the defect evenly - a factor 1 + ((1-m)/2) r y1^m T^(m-1)
-    on each leg - makes the rewrite along y and the rewrite back along the
-    reversion of y compose to the identity exactly. (The splitting is
-    consistent both ways because the reversion's own defect coefficient is
-    r * y1^(m+1).)
-    """
-    spec, m = y.spec, y.m
-    c = y.shift_down() * y.derivative().invert_unit()
-    rev = TruncSeries._trusted(spec, m + 1, y.coeffs + (spec.zero(),), y.unif).reversion()
-    r = rev.coeffs[m]
-    if not r.is_zero():
-        # c * (1 + top T^(m-1)) changes the top coefficient only
-        top = r * y.coeffs[1] ** m * Fraction(1 - m, 2)
-        c = TruncSeries._trusted(spec, m, c.coeffs[:-1] + (c.coeffs[-1] + c.coeffs[0] * top,),
-                                 c.unif)
-    return c, rev.truncate(m)
-
-
 def change_uniformizer(M: LogConnection, y: TruncSeries) -> LogConnection:
-    """Transport the connection to the coordinate y; matrix c*N rewritten in y.
+    """Transport the connection to the coordinate y; matrix c*N rewritten in y,
+    where c = (y/T) / y' and T d/dT = c * y d/dy.
 
     Rewriting in y is composing with the reversion g of y, a ring map, so
-    entry (c N_ij)(g) is sum_k N_ij,k * c(g) g^k over one table of the
-    series c(g) g^k: y is reverted once, and an entry costs no series
-    product.
+    entry (c N_ij)(g) is sum_k N_ij,k * c(g) g^k. By Lagrange-Burmann
+    (Stanley, EC2, Thm 5.4.2), [T^j] c(g) g^k = [T^(j-k)] h^j with
+    h = (y/T)^(-1): the table is the powers of h, no reversion is taken, and
+    an entry costs no series product.
+
+    The top coefficient of c needs y's dropped degree-m term and is a free
+    gauge: entry (m-1, 0) gains r y_1 (1-m)/2, r = [T^m] g, which puts half
+    a naive round trip's defect 1 + (m-1) r y_1^m T^(m-1) on each leg, so
+    round trips along y and back along g are exact.
     """
     if y.spec != M.spec or y.m != M.m:
         raise RingMismatch("substitution series lives over a different ring")
     spec, m = M.spec, M.m
-    if m == 1:
+    if m == 1 and y.coeffs[0].is_zero():
         # nothing to transport at modulus 1: constants, multiplier 1
         return LogConnection(spec, y.unif, M.l, 1,
                              [[s.with_unif(y.unif) for s in row] for row in M.N])
     if not y.is_uniformizer():
         raise NotAUniformizer("substitution series must vanish to exact order one")
-    c, g = _multiplier_and_reversion(y)
-    gk = [TruncSeries.one(spec, m), g]
-    while len(gk) < m:
-        gk.append(gk[-1] * g)
-    cg = sum((gk[k] * x for k, x in enumerate(c.coeffs) if not x.is_zero()),
-             TruncSeries.zero(spec, m))
-    # c(g) g^k vanishes below degree k, since g does below degree 1
-    table = [(k, (cg * gk[k] if k else cg).coeffs[k:]) for k in range(m)]
+    h = y.shift_down().invert_unit()
+    hj = [TruncSeries.one(spec, m), h]
+    while len(hj) < m:
+        hj.append(hj[-1] * h)
+    table = [(k, [hj[j].coeffs[j - k] for j in range(k, m)]) for k in range(m)]
+    # the gauge entry, from r_m = [T^(m-1)] h^m = m r by Lagrange inversion
+    r_m = sum((a * b for a, b in zip(hj[m - 1].coeffs, reversed(h.coeffs))), spec.zero())
+    table[0][1][m - 1] += r_m * y.coeffs[1] * Fraction(1 - m, 2 * m)
     zero = spec.zero()
 
     def rewrite(s: TruncSeries) -> TruncSeries:

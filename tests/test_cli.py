@@ -365,12 +365,14 @@ class TestConnCommands:
         assert parsed["unif"] == "lambda0"
 
     def test_change_unif_bad_series(self, tmp_path, q3):
-        """y of order two, and y of modulus 3 for a connection of modulus 2."""
+        """y of order two, y of modulus 3 for a connection of modulus 2, and
+        a unit y at modulus 1."""
         y = tmp_path / "y.json"
-        for m, coeffs, error in [
-                (3, "[[0],[0],[1]]", "substitution series must vanish to exact order one"),
-                (2, "[[0],[1],[0]]", "substitution series lives over a different ring")]:
-            y.write_text('{"unif":"y","m":3,"coeffs":%s}' % coeffs)
+        for m, ym, coeffs, error in [
+                (3, 3, "[[0],[0],[1]]", "substitution series must vanish to exact order one"),
+                (2, 3, "[[0],[1],[0]]", "substitution series lives over a different ring"),
+                (1, 1, "[[5]]", "substitution series must vanish to exact order one")]:
+            y.write_text('{"unif":"y","m":%d,"coeffs":%s}' % (ym, coeffs))
             text = canonical_json(encode_connection(constant_conn(q3, m, [[1]])))
             assert run_cli_stderr(["conn", "change-unif", "--y", str(y)], stdin_text=text) == (
                 2, "", f"error: {error}\n")

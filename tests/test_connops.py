@@ -11,7 +11,7 @@ from prismlab.connops import (bk_twist, change_uniformizer, check_nilpotent,
                               classify_ndR, cohomology, dual,
                               kummer_sen_operator, matrix_gauss_val,
                               probe_nilpotency, reduction_ses, residual_sen,
-                              tensor, _multiplier_and_reversion, _near_integer_roots,
+                              tensor, _near_integer_roots,
                               _roots_above, _taylor_shift)
 from prismlab.errors import (BadTruncationIndex, NotAUniformizer, RingMismatch)
 from prismlab.field import INF, FieldElement, FieldSpec, lift
@@ -80,6 +80,34 @@ class TestTensorDualTwist:
         assert rep["weights"][0] == q3.one()
 
 
+def multiplier_and_reversion(y: TruncSeries):
+    """Reference: (c, g), the transport multiplier c = (y/T) / y' with its
+    round-trip gauge and the reversion g of y, as change_uniformizer built
+    them before its table came from the powers of (y/T)^(-1).
+
+    The quotient only determines c below its top coefficient, because the
+    T^(m-1) coefficient of y' would need the dropped degree-m term of y.
+    Composing the naive forward and backward multipliers yields
+    1 + (m-1) r y1^m T^(m-1), where r is the degree-m coefficient of the
+    reversion of y, so a factor 1 + ((1-m)/2) r y1^m T^(m-1) on each leg
+    makes a round trip the identity.
+    """
+    spec, m = y.spec, y.m
+    c = y.shift_down() * y.derivative().invert_unit()
+    rev = TruncSeries._trusted(spec, m + 1, y.coeffs + (spec.zero(),), y.unif).reversion()
+    r = rev.coeffs[m]
+    if not r.is_zero():
+        top = r * y.coeffs[1] ** m * Fraction(1 - m, 2)
+        c = TruncSeries._trusted(spec, m, c.coeffs[:-1] + (c.coeffs[-1] + c.coeffs[0] * top,),
+                                 c.unif)
+    return c, rev.truncate(m)
+
+
+def random_uniformizer(rng, spec, m, unif):
+    return TruncSeries(spec, m, [0, rng.choice([1, 2, 5, Fraction(1, 3)])]
+                       + [random_element(rng, spec, 3) for _ in range(m - 2)], unif)
+
+
 class TestChangeUniformizer:
     def test_scalar_rescale_keeps_shape(self, rng, q3):
         M = random_connection(rng, q3, 2, 3)
@@ -102,11 +130,11 @@ class TestChangeUniformizer:
         # y = T + T^2 at m = 4; worked out by hand, the top coefficient
         # carries the round-trip gauge correction
         y = TruncSeries(q3, 4, [0, 1, 1, 0], "y")
-        c = _multiplier_and_reversion(y)[0]
+        c = multiplier_and_reversion(y)[0]
         assert [x.rational_value() for x in c.coeffs] == [
             Fraction(1), Fraction(-1), Fraction(2), Fraction(7, 2)]
         z = y.reversion()
-        cz = _multiplier_and_reversion(z)[0]
+        cz = multiplier_and_reversion(z)[0]
         assert [x.rational_value() for x in cz.coeffs] == [
             Fraction(1), Fraction(1), Fraction(-2), Fraction(-5, 2)]
         # composing the two legs multiplies c_z(y(T)) by c(T): exactly 1
@@ -131,23 +159,34 @@ class TestChangeUniformizer:
                 assert back == M
                 assert My.unif == f"lambda{F}"
 
-    def test_one_reversion_and_no_composition(self, rng, q3s, monkeypatch):
-        """Operation counts: a 3 x 3 transport reverts y once, composes
-        nothing and rewrites no entry on its own."""
-        calls = count_calls(monkeypatch, [(TruncSeries, "reversion"),
-                                          (TruncSeries, "compose"),
-                                          (series, "rewrite_in_uniformizer")])
-        M = random_connection(rng, q3s, 3, 4)
-        y = TruncSeries(q3s, 4, [0, 2, 1, random_element(rng, q3s, 3)], "y")
-        change_uniformizer(M, y)
-        assert calls == {"reversion": 1, "compose": 0, "rewrite_in_uniformizer": 0}
+    def test_no_reversion_and_no_composition(self, rng, q3s, monkeypatch):
+        """Operation counts: a 3 x 3 transport inverts y/T once, takes its
+        powers with m - 2 series products, reverts and composes nothing and
+        rewrites no entry on its own."""
+        targets = [(TruncSeries, "reversion"), (TruncSeries, "compose"),
+                   (TruncSeries, "derivative"), (series, "rewrite_in_uniformizer")]
+        calls = count_calls(monkeypatch, targets)
+        zero = dict.fromkeys(calls, 0)
+        for m in (2, 4, 7):
+            M = random_connection(rng, q3s, 3, m)
+            y = random_uniformizer(rng, q3s, m, "y")
+            counts = count_calls(monkeypatch, [(TruncSeries, "invert_unit"),
+                                               (TruncSeries, "__mul__")])
+            change_uniformizer(M, y)
+            assert counts == {"invert_unit": 1, "__mul__": m - 2}
+        assert calls == zero
         kummer_sen_operator(random_connection(rng, q3s, 3, 4, unif="u-pi"), 2)
-        assert calls == {"reversion": 2, "compose": 0, "rewrite_in_uniformizer": 0}
+        assert calls == zero
 
     def test_modulus_one_relabel(self, rng, q3):
         M = random_connection(rng, q3, 2, 1, unif="u-pi")
         My = change_uniformizer(M, lambda_approx(q3, 0, 1))
         assert My.N == M.N and My.unif == "lambda0"
+
+    def test_modulus_one_refuses_a_unit(self, rng, q3):
+        M = random_connection(rng, q3, 2, 1)
+        with pytest.raises(NotAUniformizer, match="vanish to exact order one"):
+            change_uniformizer(M, TruncSeries(q3, 1, [5], "y"))
 
 
 class TestKummerSen:
@@ -566,6 +605,57 @@ def test_uniformizer_round_trip_property(seed, m):
     assert back == M
 
 
+def composed_changes(rng, M, m):
+    """change(change(M, y), z) and change(M, z(y)) for random y and z."""
+    y = random_uniformizer(rng, M.spec, m, "y")
+    z = random_uniformizer(rng, M.spec, m, "z")
+    return (change_uniformizer(change_uniformizer(M, y), z),
+            change_uniformizer(M, z.compose(y).with_unif("z")))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), field=st.integers(0, 3), l=st.integers(1, 2),
+       m=st.integers(2, 6))
+def test_composed_changes_agree_below_the_top_degree(seed, field, l, m):
+    """Change of uniformizer is a functor up to the free top coefficient of
+    its multiplier: two changes in a row and one change along the composite
+    agree below degree m - 1."""
+    import random
+    rng = random.Random(seed)
+    M = random_connection(rng, FOUR_FIELDS[field], l, m)
+    two, one = composed_changes(rng, M, m)
+    assert two.unif == one.unif == "z"
+    assert ([[s.coeffs[:m - 1] for s in row] for row in two.N]
+            == [[s.coeffs[:m - 1] for s in row] for row in one.N])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), field=st.integers(0, 3), m=st.integers(2, 5),
+       coupling=st.sampled_from([0, 1, "random"]))
+def test_composed_changes_keep_cohomology_and_verdicts(seed, field, m, coupling):
+    """The two results differ at most at degree m - 1, yet are isomorphic:
+    equal h0 and h1 (those of M) and equal verdicts, on the resonant
+    weights 0 and -(m-1), where h0 and h1 read the top degree, coupled by
+    the residue's corner entry."""
+    import random
+    spec = FOUR_FIELDS[field]
+    rng = random.Random(seed)
+    if coupling == "random":
+        coupling = random_element(rng, spec, 3)
+
+    def entry(c0):
+        return TruncSeries(spec, m, [c0] + [random_element(rng, spec, 3) if rng.random() < 0.6
+                                            else 0 for _ in range(m - 1)])
+    M = LogConnection(spec, "T", 2, m, [[entry(0), entry(coupling)],
+                                        [entry(0), entry(1 - m)]])
+    two, one = composed_changes(rng, M, m)
+    want = cohomology(M)
+    for moved in (two, one):
+        got = cohomology(moved)
+        assert (got["h0"], got["h1"]) == (want["h0"], want["h1"])
+    assert classify_ndR(two) == classify_ndR(one)
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), n=st.integers(-4, 4))
 def test_twist_preserves_classification(seed, n):
@@ -634,10 +724,11 @@ def test_nilpotency_matches_margins_and_probe(seed, field, l, scalar):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), field=st.integers(0, 3), l=st.integers(1, 3),
-       m=st.integers(2, 6))
+       m=st.integers(2, 8))
 def test_change_uniformizer_matches_entrywise_rewrite(seed, field, l, m):
-    """The shared-table transport against rewriting each entry c * N_ij in
-    y on its own, one reversion per entry."""
+    """The power table of (y/T)^(-1), its gauge entry included, against
+    rewriting each entry c * N_ij in y on its own with the reference
+    multiplier, one reversion per entry."""
     import random
     spec = FOUR_FIELDS[field]
     rng = random.Random(seed)
@@ -647,7 +738,7 @@ def test_change_uniformizer_matches_entrywise_rewrite(seed, field, l, m):
     else:
         y = TruncSeries(spec, m, [0, rng.choice([1, 2, Fraction(1, 3)])]
                         + [random_element(rng, spec, 3) for _ in range(m - 2)], "y")
-    c = _multiplier_and_reversion(y)[0]
+    c = multiplier_and_reversion(y)[0]
     want = [[rewrite_in_uniformizer(c * M.N[i][j], y) for j in range(l)] for i in range(l)]
     got = change_uniformizer(M, y)
     assert got.N == want and got.unif == y.unif
