@@ -70,8 +70,8 @@ def current_lib(wl):
 
 
 def plain(x):
-    """A job's result as nested tuples of ints, Fractions, strings and bytes."""
-    if x is None or isinstance(x, (bool, int, Fraction, str, bytes)):
+    """A job's result as nested tuples of ints, Fractions and strings."""
+    if x is None or isinstance(x, (int, Fraction, str)):
         return x
     if isinstance(x, dict):
         return tuple(sorted(((k, plain(v)) for k, v in x.items()), key=lambda kv: kv[0]))
@@ -84,8 +84,6 @@ def plain(x):
         return (x.unif, plain(x.coeffs))
     if kind == "LogConnection":
         return (x.unif, x.l, x.m, plain(x.N))
-    if kind == "Matrix":
-        return plain(x.rows)
     if kind == "_Infinity":
         return "+inf"
     raise TypeError(f"no plain form for {kind}")
@@ -117,9 +115,9 @@ def run_workload(wl, lib, workload, seed, workdir):
     labels = [job_label(workload, spec) for block in blocks for spec in block]
     total, short = hashlib.sha256(), []
     for job in jobs:
-        text = outcome(job, workdir).encode()
-        total.update(hashlib.sha256(text).digest())
-        short.append(hashlib.sha256(text).hexdigest()[:SHORT])
+        digest = hashlib.sha256(outcome(job, workdir).encode())
+        total.update(digest.digest())
+        short.append(digest.hexdigest()[:SHORT])
     return total.hexdigest(), "".join(short), labels
 
 
