@@ -2,17 +2,18 @@
 
 Products skip zero entries on both sides, so the block-triangular
 operators of log connections cost what their nonzero entries cost. The
-operator-family kernel (falling_powers) works on integers instead: it
+operator-family kernel (falling_levels) works on integers instead: it
 writes multiplication by each entry of M and by c as e x e integer
 matrices, the regular representation, and runs the recurrence on the
-Kronecker-packed rows of one integer matrix, building field elements
-once per result.
+Kronecker-packed rows of one integer matrix. Each level is read either
+as a matrix, one field element per entry (falling_powers), or compared
+with a given matrix on the packed integers, building none.
 """
 from __future__ import annotations
 
-from itertools import chain
-from operator import add, mul, neg, sub
-from typing import Iterator, List, Sequence
+from itertools import chain, repeat
+from operator import add, lshift, mul, neg, sub
+from typing import Iterator, List, Optional, Sequence
 
 from . import field
 from .field import FieldElement, FieldSpec, _make
@@ -255,13 +256,120 @@ def null_basis(spec: FieldSpec, ncols: int, R: Sequence[Sequence[FieldElement]],
     return basis
 
 
+class _Packing:
+    """The layout of a walk's packed rows: each of the n entries of a row is
+    a signed digit of width bits, entry 0 lowest; adding offset, half in
+    every field, makes each digit a plain width-bit field read by mask."""
+
+    __slots__ = ("spec", "n", "e", "width", "half", "mask", "offset", "shifts", "_reads")
+
+    def __init__(self, spec: FieldSpec, n: int, width: int):
+        self.spec, self.n, self.e, self.width = spec, n, spec.e, width
+        self.half, self.mask = 1 << (width - 1), (1 << width) - 1
+        self.offset = self.half * ((1 << width * n) - 1) // self.mask
+        self.shifts = range(0, width * n, width)
+        self._reads = {}
+
+    def read(self, ncols: int):
+        """(rowshifts, shifts, mask, offset) that compare the first ncols
+        columns of a level in one integer, built once per ncols: rowshifts
+        shifts packed row i by i * n * width, and shifts places digit t of
+        entry (j, c) where that puts it, in row i = j * e + t. When
+        ncols < n, adding offset (half in every field) and the mask of
+        those columns read them off the level's integer; mask and offset
+        are 0 otherwise."""
+        if ncols not in self._reads:
+            n, e, w = self.n, self.e, self.width
+            rowshifts = range(0, w * n * n * e, w * n)
+            shifts = [w * ((j * e + t) * n + c)
+                      for j in range(n) for c in range(ncols) for t in range(e)]
+            mask = offset = 0
+            if ncols < n:
+                mask = sum(map(lshift, repeat((1 << w * ncols) - 1, n * e), rowshifts))
+                offset = sum(map(lshift, repeat(self.offset, n * e), rowshifts))
+            self._reads[ncols] = rowshifts, shifts, mask, offset
+        return self._reads[ncols]
+
+
+class PackedLevel:
+    """P_k of falling_powers as the kernel holds it: den^k and the packed
+    rows of den^k P_k, row (j, t) coordinate t of row j of P_k. matrix()
+    builds P_k; agrees() compares it with a matrix on integers."""
+
+    __slots__ = ("packing", "rows", "dk")
+
+    def __init__(self, packing: _Packing, rows: List[int], dk: int):
+        self.packing, self.rows, self.dk = packing, rows, dk
+
+    def matrix(self) -> Matrix:
+        """P_k, one field element per nonzero entry."""
+        pk, dk = self.packing, self.dk
+        spec, n, e, half, mask, shifts = pk.spec, pk.n, pk.e, pk.half, pk.mask, pk.shifts
+        zero = spec.zero()
+        digits = [[((y >> sh) & mask) - half for sh in shifts]
+                  for y in [x + pk.offset for x in self.rows]]
+        return Matrix._trusted(spec, tuple(
+            tuple([_make(spec, num, dk) if any(num) else zero
+                   for num in zip(*digits[j:j + e])]) for j in range(0, n * e, e)))
+
+    def agrees(self, A: Matrix, ncols: Optional[int] = None) -> bool:
+        """Whether A equals P_k on its first ncols columns (all of them by
+        default), decided on integers and building no field element.
+
+        An entry of A equals one of P_k only if its denominator d divides
+        den^k, and its numerators times den^k / d are then the digits to
+        match. They pack into one integer, which is compared with the
+        level's packed rows joined into one and, when ncols < n, read
+        through the offset and a mask (_Packing.read). A digit outside the
+        width is unequal, since P_k's digits all fit: 2^width in one column
+        and -1 in the next pack as zeros do."""
+        pk, dk = self.packing, self.dk
+        n = pk.n
+        if A.spec is not pk.spec and A.spec != pk.spec or A.nrows != n or A.ncols != n:
+            return False
+        if ncols is None or ncols >= n:
+            ncols, cols = n, A.rows
+        elif ncols <= 0:
+            return True
+        else:
+            cols = [row[:ncols] for row in A.rows]
+        digits, zero = [], pk.spec.zero()
+        for row in cols:
+            for x in row:
+                d = x._den
+                # the shared zero, as matrix() builds it, has zero digits
+                if d == dk or x is zero:
+                    digits += x._num
+                elif dk % d:
+                    return False
+                else:
+                    q = dk // d
+                    digits += [v * q for v in x._num]
+        rowshifts, shifts, mask, offset = pk.read(ncols)
+        x = sum(map(lshift, self.rows, rowshifts))
+        if mask:
+            x = ((x + offset) & mask) - (offset & mask)
+        return (x == sum(map(lshift, digits, shifts))
+                and max(digits) < pk.half and min(digits) > -pk.half)
+
+
 def falling_powers(M: Matrix, c: FieldElement, count: int) -> Iterator[Matrix]:
     """Yield P_0, ..., P_(count-1), P_k = M (M - c) ... (M - (k-1) c), each
-    as it is asked for: P_0 = I, P_1 = M and P_(k+1) = (M - k c) P_k. A
-    count below 1 yields nothing.
+    as it is asked for: P_0 = I, P_1 = M and P_(k+1) = (M - k c) P_k, from
+    P_2 on the matrix of each step of falling_levels. A count below 1
+    yields nothing."""
+    yield from (Matrix.identity(M.spec, M.nrows), M)[:max(count, 0)]
+    for level in falling_levels(M, c, count):
+        yield level.matrix()
 
-    For P_2 on, M and c are lifted once over their least common denominator
-    den (field.lift). B is the ne x ne integer matrix whose block (r, j) is
+
+def falling_levels(M: Matrix, c: FieldElement, count: int) -> Iterator[PackedLevel]:
+    """Yield P_2, ..., P_(count-1) of falling_powers(M, c, count), each as
+    it is asked for, as the kernel holds it (PackedLevel). A count below 3
+    yields nothing.
+
+    M and c are lifted once over their least common denominator den
+    (field.lift). B is the ne x ne integer matrix whose block (r, j) is
     the regular representation of the numerator of M[r][j], C that of c's
     numerator, so den^k P_k is a ne x n integer matrix X_k with
     X_(k+1) = (B - k I(x)C) X_k.
@@ -272,10 +380,9 @@ def falling_powers(M: Matrix, c: FieldElement, count: int) -> Iterator[Matrix]:
     the width holds the bound |X_1| * prod_k (|B| + k |C|) in row-sum
     norms, plus a sign bit.
     """
-    spec, n, e = M.spec, M.nrows, M.spec.e
-    yield from (Matrix.identity(spec, n), M)[:max(count, 0)]
     if count < 3:
         return
+    spec, n, e = M.spec, M.nrows, M.spec.e
     den, nums = field.lift([c, *chain.from_iterable(M.rows)])
     rows, cnum = [nums[i:i + n] for i in range(1, len(nums), n)], nums[0]
     C = field.regular(spec, cnum)
@@ -295,10 +402,7 @@ def falling_powers(M: Matrix, c: FieldElement, count: int) -> Iterator[Matrix]:
     for k in range(1, count - 1):
         bound *= nb + k * nc
     width = bound.bit_length() + 1
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    # adding half to every packed entry makes each one a plain width-bit field
-    offset = half * ((1 << width * n) - 1) // mask
-    shifts = range(0, width * n, width)
+    packing = _Packing(spec, n, width)
     X = []
     for row in rows:
         for t in range(e):
@@ -306,16 +410,12 @@ def falling_powers(M: Matrix, c: FieldElement, count: int) -> Iterator[Matrix]:
             for num in reversed(row):
                 x = (x << width) + num[t]
             X.append(x)
-    zero, dk = spec.zero(), den
+    dk = den
     for k in range(1, count - 1):
         kc = [[k * ct for _, ct in d] for d in diag]
         X = [sum(map(mul, bs + kc[s], map(X.__getitem__, idx))) for idx, bs, s in plan]
         dk *= den
-        digits = [[((y >> sh) & mask) - half for sh in shifts]
-                  for y in [x + offset for x in X]]
-        yield Matrix._trusted(spec, tuple(
-            tuple([_make(spec, num, dk) if any(num) else zero
-                   for num in zip(*digits[j:j + e])]) for j in range(0, n * e, e)))
+        yield PackedLevel(packing, X, dk)
 
 
 def _dot(spec, xs, ys):

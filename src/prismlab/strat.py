@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .errors import (LeibnizViolation, NotAStratification, RingMismatch)
 from .field import FieldElement, FieldSpec
-from .linalg import Matrix, falling_powers
+from .linalg import Matrix, falling_levels, falling_powers
 from .series import TruncSeries
 
 
@@ -112,11 +112,13 @@ def operator_family(phi1: Matrix, a, count: int) -> List[Matrix]:
 def first_off_recurrence(phi: Sequence[Matrix], a) -> Optional[int]:
     """The least n >= 2 with phi_n unequal to P_n of falling_powers(phi_1,
     a), or None when phi_2..phi_D all follow phi_(n+1) = (phi_1 - n*a)
-    phi_n. The family is computed only up to the first mismatch."""
+    phi_n. The kernel walks only up to the first mismatch and compares each
+    level with phi_n on its packed integers (PackedLevel.agrees), so no
+    level's matrix is built."""
     if len(phi) < 3:
         return None
-    return next((n for n, psi in enumerate(falling_powers(phi[1], a, len(phi)))
-                 if n >= 2 and phi[n] != psi), None)
+    return next((n for n, P in enumerate(falling_levels(phi[1], a, len(phi)), 2)
+                 if not P.agrees(phi[n])), None)
 
 
 class Family(Sequence):
@@ -281,22 +283,30 @@ def _first_off_family(phi: Sequence[Matrix], psi1: Matrix,
     least such n for that column, and r the least row on which phi_n0 and
     psi_n0 differ there. None when every phi_n equals psi_n.
 
-    One walk of psi, compared level by level in full with phi: once a
-    column is found, a later level compares only the columns before it.
+    One walk of the kernel (falling_levels), each level compared with phi_n
+    on its packed integers: in full, and once a column is found, on the
+    columns before it when the full comparison fails. Only a level that
+    differs there is built as a matrix, to find the column and the row.
     """
     found, bound = None, psi1.ncols
-    for n, psi in enumerate(falling_powers(psi1, a, len(phi))):
-        if n == 0:
-            continue
-        rows = phi[n].rows
-        if found is None and rows == psi.rows:
-            continue
-        for r, (x, y) in enumerate(zip(rows, psi.rows)):
+
+    def locate(n, psi):
+        nonlocal found, bound
+        for r, (x, y) in enumerate(zip(phi[n].rows, psi.rows)):
             if x[:bound] != y[:bound]:
                 bound = next(c for c in range(bound) if x[c] != y[c])
                 found = (bound, n, r)
-        if bound == 0:
-            break
+
+    if phi[1].rows != psi1.rows:
+        locate(1, psi1)
+    if bound:
+        for n, level in enumerate(falling_levels(psi1, a, len(phi)), 2):
+            # a level equal in full is equal on the first bound columns
+            if not (level.agrees(phi[n])
+                    or bound < psi1.ncols and level.agrees(phi[n], bound)):
+                locate(n, level.matrix())
+                if bound == 0:
+                    break
     return found
 
 
@@ -376,10 +386,12 @@ def check_cocycle(strat: Stratification) -> dict:
     psi_1 = Lin(phi_1) + a*diag(t), _t_linear of phi_1's generator columns,
     which is phi_1 itself exactly when the Leibniz law holds, and
     psi = falling_powers(psi_1, a, D + 1). The check walks psi
-    once against phi (_first_off_family); it passes iff no phi_n is off
-    psi. Otherwise let x0 be the least column off psi, n0 the least level
-    at which column x0 is off, and r the least row off there. The witness
-    is where the level-2 expansions of both composites first differ.
+    once against phi (_first_off_family), each level compared on the
+    kernel's packed integers and built as a matrix only where it differs;
+    it passes iff no phi_n is off psi. Otherwise let x0 be the least
+    column off psi, n0 the least level at which column x0 is off, and r
+    the least row off there. The witness is where the level-2 expansions
+    of both composites first differ.
 
     If x0 >= l the witness is X1^[1] X2^[n0 - 1] T^(r div l) e_(r mod l) at
     generator x0, in closed form. Every generator column of every phi_n

@@ -476,6 +476,32 @@ class TestFailurePaths:
                '"status":"fail","witness":{"component":0,"generator":1,'
                '"monomial":{"t":1,"x1":1,"x2":0}}}\n', "")
 
+    def test_entry_off_width_and_denominator(self):
+        """conn strat --D 3 over Q_3(sqrt 3) with phi_3[1][0] set to
+        10^80 + pi/7: a numerator past any packing width over a denominator
+        that no den^k has. check-cocycle finds it at generator 0, to-conn
+        at phi_3, and conn converges in A_2 of a kernel carrying it."""
+        conn = '{"field":{"p":3,"E":[-3,0,1]},"l":1,"m":2,"N":[[1]]}'
+        entry = ["1" + "0" * 80, "1/7"]
+        code, out = run_cli(["conn", "strat", "--D", "3"], stdin_text=conn)
+        assert code == 0
+        obj = json.loads(out)
+        obj["phi"][3][1][0] = entry
+        text = json.dumps(obj)
+        assert run_cli_stderr(["strat", "check-cocycle"], stdin_text=text) == (
+            1, '{"degeneracy_ok":true,"status":"fail","witness":{"component":0,'
+               '"generator":0,"monomial":{"t":1,"x1":1,"x2":2}}}\n', "")
+        assert run_cli_stderr(["strat", "to-conn"], stdin_text=text) == (
+            1, '{"error":"operator phi_3 breaks phi_(n+1) = (phi_1 - n*a) phi_n",'
+               '"status":"fail"}\n', "")
+        code, out = run_cli(["conn", "galois-kernel", "--D", "3"], stdin_text=conn)
+        assert code == 0
+        kernel = json.loads(out)
+        kernel["A"][2][1][0] = entry
+        assert run_cli_stderr(["conn", "converges", "--v0", "1/2"],
+                              stdin_text=json.dumps(kernel)) == (
+            2, "", "error: kernel operator A_2 breaks A_(n+1) = (A_1 - n*a) A_n\n")
+
     def test_to_conn_of_degree_zero_fails(self, tmp_path):
         """conn strat --D 0 keeps phi_0 alone, and to-conn does not invent
         N = 0 for it."""

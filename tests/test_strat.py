@@ -877,28 +877,29 @@ def test_operator_family_folds_only_for_its_operators(monkeypatch):
 
 
 def counting_kernel(monkeypatch):
-    """Patch strat.falling_powers to record each kernel call, each step (one
-    operator yielded) and each kernel generator finished or released. Only
-    the integer kernel's own work counts: falling_powers yields P_0 = I and
-    P_1 = M before it, so a call, its steps and its release are counted
-    from the third yield on."""
-    from prismlab import strat as strat_module
+    """Patch the kernel generator falling_levels, which the walks of strat
+    and falling_powers (so Family.generated) share, to record each kernel
+    call, each step (one level yielded) and each kernel generator finished
+    or released. A call that yields no level (fewer than three operators
+    asked for) takes no step and is not counted."""
+    from prismlab import linalg, strat as strat_module
     calls = {"calls": 0, "steps": 0, "released": 0}
-    kernel = strat_module.falling_powers
+    kernel = linalg.falling_levels
 
     def counting(M, c, count):
         started = False
         try:
-            for n, P in enumerate(kernel(M, c, count)):
-                if n == 2:
+            for level in kernel(M, c, count):
+                if not started:
                     started = True
                     calls["calls"] += 1
-                calls["steps"] += started
-                yield P
+                calls["steps"] += 1
+                yield level
         finally:
             calls["released"] += started
 
-    monkeypatch.setattr(strat_module, "falling_powers", counting)
+    monkeypatch.setattr(linalg, "falling_levels", counting)
+    monkeypatch.setattr(strat_module, "falling_levels", counting)
     return calls
 
 
@@ -964,6 +965,84 @@ def test_reading_phi_k_takes_k_minus_one_steps(monkeypatch):
     assert (calls["steps"], calls["released"]) == (D - 1, 1)
     list(strat.phi)
     assert calls["steps"] == D - 1
+
+
+def counting_builds(monkeypatch):
+    """Count the levels of a walk built as matrices (PackedLevel.matrix)
+    and the field elements made there and in the field (_make)."""
+    from prismlab import field, linalg
+    return count_calls(monkeypatch, [(linalg.PackedLevel, "matrix"), (linalg, "_make"),
+                                     (field, "_make")])
+
+
+def test_genuine_walk_builds_no_level(monkeypatch):
+    """Counts, no timing: on a genuine family with D = 8 given explicitly,
+    both walks take D - 1 kernel steps, build no level as a matrix and make
+    no field element at levels 2..D."""
+    import random
+
+    from prismlab.field import FieldSpec
+    from prismlab.strat import _first_off_family, first_off_recurrence
+    spec = FieldSpec(3, [3, 3, 0, 1])
+    D = 8
+    phi = list(from_connection(random_connection(random.Random(8), spec, 2, 3),
+                               spec.a_prism(), D).phi)
+    a = spec.a_prism()
+    kernel = counting_kernel(monkeypatch)
+    builds = counting_builds(monkeypatch)
+    assert first_off_recurrence(phi, a) is None
+    assert _first_off_family(phi, phi[1], a) is None
+    assert kernel == {"calls": 2, "steps": 2 * (D - 1), "released": 2}
+    assert builds == {"matrix": 0, "_make": 0}
+
+
+def test_failing_walk_builds_only_the_levels_that_differ(monkeypatch):
+    """Counts, no timing: with D = 8, l = 2, m = 4, phi_2 changed at column
+    5, phi_5 at column 3 and phi_6 at column 7, check_cocycle walks the
+    family once and builds phi_2 and phi_5 only. phi_6 differs from psi_6
+    only past the least column found before it, so it is not built."""
+    import random
+
+    from prismlab.field import FieldSpec
+    spec = FieldSpec(3, [3, 3, 0, 1])
+    D = 8
+    genuine = from_connection(random_connection(random.Random(21), spec, 2, 4),
+                              spec.a_prism(), D)
+    rng = random.Random(22)
+    bad = genuine.perturbed(2, single_entry(spec, 8, 1, 5, rng))
+    bad = bad.perturbed(5, single_entry(spec, 8, 6, 3, rng))
+    bad = bad.perturbed(6, single_entry(spec, 8, 0, 7, rng))
+    kernel = counting_kernel(monkeypatch)
+    builds = counting_builds(monkeypatch)
+    rep = check_cocycle(bad)
+    assert rep["witness"] == {"generator": 3, "component": 0,
+                              "monomial": {"x1": 1, "x2": 4, "t": 3}}
+    assert kernel == {"calls": 1, "steps": D - 1, "released": 1}
+    assert builds["matrix"] == 2
+    assert rep == cocycle_by_expansion(bad)
+
+
+def test_generator_column_walk_stops_at_its_level(monkeypatch):
+    """Counts, no timing: phi_3 changed in generator column 0 (x0 < l), the
+    branch that _cocycle_witness expands. The walk stops at phi_3 after two
+    kernel steps and builds that level alone; the expansion reads the
+    explicit family and takes no kernel step."""
+    import random
+
+    from prismlab.field import FieldSpec
+    spec = FieldSpec(3, [-3, 0, 1])
+    D = 6
+    genuine = from_connection(random_connection(random.Random(23), spec, 2, 2),
+                              spec.a_prism(), D)
+    bad = genuine.perturbed(3, single_entry(spec, 4, 2, 0, random.Random(24)))
+    kernel = counting_kernel(monkeypatch)
+    builds = counting_builds(monkeypatch)
+    rep = check_cocycle(bad)
+    assert kernel == {"calls": 1, "steps": 2, "released": 1}
+    assert builds["matrix"] == 1
+    monkeypatch.undo()
+    assert rep == cocycle_by_expansion(bad)
+    assert rep["witness"]["generator"] == 0
 
 
 slice_bounds = st.none() | st.integers(-10, 10)
