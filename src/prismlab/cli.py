@@ -272,12 +272,17 @@ class _Parser(argparse.ArgumentParser):
         raise InputFormatError(message)
 
     def subcommands(self, dest):
-        """A function that adds one subcommand and records its parser."""
-        action = self.add_subparsers(dest=dest)
+        """A function that adds one subcommand and records its parser.
+
+        The subcommands show as dest, their names in its help: Python 3.13
+        wraps a usage line that lists them all otherwise than 3.10-3.12 do.
+        argparse names dest in its errors either way."""
+        action = self.add_subparsers(dest=dest, metavar=dest)
         self.command_dest = dest
 
         def add(name, **kwargs):
             parser = self.commands[name] = action.add_parser(name, **kwargs)
+            action.help = "one of " + ", ".join(self.commands)
             return parser
         return add
 
