@@ -103,6 +103,40 @@ def multiplier_and_reversion(y: TruncSeries):
     return c, rev.truncate(m)
 
 
+def nilpotent(M, a):
+    return check_nilpotent(M, a)["status"] == "ProvenNilpotent"
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=st.integers(0, 3), l1=st.integers(1, 2), l2=st.integers(1, 2),
+       m=st.integers(1, 3), seed=st.integers(0, 10 ** 6))
+def test_verdicts_obey_the_tensor_laws(field, l1, l2, m, seed):
+    """The residual laws of the paper's tensor category, oracles that need
+    no second implementation. The weights of M (x) M' are the sums w + w',
+    and dist(w + w', Z) >= min(dist(w, Z), dist(w', Z)), so a-nilpotency
+    is closed under tensor; the weights of dual(M) are the -w, so dual
+    keeps the verdict; the identity of M (x) dual(M) is horizontal, so its
+    h0 is at least 1 (here l^2 m <= 12). classify_ndR obeys the same laws
+    at a_prism and a_log."""
+    import random
+
+    spec = FOUR_FIELDS[field]
+    rng = random.Random(seed)
+    M, M2 = random_connection(rng, spec, l1, m), random_connection(rng, spec, l2, m)
+    both = tensor(M, M2)
+    for a in (spec.a_prism(), spec.a_log(), spec.from_rational(spec.p), spec.one()):
+        if nilpotent(M, a) and nilpotent(M2, a):
+            assert nilpotent(both, a)
+        assert nilpotent(dual(M), a) == nilpotent(M, a)
+    flags = ("nearly_dR", "log_nearly_dR")
+    one, two, prod = classify_ndR(M), classify_ndR(M2), classify_ndR(both)
+    for flag in flags:
+        if one[flag] and two[flag]:
+            assert prod[flag]
+    assert classify_ndR(dual(M)) == one
+    assert cohomology(tensor(M, dual(M)))["h0"] >= 1
+
+
 def random_uniformizer(rng, spec, m, unif):
     return TruncSeries(spec, m, [0, rng.choice([1, 2, 5, Fraction(1, 3)])]
                        + [random_element(rng, spec, 3) for _ in range(m - 2)], unif)
