@@ -391,11 +391,11 @@ def falling_levels(M: Matrix, c: FieldElement, count: int) -> Iterator[PackedLev
     # there, and s, which picks the entries k * diag[s] on its diagonal block
     plan = []
     for r, row in enumerate(rows):
-        blocks = [(j * e, field.regular(spec, x)) for j, x in enumerate(row) if any(x)]
+        cols = [(j * e + t, col) for j, x in enumerate(row) if any(x)
+                for t, col in enumerate(field.regular(spec, x))]
         for s in range(e):
-            bs = [(j + t, col[s]) for j, blk in blocks for t, col in enumerate(blk) if col[s]]
-            plan.append(([i for i, _ in bs] + [r * e + t for t, _ in diag[s]],
-                         [b for _, b in bs], s))
+            plan.append(([i for i, col in cols if col[s]] + [r * e + t for t, _ in diag[s]],
+                         [col[s] for _, col in cols if col[s]], s))
     bound = max(map(abs, chain.from_iterable(chain.from_iterable(rows))), default=0)
     nb = max(sum(map(abs, bs)) for _, bs, _ in plan)
     nc = max(sum(abs(ct) for _, ct in d) for d in diag)
