@@ -301,7 +301,8 @@ def _first_off_family(phi: Sequence[Matrix], psi1: Matrix,
         locate(1, psi1)
     if bound:
         for n, level in enumerate(falling_levels(psi1, a, len(phi)), 2):
-            # a level equal in full is equal on the first bound columns
+            # in full first, with the shift table every level shares: a
+            # level equal in full is equal on the first bound columns
             if not (level.agrees(phi[n])
                     or bound < psi1.ncols and level.agrees(phi[n], bound)):
                 locate(n, level.matrix())
