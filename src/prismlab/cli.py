@@ -258,13 +258,26 @@ def _add_input(p):
                    help="input file; omit or use - for standard input")
 
 
+class _Formatter(argparse.HelpFormatter):
+    """Places the help column past each subcommand name with its indent, as
+    Python 3.13 does; 3.10-3.12 leave the indent out, and so wrap a long
+    name's help onto the next line."""
+
+    def add_argument(self, action):
+        super().add_argument(action)
+        if action.help is not argparse.SUPPRESS:
+            for sub in self._iter_indented_subactions(action):
+                self._action_max_length = max(self._action_max_length, self._current_indent
+                                              + len(self._format_action_invocation(sub)))
+
+
 class _Parser(argparse.ArgumentParser):
     """A usage error is bad input: main reports it in one error: line.
     commands maps each subcommand's name to its parser, and command_dest
     names the attribute that holds the chosen one, for main's walk."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, formatter_class=_Formatter, **kwargs)
         self.commands = {}
         self.command_dest = None
 
@@ -295,60 +308,60 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="prismlab")
     top = parser.subcommands("group")
 
-    field = top("field").subcommands("op")
+    field = top("field", help="coefficient fields K = Q_p[u]/(E(u))").subcommands("op")
     p = field("check", help="validate a field description")
     _add_input(p)
 
-    conn = top("conn").subcommands("op")
+    conn = top("conn", help="log connections over K[[T]]/T^m").subcommands("op")
     p = conn("new", help="validate and canonicalize a connection")
     _add_input(p)
-    p = conn("tensor")
+    p = conn("tensor", help="tensor product of two connections")
     p.add_argument("files", nargs="+")
-    p = conn("dual")
+    p = conn("dual", help="dual connection")
     _add_input(p)
-    p = conn("twist")
+    p = conn("twist", help="twist: N + n I")
     p.add_argument("--n", type=int, required=True)
     _add_input(p)
-    p = conn("change-unif")
+    p = conn("change-unif", help="rewrite in another uniformizer")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--lambda-F", dest="lambda_F", type=int)
     group.add_argument("--y", help="series file for the new coordinate")
     _add_input(p)
-    p = conn("strat")
+    p = conn("strat", help="stratification up to pd-degree D")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--a", choices=["prism", "log"], default="prism")
     _add_input(p)
-    p = conn("cohomology")
+    p = conn("cohomology", help="de Rham cohomology dimensions h0, h1")
     p.add_argument("--bases", action="store_true")
     _add_input(p)
-    p = conn("classify")
+    p = conn("classify", help="nearly and log-nearly de Rham flags")
     _add_input(p)
-    p = conn("nilpotent")
+    p = conn("nilpotent", help="a-nilpotency verdict")
     p.add_argument("--a", choices=["prism", "log"], default="prism")
     _add_input(p)
-    p = conn("galois-kernel")
+    p = conn("galois-kernel", help="operator family of the Galois action")
     p.add_argument("--D", type=int, default=6)
     p.add_argument("--a", choices=["prism", "log"], default="prism")
     p.add_argument("--tau", type=int, default=None)
     p.add_argument("--variant", choices=["K", "Kpi1"], default=None)
     _add_input(p)
-    p = conn("converges")
+    p = conn("converges", help="convergence of a kernel at valuation v0")
     p.add_argument("--v0", required=True)
     _add_input(p)
 
-    strat = top("strat").subcommands("op")
-    p = strat("check-cocycle")
+    strat = top("strat", help="stratifications phi_0..phi_D").subcommands("op")
+    p = strat("check-cocycle", help="check the cocycle condition")
     _add_input(p)
-    p = strat("to-conn")
+    p = strat("to-conn", help="log connection of a stratification")
     _add_input(p)
 
-    verify = top("verify").subcommands("op")
-    p = verify("key-lemma")
+    verify = top("verify", help="identities of a stratification").subcommands("op")
+    p = verify("key-lemma", help="check the key-lemma expansion identity")
     p.add_argument("--n-max", dest="n_max", type=int, required=True)
     _add_input(p)
 
-    examples = top("examples").subcommands("op")
-    p = examples("bk-twist")
+    examples = top("examples", help="connections built from a field").subcommands("op")
+    p = examples("bk-twist", help="twist of the trivial rank-1 connection")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--field", required=True)

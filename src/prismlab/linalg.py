@@ -11,9 +11,9 @@ with a given matrix on the packed integers, building none.
 """
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 from operator import add, lshift, mul, neg, sub
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Sequence
 
 from . import field
 from .field import FieldElement, FieldSpec, _make
@@ -259,36 +259,18 @@ def null_basis(spec: FieldSpec, ncols: int, R: Sequence[Sequence[FieldElement]],
 class _Packing:
     """The layout of a walk's packed rows: each of the n entries of a row is
     a signed digit of width bits, entry 0 lowest; adding offset, half in
-    every field, makes each digit a plain width-bit field read by mask."""
+    every field, makes each digit a plain width-bit field read by mask.
+    joined, built on first comparison (PackedLevel.agrees), places digit t
+    of entry (j, c) where it sits once the rows are joined in one integer,
+    in row j * e + t, each row n * width bits above the one before."""
 
-    __slots__ = ("spec", "n", "e", "width", "half", "mask", "offset", "shifts", "_reads")
+    __slots__ = ("spec", "n", "e", "width", "half", "mask", "offset", "shifts", "joined")
 
     def __init__(self, spec: FieldSpec, n: int, width: int):
         self.spec, self.n, self.e, self.width = spec, n, spec.e, width
         self.half, self.mask = 1 << (width - 1), (1 << width) - 1
         self.offset = self.half * ((1 << width * n) - 1) // self.mask
-        self.shifts = range(0, width * n, width)
-        self._reads = {}
-
-    def read(self, ncols: int):
-        """(rowshifts, shifts, mask, offset) that compare the first ncols
-        columns of a level in one integer, built once per ncols: rowshifts
-        shifts packed row i by i * n * width, and shifts places digit t of
-        entry (j, c) where that puts it, in row i = j * e + t. When
-        ncols < n, adding offset (half in every field) and the mask of
-        those columns read them off the level's integer; mask and offset
-        are 0 otherwise."""
-        if ncols not in self._reads:
-            n, e, w = self.n, self.e, self.width
-            rowshifts = range(0, w * n * n * e, w * n)
-            shifts = [w * ((j * e + t) * n + c)
-                      for j in range(n) for c in range(ncols) for t in range(e)]
-            mask = offset = 0
-            if ncols < n:
-                mask = sum(map(lshift, repeat((1 << w * ncols) - 1, n * e), rowshifts))
-                offset = sum(map(lshift, repeat(self.offset, n * e), rowshifts))
-            self._reads[ncols] = rowshifts, shifts, mask, offset
-        return self._reads[ncols]
+        self.shifts, self.joined = range(0, width * n, width), None
 
 
 class PackedLevel:
@@ -312,29 +294,22 @@ class PackedLevel:
             tuple([_make(spec, num, dk) if any(num) else zero
                    for num in zip(*digits[j:j + e])]) for j in range(0, n * e, e)))
 
-    def agrees(self, A: Matrix, ncols: Optional[int] = None) -> bool:
-        """Whether A equals P_k on its first ncols columns (all of them by
-        default), decided on integers and building no field element.
+    def agrees(self, A: Matrix) -> bool:
+        """Whether A equals P_k, decided on integers and building no field
+        element.
 
         An entry of A equals one of P_k only if its denominator d divides
         den^k, and its numerators times den^k / d are then the digits to
         match. They pack into one integer, which is compared with the
-        level's packed rows joined into one and, when ncols < n, read
-        through the offset and a mask (_Packing.read). A digit outside the
-        width is unequal, since P_k's digits all fit: 2^width in one column
-        and -1 in the next pack as zeros do."""
-        pk, dk = self.packing, self.dk
-        n = pk.n
+        level's packed rows joined into one (_Packing.joined). A digit
+        outside the width is unequal, since P_k's digits all fit: 2^width
+        in one column and -1 in the next pack as zeros do."""
+        pk, dk, rows = self.packing, self.dk, self.rows
+        n, e, w = pk.n, pk.e, pk.width
         if A.spec is not pk.spec and A.spec != pk.spec or A.nrows != n or A.ncols != n:
             return False
-        if ncols is None or ncols >= n:
-            ncols, cols = n, A.rows
-        elif ncols <= 0:
-            return True
-        else:
-            cols = [row[:ncols] for row in A.rows]
         digits, zero = [], pk.spec.zero()
-        for row in cols:
+        for row in A.rows:
             for x in row:
                 d = x._den
                 # the shared zero, as matrix() builds it, has zero digits
@@ -345,11 +320,11 @@ class PackedLevel:
                 else:
                     q = dk // d
                     digits += [v * q for v in x._num]
-        rowshifts, shifts, mask, offset = pk.read(ncols)
-        x = sum(map(lshift, self.rows, rowshifts))
-        if mask:
-            x = ((x + offset) & mask) - (offset & mask)
-        return (x == sum(map(lshift, digits, shifts))
+        if pk.joined is None:
+            pk.joined = [w * ((j * e + t) * n + c)
+                         for j in range(n) for c in range(n) for t in range(e)]
+        return (sum(map(lshift, rows, range(0, w * n * len(rows), w * n)))
+                == sum(map(lshift, digits, pk.joined))
                 and max(digits) < pk.half and min(digits) > -pk.half)
 
 

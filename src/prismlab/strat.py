@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .errors import (LeibnizViolation, NotAStratification, RingMismatch)
 from .field import FieldElement, FieldSpec
-from .linalg import Matrix, falling_levels, falling_powers
+from .linalg import Matrix, PackedLevel, falling_levels, falling_powers
 from .series import TruncSeries
 
 
@@ -109,16 +109,23 @@ def operator_family(phi1: Matrix, a, count: int) -> List[Matrix]:
     return list(falling_powers(phi1, a, count))
 
 
+def _off_levels(phi: Sequence[Matrix], psi1: Matrix, a) -> Iterator[Tuple[int, PackedLevel]]:
+    """(n, psi_n) for each n >= 2 with phi_n unequal to psi_n, psi =
+    falling_powers(psi1, a, len(phi)), in order and as asked for: one walk
+    of the kernel (falling_levels), each level compared with phi_n on its
+    packed integers (PackedLevel.agrees) and built as no matrix."""
+    return ((n, level) for n, level in enumerate(falling_levels(psi1, a, len(phi)), 2)
+            if not level.agrees(phi[n]))
+
+
 def first_off_recurrence(phi: Sequence[Matrix], a) -> Optional[int]:
     """The least n >= 2 with phi_n unequal to P_n of falling_powers(phi_1,
     a), or None when phi_2..phi_D all follow phi_(n+1) = (phi_1 - n*a)
-    phi_n. The kernel walks only up to the first mismatch and compares each
-    level with phi_n on its packed integers (PackedLevel.agrees), so no
-    level's matrix is built."""
+    phi_n. The kernel walks only up to the first mismatch (_off_levels), so
+    no level's matrix is built."""
     if len(phi) < 3:
         return None
-    return next((n for n, P in enumerate(falling_levels(phi[1], a, len(phi)), 2)
-                 if not P.agrees(phi[n])), None)
+    return next((n for n, _ in _off_levels(phi, phi[1], a)), None)
 
 
 class Family(Sequence):
@@ -189,7 +196,7 @@ class Stratification:
             raise NotAStratification(f"need operators up to pd-degree {D}")
         n = l * m
         for op in phi._ops:
-            if len(op.rows) != n:
+            if op.nrows != n or op.ncols != n:
                 raise NotAStratification(f"operators must be {n}x{n}")
         self.spec = spec
         self.l = l
@@ -283,10 +290,9 @@ def _first_off_family(phi: Sequence[Matrix], psi1: Matrix,
     least such n for that column, and r the least row on which phi_n0 and
     psi_n0 differ there. None when every phi_n equals psi_n.
 
-    One walk of the kernel (falling_levels), each level compared with phi_n
-    on its packed integers: in full, and once a column is found, on the
-    columns before it when the full comparison fails. Only a level that
-    differs there is built as a matrix, to find the column and the row.
+    One walk of the kernel (_off_levels): only a level that differs from
+    phi_n is built as a matrix, and its columns before the least one found
+    so far are scanned for the column and the row.
     """
     found, bound = None, psi1.ncols
 
@@ -300,14 +306,10 @@ def _first_off_family(phi: Sequence[Matrix], psi1: Matrix,
     if phi[1].rows != psi1.rows:
         locate(1, psi1)
     if bound:
-        for n, level in enumerate(falling_levels(psi1, a, len(phi)), 2):
-            # in full first, with the shift table every level shares: a
-            # level equal in full is equal on the first bound columns
-            if not (level.agrees(phi[n])
-                    or bound < psi1.ncols and level.agrees(phi[n], bound)):
-                locate(n, level.matrix())
-                if bound == 0:
-                    break
+        for n, level in _off_levels(phi, psi1, a):
+            locate(n, level.matrix())
+            if bound == 0:
+                break
     return found
 
 

@@ -649,6 +649,18 @@ class TestParser:
                 check(sub)
         check(build_parser())
 
+    def test_every_subcommand_has_help(self, monkeypatch):
+        """Each node's -h describes every subcommand and group under it, on
+        the subcommand's own line."""
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def check(parser):
+            text = parser.format_help()
+            for name, sub in parser.commands.items():
+                assert re.search(rf"^    {re.escape(name)}  +\S", text, re.M), (parser.prog, name)
+                check(sub)
+        check(build_parser())
+
     def test_only_main_writes_a_report(self):
         """Handlers return their reports: main alone calls _emit, and no
         handler writes to a stream or returns an exit code."""

@@ -152,6 +152,15 @@ class TestConstructorChecks:
         with pytest.raises(NotAStratification):
             from_connection(LogConnection.trivial(q3, 1, 1), q3.a_prism(), -1)
 
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 2), (3, 3)])
+    def test_operator_of_another_shape_rejected(self, q3, shape):
+        """An operator with the right number of rows but not of columns is
+        refused as one with the wrong number of rows is, before
+        check_cocycle can index past its columns."""
+        M = Matrix(q3, [[1] * shape[1] for _ in range(shape[0])])
+        with pytest.raises(NotAStratification, match="^operators must be 2x2$"):
+            Stratification(q3, 1, 2, 2, 1, [Matrix.identity(q3, 2), M, M])
+
     @pytest.mark.parametrize("l,m", [(0, 1), (1, 0), (-1, 2)])
     def test_empty_module_rejected(self, q3, l, m):
         with pytest.raises(RingMismatch):
@@ -999,8 +1008,8 @@ def test_genuine_walk_builds_no_level(monkeypatch):
 def test_failing_walk_builds_only_the_levels_that_differ(monkeypatch):
     """Counts, no timing: with D = 8, l = 2, m = 4, phi_2 changed at column
     5, phi_5 at column 3 and phi_6 at column 7, check_cocycle walks the
-    family once and builds phi_2 and phi_5 only. phi_6 differs from psi_6
-    only past the least column found before it, so it is not built."""
+    family once and builds the three levels off psi, phi_6 too, although
+    it differs from psi_6 only past the least column found before it."""
     import random
 
     from prismlab.field import FieldSpec
@@ -1018,7 +1027,7 @@ def test_failing_walk_builds_only_the_levels_that_differ(monkeypatch):
     assert rep["witness"] == {"generator": 3, "component": 0,
                               "monomial": {"x1": 1, "x2": 4, "t": 3}}
     assert kernel == {"calls": 1, "steps": D - 1, "released": 1}
-    assert builds["matrix"] == 2
+    assert builds["matrix"] == 3
     assert rep == cocycle_by_expansion(bad)
 
 

@@ -43,27 +43,17 @@ def first_off_family_by_matrices(phi, psi1, a):
     return found
 
 
-def agrees_by_matrix(level, A, ncols):
-    """level.matrix() == A on the first ncols columns (all when None)."""
-    P = level.matrix()
-    if P.spec != A.spec or (A.nrows, A.ncols) != (P.nrows, P.ncols):
-        return False
-    c = P.ncols if ncols is None else ncols
-    return all(x[:c] == y[:c] for x, y in zip(P.rows, A.rows))
+CHANGES = ("random", "seventh", "huge", "alias", "zero", "negate")
 
 
-CHANGES = ("random", "seventh", "huge", "alias", "zero", "negate", "beyond")
-
-
-def changed(rows, spec, kind, j, c, t, ncols, rng, level=None):
+def changed(rows, spec, kind, j, c, t, rng, level=None):
     """rows, a list of row lists, with one change of the given kind at
     entry (j, c), coordinate t.
 
     seventh adds 1/7, which no den^k has as a factor; huge adds +-10^80,
     beyond every packing width here; alias, given the packed level that
     rows come from, adds 2^width / den^k at (j, c) and takes 1 / den^k from
-    (j, c + 1), digits that pack to the integer of the unchanged pair;
-    beyond makes a random change in a column >= ncols when there is one."""
+    (j, c + 1), digits that pack to the integer of the unchanged pair."""
     n = len(rows)
 
     def plus(x, coord, value):
@@ -71,9 +61,6 @@ def changed(rows, spec, kind, j, c, t, ncols, rng, level=None):
         cs[coord] += value
         return spec.element(cs)
 
-    if kind == "beyond" and ncols is not None and ncols < n:
-        c = ncols + c % (n - ncols)
-        kind = "random"
     if kind == "random":
         rows[j][c] = spec.element([Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 9]))
                                    for _ in range(spec.e)])
@@ -104,21 +91,17 @@ def family(field, l, m, choice, seed):
 @given(field=st.sampled_from(KERNEL_FIELDS), l=st.integers(1, 3), m=st.integers(1, 3),
        choice=st.sampled_from(KERNEL_SCALARS), D=st.integers(2, 6),
        seed=st.integers(0, 10 ** 6), at=st.integers(0, 4),
-       kinds=st.lists(st.sampled_from(CHANGES), max_size=3),
-       ncols=st.none() | st.integers(0, 9))
+       kinds=st.lists(st.sampled_from(CHANGES), max_size=3))
 @example(field=KERNEL_FIELDS[1], l=1, m=2, choice="prism", D=3, seed=1, at=1,
-         kinds=["alias"], ncols=None)
+         kinds=["alias"])
 @example(field=KERNEL_FIELDS[4], l=1, m=3, choice="irrational", D=4, seed=2, at=0,
-         kinds=["huge", "seventh"], ncols=None)
-@example(field=KERNEL_FIELDS[3], l=3, m=1, choice="log", D=5, seed=3, at=2,
-         kinds=["beyond"], ncols=1)
+         kinds=["huge", "seventh"])
 @example(field=KERNEL_FIELDS[0], l=2, m=2, choice=0, D=6, seed=4, at=3,
-         kinds=["zero", "negate"], ncols=3)
-def test_agrees_matches_matrix_equality(field, l, m, choice, D, seed, at, kinds, ncols):
-    """PackedLevel.agrees(A, ncols) is level.matrix() == A on the first
-    ncols columns, for A a level of a random family with up to three
-    changes: non-integral over den^k, beyond the width, a carry alias, a
-    change only at columns >= ncols, zero and negated entries."""
+         kinds=["zero", "negate"])
+def test_agrees_matches_matrix_equality(field, l, m, choice, D, seed, at, kinds):
+    """PackedLevel.agrees(A) is level.matrix() == A, for A a level of a
+    random family with up to three changes: non-integral over den^k,
+    beyond the width, a carry alias, zero and negated entries."""
     spec, a, phi1 = family(field, l, m, choice, seed)
     n = phi1.nrows
     levels = list(falling_levels(phi1, a, D + 1))
@@ -128,12 +111,10 @@ def test_agrees_matches_matrix_equality(field, l, m, choice, D, seed, at, kinds,
     rows = [list(row) for row in level.matrix().rows]
     for kind in kinds:
         rows = changed(rows, spec, kind, rng.randrange(n), rng.randrange(n),
-                       rng.randrange(spec.e), ncols, rng, level)
+                       rng.randrange(spec.e), rng, level)
     A = Matrix(spec, rows)
-    assert level.agrees(A, ncols) == agrees_by_matrix(level, A, ncols)
-    assert level.agrees(level.matrix()) and level.agrees(level.matrix(), ncols)
-    if kinds == ["beyond"] and ncols is not None:
-        assert level.agrees(A, ncols)
+    assert level.agrees(A) == (level.matrix() == A)
+    assert level.agrees(level.matrix())
 
 
 def quadratic_level():
@@ -159,19 +140,14 @@ def test_agrees_refuses_a_carry_alias():
     assert not level.agrees(A) and A != level.matrix()
 
 
-def test_agrees_on_denominators_widths_and_columns():
-    """1/7 is not integral over den^k; 10^80 lies beyond the width; a change
-    in column 1 is seen in full and not on column 0; zero and negated
-    entries are compared as any other."""
+def test_agrees_on_denominators_widths_and_zeros():
+    """1/7 is not integral over den^k; 10^80 lies beyond the width; zero and
+    negated entries are compared as any other."""
     spec, level, rows = quadratic_level()
     for value in (Fraction(1, 7), 10 ** 80, -10 ** 80):
         A = [list(row) for row in rows]
         A[1][0] = A[1][0] + value
         assert not level.agrees(Matrix(spec, A))
-    A = [list(row) for row in rows]
-    A[1][1] = A[1][1] + 1
-    assert not level.agrees(Matrix(spec, A)) and level.agrees(Matrix(spec, A), 1)
-    assert level.agrees(Matrix(spec, A), 0)
     for r, c in ((0, 0), (1, 1)):
         A = [list(row) for row in rows]
         A[r][c] = -A[r][c]
@@ -207,7 +183,7 @@ def test_walks_match_their_matrix_references(field, l, m, choice, D, seed, moves
     for k, kind in moves:
         if k <= D:
             rows = changed([list(row) for row in phi[k].rows], spec, kind, rng.randrange(n),
-                           rng.randrange(n), rng.randrange(spec.e), None, rng, levels[k])
+                           rng.randrange(n), rng.randrange(spec.e), rng, levels[k])
             phi[k] = Matrix(spec, rows)
     psi1 = phi1 if leibniz else strat._t_linear(spec, l, [row[:l] for row in phi1.rows],
                                                  a + 1)
