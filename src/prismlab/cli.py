@@ -306,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     fresh namespace each call and leaves the parser unchanged. Each node
     records its subcommands' parsers, which carry their own prog."""
     parser = _Parser(prog="prismlab")
+    a_help = "a = -E'(pi) (prism, the default) or -pi E'(pi) (log)"
     top = parser.subcommands("group")
 
     field = top("field", help="coefficient fields K = Q_p[u]/(E(u))").subcommands("op")
@@ -316,37 +317,42 @@ def build_parser() -> argparse.ArgumentParser:
     p = conn("new", help="validate and canonicalize a connection")
     _add_input(p)
     p = conn("tensor", help="tensor product of two connections")
-    p.add_argument("files", nargs="+")
+    p.add_argument("files", nargs="+", help="one or two connection files; with one, "
+                   "standard input is the left factor")
     p = conn("dual", help="dual connection")
     _add_input(p)
     p = conn("twist", help="twist: N + n I")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help="the integer n of N + n I")
     _add_input(p)
     p = conn("change-unif", help="rewrite in another uniformizer")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--lambda-F", dest="lambda_F", type=int)
+    group.add_argument("--lambda-F", dest="lambda_F", type=int,
+                       help="Kummer coordinate lambda_F, F >= 0, from unif u-pi")
     group.add_argument("--y", help="series file for the new coordinate")
     _add_input(p)
     p = conn("strat", help="stratification up to pd-degree D")
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--a", choices=["prism", "log"], default="prism")
+    p.add_argument("--D", type=int, required=True, help="pd-degree D >= 0")
+    p.add_argument("--a", choices=["prism", "log"], default="prism", help=a_help)
     _add_input(p)
     p = conn("cohomology", help="de Rham cohomology dimensions h0, h1")
-    p.add_argument("--bases", action="store_true")
+    p.add_argument("--bases", action="store_true",
+                   help="also give an h0 basis and h1 representatives")
     _add_input(p)
     p = conn("classify", help="nearly and log-nearly de Rham flags")
     _add_input(p)
     p = conn("nilpotent", help="a-nilpotency verdict")
-    p.add_argument("--a", choices=["prism", "log"], default="prism")
+    p.add_argument("--a", choices=["prism", "log"], default="prism", help=a_help)
     _add_input(p)
     p = conn("galois-kernel", help="operator family of the Galois action")
-    p.add_argument("--D", type=int, default=6)
-    p.add_argument("--a", choices=["prism", "log"], default="prism")
-    p.add_argument("--tau", type=int, default=None)
-    p.add_argument("--variant", choices=["K", "Kpi1"], default=None)
+    p.add_argument("--D", type=int, default=6, help="pd-degree D >= 0 (default 6)")
+    p.add_argument("--a", choices=["prism", "log"], default="prism", help=a_help)
+    p.add_argument("--tau", type=int, default=None,
+                   help="power index i >= 0 of the tau-power kernel")
+    p.add_argument("--variant", choices=["K", "Kpi1"], default=None,
+                   help="K (default) or the first Kummer layer Kpi1; needs --tau")
     _add_input(p)
     p = conn("converges", help="convergence of a kernel at valuation v0")
-    p.add_argument("--v0", required=True)
+    p.add_argument("--v0", required=True, help="valuation v0: a rational or inf")
     _add_input(p)
 
     strat = top("strat", help="stratifications phi_0..phi_D").subcommands("op")
@@ -357,14 +363,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = top("verify", help="identities of a stratification").subcommands("op")
     p = verify("key-lemma", help="check the key-lemma expansion identity")
-    p.add_argument("--n-max", dest="n_max", type=int, required=True)
+    p.add_argument("--n-max", dest="n_max", type=int, required=True,
+                   help="check n = 0..n-max, 0 <= n-max <= D")
     _add_input(p)
 
     examples = top("examples", help="connections built from a field").subcommands("op")
     p = examples("bk-twist", help="twist of the trivial rank-1 connection")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--field", required=True)
+    p.add_argument("--n", type=int, required=True, help="the integer n of N = n")
+    p.add_argument("--m", type=int, required=True, help="truncation m >= 1")
+    p.add_argument("--field", required=True, help="field description file")
 
     return parser
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from math import comb
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .errors import (LeibnizViolation, NotAStratification, RingMismatch)
 from .field import FieldElement, FieldSpec
@@ -129,34 +129,25 @@ def first_off_recurrence(phi: Sequence[Matrix], a) -> Optional[int]:
 
 
 class Family(Sequence):
-    """The operators phi_0..phi_D of a stratification, a read-only sequence.
-
-    A family given explicitly holds all of its operators. Family.generated
-    holds the generator falling_powers(phi_1, a, D + 1) instead: the first
-    read of index n >= 2 runs the kernel up to phi_n and keeps phi_0..phi_n,
-    later reads take no kernel step, and once phi_D is read the generator
-    is dropped with the kernel state it suspends. Indexing, slicing (to a
-    list), iteration and == against a list or a family behave as on a list
-    of the operators.
+    """The operators phi_0..phi_D = falling_powers(phi_1, a, D + 1) of a
+    stratification made from a connection, a read-only sequence that
+    holds the generator: the first read of index n >= 2 runs the kernel up
+    to phi_n and keeps phi_0..phi_n, later reads take no kernel step, and
+    once phi_D is read the generator is dropped with the kernel state it
+    suspends. Indexing, slicing (to a list), iteration and == against a
+    list or a family behave as on a list of the operators.
     """
     __slots__ = ("_ops", "_rest", "_len")
 
-    def __init__(self, ops: Iterable[Matrix], rest: Optional[Iterator[Matrix]] = None,
-                 length: int = 0):
-        self._ops = list(ops)
-        self._rest = rest
-        self._len = len(self._ops) if rest is None else length
-
-    @classmethod
-    def generated(cls, phi1: Matrix, a: FieldElement, D: int) -> "Family":
-        return cls((), falling_powers(phi1, a, D + 1), D + 1)
+    def __init__(self, phi1: Matrix, a: FieldElement, D: int):
+        self._ops = []
+        self._rest = falling_powers(phi1, a, D + 1)
+        self._len = D + 1
 
     def __len__(self):
         return self._len
 
     def __getitem__(self, n):
-        if self._rest is None:
-            return self._ops[n]
         if isinstance(n, slice):
             return [self[k] for k in range(*n.indices(self._len))]
         if n < 0:
@@ -170,11 +161,6 @@ class Family(Sequence):
                 self._rest = None
         return ops[n]
 
-    def __iter__(self):
-        if self._rest is None:
-            return iter(self._ops)
-        return map(self.__getitem__, range(self._len))
-
     def __eq__(self, other):
         if not isinstance(other, (Family, list)):
             return NotImplemented
@@ -187,15 +173,17 @@ class Family(Sequence):
 class Stratification:
     def __init__(self, spec: FieldSpec, l: int, m: int, D: int, a: FieldElement,
                  phi: Sequence[Matrix]):
-        """phi is a Family or the list phi_0..phi_D; a generated family's
-        operators all have the shape of its phi_1."""
+        """phi is a Family, or phi_0..phi_D, kept as a list. A family's
+        operators all have the shape of its phi_1 (of phi_0 = I at D = 0),
+        so only that one is checked, and reading it takes no kernel step."""
         if D < 0:
             raise NotAStratification(f"pd-degree D = {D} must be >= 0")
-        phi = phi if isinstance(phi, Family) else Family(phi)
+        explicit = not isinstance(phi, Family)
+        phi = list(phi) if explicit else phi
         if len(phi) != D + 1:
             raise NotAStratification(f"need operators up to pd-degree {D}")
         n = l * m
-        for op in phi._ops:
+        for op in phi if explicit else (phi[min(D, 1)],):
             if op.nrows != n or op.ncols != n:
                 raise NotAStratification(f"operators must be {n}x{n}")
         self.spec = spec
@@ -220,11 +208,11 @@ class Stratification:
 def from_connection(conn: LogConnection, a, D: int) -> Stratification:
     """The stratification phi_0..phi_D of conn at a, with phi_1 =
     conn.operator(a) = a * (T d/dT + N); phi_2..phi_D are generated when
-    first read (Family.generated)."""
+    first read (Family)."""
     if not isinstance(a, FieldElement):
         a = conn.spec.from_rational(a)
     return Stratification(conn.spec, conn.l, conn.m, D, a,
-                          Family.generated(conn.operator(a), a, D))
+                          Family(conn.operator(a), a, D))
 
 
 def check_leibniz(strat: Stratification) -> dict:

@@ -661,6 +661,17 @@ class TestParser:
                 check(sub)
         check(build_parser())
 
+    def test_every_option_has_help(self):
+        """Each leaf's -h explains every option and positional it lists:
+        an action other than -h without help text fails."""
+        def bare(parser):
+            if parser.commands:
+                return [found for sub in parser.commands.values() for found in bare(sub)]
+            return [(parser.prog, action.dest) for action in parser._actions
+                    if not isinstance(action, argparse._HelpAction)
+                    and not (action.help or "").strip()]
+        assert bare(build_parser()) == []
+
     def test_only_main_writes_a_report(self):
         """Handlers return their reports: main alone calls _emit, and no
         handler writes to a stream or returns an exit code."""

@@ -161,6 +161,42 @@ class TestConstructorChecks:
         with pytest.raises(NotAStratification, match="^operators must be 2x2$"):
             Stratification(q3, 1, 2, 2, 1, [Matrix.identity(q3, 2), M, M])
 
+    @pytest.mark.parametrize("D", [0, 1, 4])
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (4, 3), (3, 2), (3, 4), (3, 3)])
+    def test_family_of_another_shape_rejected(self, q3, D, shape):
+        """A Family is checked on phi_1 = M (phi_0 = I at D = 0), whose shape
+        all its operators share: wrong rows are refused at every D, wrong
+        columns from D = 1 on. At D = 0 the one operator is I_3 whatever M's
+        columns, and that family is accepted, as is one from a 3x3 M. M is
+        diag(0, 1, ...), phi_1 of the trivial connection at a = 1: the 2x2
+        case at D = 4 was accepted and passed check_cocycle."""
+        M = Matrix(q3, [[r if r == c else 0 for c in range(shape[1])] for r in range(shape[0])])
+        if shape == (3, 3) or D == 0 and shape[0] == 3:
+            st = Stratification(q3, 1, 3, D, q3.one(), Family(M, q3.one(), D))
+            assert st.phi[0] == Matrix.identity(q3, 3) and len(st.phi) == D + 1
+            assert check_cocycle(st)["ok"]
+        else:
+            with pytest.raises(NotAStratification, match="^operators must be 3x3$"):
+                Stratification(q3, 1, 3, D, q3.one(), Family(M, q3.one(), D))
+
+    def test_explicit_family_is_kept_as_a_copy(self, q3s):
+        """A family given explicitly is stored as a list of its own, so a
+        change to the caller's list afterwards reaches neither phi nor
+        check_cocycle; from_connection's phi stays a Family."""
+        import random
+
+        made = from_connection(random_connection(random.Random(3), q3s, 2, 2), q3s.a_prism(), 4)
+        assert isinstance(made.phi, Family)
+        ops = list(made.phi)
+        st = Stratification(q3s, 2, 2, 4, made.a, ops)
+        assert type(st.phi) is list and st.phi is not ops
+        before = check_cocycle(st)
+        assert before["ok"]
+        ops[3] = ops[3] + Matrix.identity(q3s, 4)
+        ops.append(ops[1])
+        assert st.phi == list(made.phi) and st.phi != ops
+        assert check_cocycle(st) == before
+
     @pytest.mark.parametrize("l,m", [(0, 1), (1, 0), (-1, 2)])
     def test_empty_module_rejected(self, q3, l, m):
         with pytest.raises(RingMismatch):
@@ -887,7 +923,7 @@ def test_operator_family_folds_only_for_its_operators(monkeypatch):
 
 def counting_kernel(monkeypatch):
     """Patch the kernel generator falling_levels, which the walks of strat
-    and falling_powers (so Family.generated) share, to record each kernel
+    and falling_powers (so Family) share, to record each kernel
     call, each step (one level yielded) and each kernel generator finished
     or released. A call that yields no level (fewer than three operators
     asked for) takes no step and is not counted."""
@@ -1077,7 +1113,7 @@ def test_lazy_family_matches_eager_references(op, choice, D, reads, cut, at):
     n = phi1.nrows
     want = family_by_products(phi1, a, D + 1)
     assert operator_family(phi1, a, D + 1) == want
-    lazy = Family.generated(phi1, a, D)
+    lazy = Family(phi1, a, D)
     assert len(lazy) == D + 1
     for k in reads:
         if -D - 1 <= k <= D:
@@ -1088,11 +1124,11 @@ def test_lazy_family_matches_eager_references(op, choice, D, reads, cut, at):
     assert lazy[cut] == want[cut]
     assert lazy == want and want == lazy and not lazy != want
     assert lazy != want[:-1] and lazy != want + want[:1]
-    assert list(lazy) == want and lazy == Family(want)
-    assert Family.generated(phi1, a, D) == lazy
+    assert list(lazy) == want
+    assert Family(phi1, a, D) == lazy
 
     def generated():
-        return Stratification(spec, 1, n, D, a, Family.generated(phi1, a, D))
+        return Stratification(spec, 1, n, D, a, Family(phi1, a, D))
     explicit = Stratification(spec, 1, n, D, a, want)
     assert generated() == explicit and explicit == generated()
     delta = Matrix(spec, [[1 if (r, c) == (0, n - 1) else 0 for c in range(n)]
