@@ -59,23 +59,25 @@ class GaloisElementData:
         self.v0 = v0 if v0 is INF else _exact(v0)
 
 
+def kernel_tag(spec, a: FieldElement) -> str:
+    """The tag that names a kernel's a: "prismatic" iff a = a_prism, "log"
+    iff a = a_log, else "custom"."""
+    if a == spec.a_prism():
+        return "prismatic"
+    return "log" if a == spec.a_log() else "custom"
+
+
 def action_kernel(M: LogConnection, a, D: int) -> GaloisKernel:
     """The operator family driving the group action on the module.
 
     Same recurrence and code path as the stratification built from M: A_1
     is a times the connection operator and A_(n+1) = (A_1 - n*a) A_n. The
-    tag names a: "prismatic", "log" or "custom".
+    tag names a (kernel_tag).
     """
     spec = M.spec
     if not isinstance(a, FieldElement):
         a = spec.from_rational(a)
-    if a == spec.a_prism():
-        tag = "prismatic"
-    elif a == spec.a_log():
-        tag = "log"
-    else:
-        tag = "custom"
-    return GaloisKernel(spec, D, from_connection(M, a, D).phi, a, tag)
+    return GaloisKernel(spec, D, from_connection(M, a, D).phi, a, kernel_tag(spec, a))
 
 
 def h_series(M: LogConnection, a, D: int) -> List[Matrix]:

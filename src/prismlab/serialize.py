@@ -13,8 +13,8 @@ from math import gcd, lcm
 from typing import Any, Optional, Tuple
 
 from .errors import InputFormatError
-from .field import INF, FieldElement, FieldSpec, _make
-from .galois import GaloisKernel
+from .field import INF, FieldElement, FieldSpec, _make, _vp_int
+from .galois import GaloisKernel, kernel_tag
 from .linalg import Matrix
 from .series import TruncSeries
 from .strat import LogConnection, Stratification, first_off_recurrence
@@ -241,6 +241,12 @@ def parse_kernel(obj) -> GaloisKernel:
     if any(len(m.rows) != size or len(m.rows[0]) != size for m in mats):
         raise InputFormatError("kernel operators must share one square size")
     a = parse_element(spec, obj["a"])
+    want = kernel_tag(spec, a)
+    if tag != want:
+        raise InputFormatError(f"kernel tag must be {want!r} at this a")
+    # c = p^i or 2 p^i: its p-free part is 1 or 2
+    if "c" in obj and c // spec.p ** _vp_int(c, spec.p) not in (1, 2):
+        raise InputFormatError("kernel c must be p^i or 2 p^i")
     try:
         kernel = GaloisKernel(spec, D, mats, a, tag, c)
     except ValueError as exc:

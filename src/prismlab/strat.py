@@ -5,11 +5,14 @@ x -> T dx/dT + N x on column vectors. A stratification is the family
 phi_0..phi_D of K-linear operators on the flattened K-basis
 {T^k e_j : 0 <= k < m, 1 <= j <= l}; the two are equivalent via
 phi_1 = a * nabla and the descending product family. A stratification
-made from a connection holds phi_1 and computes phi_n when it is first read.
+made from a connection holds phi_0 and phi_1 and makes the rest on the
+first read of another index.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cache
+from itertools import islice
 from math import comb
 from typing import Iterator, List, Optional, Tuple
 
@@ -130,41 +133,34 @@ def first_off_recurrence(phi: Sequence[Matrix], a) -> Optional[int]:
 
 class Family(Sequence):
     """The operators phi_0..phi_D = falling_powers(phi_1, a, D + 1) of a
-    stratification made from a connection, a read-only sequence that
-    holds the generator: the first read of index n >= 2 runs the kernel up
-    to phi_n and keeps phi_0..phi_n, later reads take no kernel step, and
-    once phi_D is read the generator is dropped with the kernel state it
-    suspends. Indexing, slicing (to a list), iteration and == against a
-    list or a family behave as on a list of the operators.
+    stratification made from a connection, a read-only sequence in two
+    states. It holds phi_0 and phi_1 and the suspended generator, which
+    holds no kernel state yet; the first read of any other index, or of a
+    slice, makes phi_2..phi_D in one walk and drops the generator, and from
+    then on every read is a list read. Indexing, slicing (to a list),
+    iteration and == against a list or a family behave as on a list of the
+    operators.
     """
     __slots__ = ("_ops", "_rest", "_len")
 
     def __init__(self, phi1: Matrix, a: FieldElement, D: int):
-        self._ops = []
         self._rest = falling_powers(phi1, a, D + 1)
+        self._ops = list(islice(self._rest, 2))
         self._len = D + 1
 
     def __len__(self):
         return self._len
 
     def __getitem__(self, n):
-        if isinstance(n, slice):
-            return [self[k] for k in range(*n.indices(self._len))]
-        if n < 0:
-            n += self._len
-        if not 0 <= n < self._len:
-            raise IndexError("operator index out of range")
-        ops = self._ops
-        while len(ops) <= n:
-            ops.append(next(self._rest))
-            if len(ops) == self._len:
-                self._rest = None
-        return ops[n]
+        if self._rest is not None and n not in (0, 1):
+            self._ops += self._rest
+            self._rest = None
+        return self._ops[n]
 
     def __eq__(self, other):
         if not isinstance(other, (Family, list)):
             return NotImplemented
-        return len(self) == len(other) and list(self) == list(other)
+        return len(self) == len(other) and self[:] == other[:]
 
     def __repr__(self):
         return f"Family(D={self._len - 1}, computed={len(self._ops)})"
@@ -174,8 +170,9 @@ class Stratification:
     def __init__(self, spec: FieldSpec, l: int, m: int, D: int, a: FieldElement,
                  phi: Sequence[Matrix]):
         """phi is a Family, or phi_0..phi_D, kept as a list. A family's
-        operators all have the shape of its phi_1 (of phi_0 = I at D = 0),
-        so only that one is checked, and reading it takes no kernel step."""
+        operators all have the shape and field of its phi_1 (of phi_0 = I
+        at D = 0), so only that one is checked, and reading it takes no
+        kernel step."""
         if D < 0:
             raise NotAStratification(f"pd-degree D = {D} must be >= 0")
         explicit = not isinstance(phi, Family)
@@ -186,6 +183,10 @@ class Stratification:
         for op in phi if explicit else (phi[min(D, 1)],):
             if op.nrows != n or op.ncols != n:
                 raise NotAStratification(f"operators must be {n}x{n}")
+            if op.spec is not spec and op.spec != spec:
+                raise RingMismatch("operator over a different field")
+        if isinstance(a, FieldElement) and a.spec is not spec and a.spec != spec:
+            raise RingMismatch("a over a different field")
         self.spec = spec
         self.l = l
         self.m = m
@@ -207,8 +208,8 @@ class Stratification:
 
 def from_connection(conn: LogConnection, a, D: int) -> Stratification:
     """The stratification phi_0..phi_D of conn at a, with phi_1 =
-    conn.operator(a) = a * (T d/dT + N); phi_2..phi_D are generated when
-    first read (Family)."""
+    conn.operator(a) = a * (T d/dT + N); phi_2..phi_D are generated on the
+    first read past phi_1 (Family)."""
     if not isinstance(a, FieldElement):
         a = conn.spec.from_rational(a)
     return Stratification(conn.spec, conn.l, conn.m, D, a,
@@ -319,47 +320,39 @@ def _cocycle_witness(strat: Stratification, first: int) -> dict:
     F(r, n) scaling row (t, i) by (t-n)(t-n-1)...(t-n-r+1); for k1 = 0 it
     vanishes once phi_0 = I. Column first of Lin(phi_mm) is off psi, so
     the generators before it may fail too, and each one is expanded
-    degree by degree. Lin(phi_mm), the columns of phi_n and the powers of
-    a are built only up to the degree that the expansion reaches.
+    degree by degree.
     """
     spec, l, D, a = strat.spec, strat.l, strat.D, strat.a
     n = l * strat.m
     zero = spec.zero()
-    lin = {}
     apow = [spec.one()]
+    for _ in range(D):
+        apow.append(apow[-1] * a)
 
-    def lin_apply(mm, v):
-        if mm == 0:
-            return v  # Lin(phi_0) = Lin(I) = I
-        if mm not in lin:
-            lin[mm] = _t_linear(spec, l, [row[:l] for row in strat.phi[mm].rows], 0)
-        return lin[mm].apply(v)
+    @cache
+    def lin(mm):
+        return _t_linear(spec, l, [row[:l] for row in strat.phi[mm].rows], 0)
 
     for x0 in range(first + 1):
-        cols, B = [], {}
+        cols = [[row[x0] for row in op.rows] for op in strat.phi]
 
+        @cache
         def b(j, k2):
-            if (j, k2) not in B:
-                while len(cols) <= k2 + j:
-                    rows = strat.phi[len(cols)].rows
-                    cols.append([row[x0] for row in rows])
-                while len(apow) <= j:
-                    apow.append(apow[-1] * a)
-                v = [zero] * n
-                for s in range(j + 1):
-                    for r, x in enumerate(cols[k2 + s]):
-                        f = (-1) ** s * comb(j, s) * _falling(r // l - k2 - s, j - s)
-                        if f and not x.is_zero():
-                            v[r] = v[r] + x * apow[j - s] * f
-                B[j, k2] = v
-            return B[j, k2]
+            v = [zero] * n
+            for s in range(j + 1):
+                for r, x in enumerate(cols[k2 + s]):
+                    f = (-1) ** s * comb(j, s) * _falling(r // l - k2 - s, j - s)
+                    if f and not x.is_zero():
+                        v[r] = v[r] + x * apow[j - s] * f
+            return v
 
         for deg in range(1, D + 1):
             keys = []
             for k1 in range(1, deg + 1):
                 delta = [zero] * n
                 for mm in range(k1 + 1):
-                    part = lin_apply(mm, b(k1 - mm, deg - k1))
+                    part = b(k1 - mm, deg - k1)
+                    part = lin(mm).apply(part) if mm else part  # Lin(phi_0) = I
                     delta = [d + y * comb(k1, mm) for d, y in zip(delta, part)]
                 keys += [(k1, r) for r, d in enumerate(delta) if not d.is_zero()]
             if keys:
@@ -432,12 +425,10 @@ def verify_key_lemma(phi: List[Matrix], a: FieldElement, n_max: int, D: int) -> 
     apow = [spec.one()]
     for _ in range(D):
         apow.append(apow[-1] * a)
-    prod_cache = {}
 
+    @cache
     def pp(i, k):
-        if (i, k) not in prod_cache:
-            prod_cache[(i, k)] = phi[i] * phi[k]
-        return prod_cache[(i, k)]
+        return phi[i] * phi[k]
 
     zero = Matrix.zero(spec, size, size)
     for k in range(D + 1):

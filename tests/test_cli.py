@@ -431,6 +431,15 @@ class TestConnCommands:
         assert alone == explicit and alone[0] == 0
         assert json.loads(alone[1])["c"] == 3
 
+    @pytest.mark.parametrize("variant", ["K", "Kpi1"])
+    def test_tau_kernel_is_accepted_by_converges(self, q3, variant):
+        conn_json = canonical_json(encode_connection(constant_conn(q3, 1, [[1]])))
+        code, kernel_json = run_cli(["conn", "galois-kernel", "--tau", "3",
+                                     "--variant", variant, "--D", "3"], conn_json)
+        assert code == 0 and json.loads(kernel_json)["c"] == 27 * (1 + (variant == "Kpi1"))
+        code, out = run_cli(["conn", "converges", "--v0", "1/2"], stdin_text=kernel_json)
+        assert code == 0 and json.loads(out)["status"] == "Convergent"
+
 
 class TestFailurePaths:
     def test_cocycle_violation_exits_one(self, rng, q3):
@@ -606,6 +615,18 @@ class TestFailurePaths:
                                             stdin_text=canonical_json({**obj, key: bad}))
             assert (code, out) == (2, ""), (key, bad)
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_kernel_metadata_disagreeing_with_a_exits_two(self, q3):
+        """A tag that does not name a, or a c that is neither p^i nor
+        2 p^i, is refused with exit 2 instead of being ignored."""
+        obj = encode_kernel(action_kernel(constant_conn(q3, 1, [[2]]), q3.a_prism(), 1))
+        for key, bad, line in (("tag", "nonsense", "kernel tag must be 'prismatic' at this a"),
+                               ("tag", "log", "kernel tag must be 'prismatic' at this a"),
+                               ("c", 7, "kernel c must be p^i or 2 p^i"),
+                               ("c", 4 * 3 ** 5, "kernel c must be p^i or 2 p^i")):
+            code, out, err = run_cli_stderr(["conn", "converges", "--v0", "1/2"],
+                                            stdin_text=canonical_json({**obj, key: bad}))
+            assert (code, out, err) == (2, "", f"error: {line}\n"), (key, bad)
 
     def test_unknown_subcommand_exits_two(self):
         for name, argv in USAGE_ERRORS.items():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from prismlab.errors import InputFormatError
 from prismlab.field import INF, FieldSpec
-from prismlab.galois import action_kernel
+from prismlab.galois import action_kernel, tau_power_kernel
 from prismlab.serialize import (canonical_json, encode_connection,
                                 encode_element, encode_field, encode_kernel,
                                 encode_rational, encode_series,
@@ -251,6 +251,40 @@ class TestKernelForms:
         for c in (0, -3, True, 1.5, "6", None):
             with pytest.raises(InputFormatError):
                 parse_kernel({**obj, "c": c})
+
+    def test_tag_must_name_a(self, rng, q3s):
+        """The tag is "prismatic" iff a = a_prism, "log" iff a = a_log, else
+        "custom" (kernel_tag); any other tag is refused, not ignored."""
+        M = random_connection(rng, q3s, 1, 2)
+        for a, tag in ((q3s.a_prism(), "prismatic"), (q3s.a_log(), "log"), (2, "custom")):
+            obj = encode_kernel(action_kernel(M, a, 2))
+            assert obj["tag"] == tag and parse_kernel(obj).tag == tag
+            for bad in {"prismatic", "log", "custom", "nonsense", ""} - {tag}:
+                with pytest.raises(InputFormatError, match=f"^kernel tag must be '{tag}' "):
+                    parse_kernel({**obj, "tag": bad})
+
+    @pytest.mark.parametrize("p,E", [(3, [-3, 1]), (2, [-2, 0, 1]), (5, [-5, 1])])
+    def test_c_must_be_p_power_or_twice_one(self, p, E):
+        """c = p^i or 2 p^i, i >= 0; a positive integer with another p-free
+        part is refused."""
+        spec = FieldSpec(p, E)
+        obj = encode_kernel(action_kernel(LogConnection.trivial(spec, 1, 1), 1, 1))
+        for i in (0, 1, 2, 9, 300):
+            for c in (p ** i, 2 * p ** i):
+                assert parse_kernel({**obj, "c": c}).c == c
+            for c in (f * p ** i for f in (3, 4, 5, 7) if f % p):
+                with pytest.raises(InputFormatError, match="^kernel c must be p\\^i or 2 p\\^i$"):
+                    parse_kernel({**obj, "c": c})
+
+    @pytest.mark.parametrize("variant,factor", [("K", 1), ("Kpi1", 2)])
+    def test_tau_kernel_round_trips(self, rng, q3s, q2s, variant, factor):
+        for spec in (q3s, q2s):
+            k = tau_power_kernel(random_connection(rng, spec, 1, 2), 2, variant, D=3)
+            assert k.c == factor * spec.p ** 2
+            obj = encode_kernel(k)
+            back = parse_kernel(obj)
+            assert (back.c, back.tag, back.a, back.A) == (k.c, "prismatic", k.a, k.A)
+            assert encode_kernel(back) == obj
 
     def test_identity_slot_checked(self, rng, q3):
         k = action_kernel(random_connection(rng, q3, 1, 2), 1, 2)

@@ -179,6 +179,26 @@ class TestConstructorChecks:
             with pytest.raises(NotAStratification, match="^operators must be 3x3$"):
                 Stratification(q3, 1, 3, D, q3.one(), Family(M, q3.one(), D))
 
+    def test_operators_over_another_field_rejected(self, q3):
+        """Operators, or a scalar a, over Q_5 where Q_3 is due are refused
+        with RingMismatch, in a list and in a Family (checked on its phi_1,
+        phi_0 at D = 0); before, check_cocycle raised a plain ValueError."""
+        from prismlab.field import FieldSpec
+        q5 = FieldSpec(5, [-5, 1])
+        I, M = Matrix.identity(q5, 2), Matrix(q5, [[0, 1], [0, 1]])
+        with pytest.raises(RingMismatch, match="^operator over a different field$"):
+            Stratification(q3, 1, 2, 1, q3.one(), [I, M])
+        with pytest.raises(RingMismatch, match="^operator over a different field$"):
+            Stratification(q3, 1, 2, 1, q3.one(), [Matrix.identity(q3, 2), M])
+        for D in (0, 1, 3):
+            with pytest.raises(RingMismatch, match="^operator over a different field$"):
+                Stratification(q3, 1, 2, D, q3.one(), Family(M, q5.one(), D))
+        phi = from_connection(LogConnection.trivial(q3, 1, 2), 1, 3).phi
+        for a in (q5.one(), q5.a_prism()):
+            with pytest.raises(RingMismatch, match="^a over a different field$"):
+                Stratification(q3, 1, 2, 3, a, phi)
+        assert check_cocycle(Stratification(q3, 1, 2, 3, 1, phi))["ok"]
+
     def test_explicit_family_is_kept_as_a_copy(self, q3s):
         """A family given explicitly is stored as a list of its own, so a
         change to the caller's list afterwards reaches neither phi nor
@@ -984,32 +1004,39 @@ def test_round_trip_takes_no_kernel_step(monkeypatch):
     assert calls == {"calls": 0, "steps": 0, "released": 0}
 
 
-def test_reading_phi_k_takes_k_minus_one_steps(monkeypatch):
-    """Step counts, no timing: with D = 10, reading phi[k] first takes
-    max(k - 1, 0) kernel steps, a second read of it or a read below it takes
-    none, and reading phi_D (phi[-1] too) releases the kernel generator."""
+def test_first_read_past_phi_1_makes_the_whole_family(monkeypatch):
+    """Step counts, no timing: with D = 10, reads of phi[0] and phi[1] take
+    no kernel step; the first read of any other index in -D-1..D, or of a
+    slice, takes D - 1 steps and releases the kernel generator once, and a
+    second read takes none. D = 0 and D = 1 families read phi[-1]."""
     import random
 
     from prismlab.field import FieldSpec
     spec = FieldSpec(3, [3, 3, 0, 1])
-    D = 10
+    a, D = spec.a_prism(), 10
     conn = random_connection(random.Random(10), spec, 2, 2)
+    want = operator_family(conn.operator(a), a, D + 1)
     calls = counting_kernel(monkeypatch)
-    for k in range(D + 1):
-        strat = from_connection(conn, spec.a_prism(), D)
-        calls.update(steps=0, released=0)
-        first = strat.phi[k]
-        assert calls["steps"] == max(k - 1, 0)
-        assert strat.phi[k] is first and strat.phi[k - D - 1] is first
-        strat.phi[:k]
-        assert calls["steps"] == max(k - 1, 0)
-        assert calls["released"] == (k == D)
-    strat = from_connection(conn, spec.a_prism(), D)
-    calls.update(steps=0, released=0)
-    strat.phi[-1]
-    assert (calls["steps"], calls["released"]) == (D - 1, 1)
-    list(strat.phi)
-    assert calls["steps"] == D - 1
+    none = {"calls": 0, "steps": 0, "released": 0}
+    whole = {"calls": 1, "steps": D - 1, "released": 1}
+    reads = [k for k in range(-D - 1, D + 1) if k not in (0, 1)]
+    for k in reads + [slice(None), slice(0, 2), slice(3, 3), slice(None, None, -1)]:
+        phi = from_connection(conn, a, D).phi
+        calls.update(none)
+        assert phi[0] == want[0] and phi[1] == want[1] and calls == none
+        first = phi[k]
+        assert first == want[k] and calls == whole
+        assert phi[k] == first and (isinstance(k, slice) or phi[k] is first)
+        assert all(phi[j] is phi[j - D - 1] for j in range(D + 1))
+        assert list(phi) == want and phi[0] == want[0] and calls == whole
+    calls.update(none)
+    for D in (0, 1):
+        phi = from_connection(conn, a, D).phi
+        assert phi[-1] == want[D] and phi[-1] is phi[D] and phi[:] == want[:D + 1]
+        for k in (D + 1, -D - 2):
+            with pytest.raises(IndexError):
+                phi[k]
+    assert calls == none
 
 
 def counting_builds(monkeypatch):
