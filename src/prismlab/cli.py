@@ -107,7 +107,7 @@ def _require_printable_tau(tau: int, p: int, variant: str) -> None:
     digits than Python prints as an integer, before any large power is
     formed: p^tau >= 2^(tau*(b-1)) for b the bit length of p."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit or tau < 0:
+    if not limit:
         return
     ceiling = 10 ** limit
     if (tau * (p.bit_length() - 1) >= ceiling.bit_length()
@@ -234,6 +234,7 @@ def cmd_conn_galois_kernel(args) -> dict:
     a = _scalar_choice(M.spec, args.a)
     if args.tau is not None:
         variant = args.variant or "K"
+        _require_at_least("--tau", args.tau, 0)
         _require_printable_tau(args.tau, M.spec.p, variant)
         kernel = tau_power_kernel(M, args.tau, variant, a=a, D=args.D)
     else:

@@ -46,4 +46,4 @@ class InvalidValuation(PrismlabError):
 
 
 class InputFormatError(PrismlabError):
-    """Malformed or inconsistent serialized input."""
+    """Malformed or inconsistent input, serialized or a kernel built in process."""

@@ -3,13 +3,14 @@ comparison series H, and p-adic convergence verdicts at valuation data."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from .connops import _gauss_ev, _near_integer_roots
-from .errors import InvalidValuation
-from .field import INF, FieldElement, _exact, lift
+from .errors import InputFormatError, InvalidValuation, RingMismatch
+from .field import INF, FieldElement, _exact, _vp_int, lift
 from .linalg import Matrix
-from .strat import LogConnection, from_connection, operator_family
+from .strat import (Family, LogConnection, first_off_recurrence, from_connection,
+                    operator_family)
 
 
 def digit_sum(n: int, p: int) -> int:
@@ -35,20 +36,38 @@ def factorial_val(n: int, p: int) -> int:
 
 
 class GaloisKernel:
-    """Operators A_0..A_D of the series x -> sum_n A_n(x) X^[n]."""
+    """Operators A_0..A_D of the series x -> sum_n A_n(x) X^[n]: A_0 = I,
+    A_(n+1) = (A_1 - n*a) A_n, and c = p^i or 2 p^i when given. spec, D
+    and tag = kernel_tag(spec, a) are read off A and a. A Family shares the
+    shape and field of its A_1 (A_0 at D = 0) and follows the recurrence,
+    so only that operator is checked and no walk is taken."""
 
-    def __init__(self, spec, D: int, A: List[Matrix], a: FieldElement,
-                 tag: str, c: Optional[int] = None):
-        if len(A) != D + 1:
-            raise ValueError(f"kernel needs operators A_0..A_{D}, got {len(A)}")
-        if not A[0].is_identity():
-            raise ValueError("kernel slot 0 must be the identity")
-        self.spec = spec
-        self.D = D
-        self.A = list(A)
-        self.a = a
-        self.tag = tag
-        self.c = c
+    def __init__(self, A: Sequence[Matrix], a, c: Optional[int] = None):
+        explicit = not isinstance(A, Family)
+        A = list(A) if explicit else A
+        if not A:
+            raise InputFormatError("kernel needs operators A_0..A_D")
+        spec, size = A[0].spec, A[0].nrows
+        for op in A if explicit else (A[min(len(A) - 1, 1)],):
+            if op.spec is not spec and op.spec != spec:
+                raise RingMismatch("operator over a different field")
+            if op.nrows != size or op.ncols != size:
+                raise InputFormatError("kernel operators must share one square size")
+        a = a if isinstance(a, FieldElement) else spec.from_rational(a)
+        if a.spec is not spec and a.spec != spec:
+            raise RingMismatch("a over a different field")
+        # c = p^i or 2 p^i: its p-free part is 1 or 2
+        if c is not None and (type(c) is not int or c < 1
+                              or c // spec.p ** _vp_int(c, spec.p) not in (1, 2)):
+            raise InputFormatError("kernel c must be p^i or 2 p^i")
+        if explicit and not A[0].is_identity():
+            raise InputFormatError("kernel slot 0 must be the identity")
+        # converges_at decides from A_1 alone, so the rest must follow from it
+        bad = first_off_recurrence(A, a) if explicit else None
+        if bad is not None:
+            raise InputFormatError(f"kernel operator A_{bad} breaks A_(n+1) = (A_1 - n*a) A_n")
+        self.spec, self.D, self.A, self.a, self.c = spec, len(A) - 1, A, a, c
+        self.tag = kernel_tag(spec, a)
 
 
 class GaloisElementData:
@@ -74,10 +93,8 @@ def action_kernel(M: LogConnection, a, D: int) -> GaloisKernel:
     is a times the connection operator and A_(n+1) = (A_1 - n*a) A_n. The
     tag names a (kernel_tag).
     """
-    spec = M.spec
-    if not isinstance(a, FieldElement):
-        a = spec.from_rational(a)
-    return GaloisKernel(spec, D, from_connection(M, a, D).phi, a, kernel_tag(spec, a))
+    strat = from_connection(M, a, D)
+    return GaloisKernel(strat.phi, strat.a)
 
 
 def h_series(M: LogConnection, a, D: int) -> List[Matrix]:
@@ -208,16 +225,8 @@ def tau_power_kernel(M: LogConnection, i: int, variant: str, a=None,
     """
     if i < 0:
         raise InvalidValuation("need i >= 0")
-    spec = M.spec
-    p = spec.p
-    if variant == "K":
-        c = p ** i
-    elif variant == "Kpi1":
-        c = 2 * p ** i
-    else:
+    if variant not in ("K", "Kpi1"):
         raise ValueError(f"unknown variant {variant!r}, expected K or Kpi1")
-    if a is None:
-        a = spec.a_prism()
-    kernel = action_kernel(M, a, D)
-    kernel.c = c
-    return kernel
+    c = (2 if variant == "Kpi1" else 1) * M.spec.p ** i
+    strat = from_connection(M, M.spec.a_prism() if a is None else a, D)
+    return GaloisKernel(strat.phi, strat.a, c)

@@ -13,11 +13,11 @@ from math import gcd, lcm
 from typing import Any, Optional, Tuple
 
 from .errors import InputFormatError
-from .field import INF, FieldElement, FieldSpec, _make, _vp_int
-from .galois import GaloisKernel, kernel_tag
+from .field import INF, FieldElement, FieldSpec, _make
+from .galois import GaloisKernel
 from .linalg import Matrix
 from .series import TruncSeries
-from .strat import LogConnection, Stratification, first_off_recurrence
+from .strat import LogConnection, Stratification
 
 
 def canonical_json(obj: Any) -> str:
@@ -236,25 +236,9 @@ def parse_kernel(obj) -> GaloisKernel:
         raise InputFormatError("kernel c must be a positive integer")
     if not isinstance(A, list) or len(A) != D + 1:
         raise InputFormatError("kernel needs operators A_0..A_D")
-    mats = [parse_matrix(spec, m) for m in A]
-    size = len(mats[0].rows)
-    if any(len(m.rows) != size or len(m.rows[0]) != size for m in mats):
-        raise InputFormatError("kernel operators must share one square size")
-    a = parse_element(spec, obj["a"])
-    want = kernel_tag(spec, a)
-    if tag != want:
-        raise InputFormatError(f"kernel tag must be {want!r} at this a")
-    # c = p^i or 2 p^i: its p-free part is 1 or 2
-    if "c" in obj and c // spec.p ** _vp_int(c, spec.p) not in (1, 2):
-        raise InputFormatError("kernel c must be p^i or 2 p^i")
-    try:
-        kernel = GaloisKernel(spec, D, mats, a, tag, c)
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from exc
-    # converges_at decides from A_1 alone, so the rest must follow from it
-    bad = first_off_recurrence(mats, a)
-    if bad is not None:
-        raise InputFormatError(f"kernel operator A_{bad} breaks A_(n+1) = (A_1 - n*a) A_n")
+    kernel = GaloisKernel([parse_matrix(spec, m) for m in A], parse_element(spec, obj["a"]), c)
+    if tag != kernel.tag:
+        raise InputFormatError(f"kernel tag must be {kernel.tag!r} at this a")
     return kernel
 
 

@@ -417,6 +417,11 @@ def verify_key_lemma(phi: List[Matrix], a: FieldElement, n_max: int, D: int) -> 
     powers X^[j] X^[q] = C(j+q, j) X^[j+q] and (1+aX)^r = sum_q
     r(r-1)...(r-q+1) a^q X^[q], so with j = i + mm and q = k - j it is
     (-1)^mm C(j, i) C(k, j) falling(-(mm+n), q) a^q.
+
+    This checks the identity, not the recurrence phi_(n+1) = (phi_1 - n*a)
+    phi_n: at n = 0 the terms phi_k phi_0 and phi_0 phi_k of an odd k
+    cancel, so a phi_3 off the family passes at n_max = 0, D = 3.
+    check_cocycle and first_off_recurrence check the recurrence.
     """
     if len(phi) < n_max + D + 1:
         raise ValueError("operator family too short for this check")

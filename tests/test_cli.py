@@ -60,6 +60,7 @@ BAD_FLAGS = {
     "strat-D": (["conn", "strat", "--D", "-1"], "T"),
     "galois-kernel-D": (["conn", "galois-kernel", "--D", "-2"], "T"),
     "galois-kernel-tau": (["conn", "galois-kernel", "--tau", "10000"], "T"),
+    "galois-kernel-tau-negative": (["conn", "galois-kernel", "--tau", "-1"], "T"),
     "bk-twist-m": (["examples", "bk-twist", "--n", "1", "--m", "0", "--field"], "T"),
     "key-lemma-n-max": (["verify", "key-lemma", "--n-max", "-1"], "strat"),
     "change-unif-lambda-F": (["conn", "change-unif", "--lambda-F", "-1"], "u-pi"),
@@ -618,12 +619,16 @@ class TestFailurePaths:
 
     def test_kernel_metadata_disagreeing_with_a_exits_two(self, q3):
         """A tag that does not name a, or a c that is neither p^i nor
-        2 p^i, is refused with exit 2 instead of being ignored."""
-        obj = encode_kernel(action_kernel(constant_conn(q3, 1, [[2]]), q3.a_prism(), 1))
+        2 p^i, is refused with exit 2 instead of being ignored, as are
+        operators of different sizes."""
+        obj = encode_kernel(action_kernel(constant_conn(q3, 1, [[2]]), q3.a_prism(), 2))
+        two_by_two = [[[1], [0]], [[0], [1]]]
         for key, bad, line in (("tag", "nonsense", "kernel tag must be 'prismatic' at this a"),
                                ("tag", "log", "kernel tag must be 'prismatic' at this a"),
                                ("c", 7, "kernel c must be p^i or 2 p^i"),
-                               ("c", 4 * 3 ** 5, "kernel c must be p^i or 2 p^i")):
+                               ("c", 4 * 3 ** 5, "kernel c must be p^i or 2 p^i"),
+                               ("A", obj["A"][:2] + [two_by_two],
+                                "kernel operators must share one square size")):
             code, out, err = run_cli_stderr(["conn", "converges", "--v0", "1/2"],
                                             stdin_text=canonical_json({**obj, key: bad}))
             assert (code, out, err) == (2, "", f"error: {line}\n"), (key, bad)
@@ -1068,6 +1073,8 @@ class TestBadFlags:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        # the line names the flag it refuses
+        assert any(flag in err for flag in argv if flag.startswith("--")), err
 
 
 class TestOptimizedMode:

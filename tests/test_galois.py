@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prismlab import connops
+from prismlab import connops, galois
 from prismlab.connops import matrix_gauss_val
-from prismlab.errors import InvalidValuation
+from prismlab.errors import (InputFormatError, InvalidValuation, PrismlabError,
+                             RingMismatch)
 from prismlab.field import INF, FieldElement, FieldSpec
 from prismlab.galois import (GaloisElementData, GaloisKernel, _slope_threshold,
                              action_kernel, converges_at, d0_check, digit_count, digit_sum,
@@ -84,8 +85,46 @@ class TestActionKernel:
 
     def test_identity_slot_required(self, q3):
         z = Matrix.zero(q3, 2, 2)
-        with pytest.raises(ValueError):
-            GaloisKernel(q3, 1, [z, z], q3.one(), "custom")
+        with pytest.raises(PrismlabError):
+            GaloisKernel([z, z], q3.one())
+
+    def test_spec_D_and_tag_read_off_operators_and_a(self, q3):
+        one = Matrix.identity(q3, 1)
+        k = GaloisKernel([one, one.scale(q3.a_log())], q3.a_log(), 6)
+        assert (k.spec, k.D, k.tag, k.c) == (q3, 1, "log", 6)
+        assert GaloisKernel((one,), 1).tag == "custom"
+
+    def test_kernel_built_in_process_is_checked(self, q3):
+        """The constructor refuses what conn converges refuses of a kernel's
+        JSON, with the same messages: a c that is neither p^i nor 2 p^i,
+        an A_n off A_(n+1) = (A_1 - n*a) A_n (which converges_at would
+        answer from A_1 alone), operators or an a over another field, and
+        operators of different sizes."""
+        q5 = FieldSpec(5, [-5, 1])
+        one, one5 = Matrix.identity(q3, 1), Matrix.identity(q5, 1)
+        off = [one, Matrix(q3, [[Fraction(1, 3)]]), Matrix(q3, [[Fraction(1, 3 ** 10)]])]
+        for args, error, line in (
+                (([one, one], 1, 7), InputFormatError, "kernel c must be p\\^i or 2 p\\^i"),
+                ((off, 1), InputFormatError, "kernel operator A_2 breaks A_\\(n\\+1\\) "),
+                (([one, one], q5.one()), RingMismatch, "a over a different field"),
+                (([one, one5], 1), RingMismatch, "operator over a different field"),
+                (([one, Matrix.identity(q3, 2)], 1), InputFormatError,
+                 "kernel operators must share one square size"),
+                (([], 1), InputFormatError, "kernel needs operators A_0..A_D")):
+            with pytest.raises(error, match=f"^{line}"):
+                GaloisKernel(*args)
+        assert GaloisKernel([one, one], 1, 3).c == 3
+        assert GaloisKernel(off[:2], 1).D == 1
+
+    def test_generated_family_takes_no_recurrence_walk(self, rng, q3, monkeypatch):
+        def walk(*args):
+            raise AssertionError("recurrence walked")
+        monkeypatch.setattr(galois, "first_off_recurrence", walk)
+        M = random_connection(rng, q3, 1, 2)
+        k = action_kernel(M, q3.a_prism(), 4)
+        assert k.D == 4 and tau_power_kernel(M, 2, "Kpi1", D=4).c == 18
+        with pytest.raises(AssertionError, match="recurrence walked"):
+            GaloisKernel(list(k.A), k.a)
 
 
 class TestHSeries:

@@ -277,8 +277,8 @@ class TestKernelForms:
                     parse_kernel({**obj, "c": c})
 
     @pytest.mark.parametrize("variant,factor", [("K", 1), ("Kpi1", 2)])
-    def test_tau_kernel_round_trips(self, rng, q3s, q2s, variant, factor):
-        for spec in (q3s, q2s):
+    def test_tau_kernel_round_trips(self, rng, variant, factor):
+        for spec in FOUR_FIELDS:
             k = tau_power_kernel(random_connection(rng, spec, 1, 2), 2, variant, D=3)
             assert k.c == factor * spec.p ** 2
             obj = encode_kernel(k)
