@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence
 from .connops import _gauss_ev, _near_integer_roots
 from .errors import InputFormatError, InvalidValuation, RingMismatch
 from .field import INF, FieldElement, _exact, _vp_int, lift
-from .linalg import Matrix
+from .linalg import Matrix, falling_levels
 from .strat import (Family, LogConnection, first_off_recurrence, from_connection,
                     operator_family)
 
@@ -192,15 +192,27 @@ def converges_at(kernel: GaloisKernel, g: GaloisElementData) -> dict:
     Exact and always decided: A_n = a^n op(op-1)...(op-n+1) with
     op = A_1/a, and _converges reads the verdict off the charpoly of op
     and its integer Taylor shifts. The trace is reported, not consulted.
+    Its integer minima of e*val are taken on the matrices of A_0 and A_1
+    and of every operator of a kernel given as a list; a generated kernel
+    (a Family) reads those of A_2..A_D off the packed levels of one
+    falling_levels walk (PackedLevel.ev), so it builds no matrix past A_1.
     """
     v0 = g.v0
     if v0 <= 0:
         raise InvalidValuation(f"need v0 > 0, got {v0}")
     p, e = kernel.spec.p, kernel.spec.e
     vn, vd = (0, 1) if v0 is INF else (v0.numerator, v0.denominator)
+    A = kernel.A
+    if isinstance(A, Family):
+        # by index, since a slice makes the family whole; at D = 0 head is
+        # [A_0] alone, and a walk of count 1 yields no level
+        head = [A[n] for n in range(min(len(A), 2))]
+        evs = [*map(_gauss_ev, head),
+               *(level.ev() for level in falling_levels(head[-1], kernel.a, len(A)))]
+    else:
+        evs = map(_gauss_ev, A)
     trace = []
-    for n, A in enumerate(kernel.A):
-        ev = _gauss_ev(A)
+    for n, ev in enumerate(evs):
         if ev is None or n and v0 is INF:
             trace.append(INF)
         else:
@@ -226,7 +238,7 @@ def tau_power_kernel(M: LogConnection, i: int, variant: str, a=None,
     if i < 0:
         raise InvalidValuation("need i >= 0")
     if variant not in ("K", "Kpi1"):
-        raise ValueError(f"unknown variant {variant!r}, expected K or Kpi1")
+        raise InputFormatError(f"unknown variant {variant!r}, expected K or Kpi1")
     c = (2 if variant == "Kpi1" else 1) * M.spec.p ** i
     strat = from_connection(M, M.spec.a_prism() if a is None else a, D)
     return GaloisKernel(strat.phi, strat.a, c)

@@ -6,17 +6,19 @@ operator-family kernel (falling_levels) works on integers instead: it
 writes multiplication by each entry of M and by c as e x e integer
 matrices, the regular representation, and runs the recurrence on the
 Kronecker-packed rows of one integer matrix. Each level is read either
-as a matrix, one field element per entry (falling_powers), or compared
-with a given matrix on the packed integers, building none.
+as a matrix, one field element per entry (falling_powers), or on the
+packed integers, building none: compared with a given matrix, or its
+Gauss valuation taken.
 """
 from __future__ import annotations
 
 from itertools import chain
+from math import gcd
 from operator import add, lshift, mul, neg, sub
 from typing import Iterator, List, Sequence
 
 from . import field
-from .field import FieldElement, FieldSpec, _make
+from .field import FieldElement, FieldSpec, _make, _vp_int
 
 
 class Matrix:
@@ -276,23 +278,48 @@ class _Packing:
 class PackedLevel:
     """P_k of falling_powers as the kernel holds it: den^k and the packed
     rows of den^k P_k, row (j, t) coordinate t of row j of P_k. matrix()
-    builds P_k; agrees() compares it with a matrix on integers."""
+    builds P_k; agrees() compares it with a matrix and ev() reads its Gauss
+    valuation, both on integers."""
 
     __slots__ = ("packing", "rows", "dk")
 
     def __init__(self, packing: _Packing, rows: List[int], dk: int):
         self.packing, self.rows, self.dk = packing, rows, dk
 
+    def _digits(self) -> List[List[int]]:
+        """The signed digits of each packed row, entry 0 first."""
+        pk = self.packing
+        half, mask, shifts = pk.half, pk.mask, pk.shifts
+        return [[((y >> sh) & mask) - half for sh in shifts]
+                for y in [x + pk.offset for x in self.rows]]
+
     def matrix(self) -> Matrix:
         """P_k, one field element per nonzero entry."""
         pk, dk = self.packing, self.dk
-        spec, n, e, half, mask, shifts = pk.spec, pk.n, pk.e, pk.half, pk.mask, pk.shifts
-        zero = spec.zero()
-        digits = [[((y >> sh) & mask) - half for sh in shifts]
-                  for y in [x + pk.offset for x in self.rows]]
+        spec, n, e = pk.spec, pk.n, pk.e
+        zero, digits = spec.zero(), self._digits()
         return Matrix._trusted(spec, tuple(
             tuple([_make(spec, num, dk) if any(num) else zero
                    for num in zip(*digits[j:j + e])]) for j in range(0, n * e, e)))
+
+    def ev(self):
+        """e times the Gauss valuation of P_k, an int, or None when P_k is
+        zero: _gauss_ev of matrix(), building no field element.
+
+        An entry's coordinate t is worth e*v_p(digit) + t less e*v_p(den^k),
+        and t fixes the residue mod e, so the least over the entries of
+        coordinate t is read off g_t, the gcd of the digits of rows t::e."""
+        pk = self.packing
+        p, e = pk.spec.p, pk.e
+        digits = self._digits()
+        best = None
+        for t in range(e):
+            g = gcd(*chain.from_iterable(digits[t::e]))
+            if g:
+                ev = e * _vp_int(g, p) + t
+                if best is None or ev < best:
+                    best = ev
+        return None if best is None else best - e * _vp_int(self.dk, p)
 
     def agrees(self, A: Matrix) -> bool:
         """Whether A equals P_k, decided on integers and building no field

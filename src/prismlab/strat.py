@@ -16,7 +16,7 @@ from itertools import islice
 from math import comb
 from typing import Iterator, List, Optional, Tuple
 
-from .errors import (LeibnizViolation, NotAStratification, RingMismatch)
+from .errors import InputFormatError, LeibnizViolation, NotAStratification, RingMismatch
 from .field import FieldElement, FieldSpec
 from .linalg import Matrix, PackedLevel, falling_levels, falling_powers
 from .series import TruncSeries
@@ -135,11 +135,12 @@ class Family(Sequence):
     """The operators phi_0..phi_D = falling_powers(phi_1, a, D + 1) of a
     stratification made from a connection, a read-only sequence in two
     states. It holds phi_0 and phi_1 and the suspended generator, which
-    holds no kernel state yet; the first read of any other index, or of a
-    slice, makes phi_2..phi_D in one walk and drops the generator, and from
-    then on every read is a list read. Indexing, slicing (to a list),
-    iteration and == against a list or a family behave as on a list of the
-    operators.
+    holds no kernel state yet. Any slice, even phi[:2], and any index past 1
+    (a negative one too) makes the family whole: phi_2..phi_D in one walk,
+    after which the generator is dropped and every read is a list read.
+    So a reader that needs only phi_0 and phi_1 reads them by index.
+    Indexing, slicing (to a list), iteration and == against a list or a
+    family behave as on a list of the operators.
     """
     __slots__ = ("_ops", "_rest", "_len")
 
@@ -424,7 +425,7 @@ def verify_key_lemma(phi: List[Matrix], a: FieldElement, n_max: int, D: int) -> 
     check_cocycle and first_off_recurrence check the recurrence.
     """
     if len(phi) < n_max + D + 1:
-        raise ValueError("operator family too short for this check")
+        raise InputFormatError("operator family too short for this check")
     spec = phi[0].spec
     size = len(phi[0].rows)
     apow = [spec.one()]

@@ -408,6 +408,14 @@ class TestConnCommands:
                           stdin_text=kernel_json)
         assert code == 2
 
+    def test_galois_kernel_at_degree_zero_into_converges(self, q3):
+        """A kernel of A_0 alone has no A_1 to read: its trace is [0]."""
+        conn_json = canonical_json(encode_connection(constant_conn(q3, 1, [[2]])))
+        code, kernel_json = run_cli(["conn", "galois-kernel", "--D", "0"], conn_json)
+        assert code == 0
+        assert run_cli(["conn", "converges", "--v0", "1"], kernel_json) == (
+            0, '{"status":"Convergent","trace":[0]}\n')
+
     def test_tau_kernel_metadata(self, q3):
         M = constant_conn(q3, 1, [[1]])
         code, out = run_cli(

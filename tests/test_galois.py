@@ -13,7 +13,7 @@ from prismlab.field import INF, FieldElement, FieldSpec
 from prismlab.galois import (GaloisElementData, GaloisKernel, _slope_threshold,
                              action_kernel, converges_at, d0_check, digit_count, digit_sum,
                              factorial_val, h_series, tau_power_kernel)
-from prismlab.linalg import Matrix
+from prismlab.linalg import Matrix, PackedLevel
 from prismlab.series import TruncSeries
 from prismlab.strat import LogConnection, from_connection
 
@@ -324,6 +324,29 @@ class TestConvergence:
         assert all(t is INF for t in rep["trace"][1:])
 
 
+class TestPackedTrace:
+    @pytest.mark.parametrize("D", [0, 1, 2, 6])
+    def test_generated_kernel_builds_no_level_matrix(self, rng, q3s, cubic3, D, monkeypatch):
+        """converges_at on a generated kernel answers as on the same
+        operators given as a list, reading A_2..A_D off the packed levels:
+        no level's matrix is built and the family is never made whole."""
+        def build(*args):
+            raise AssertionError("level matrix built")
+        for spec in (q3s, cubic3):
+            M = random_connection(rng, spec, 2, 2)
+            for a in (spec.a_prism(), Fraction(1, 9), spec.pi()):
+                k = action_kernel(M, a, D)
+                listed = GaloisKernel(list(action_kernel(M, a, D).A), k.a)
+                tau = tau_power_kernel(M, 1, "Kpi1", a, D)
+                gs = [GaloisElementData(v0) for v0 in (Fraction(1, 2), 3, INF)]
+                want = [converges_at(listed, g) for g in gs]
+                with monkeypatch.context() as patch:
+                    patch.setattr(PackedLevel, "matrix", build)
+                    assert [converges_at(k, g) for g in gs] == want
+                    assert [converges_at(tau, g) for g in gs] == want
+                assert repr(k.A) == repr(tau.A) == f"Family(D={D}, computed={min(D, 1) + 1})"
+
+
 class TestIntegerValuations:
     def test_converges_at_reads_one_valuation(self, q3s, monkeypatch):
         """Operation counts: converges_at takes val() of a alone; the trace's
@@ -380,7 +403,7 @@ class TestTauPower:
 
     def test_bad_inputs(self, q3):
         M = twist(q3, 1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(PrismlabError, match="unknown variant 'L', expected K or Kpi1"):
             tau_power_kernel(M, 0, "L")
         with pytest.raises(InvalidValuation):
             tau_power_kernel(M, -1, "K")

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from prismlab.errors import LeibnizViolation, NotAStratification, RingMismatch
+from prismlab.errors import LeibnizViolation, NotAStratification, PrismlabError, RingMismatch
 from prismlab.linalg import Matrix
 from prismlab.pdalg import CosimpConfig, PDElement, face, one_plus_a_x_pow
 from prismlab.series import TruncSeries
@@ -653,7 +653,7 @@ class TestKeyLemma:
 
     def test_requires_long_enough_family(self, q3):
         phi = operator_family(Matrix(q3, [[1]]), q3.one(), 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(PrismlabError, match="operator family too short for this check"):
             verify_key_lemma(phi, q3.one(), 3, 6)
 
 

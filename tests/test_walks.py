@@ -1,6 +1,7 @@
 """The operator-family walks decided on packed integers.
 
 PackedLevel.agrees is checked against PackedLevel.matrix() followed by ==,
+PackedLevel.ev against _gauss_ev of PackedLevel.matrix(),
 and the two walks of strat (_first_off_family and first_off_recurrence)
 against copies of their versions that built every level as a matrix,
 kept here as references.
@@ -11,9 +12,12 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from prismlab import strat
+from prismlab.connops import _gauss_ev
 from prismlab.field import FieldSpec
 from prismlab.linalg import Matrix, falling_levels, falling_powers
+from prismlab.strat import LogConnection
 
+from conftest import FOUR_FIELDS
 from test_strat import KERNEL_FIELDS, KERNEL_SCALARS, kernel_scalar, random_connection
 
 
@@ -115,6 +119,43 @@ def test_agrees_matches_matrix_equality(field, l, m, choice, D, seed, at, kinds)
     A = Matrix(spec, rows)
     assert level.agrees(A) == (level.matrix() == A)
     assert level.agrees(level.matrix())
+
+
+EV_SCALARS = ("prism", "log", Fraction(1, 9), "pi", 0, "irrational")
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(FOUR_FIELDS), l=st.integers(1, 3), m=st.integers(1, 3),
+       choice=st.sampled_from(EV_SCALARS), D=st.integers(2, 7),
+       seed=st.integers(0, 10 ** 6), trivial=st.booleans())
+@example(spec=FOUR_FIELDS[0], l=1, m=2, choice=Fraction(1, 9), D=4, seed=0, trivial=True)
+@example(spec=FOUR_FIELDS[1], l=2, m=2, choice=Fraction(1, 9), D=5, seed=3, trivial=False)
+@example(spec=FOUR_FIELDS[3], l=1, m=2, choice="pi", D=6, seed=7, trivial=False)
+@example(spec=FOUR_FIELDS[2], l=2, m=3, choice="pi", D=5, seed=8, trivial=True)
+def test_ev_is_the_gauss_ev_of_the_matrix(spec, l, m, choice, D, seed, trivial):
+    """PackedLevel.ev() is _gauss_ev(level.matrix()) at every level, None
+    at a vanishing one: with a zero residual, phi_1 = a T d/dT has the
+    weights 0, ..., m - 1, so P_k = 0 from k = m on."""
+    a = spec.pi() if choice == "pi" else kernel_scalar(spec, choice)
+    conn = (LogConnection.trivial(spec, l, m) if trivial
+            else random_connection(random.Random(seed), spec, l, m))
+    levels = list(falling_levels(conn.operator(a), a, D + 1))
+    assert len(levels) == D - 1
+    for k, level in enumerate(levels, 2):
+        ev = level.ev()
+        assert ev == _gauss_ev(level.matrix())
+        if trivial:
+            assert (ev is None) == (a.is_zero() or k >= m)
+
+
+def test_ev_reads_a_denominator_divisible_by_p():
+    """a = 1/9 over Q_3 puts 3 in den^k, and its e * v_p is taken off."""
+    spec = FOUR_FIELDS[0]
+    a = spec.from_rational(Fraction(1, 9))
+    phi1 = Matrix(spec, [[a * Fraction(1, 2), 1], [0, a * Fraction(1, 4)]])
+    for level in falling_levels(phi1, a, 6):
+        assert level.dk % 3 == 0
+        assert level.ev() == _gauss_ev(level.matrix()) < 0
 
 
 def quadratic_level():
