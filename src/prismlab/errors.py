@@ -46,4 +46,5 @@ class InvalidValuation(PrismlabError):
 
 
 class InputFormatError(PrismlabError):
-    """Malformed or inconsistent input, serialized or a kernel built in process."""
+    """Malformed or inconsistent input: serialized, a kernel built in process
+    or a field built in process."""

@@ -15,7 +15,7 @@ from math import gcd, lcm
 from operator import add, sub
 from typing import Iterable, Sequence, Union
 
-from .errors import ZeroInversion
+from .errors import InputFormatError, ZeroInversion
 
 Rat = Union[int, Fraction]
 
@@ -101,17 +101,19 @@ class FieldSpec:
     def __init__(self, p: int, ecoeffs: Sequence[int]):
         coeffs = [int(c) for c in ecoeffs]
         if p >= PRIME_BOUND:
-            raise ValueError(f"p = {p} is beyond the proven primality range p < {PRIME_BOUND}")
+            raise InputFormatError(
+                f"p = {p} is beyond the proven primality range p < {PRIME_BOUND}")
         if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
+            raise InputFormatError(f"p = {p} is not prime")
         if len(coeffs) < 2 or coeffs[-1] != 1:
-            raise ValueError("E must be monic of degree >= 1, low-to-high coefficients")
+            raise InputFormatError("E must be monic of degree >= 1, low-to-high coefficients")
         e = len(coeffs) - 1
         for c in coeffs[:-1]:
             if c % p != 0:
-                raise ValueError("Eisenstein condition fails: coefficient not divisible by p")
+                raise InputFormatError(
+                    "Eisenstein condition fails: coefficient not divisible by p")
         if coeffs[0] % (p * p) == 0:
-            raise ValueError("Eisenstein condition fails: constant term divisible by p^2")
+            raise InputFormatError("Eisenstein condition fails: constant term divisible by p^2")
         self.p = p
         self.e = e
         self.ecoeffs = tuple(coeffs)

@@ -196,6 +196,7 @@ def converges_at(kernel: GaloisKernel, g: GaloisElementData) -> dict:
     and of every operator of a kernel given as a list; a generated kernel
     (a Family) reads those of A_2..A_D off the packed levels of one
     falling_levels walk (PackedLevel.ev), so it builds no matrix past A_1.
+    At v0 = INF every term past n = 0 is INF, so only A_0 is read.
     """
     v0 = g.v0
     if v0 <= 0:
@@ -203,7 +204,9 @@ def converges_at(kernel: GaloisKernel, g: GaloisElementData) -> dict:
     p, e = kernel.spec.p, kernel.spec.e
     vn, vd = (0, 1) if v0 is INF else (v0.numerator, v0.denominator)
     A = kernel.A
-    if isinstance(A, Family):
+    if v0 is INF:
+        evs = [_gauss_ev(A[0])] + [None] * kernel.D
+    elif isinstance(A, Family):
         # by index, since a slice makes the family whole; at D = 0 head is
         # [A_0] alone, and a walk of count 1 yields no level
         head = [A[n] for n in range(min(len(A), 2))]
@@ -213,7 +216,7 @@ def converges_at(kernel: GaloisKernel, g: GaloisElementData) -> dict:
         evs = map(_gauss_ev, A)
     trace = []
     for n, ev in enumerate(evs):
-        if ev is None or n and v0 is INF:
+        if ev is None:
             trace.append(INF)
         else:
             # e * den(v0) times the term, on integers

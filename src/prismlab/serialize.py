@@ -91,10 +91,7 @@ def parse_field(obj) -> FieldSpec:
         if n % d:
             raise InputFormatError("E coefficients must be integers")
         coeffs.append(n // d)
-    try:
-        return FieldSpec(p, coeffs)
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from exc
+    return FieldSpec(p, coeffs)
 
 
 def encode_element(x: FieldElement) -> list:

@@ -96,9 +96,10 @@ def multiplication_by_t_power(spec: FieldSpec, l: int, m: int, d: int) -> Matrix
     """The matrix of x -> T^d x on the flattened basis: _t_linear of the
     generator columns T^d e_j, with no twist.
 
-    Only tests use it, as the every-power reference for check_leibniz. The
-    benchmark's per-layer tracer still names it, so its deletion waits for
-    the benchmark change of ROADMAP item 1, step A.
+    No test uses it as a reference any more: tests/ref.py sets T^d e_j
+    entry by entry (t_power_by_shift). Only the benchmark's per-layer
+    tracer's table keeps it, so its deletion waits for the benchmark
+    change of ROADMAP item 1, step A.
     """
     one, zero = spec.one(), spec.zero()
     return _t_linear(spec, l, [[one if r == d * l + j else zero for j in range(l)]

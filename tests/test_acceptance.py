@@ -19,8 +19,8 @@ from prismlab.strat import (LogConnection, Stratification, check_cocycle,
                             check_leibniz, from_connection, operator_family,
                             to_connection, verify_key_lemma)
 
-from test_connops import constant_conn, rank_oracle, twist
-from test_strat import random_connection
+from conftest import constant_conn, random_connection, twist
+from ref import rank_oracle
 
 FIELDS = [FieldSpec(3, [-3, 1]), FieldSpec(3, [-3, 0, 1]), FieldSpec(2, [-2, 0, 1])]
 

@@ -25,9 +25,7 @@ from prismlab.serialize import (canonical_json, encode_connection, encode_elemen
 from prismlab.series import TruncSeries
 from prismlab.strat import LogConnection, from_connection
 
-from conftest import count_calls, random_element, random_rational
-from test_connops import constant_conn
-from test_strat import random_connection
+from conftest import constant_conn, count_calls, random_connection, random_element, random_rational
 
 
 def stdin_of(text):

@@ -9,30 +9,21 @@ from hypothesis import example, given, settings, strategies as st
 from prismlab import connops, series
 from prismlab.connops import (bk_twist, change_uniformizer, check_nilpotent,
                               classify_ndR, cohomology, dual,
-                              kummer_sen_operator, matrix_gauss_val,
-                              probe_nilpotency, reduction_ses, residual_sen,
-                              tensor, _near_integer_roots,
-                              _roots_above, _taylor_shift)
+                              kummer_sen_operator, probe_nilpotency,
+                              reduction_ses, residual_sen, tensor,
+                              _near_integer_roots, _roots_above, _taylor_shift)
 from prismlab.errors import (BadTruncationIndex, NotAUniformizer, RingMismatch)
 from prismlab.field import INF, FieldElement, FieldSpec, lift
 from prismlab.galois import _slope_threshold
 from prismlab.linalg import Matrix
-from prismlab.series import TruncSeries, lambda_approx, rewrite_in_uniformizer
+from prismlab.series import TruncSeries, lambda_approx
 from prismlab.strat import LogConnection, from_connection, to_connection
 
-from conftest import FOUR_FIELDS, count_calls, random_element, random_rational
-from test_strat import random_connection
-
-
-def twist(spec, m, n, unif="T"):
-    return bk_twist(LogConnection.trivial(spec, 1, m, unif), n)
-
-
-def constant_conn(spec, m, rows, unif="T"):
-    l = len(rows)
-    N = [[TruncSeries.constant(spec, m, rows[i][j], unif) for j in range(l)]
-         for i in range(l)]
-    return LogConnection(spec, unif, l, m, N)
+from conftest import (FOUR_FIELDS, constant_conn, count_calls, random_connection,
+                      random_element, random_rational, twist)
+from ref import (compose_by_horner, derivative_by_coefficients, multiplier_by_quotient,
+                 near_integer_roots_by_elements, near_weight_count_by_polygons, rank_oracle,
+                 rewrite_by_composition, roots_above_by_fractions, taylor_shift_by_elements)
 
 
 class TestTensorDualTwist:
@@ -78,29 +69,6 @@ class TestTensorDualTwist:
         rep = residual_sen(twist(q3, 2, 1))
         assert rep["split"]
         assert rep["weights"][0] == q3.one()
-
-
-def multiplier_and_reversion(y: TruncSeries):
-    """Reference: (c, g), the transport multiplier c = (y/T) / y' with its
-    round-trip gauge and the reversion g of y, as change_uniformizer built
-    them before its table came from the powers of (y/T)^(-1).
-
-    The quotient only determines c below its top coefficient, because the
-    T^(m-1) coefficient of y' would need the dropped degree-m term of y.
-    Composing the naive forward and backward multipliers yields
-    1 + (m-1) r y1^m T^(m-1), where r is the degree-m coefficient of the
-    reversion of y, so a factor 1 + ((1-m)/2) r y1^m T^(m-1) on each leg
-    makes a round trip the identity.
-    """
-    spec, m = y.spec, y.m
-    c = y.shift_down() * y.derivative().invert_unit()
-    rev = TruncSeries._trusted(spec, m + 1, y.coeffs + (spec.zero(),), y.unif).reversion()
-    r = rev.coeffs[m]
-    if not r.is_zero():
-        top = r * y.coeffs[1] ** m * Fraction(1 - m, 2)
-        c = TruncSeries._trusted(spec, m, c.coeffs[:-1] + (c.coeffs[-1] + c.coeffs[0] * top,),
-                                 c.unif)
-    return c, rev.truncate(m)
 
 
 def nilpotent(M, a):
@@ -164,15 +132,15 @@ class TestChangeUniformizer:
         # y = T + T^2 at m = 4; worked out by hand, the top coefficient
         # carries the round-trip gauge correction
         y = TruncSeries(q3, 4, [0, 1, 1, 0], "y")
-        c = multiplier_and_reversion(y)[0]
+        c = multiplier_by_quotient(y)
         assert [x.rational_value() for x in c.coeffs] == [
             Fraction(1), Fraction(-1), Fraction(2), Fraction(7, 2)]
         z = y.reversion()
-        cz = multiplier_and_reversion(z)[0]
+        cz = multiplier_by_quotient(z)
         assert [x.rational_value() for x in cz.coeffs] == [
             Fraction(1), Fraction(1), Fraction(-2), Fraction(-5, 2)]
         # composing the two legs multiplies c_z(y(T)) by c(T): exactly 1
-        prod = cz.compose(y) * c
+        prod = compose_by_horner(cz, y) * c
         assert prod == TruncSeries.one(q3, 4)
 
     def test_round_trip_random_uniformizer(self, rng, q3s):
@@ -256,7 +224,7 @@ class TestKummerSen:
                 for m in range(2, 7):
                     lam = lambda_approx(spec, F, m)
                     u = TruncSeries(spec, m, [spec.pi(), spec.one()], "u-pi")
-                    deriv, base = lam.derivative(), lam.shift_down()
+                    deriv, base = derivative_by_coefficients(lam), lam.shift_down()
                     assert (u * deriv).invert_unit() * (u * base) == \
                         deriv.invert_unit() * base
 
@@ -476,67 +444,6 @@ class TestClassify:
             assert rep["nearly_dR"] is True and rep["log_nearly_dR"] is True
 
 
-def rank_oracle(op: Matrix) -> int:
-    """Rank over K through the rational regular representation.
-
-    Each coordinate vector becomes an e x e block of exact rationals
-    (multiplication by the element in the power basis); plain fraction
-    Gaussian elimination then gives e * rank_K. A different algorithm and
-    data layout than linalg.rref.
-    """
-    spec = op.spec
-    e = spec.e
-    ec = spec.ecoeffs
-
-    def mult_block(x):
-        cols = []
-        cur = list(x.coords)
-        for _ in range(e):
-            cols.append(list(cur))
-            nxt = [Fraction(0)] * (e + 1)
-            for i, c in enumerate(cur):
-                nxt[i + 1] += c
-            lead = nxt[e]
-            cur = [nxt[i] - lead * ec[i] for i in range(e)]
-        return cols  # cols[j][i] = coord i of x * pi^j
-
-    big = []
-    for r in range(op.nrows):
-        rows_block = [[Fraction(0)] * (op.ncols * e) for _ in range(e)]
-        for c in range(op.ncols):
-            blk = mult_block(op[r, c])
-            for j in range(e):
-                for i in range(e):
-                    rows_block[i][c * e + j] = blk[j][i]
-        big.extend(rows_block)
-    # fraction gaussian elimination
-    rank = 0
-    rows = big
-    ncols = op.ncols * e
-    pr = 0
-    for pc in range(ncols):
-        piv = None
-        for i in range(pr, len(rows)):
-            if rows[i][pc] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        inv = Fraction(1) / rows[pr][pc]
-        rows[pr] = [x * inv for x in rows[pr]]
-        for i in range(len(rows)):
-            if i != pr and rows[i][pc] != 0:
-                f = rows[i][pc]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[pr])]
-        pr += 1
-        rank += 1
-        if pr == len(rows):
-            break
-    assert rank % e == 0
-    return rank // e
-
-
 class TestCohomology:
     def test_trivial_rank_one(self, q3):
         rep = cohomology(LogConnection.trivial(q3, 1, 3))
@@ -644,7 +551,7 @@ def composed_changes(rng, M, m):
     y = random_uniformizer(rng, M.spec, m, "y")
     z = random_uniformizer(rng, M.spec, m, "z")
     return (change_uniformizer(change_uniformizer(M, y), z),
-            change_uniformizer(M, z.compose(y).with_unif("z")))
+            change_uniformizer(M, compose_by_horner(z, y).with_unif("z")))
 
 
 @settings(max_examples=40, deadline=None)
@@ -702,30 +609,6 @@ def test_twist_preserves_classification(seed, n):
     assert (a["nearly_dR"], a["log_nearly_dR"]) == (b["nearly_dR"], b["log_nearly_dR"])
 
 
-def near_weight_count(M, a):
-    """The number of residual weights w, with multiplicity, with
-    dist(w, Z) > c = -val(a), read off Newton polygons.
-
-    For c >= 0 and K = floor(c) + 1, such a w lies within more than c of
-    exactly one k in range(p^K): any k' = k mod p^K is as close, and two
-    residues mod p^K differ by valuation at most K - 1 <= c. For c < 0,
-    dist(w, Z) > c iff val(w) > c (a pole cannot be repaired by an
-    integer), so k = 0 alone is tried. The roots of f = chi(x + k) of
-    valuation > c number the least j minimizing v(f_j) + j*c (Koblitz,
-    GTM 58, ch. IV).
-    """
-    chi = M.residual_matrix().charpoly()
-    c = -a.val()
-    total = 0
-    for k in range(M.spec.p ** max(0, math.floor(c) + 1)):
-        f = [sum((chi[j] * (math.comb(j, i) * k ** (j - i)) for j in range(i, len(chi))),
-                 M.spec.zero()) for i in range(len(chi))]
-        terms = [(x.val() + j * c, j) for j, x in enumerate(f) if not x.is_zero()]
-        low = min(t for t, _ in terms)
-        total += min(j for t, j in terms if t == low)
-    return total
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), field=st.integers(0, 3), l=st.integers(1, 2),
        scalar=st.sampled_from(["prism", "log", -2, -1, 0, 1, 2]))
@@ -733,7 +616,7 @@ def near_weight_count(M, a):
 def test_nilpotency_matches_margins_and_probe(seed, field, l, scalar):
     """The charpoly verdict against the per-weight margins wherever the
     weights split over K, and against the exact near-weight count
-    (near_weight_count) everywhere: nilpotent iff all l weights are near.
+    (near_weight_count_by_polygons) everywhere: nilpotent iff all l weights are near.
 
     The probe is no reference here: its 20-step window can fall strictly at
     val(a) = -2 as well, as on the pinned draw over Q_3(sqrt 3), where both
@@ -753,7 +636,7 @@ def test_nilpotency_matches_margins_and_probe(seed, field, l, scalar):
     sen = residual_sen(M)
     if sen["split"]:
         assert nilpotent == all(a.val() + pw["dist"] > 0 for pw in sen["per_weight"])
-    assert nilpotent == (near_weight_count(M, a) == l)
+    assert nilpotent == (near_weight_count_by_polygons(M, a) == l)
 
 
 @settings(max_examples=40, deadline=None)
@@ -771,60 +654,11 @@ def test_change_uniformizer_matches_entrywise_rewrite(seed, field, l, m):
         y = lambda_approx(spec, rng.randrange(3), m)
     else:
         y = random_uniformizer(rng, spec, m, "y")
-    c = multiplier_and_reversion(y)[0]
-    want = [[rewrite_in_uniformizer(c * M.N[i][j], y) for j in range(l)] for i in range(l)]
+    c = multiplier_by_quotient(y)
+    want = [[rewrite_by_composition(c * M.N[i][j], y) for j in range(l)] for i in range(l)]
     got = change_uniformizer(M, y)
     assert got.N == want and got.unif == y.unif
     assert all(s.unif == y.unif for row in got.N for s in row)
-
-
-def roots_above_by_elements(chi, c):
-    """connops._roots_above before the integer descent: the Newton polygon
-    of the field-element coefficients, compared on integers."""
-    e = chi[0].spec.e
-    num, den = c.numerator * e, c.denominator
-    return min((ev * den + j * num, j) for j, ev in enumerate(map(FieldElement._ev, chi))
-               if ev is not None)[1]
-
-
-def taylor_shift_by_elements(chi, s):
-    """connops._taylor_shift before the integer descent: chi(x + s) on
-    field elements, two elements built per step."""
-    out = list(chi)
-    for i in range(len(out) - 1):
-        for j in range(len(out) - 2, i - 1, -1):
-            out[j] = out[j] + out[j + 1] * s
-    return out
-
-
-def near_integer_roots_by_elements(chi, c):
-    """connops._near_integer_roots before the integer descent: the same
-    disc descent on the field-element charpoly."""
-    if c < 0:
-        near = roots_above_by_elements(chi, c)
-        return {0: near} if near else {}
-    p, n = chi[0].spec.p, math.floor(c) + 1
-    live, step = {0: (len(chi) - 1, chi)}, 1
-    for t in range(1, n + 1):
-        if not live:
-            break
-        bound = c if t == n else t - 1
-        children = {}
-        for r, (_, f) in live.items():
-            for d in range(p):
-                if d:
-                    f = taylor_shift_by_elements(f, step)
-                if cnt := roots_above_by_elements(f, bound):
-                    children[r + d * step] = (cnt, f)
-        live, step = children, step * p
-    return {k: cnt for k, (cnt, _) in live.items()}
-
-
-def roots_above_by_fractions(chi, c):
-    """connops._roots_above as it was: the Newton polygon compared on
-    Fraction valuations, one val() per coefficient."""
-    return min((coef.val() + j * c, j) for j, coef in enumerate(chi)
-               if not coef.is_zero())[1]
 
 
 @st.composite

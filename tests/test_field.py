@@ -3,57 +3,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prismlab.errors import ZeroInversion
+from prismlab.errors import InputFormatError, ZeroInversion
 from prismlab.field import INF, PRIME_BOUND, FieldSpec, _is_prime, _vp_int
 from prismlab.galois import GaloisElementData
 
 from conftest import FOUR_FIELDS, random_element, random_rational
+from ref import (deriv_by_products, dist_by_terms, invert_by_euclid, val_by_terms,
+                 vp_by_single_factors, window_dist_oracle)
 
 # the four benchmark fields, the cubic u^3 + 3u^2 + 3 and a quintic
 INVERT_FIELDS = (FieldSpec(3, [-3, 1]), FieldSpec(3, [-3, 0, 1]), FieldSpec(2, [-2, 0, 1]),
                  FieldSpec(3, [3, 3, 0, 1]), FieldSpec(3, [3, 0, 3, 1]),
                  FieldSpec(3, [12, 3, -6, 0, 3, 1]))
-
-
-def _trim(c):
-    while c and c[-1] == 0:
-        c = c[:-1]
-    return c
-
-
-def _divmod(a, b):
-    q, r = [Fraction(0)] * max(0, len(a) - len(b) + 1), list(a)
-    while len(r) >= len(b):
-        f, shift = r[-1] / b[-1], len(r) - len(b)
-        q[shift] = f
-        for i, bc in enumerate(b):
-            r[shift + i] -= f * bc
-        r = _trim(r)
-    return _trim(q), r
-
-
-def _sub_mul(s0, q, s1):
-    """s0 - q * s1 for polynomials over Q."""
-    out = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
-    for i, x in enumerate(q):
-        for j, y in enumerate(s1):
-            out[i + j] -= x * y
-    return _trim(out)
-
-
-def invert_by_euclid(x):
-    """Reference inverse by the extended Euclidean algorithm over Q[u]: the
-    s with s * num = g mod E for a constant g != 0 gives x^-1 = den * s / g."""
-    spec = x.spec
-    epoly = [Fraction(c) for c in spec.ecoeffs]
-    r0, r1 = _trim([Fraction(n) for n in x._num]), epoly
-    s0, s1 = [Fraction(1)], []
-    while r1:
-        q, r = _divmod(r0, r1)
-        r0, r1, s0, s1 = r1, r, s1, _sub_mul(s0, q, s1)
-    assert len(r0) == 1
-    _, rem = _divmod([c * x._den / r0[0] for c in s0], epoly)
-    return spec.element(rem)
 
 
 @st.composite
@@ -71,19 +32,9 @@ def nonzero_elements(draw):
     return spec.element(cs)
 
 
-def window_dist_oracle(alpha, window=200):
-    """Independent lower-bound oracle: max of val(alpha - k) over a window."""
-    best = None
-    for k in range(-window, window + 1):
-        v = (alpha - k).val()
-        if best is None or best < v:
-            best = v
-    return best
-
-
 class TestFieldSpec:
     def test_rejects_non_prime(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputFormatError, match="p = 4 is not prime"):
             FieldSpec(4, [-4, 1])
 
     def test_primality_matches_sympy(self):
@@ -96,19 +47,19 @@ class TestFieldSpec:
         assert FieldSpec(2 ** 61 - 1, [-(2 ** 61 - 1), 1]).p == 2 ** 61 - 1
 
     def test_rejects_p_beyond_proven_range(self):
-        with pytest.raises(ValueError, match="proven"):
+        with pytest.raises(InputFormatError, match="beyond the proven primality range"):
             FieldSpec(PRIME_BOUND, [-PRIME_BOUND, 1])
 
     def test_rejects_non_eisenstein_coefficient(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputFormatError, match="coefficient not divisible by p"):
             FieldSpec(3, [-3, 1, 1])
 
     def test_rejects_p_squared_constant(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputFormatError, match="constant term divisible by p\\^2"):
             FieldSpec(3, [-9, 0, 1])
 
     def test_rejects_non_monic(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputFormatError, match="E must be monic of degree >= 1"):
             FieldSpec(3, [-3, 2])
 
     def test_accepts_examples(self, q3, q3s, q2s, cubic3):
@@ -178,16 +129,6 @@ class TestValuation:
             assert vs >= lo
             if va != vb:
                 assert vs == lo
-
-
-def vp_by_single_factors(n, p):
-    """The valuation by stripping one factor of p per turn, the reference
-    for the squaring ladder of _vp_int."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 @settings(max_examples=60, deadline=None)
@@ -304,16 +245,6 @@ class TestDerivAtPi:
         assert q3s.a_log() == q3s.from_rational(-6)
 
 
-def deriv_by_products(spec):
-    """E'(pi) as FieldSpec built it before its closed form: the sum of
-    i c_i times successive products of pi."""
-    acc, pw = spec.zero(), spec.one()
-    for i, c in enumerate(spec.ecoeffs[1:], 1):
-        acc = acc + pw * (i * c)
-        pw = pw * spec.pi()
-    return acc
-
-
 @st.composite
 def eisenstein_fields(draw):
     """One of the four benchmark fields, or a random Eisenstein E of degree
@@ -361,26 +292,6 @@ class TestExactEntryPoints:
         with pytest.raises(TypeError, match="float"):
             GaloisElementData(0.1)
         assert GaloisElementData("1/10").v0 == Fraction(1, 10)
-
-
-def val_by_terms(x, start=0):
-    """The minimum valuation kernel as it was: v_p(a_i) + i/e as a Fraction
-    for each nonzero coordinate i >= start; None when there is none."""
-    p, e = x.spec.p, x.spec.e
-    vden = _vp_int(x._den, p)
-    terms = [Fraction((_vp_int(n, p) - vden) * e + i, e)
-             for i, n in enumerate(x._num) if i >= start and n]
-    return min(terms) if terms else None
-
-
-def dist_by_terms(x):
-    """dist_to_integers as it was, on val_by_terms."""
-    m1 = val_by_terms(x, 1)
-    if x._num[0]:
-        v0 = _vp_int(x._num[0], x.spec.p) - _vp_int(x._den, x.spec.p)
-        if v0 < 0:
-            return Fraction(v0 if m1 is None or v0 < m1 else m1)
-    return INF if m1 is None else m1
 
 
 @st.composite

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prismlab import connops, galois
-from prismlab.connops import matrix_gauss_val
 from prismlab.errors import (InputFormatError, InvalidValuation, PrismlabError,
                              RingMismatch)
 from prismlab.field import INF, FieldElement, FieldSpec
@@ -17,9 +16,9 @@ from prismlab.linalg import Matrix, PackedLevel
 from prismlab.series import TruncSeries
 from prismlab.strat import LogConnection, from_connection
 
-from conftest import count_calls, random_element
-from test_connops import constant_conn, twist
-from test_strat import falling, random_connection
+from conftest import constant_conn, count_calls, random_connection, random_element, twist
+from ref import (falling_by_products, gauss_val_by_entries, slope_threshold_by_loop,
+                 trace_growth_by_products)
 
 
 class TestFactorialVal:
@@ -72,7 +71,7 @@ class TestActionKernel:
         k = action_kernel(M, a, 3)
         for kk in range(4):
             for j in range(3):
-                expect = q3.from_rational(Fraction(5) ** kk * falling(2 + j, kk))
+                expect = q3.from_rational(Fraction(5) ** kk * falling_by_products(2 + j, kk))
                 assert k.A[kk][j, j] == expect
                 for j2 in range(3):
                     if j2 != j:
@@ -158,7 +157,7 @@ class TestHSeries:
         M = twist(q3, 1, 4)
         strat = from_connection(M, a, 6)
         for k in range(7):
-            expect = q3.from_rational(Fraction(2) ** k * falling(4, k))
+            expect = q3.from_rational(Fraction(2) ** k * falling_by_products(4, k))
             assert strat.phi[k][0, 0] == expect
         assert d0_check(M, a, 6)["ok"]
 
@@ -323,6 +322,24 @@ class TestConvergence:
         assert rep["trace"][0] == Fraction(0)
         assert all(t is INF for t in rep["trace"][1:])
 
+    @pytest.mark.parametrize("D", [0, 6])
+    def test_infinite_v0_reads_only_a0(self, rng, q3s, D, monkeypatch):
+        """Operation counts: at v0 = INF every term past n = 0 is INF and the
+        verdict is Convergent, so a generated kernel takes no kernel step
+        and reads no packed level, and a listed one takes one Gauss
+        valuation, that of A_0."""
+        M = random_connection(rng, q3s, 2, 2)
+        generated = action_kernel(M, q3s.a_prism(), D)
+        listed = GaloisKernel(list(action_kernel(M, q3s.a_prism(), D).A), generated.a)
+        calls = count_calls(monkeypatch, [(galois, "falling_levels"), (PackedLevel, "ev"),
+                                          (galois, "_gauss_ev")])
+        for kernel in (generated, listed):
+            calls.update(dict.fromkeys(calls, 0))
+            rep = converges_at(kernel, GaloisElementData(INF))
+            assert rep == {"status": "Convergent", "trace": [Fraction(0)] + [INF] * D}
+            assert calls == {"falling_levels": 0, "ev": 0, "_gauss_ev": 1}
+        assert repr(generated.A) == f"Family(D={D}, computed={min(D, 1) + 1})"
+
 
 class TestPackedTrace:
     @pytest.mark.parametrize("D", [0, 1, 2, 6])
@@ -371,7 +388,7 @@ class TestIntegerValuations:
                 kernel = action_kernel(M, a, 6)
                 want = []
                 for n, A in enumerate(kernel.A):
-                    gv = matrix_gauss_val(A)
+                    gv = gauss_val_by_entries(A)
                     if n and gv is not INF:
                         gv = INF if v0 is INF else gv + n * v0 - factorial_val(n, spec.p)
                     want.append(gv)
@@ -426,23 +443,8 @@ def test_convergence_monotone_in_v0(seed, num, den, v0a, bump):
 
 GROWTH_FIELDS = (FieldSpec(3, [-3, 1]), FieldSpec(3, [-3, 0, 1]),
                  FieldSpec(2, [-2, 1]), FieldSpec(5, [-5, 1]))
+# the K of each p: the growth is read over the decade p^(K-1)..p^K
 GROWTH_LEVEL = {2: 9, 3: 6, 5: 4}
-
-
-def trace_growth(op, sigma, p):
-    """t(p^K) - t(p^(K-1)) for t(n) = GaussVal(op(op-1)...(op-n+1))
-    + n*sigma - v_p(n!), the valuation of term n at sigma = val(a) + v0;
-    None when the product vanishes by n = p^K."""
-    K = GROWTH_LEVEL[p]
-    one = Matrix.identity(op.spec, op.nrows)
-    P, t = one, {}
-    for n in range(1, p ** K + 1):
-        P = (op - one.scale(n - 1)) * P
-        if P.is_zero():
-            return None
-        if n in (p ** (K - 1), p ** K):
-            t[n] = matrix_gauss_val(P) + n * sigma - factorial_val(n, p)
-    return t[p ** K] - t[p ** (K - 1)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -477,19 +479,8 @@ def test_convergence_matches_trace_growth(field, seed, l, k, r, v0):
     a = spec.pi() ** (k * spec.e + r)
     rep = converges_at(action_kernel(M, a, 2), GaloisElementData(v0))
     assert rep["status"] in ("Convergent", "Divergent")
-    g = trace_growth(M.operator(), a.val() + v0, spec.p)
+    g = trace_growth_by_products(M.operator(), a.val() + v0, spec.p, GROWTH_LEVEL[spec.p])
     assert rep["status"] == ("Convergent" if g is None or g >= 8 else "Divergent"), g
-
-
-def slope_threshold_by_loop(sigma, p):
-    """_slope_threshold with q found one step at a time, the reference for
-    its ladder: the least q >= 0 with sigma (p-1) p^(q+1) >= 1."""
-    if sigma >= Fraction(1, p - 1):
-        return Fraction(1, p - 1) - sigma
-    q = 0
-    while sigma * (p - 1) * p ** (q + 1) < 1:
-        q += 1
-    return q + Fraction(p, p - 1) - sigma * p ** (q + 1)
 
 
 @st.composite

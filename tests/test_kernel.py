@@ -1,5 +1,5 @@
 """The integer-coordinate field kernel and the zero-skipping matrix product,
-each checked against a plain reference kept here.
+each checked against a plain reference in ref.py.
 
 The field reference works on tuples of Fractions with the schoolbook
 multiply and the fold pi^e = -(c_0 + ... + c_{e-1} pi^(e-1)); the matrix
@@ -19,38 +19,11 @@ from prismlab.linalg import Matrix, poly_deflate
 from prismlab.serialize import parse_field
 
 from conftest import random_element
+from ref import product_by_dot_products, ref_add, ref_mul, ref_neg, ref_one
 
 # the three fields of the acceptance suite, and a cubic with a middle term
 SPECS = [FieldSpec(3, [-3, 1]), FieldSpec(3, [-3, 0, 1]), FieldSpec(2, [-2, 0, 1]),
          FieldSpec(3, [3, 3, 0, 1])]
-
-
-# --- plain Fraction reference ----------------------------------------------
-
-def ref_add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def ref_neg(x):
-    return tuple(-a for a in x)
-
-
-def ref_mul(spec, x, y):
-    e = spec.e
-    prod = [Fraction(0)] * (2 * e - 1)
-    for i, a in enumerate(x):
-        for j, b in enumerate(y):
-            prod[i + j] += a * b
-    for k in range(2 * e - 2, e - 1, -1):
-        c = prod[k]
-        prod[k] = Fraction(0)
-        for i in range(e):
-            prod[k - e + i] -= c * spec.ecoeffs[i]
-    return tuple(prod[:e])
-
-
-def ref_one(spec):
-    return (Fraction(1),) + (Fraction(0),) * (spec.e - 1)
 
 
 def assert_canonical(x):
@@ -277,21 +250,6 @@ def test_zero_and_one_are_shared(q3s):
 
 # --- matrices ----------------------------------------------------------------
 
-def dense_product(A, B):
-    """Every scalar product of every row with every column, zeros included."""
-    spec = A.spec
-    out = []
-    for row in A.rows:
-        out_row = []
-        for col in zip(*B.rows):
-            acc = spec.zero()
-            for x, y in zip(row, col):
-                acc = acc + x * y
-            out_row.append(acc)
-        out.append(out_row)
-    return Matrix(spec, out)
-
-
 def random_matrix(rng, spec, nrows, ncols, zero_frac):
     return Matrix(spec, [[spec.zero() if rng.random() < zero_frac
                           else random_element(rng, spec, 5) for _ in range(ncols)]
@@ -308,7 +266,7 @@ def test_sparse_product_matches_dense(spec, n, k, p, zero_frac, seed):
     B = random_matrix(rng, spec, k, p, zero_frac)
     got = A * B
     assert (got.nrows, got.ncols) == (n, p)
-    assert got == dense_product(A, B)
+    assert got == product_by_dot_products(A, B)
     for row in got.rows:
         for x in row:
             assert_canonical(x)
@@ -321,8 +279,8 @@ def test_block_triangular_product(rng, q3s):
                      for i in range(n)])
     M = Matrix(q3s, [[random_element(rng, q3s) if j <= i else 0 for j in range(n)]
                      for i in range(n)])
-    assert L * M == dense_product(L, M)
-    assert M * L == dense_product(M, L)
+    assert L * M == product_by_dot_products(L, M)
+    assert M * L == product_by_dot_products(M, L)
 
 
 def test_shape_errors_are_typed(q3s):

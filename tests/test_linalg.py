@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prismlab import linalg
-from prismlab.field import FieldElement, FieldSpec, _make
+from prismlab.field import FieldElement, FieldSpec
 from prismlab.linalg import Matrix, eval_poly, null_basis, poly_deflate
 
 from conftest import FOUR_FIELDS, count_calls, random_element
+from ref import charpoly_by_elements, charpoly_by_identity_products, rref_by_columns
 
 
 def test_identity_and_mul(q3s):
@@ -108,30 +109,6 @@ def test_trace_and_charpoly_refuse_non_square(q3):
         A.charpoly()
 
 
-def rref_by_columns(A):
-    """Reference: Gauss-Jordan elimination column by column, as rref ran
-    before it was built on reduce_rows. Returns (rows, pivot columns)."""
-    rows = [list(r) for r in A.rows]
-    pivots = []
-    pr = 0
-    for pc in range(A.ncols):
-        pivot_row = next((i for i in range(pr, len(rows)) if not rows[i][pc].is_zero()), None)
-        if pivot_row is None:
-            continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        inv = rows[pr][pc].invert()
-        rows[pr] = [a * inv for a in rows[pr]]
-        for i in range(len(rows)):
-            if i != pr and not rows[i][pc].is_zero():
-                f = rows[i][pc]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == len(rows):
-            break
-    return rows, pivots
-
-
 def test_reduce_rows_example(q3):
     A = Matrix(q3, [[0, 0, 0], [1, 2, 0], [2, 4, 0], [0, 1, 3]])
     R, pivots, independent = A.reduce_rows()
@@ -166,23 +143,10 @@ def test_reduce_rows_matches_two_eliminations(seed, field, nrows, ncols, rank):
     assert R == full[:len(pivots)]
     rref_matrix, rref_pivots = A.rref()
     assert rref_pivots == ref_pivots and [list(r) for r in rref_matrix.rows] == full
-    assert independent == rref_by_columns(A.transpose())[1] == A.column_pivots()
+    transposed = Matrix(spec, list(zip(*A.rows)))
+    assert independent == rref_by_columns(transposed)[1] == A.column_pivots()
     kernel = null_basis(spec, ncols, full, ref_pivots)
     assert null_basis(spec, ncols, R, pivots) == A.kernel_basis() == kernel
-
-
-def charpoly_by_identity_products(A):
-    """Matrix.charpoly as it was: Faddeev-LeVerrier with M_k = A M_(k-1)
-    from M_0 = I, and M_k + c I formed through Matrix.identity and scale."""
-    n, spec = A.nrows, A.spec
-    coeffs = [spec.zero()] * n + [spec.one()]
-    M = Matrix.identity(spec, n)
-    for k in range(1, n + 1):
-        M = A * M
-        c = -(M.trace() * Fraction(1, k))
-        coeffs[n - k] = c
-        M = M + Matrix.identity(spec, n).scale(c)
-    return coeffs
 
 
 @st.composite
@@ -208,22 +172,6 @@ def test_charpoly_builds_no_identity_or_scale(q3s, monkeypatch):
     calls = count_calls(monkeypatch, [(Matrix, "identity"), (Matrix, "scale")])
     A.charpoly()
     assert calls == {"identity": 0, "scale": 0}
-
-
-def charpoly_by_elements(A):
-    """Matrix.charpoly before it ran on integers: Faddeev-LeVerrier on
-    field elements, M_1 = A and M_(k+1) = A (M_k + c_(n-k) I)."""
-    n, spec = A.nrows, A.spec
-    coeffs = [spec.zero()] * n + [spec.one()]
-    M = A
-    for k in range(1, n + 1):
-        t = M.trace()
-        c = _make(spec, tuple([-x for x in t._num]), t._den * k)
-        coeffs[n - k] = c
-        if k < n:
-            M = A * Matrix._trusted(spec, tuple(
-                row[:i] + (row[i] + c,) + row[i + 1:] for i, row in enumerate(M.rows)))
-    return coeffs
 
 
 # the benchmark's four fields, the quintic u^5 + 3u^4 - 6u^2 + 3u + 12 and

@@ -18,8 +18,7 @@ from prismlab.serialize import (canonical_json, encode_connection,
 from prismlab.series import TruncSeries
 from prismlab.strat import LogConnection, from_connection
 
-from conftest import FOUR_FIELDS, count_calls
-from test_strat import random_connection
+from conftest import FOUR_FIELDS, count_calls, random_connection
 
 
 class TestRational:

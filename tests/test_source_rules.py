@@ -1,4 +1,5 @@
-"""Rules on the library's source that no behavioural test would notice.
+"""Rules on the library's and the tests' source that no behavioural test
+would notice.
 
 Checks that carry correctness must hold under python -O, which strips
 assert statements, so no module of src/prismlab may use one. pdalg.py, the
@@ -11,16 +12,27 @@ reached from the product's entry points, the README, the acceptance tests
 or the benchmark's code, so nothing is kept that only its tests use.
 Code is generated in one place, the field's compiled product kernel, so
 no other function calls exec, eval or compile.
+
+The tests' independent references live in one module, tests/ref.py, under
+four rules:
+1. ref.py imports and calls none of the product kernels it checks
+   (REF_FORBIDDEN), so a reference shares no code with its subject;
+2. a top-level function named as a reference (*_by_*, ref_* or *_oracle)
+   is defined only in ref.py;
+3. no tests/test_*.py imports another test module (conftest, ref and
+   golden are not test modules), so each test module runs on its own;
+4. every definition in ref.py is reached from a test module or
+   conftest.py, so a reference goes when the last test that reads it goes.
 """
 import ast
 import os
 import re
 import sys
 
-from test_traced_names import load_layertrace
+from conftest import ROOT, load_layertrace
 
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SRC = os.path.join(ROOT, "src", "prismlab")
+TESTS = os.path.join(ROOT, "tests")
 EXEMPT = {"pdalg.py"}
 
 
@@ -30,11 +42,12 @@ def assert_lines(source):
             if isinstance(node, ast.Assert)]
 
 
-def sources():
-    """(file name, source) of every module of the library."""
-    for name in sorted(os.listdir(SRC)):
+def sources(directory=SRC):
+    """(file name, source) of every module in directory, by default the
+    library."""
+    for name in sorted(os.listdir(directory)):
         if name.endswith(".py"):
-            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            with open(os.path.join(directory, name), encoding="utf-8") as fh:
                 yield name, fh.read()
 
 
@@ -331,3 +344,145 @@ def root_by_name():
 """}
     assert unreached(modules, {"main", "root_by_name"}, ("cmd_",), reaching={"ref.py"}) == [
         "a.Box.hidden", "a.orphan", "a.orphan_callee"]
+
+
+# What no reference may import or call: the field's lift, regular
+# representation, integer valuation and numerator kernels; the packed
+# family kernel; elimination and the characteristic polynomial; the
+# T-linear builder, operator families and their walks; the descent and the
+# Gauss valuation; and every name that ROADMAP item 1B deletes. Of those,
+# TruncSeries.__pow__ and Matrix.__neg__ are reached through ** and unary
+# minus as well, which the rule cannot tell from FieldElement's.
+REF_FORBIDDEN = {
+    "lift", "regular", "_vp_int", "num_ev", "_mulnum",
+    "falling_levels", "falling_powers", "PackedLevel",
+    "charpoly", "reduce_rows", "rref", "rank", "kernel_basis", "column_pivots", "null_basis",
+    "_t_linear", "operator_family", "Family", "first_off_recurrence", "_off_levels",
+    "_first_off_family",
+    "_near_integer_roots", "_roots_above", "_taylor_shift", "_gauss_ev",
+    "probe_nilpotency", "matrix_gauss_val", "multiplication_by_t_power", "reduction_ses",
+    "BadTruncationIndex", "rewrite_in_uniformizer", "compose", "__pow__", "transpose",
+    "__neg__", "derivative",
+}
+
+
+def forbidden_uses(source):
+    """(line, name) of each name of REF_FORBIDDEN that source imports, reads
+    as an attribute or calls by name. A local variable of such a name that
+    is not called does not count."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            names = [node.func.id]
+        else:
+            continue
+        found |= {(node.lineno, name) for name in names if name in REF_FORBIDDEN}
+    return sorted(found)
+
+
+def test_references_share_no_kernel():
+    assert forbidden_uses(dict(sources(TESTS))["ref.py"]) == []
+
+
+def test_a_forbidden_kernel_use_is_found():
+    source = ("from prismlab.field import INF, lift\nimport prismlab.linalg.falling_powers\n"
+              "def rank_of(A, x):\n    rank = 0\n    rank += len(A.charpoly())\n"
+              "    walk = prismlab.linalg.falling_levels\n"
+              "    return _gauss_ev(A) + rank, walk, x.val(), Family\n"
+              "compose_by_horner = lambda f, g: f.compose(g)\n")
+    assert forbidden_uses(source) == [(1, "lift"), (2, "falling_powers"), (5, "charpoly"),
+                                      (6, "falling_levels"), (7, "_gauss_ev"), (8, "compose")]
+
+
+REFERENCE_NAME = re.compile(r".*_by_.*|ref_.*|.*_oracle")
+
+
+def stray_references(modules):
+    """(file name, function name) of each top-level function of modules
+    ({file name: source}) outside ref.py that is not a test_ function and
+    is named as a reference."""
+    return sorted((module, node.name) for module, source in modules.items() if module != "ref.py"
+                  for node in ast.parse(source).body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not node.name.startswith("test_") and REFERENCE_NAME.fullmatch(node.name))
+
+
+def test_references_live_in_ref():
+    assert stray_references(dict(sources(TESTS))) == []
+
+
+def test_a_stray_reference_is_found():
+    modules = {"ref.py": "def charpoly_by_elements(A):\n    pass\n",
+               "test_a.py": ("def rank_oracle(op):\n    pass\n\n\n"
+                             "def test_charpoly_by_elements():\n    pass\n\n\n"
+                             "class TestX:\n    def ref_inner(self):\n        pass\n\n\n"
+                             "def reference_free(x):\n    pass\n"),
+               "conftest.py": "def ref_mul(x, y):\n    pass\n\n\nasync def roots_by_x():\n    pass\n"}
+    assert stray_references(modules) == [
+        ("conftest.py", "ref_mul"), ("conftest.py", "roots_by_x"), ("test_a.py", "rank_oracle")]
+
+
+def imports_of_test_modules(source):
+    """Line numbers of the imports in source of a test module, a module
+    named test_*: conftest, ref and golden are not test modules."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + ([alias.name for alias in node.names]
+                                           if node.level else [])
+        else:
+            continue
+        if any(name.split(".")[0].startswith("test_") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_test_module_imports_another():
+    found = {name: lines for name, source in sources(TESTS)
+             if name.startswith("test_") and (lines := imports_of_test_modules(source))}
+    assert found == {}
+
+
+def test_a_test_module_import_is_found():
+    source = ("from conftest import twist\nfrom test_strat import random_connection\n"
+              "import test_connops as tc\nimport golden, ref\nfrom . import test_walks\n"
+              "def f():\n    from test_galois import GROWTH_LEVEL\n"
+              "from ref import rank_oracle  # test_connops\nimport os.path as test_path\n")
+    assert imports_of_test_modules(source) == [2, 3, 5, 7]
+
+
+def unreached_references(modules):
+    """The definitions of ref.py that no test module and no conftest.py
+    reaches, modules being {file name: source} of the tests. This module is
+    no root: its planted sources and its docstring name references."""
+    roots = set()
+    for name, source in modules.items():
+        if name == "conftest.py" or name.startswith("test_") and name != "test_source_rules.py":
+            roots |= mentioned([ast.parse(source)])
+    return unreached({"ref.py": modules["ref.py"]}, roots)
+
+
+def test_every_reference_is_reached():
+    assert unreached_references(dict(sources(TESTS))) == []
+
+
+def test_an_unreached_reference_is_found():
+    modules = {"ref.py": ("def read_by_test():\n    return _helper()\n\n\n"
+                          "def _helper():\n    pass\n\n\n"
+                          "def dead_oracle():\n    return _dead_helper()\n\n\n"
+                          "def _dead_helper():\n    pass\n\n\n"
+                          "def read_by_conftest():\n    pass\n\n\n"
+                          "def named_by_rules_only():\n    pass\n"),
+               "test_a.py": ("from ref import read_by_test\n\n\n"
+                             "def test_x():\n    read_by_test()\n"),
+               "conftest.py": "X = read_by_conftest()\n",
+               "golden.py": "def f():\n    return dead_oracle()\n",
+               "test_source_rules.py": "NAMES = ['named_by_rules_only']\n"}
+    assert unreached_references(modules) == [
+        "ref._dead_helper", "ref.dead_oracle", "ref.named_by_rules_only"]

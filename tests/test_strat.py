@@ -1,37 +1,27 @@
 """Stratification <-> log connection equivalence, cocycle and descent checks."""
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from prismlab.errors import LeibnizViolation, NotAStratification, PrismlabError, RingMismatch
 from prismlab.linalg import Matrix
-from prismlab.pdalg import CosimpConfig, PDElement, face, one_plus_a_x_pow
+from prismlab.pdalg import PDElement
 from prismlab.series import TruncSeries
 from prismlab.strat import (Family, LogConnection, Stratification, check_cocycle,
-                            check_leibniz, from_connection, multiplication_by_t_power,
-                            operator_family, to_connection, verify_key_lemma)
+                            check_leibniz, from_connection, operator_family, to_connection,
+                            verify_key_lemma)
 
-from conftest import FOUR_FIELDS, count_calls, random_element
+from conftest import (FOUR_FIELDS, KERNEL_FIELDS, KERNEL_SCALARS, count_calls, kernel_scalar,
+                      random_connection, random_element)
+from ref import (cocycle_by_expansion, cocycle_sides_by_triple_sums, falling_by_products,
+                 family_by_products, key_lemma_by_expansion, leibniz_by_every_power,
+                 t_power_by_shift)
 
 
 def flat_index(k, j, l):
     """Position of T^k e_j in the flattened basis, T-degree major."""
     return k * l + j
-
-
-def random_connection(rng, spec, l, m, unif="T"):
-    N = [[TruncSeries(spec, m, [random_element(rng, spec, 4) for _ in range(m)], unif)
-          for _ in range(l)] for _ in range(l)]
-    return LogConnection(spec, unif, l, m, N)
-
-
-def falling(x, k):
-    out = Fraction(1)
-    for i in range(k):
-        out *= x - i
-    return out
 
 
 class TestOperatorFamily:
@@ -69,7 +59,7 @@ class TestOperatorFamily:
         strat = from_connection(conn, a, D)
         for j in range(D + 1):
             for k in range(m):
-                expect = (a ** j) * q3s.from_rational(falling(Fraction(n + k), j))
+                expect = (a ** j) * q3s.from_rational(falling_by_products(Fraction(n + k), j))
                 for k2 in range(m):
                     got = strat.phi[j][k2, k]
                     assert got == (expect if k2 == k else q3s.zero())
@@ -106,7 +96,7 @@ class TestLeibnizGate:
     def test_multiplication_by_t_violates(self, q3):
         l, m = 1, 3
         a = q3.one()
-        phi1 = multiplication_by_t_power(q3, l, m, 1)
+        phi1 = t_power_by_shift(q3, l, m, 1)
         phi = [Matrix.identity(q3, l * m), phi1]
         strat = Stratification(q3, l, m, 1, a, phi)
         rep = check_leibniz(strat)
@@ -223,23 +213,6 @@ class TestConstructorChecks:
             LogConnection(q3, "T", l, m, [])
 
 
-def leibniz_every_power(strat):
-    """The Leibniz test over every d = 0..m-1, kept as the reference for
-    check_leibniz, which tests d in {0, 1} only."""
-    spec, l, m, a = strat.spec, strat.l, strat.m, strat.a
-    if strat.D < 1:
-        return {"ok": True, "witness": None}
-    phi1 = strat.phi[1]
-    for d in range(m):
-        md = multiplication_by_t_power(spec, l, m, d)
-        gap = phi1 * md - md * phi1 - md.scale(a * d)
-        if not gap.is_zero():
-            where = next((r, c) for r in range(l * m) for c in range(l * m)
-                         if not gap[r, c].is_zero())
-            return {"ok": False, "witness": {"power": d, "entry": where}}
-    return {"ok": True, "witness": None}
-
-
 @settings(max_examples=40, deadline=None)
 @given(field=st.integers(0, 2), l=st.integers(1, 2), m=st.integers(1, 4),
        seed=st.integers(0, 10 ** 6))
@@ -250,7 +223,7 @@ def test_leibniz_at_d_one_matches_every_power(field, l, m, seed):
     spec = [FieldSpec(3, [-3, 1]), FieldSpec(3, [-3, 0, 1]), FieldSpec(2, [-2, 0, 1])][field]
     rng = random.Random(seed)
     strat = from_connection(random_connection(rng, spec, l, m), spec.a_prism(), 2)
-    assert check_leibniz(strat) == leibniz_every_power(strat) == {"ok": True, "witness": None}
+    assert check_leibniz(strat) == leibniz_by_every_power(strat) == {"ok": True, "witness": None}
     n = l * m
     # one perturbed entry, a scalar shift (which commutes with T), and a
     # perturbation confined to the top T-degree
@@ -262,134 +235,7 @@ def test_leibniz_at_d_one_matches_every_power(field, l, m, seed):
             for j in range(n)] for i in range(n)]
     for delta in (Matrix(spec, single), shift, Matrix(spec, top)):
         bad = strat.perturbed(1, delta)
-        assert check_leibniz(bad) == leibniz_every_power(bad)
-
-
-def cocycle_sides_closed_form(strat):
-    """Both sides of the gluing identity by direct triple-sum expansion.
-
-    Only valid on modules with m = 1, where no T-rescaling enters.
-    Serves as an independent cross-check of check_cocycle's staged
-    composite: returns ([[lhs]], [[rhs]]) indexed [component][generator].
-    """
-    assert strat.m == 1
-    spec, l, D, a = strat.spec, strat.l, strat.D, strat.a
-    cfg = CosimpConfig(spec, a, D, 1)
-    lhs = [[PDElement.zero(cfg, 2) for _ in range(l)] for _ in range(l)]
-    rhs = [[PDElement.zero(cfg, 2) for _ in range(l)] for _ in range(l)]
-    for l2 in range(D + 1):
-        for mm in range(D + 1 - l2):
-            for n in range(D + 1 - l2 - mm):
-                mat = strat.phi[l2] * strat.phi[mm + n]
-                sign = -1 if mm % 2 else 1
-                mono = PDElement.monomial(cfg, 2, (l2 + mm, n), 0,
-                                          sign * comb(l2 + mm, l2))
-                w = mono * one_plus_a_x_pow(cfg, 2, 1, -(mm + n))
-                for i2 in range(l):
-                    for j0 in range(l):
-                        c = mat[i2, j0]
-                        if not c.is_zero():
-                            lhs[i2][j0] = lhs[i2][j0] + w.scale(c)
-    for n in range(D + 1):
-        x2n = PDElement.monomial(cfg, 2, (0, n), 0, 1)
-        for i2 in range(l):
-            for j0 in range(l):
-                c = strat.phi[n][i2, j0]
-                if not c.is_zero():
-                    rhs[i2][j0] = rhs[i2][j0] + x2n.scale(c)
-    return lhs, rhs
-
-
-def cocycle_by_expansion(strat):
-    """Compare both composites of the gluing datum on the level-2 ring.
-
-    The paper's literal definition, kept as the reference for check_cocycle.
-    For each flattened basis vector T^k e_j, the inner-then-outer composite
-    is expanded through the twisted face maps and compared against the
-    direct outer expansion, coefficient by coefficient on monomials
-    X1^[k1] X2^[k2] T^j. Running over the whole flattened basis (not just
-    the T^0 generators) makes the check sensitive to every matrix entry of
-    the family.
-    """
-    spec, l, m, D, a = strat.spec, strat.l, strat.m, strat.D, strat.a
-    cfg = CosimpConfig(spec, a, D, m)
-    report = {"ok": True, "degeneracy_ok": True, "witness": None}
-    if not strat.phi[0] == Matrix.identity(spec, l * m):
-        report["ok"] = False
-        report["degeneracy_ok"] = False
-        return report
-
-    q = face(0, PDElement.variable(cfg, 1, 1))
-    gam_q = [q.gamma(n) for n in range(D + 1)]
-    tw_pow = [one_plus_a_x_pow(cfg, 2, 1, k) for k in range(m)]
-    t_mono = [PDElement.monomial(cfg, 2, (0, 0), k, 1) for k in range(m)]
-
-    def embed_plain(f: TruncSeries) -> PDElement:
-        out = PDElement.zero(cfg, 2)
-        for k, c in enumerate(f.coeffs):
-            if not c.is_zero():
-                out = out + t_mono[k].scale(c)
-        return out
-
-    def embed_twisted(f: TruncSeries) -> PDElement:
-        out = PDElement.zero(cfg, 2)
-        for k, c in enumerate(f.coeffs):
-            if not c.is_zero():
-                out = out + (t_mono[k] * tw_pow[k]).scale(c)
-        return out
-
-    cols = {}
-
-    def phi_col(n, c):
-        # column c of phi_n as an l-vector of truncated series; the module
-        # generators occupy columns 0..l-1 (flat index of T^0 e_j is j)
-        if (n, c) not in cols:
-            mat = strat.phi[n]
-            cols[(n, c)] = [TruncSeries(spec, m, [mat[flat_index(k, j, l), c]
-                                                  for k in range(m)])
-                            for j in range(l)]
-        return cols[(n, c)]
-
-    x1 = [PDElement.monomial(cfg, 2, (mm, 0), 0, 1) for mm in range(D + 1)]
-    x2 = [PDElement.monomial(cfg, 2, (0, n), 0, 1) for n in range(D + 1)]
-
-    for x0 in range(l * m):
-        inner = [PDElement.zero(cfg, 2) for _ in range(l)]
-        for n in range(D + 1):
-            v = phi_col(n, x0)
-            for i in range(l):
-                if not v[i].is_zero():
-                    inner[i] = inner[i] + embed_twisted(v[i]) * gam_q[n]
-        lhs = [PDElement.zero(cfg, 2) for _ in range(l)]
-        for i in range(l):
-            if inner[i].is_zero():
-                continue
-            for mm in range(D + 1):
-                w = phi_col(mm, i)
-                factor = x1[mm] * inner[i]
-                for i2 in range(l):
-                    if not w[i2].is_zero():
-                        lhs[i2] = lhs[i2] + embed_plain(w[i2]) * factor
-        rhs = [PDElement.zero(cfg, 2) for _ in range(l)]
-        for n in range(D + 1):
-            v = phi_col(n, x0)
-            for i2 in range(l):
-                if not v[i2].is_zero():
-                    rhs[i2] = rhs[i2] + embed_plain(v[i2]) * x2[n]
-        best = None
-        for i2 in range(l):
-            diff = lhs[i2] - rhs[i2]
-            for (ks, j) in diff.terms:
-                key = (ks[0] + ks[1], ks[0], j, i2)
-                if best is None or key < best[0]:
-                    best = (key, i2, ks, j)
-        if best is not None:
-            _, i2, (k1, k2), j = best
-            report["ok"] = False
-            report["witness"] = {"generator": x0, "component": i2,
-                                 "monomial": {"x1": k1, "x2": k2, "t": j}}
-            return report
-    return report
+        assert check_leibniz(bad) == leibniz_by_every_power(bad)
 
 
 class TestCocycle:
@@ -427,7 +273,7 @@ class TestCocycle:
 
     def test_t_shift_perturbation_fails_in_degree_two(self, rng, q3):
         strat = from_connection(random_connection(rng, q3, 2, 3), q3.a_prism(), 6)
-        delta = multiplication_by_t_power(q3, 2, 3, 1)
+        delta = t_power_by_shift(q3, 2, 3, 1)
         rep = check_cocycle(strat.perturbed(2, delta))
         assert not rep["ok"]
         mono = rep["witness"]["monomial"]
@@ -442,11 +288,11 @@ class TestCocycle:
 
     def test_closed_form_cross_check(self, rng, q3s):
         strat = from_connection(random_connection(rng, q3s, 2, 1), q3s.a_prism(), 6)
-        lhs, rhs = cocycle_sides_closed_form(strat)
+        lhs, rhs = cocycle_sides_by_triple_sums(strat)
         assert all(lhs[i][j] == rhs[i][j] for i in range(2) for j in range(2))
         assert check_cocycle(strat)["ok"]
         bad = strat.perturbed(2, Matrix.identity(q3s, 2))
-        lhs2, rhs2 = cocycle_sides_closed_form(bad)
+        lhs2, rhs2 = cocycle_sides_by_triple_sums(bad)
         assert any(lhs2[i][j] != rhs2[i][j] for i in range(2) for j in range(2))
         assert not check_cocycle(bad)["ok"]
 
@@ -580,51 +426,6 @@ def test_off_generator_failure_walks_the_family_once(monkeypatch):
         assert products == {"apply": 0, "__mul__": 0}
 
 
-def key_lemma_by_expansion(phi, a, n_max, D):
-    """The key lemma's scalars read off PDElement expansions: the X^[k]
-    coefficient of (-1)^mm C(i+mm, i) X^[i+mm] (1+aX)^(-(mm+n)) in the
-    level-1 divided-power ring, the same product cache, loop order and
-    witness search as verify_key_lemma. The literal reference for it."""
-    if len(phi) < n_max + D + 1:
-        raise ValueError("operator family too short for this check")
-    spec = phi[0].spec
-    size = len(phi[0].rows)
-    cfg = CosimpConfig(spec, a, D, 1)
-    prod_cache = {}
-
-    def pp(i, k):
-        if (i, k) not in prod_cache:
-            prod_cache[(i, k)] = phi[i] * phi[k]
-        return prod_cache[(i, k)]
-
-    scal = {}
-    for n in range(n_max + 1):
-        for i in range(D + 1):
-            for mm in range(D + 1 - i):
-                s = one_plus_a_x_pow(cfg, 1, 1, -(mm + n))
-                sign = -1 if mm % 2 else 1
-                coef = sign * comb(i + mm, i)
-                scal[(n, i, mm)] = (PDElement.monomial(cfg, 1, (i + mm,), 0, coef) * s)
-
-    zero = Matrix.zero(spec, size, size)
-    for k in range(D + 1):
-        for n in range(n_max + 1):
-            acc = zero
-            for i in range(k + 1):
-                for mm in range(k + 1 - i):
-                    c = scal[(n, i, mm)].coeff((k,))
-                    if not c.is_zero():
-                        acc = acc + pp(i, mm + n).scale(c)
-            target = phi[n] if k == 0 else zero
-            if not acc == target:
-                gap = acc - target
-                where = next((r, cc) for r in range(size) for cc in range(size)
-                             if not gap[r, cc].is_zero())
-                return {"ok": False,
-                        "witness": {"n": n, "pd_degree": k, "entry": where}}
-    return {"ok": True, "witness": None}
-
-
 class TestKeyLemma:
     def test_scalar_family_passes(self, q3):
         a = q3.a_prism()
@@ -729,34 +530,6 @@ def test_cocycle_property(m, seed):
     assert check_cocycle(strat)["ok"]
 
 
-# the benchmark's four fields (e = 1, 2, 2, 3) and the quintic
-# u^5 + 3u^4 - 6u^2 + 3u + 12 over Q_3
-KERNEL_FIELDS = [(3, (-3, 1)), (3, (-3, 0, 1)), (2, (-2, 0, 1)), (3, (3, 3, 0, 1)),
-                 (3, (12, 3, -6, 0, 3, 1))]
-
-
-def family_by_products(phi1, a, count):
-    """phi_(n+1) = (phi_1 - n*a) phi_n by plain Matrix products, the
-    reference for the integer kernel of operator_family."""
-    n = phi1.nrows
-    out = [Matrix.identity(phi1.spec, n)]
-    for k in range(count - 1):
-        out.append((phi1 - Matrix.identity(phi1.spec, n).scale(a * k)) * out[-1])
-    return out
-
-
-def kernel_scalar(spec, choice):
-    if choice == "prism":
-        return spec.a_prism()
-    if choice == "log":
-        return spec.a_log()
-    if choice == "irrational":
-        # not rational once e > 1; for e = 1 every element is
-        return spec.element([Fraction(1, 2), 5, -1][:spec.e])
-    return spec.from_rational(choice)
-
-
-KERNEL_SCALARS = ["prism", "log", 1, Fraction(2, 3), 0, "irrational"]
 kernel_numerators = st.integers(-9, 9) | st.integers(2 ** 200, 2 ** 201) \
     | st.integers(-2 ** 201, -2 ** 200)
 
@@ -826,7 +599,7 @@ def test_round_trip_matches_matrix_products(field, l, m, choice, D, big, seed):
     strat = from_connection(conn, a, D)
     phi1 = conn.operator().scale(a)
     assert strat.phi == family_by_products(phi1, a, D + 1)
-    assert check_leibniz(strat) == leibniz_every_power(strat)
+    assert check_leibniz(strat) == leibniz_by_every_power(strat)
     if D >= 1 and not a.is_zero():
         op = phi1.scale(a.invert())
         back = to_connection(strat)

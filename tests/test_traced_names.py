@@ -6,18 +6,8 @@ This test reads that table (it changes nothing under perfbench/), so
 deleting or renaming a traced function fails here first.
 """
 import importlib
-import importlib.util
-import os
 
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-
-
-def load_layertrace():
-    path = os.path.join(ROOT, "perfbench", "layertrace.py")
-    spec = importlib.util.spec_from_file_location("perfbench_layertrace", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_layertrace
 
 
 def missing_names(traced, moved):

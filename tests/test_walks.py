@@ -3,8 +3,8 @@
 PackedLevel.agrees is checked against PackedLevel.matrix() followed by ==,
 PackedLevel.ev against _gauss_ev of PackedLevel.matrix(),
 and the two walks of strat (_first_off_family and first_off_recurrence)
-against copies of their versions that built every level as a matrix,
-kept here as references.
+against their references in ref.py, which build every level by Matrix
+products.
 """
 import random
 from fractions import Fraction
@@ -17,34 +17,8 @@ from prismlab.field import FieldSpec
 from prismlab.linalg import Matrix, falling_levels, falling_powers
 from prismlab.strat import LogConnection
 
-from conftest import FOUR_FIELDS
-from test_strat import KERNEL_FIELDS, KERNEL_SCALARS, kernel_scalar, random_connection
-
-
-def first_off_recurrence_by_matrices(phi, a):
-    """first_off_recurrence with every level built and compared by ==."""
-    if len(phi) < 3:
-        return None
-    return next((n for n, psi in enumerate(falling_powers(phi[1], a, len(phi)))
-                 if n >= 2 and phi[n] != psi), None)
-
-
-def first_off_family_by_matrices(phi, psi1, a):
-    """strat._first_off_family with every level built and compared by rows."""
-    found, bound = None, psi1.ncols
-    for n, psi in enumerate(falling_powers(psi1, a, len(phi))):
-        if n == 0:
-            continue
-        rows = phi[n].rows
-        if found is None and rows == psi.rows:
-            continue
-        for r, (x, y) in enumerate(zip(rows, psi.rows)):
-            if x[:bound] != y[:bound]:
-                bound = next(c for c in range(bound) if x[c] != y[c])
-                found = (bound, n, r)
-        if bound == 0:
-            break
-    return found
+from conftest import FOUR_FIELDS, KERNEL_FIELDS, KERNEL_SCALARS, kernel_scalar, random_connection
+from ref import first_off_family_by_matrices, first_off_recurrence_by_matrices
 
 
 CHANGES = ("random", "seventh", "huge", "alias", "zero", "negate")
