@@ -8,7 +8,7 @@ from math import floor
 from typing import Dict, List, Optional, Sequence
 
 from .errors import BadTruncationIndex, NotAUniformizer, RingMismatch
-from .field import INF, FieldElement, FieldSpec, from_ev, lift, num_ev
+from .field import INF, FieldElement, FieldSpec, from_ev, num_ev
 from .linalg import Matrix, eval_poly, null_basis, poly_deflate
 from .series import TruncSeries, lambda_approx
 from .strat import LogConnection
@@ -251,17 +251,23 @@ def probe_nilpotency(M: LogConnection, a, n_max: int = 200) -> dict:
     return {"trace": trace}
 
 
+def _coefficient_evs(spec: FieldSpec, f: Sequence[tuple]) -> list:
+    """ev_j = field.num_ev(f_j) of each numerator tuple f_j."""
+    return [num_ev(x, spec.p, spec.e) for x in f]
+
+
+def _least_minimiser(evs: Sequence, num: int, den: int) -> int:
+    """The least j minimising ev_j * den + j * num over the ev_j not None."""
+    return min((ev * den + j * num, j) for j, ev in enumerate(evs) if ev is not None)[1]
+
+
 def _roots_above(spec: FieldSpec, f: Sequence[tuple], c: Fraction) -> int:
     """Roots of valuation > c, with multiplicity, of the polynomial whose
     coefficients are a positive multiple of the numerator tuples f: by its
     Newton polygon, the smallest j minimising v(f_j) + j*c over the nonzero
     coefficients (a zero root leaves f_0 = 0 out). Compared on integers:
-    e * den(c) times each term is ev_j * den(c) + j * e * num(c), with
-    ev_j = field.num_ev(f_j)."""
-    p, e = spec.p, spec.e
-    num, den = c.numerator * e, c.denominator
-    return min((ev * den + j * num, j) for j, ev in enumerate([num_ev(x, p, e) for x in f])
-               if ev is not None)[1]
+    e * den(c) times each term is ev_j * den(c) + j * e * num(c)."""
+    return _least_minimiser(_coefficient_evs(spec, f), c.numerator * spec.e, c.denominator)
 
 
 def _taylor_shift(f: Sequence[tuple], s: int) -> List[tuple]:
@@ -277,9 +283,9 @@ def _taylor_shift(f: Sequence[tuple], s: int) -> List[tuple]:
 def _near_integer_roots(spec: FieldSpec, f: Sequence[tuple], c: Fraction) -> Dict[int, int]:
     """Roots w of a monic chi with v(w - k) > c for some integer k, as
     {k: count with multiplicity} over the discs that hold one, from f, the
-    numerator tuples of chi's coefficients over one common denominator
-    (field.lift): a positive scale moves no root and no minimising j of a
-    Newton polygon, so the descent runs on integers alone.
+    numerator tuples of chi's coefficients over one positive scale
+    (Matrix.charpoly_numerators): a positive scale moves no root and no
+    minimising j of a Newton polygon, so the descent runs on integers alone.
 
     For c < 0 that is the one disc v(x) > c, keyed 0. For c >= 0 the disc
     v(x - k) > c depends only on k mod p^n, n = floor(c) + 1: level t keeps
@@ -306,13 +312,17 @@ def _near_integer_roots(spec: FieldSpec, f: Sequence[tuple], c: Fraction) -> Dic
     return {k: cnt for k, (cnt, _) in live.items()}
 
 
-def _near_weights(spec: FieldSpec, f: Sequence[tuple], a: FieldElement) -> int:
+def _near_weights(spec: FieldSpec, f: Sequence[tuple], evs: Sequence,
+                  a: FieldElement) -> int:
     """Roots w, with multiplicity, with val(a) + dist(w, Z) > 0, of the
-    charpoly whose coefficients have the numerator tuples f (field.lift):
-    those within more than -val(a) = -ev/e of an integer."""
+    charpoly with numerator tuples f and their _coefficient_evs evs: those
+    within more than -val(a) = -ev/e of an integer. At ev > 0 that is the
+    one disc v(x) > -ev/e, counted as _roots_above does, on integers."""
     ev = a._ev()
     if ev is None:
         return len(f) - 1
+    if ev > 0:
+        return _least_minimiser(evs, -ev, 1)
     return sum(_near_integer_roots(spec, f, Fraction(-ev, spec.e)).values())
 
 
@@ -325,17 +335,21 @@ def check_nilpotent(M: LogConnection, a) -> dict:
         a = spec.from_rational(a)
     elif a.spec != spec:
         raise RingMismatch("scalar a lives over a different field")
-    near = _near_weights(spec, lift(M.residual_matrix().charpoly())[1], a)
+    f = M.residual_matrix().charpoly_numerators()[1]
+    near = _near_weights(spec, f, _coefficient_evs(spec, f), a)
     return {"status": "ProvenNilpotent" if near == M.l else "ProvenNotNilpotent",
             "evidence": {"near_weights": near}}
 
 
 def classify_ndR(M: LogConnection) -> dict:
     """Nearly and log-nearly de Rham flags: nilpotency at the two canonical
-    scalars a_prism and a_log, both read off one lifted residual charpoly."""
+    scalars a_prism and a_log, both read off the numerators of one residual
+    charpoly and one table of their valuations."""
     spec = M.spec
-    f = lift(M.residual_matrix().charpoly())[1]
-    near, log_near = (_near_weights(spec, f, a) == M.l for a in (spec.a_prism(), spec.a_log()))
+    f = M.residual_matrix().charpoly_numerators()[1]
+    evs = _coefficient_evs(spec, f)
+    near, log_near = (_near_weights(spec, f, evs, a) == M.l
+                      for a in (spec.a_prism(), spec.a_log()))
     return {"status": "proven", "nearly_dR": near, "log_nearly_dR": log_near}
 
 

@@ -99,7 +99,14 @@ class FieldSpec:
     """The field K = Q_p[u]/(E(u)) with E monic Eisenstein at p."""
 
     def __init__(self, p: int, ecoeffs: Sequence[int]):
-        coeffs = [int(c) for c in ecoeffs]
+        """p an int, E's coefficients ints or integral Fractions; nothing
+        else is converted."""
+        if type(p) is not int:
+            raise InputFormatError(f"p = {p!r} is not an integer")
+        coeffs = [c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                  for c in ecoeffs]
+        if bad := [c for c in coeffs if type(c) is not int]:
+            raise InputFormatError(f"E coefficient {bad[0]!r} is not an integer")
         if p >= PRIME_BOUND:
             raise InputFormatError(
                 f"p = {p} is beyond the proven primality range p < {PRIME_BOUND}")

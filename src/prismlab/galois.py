@@ -7,7 +7,7 @@ from typing import List, Optional, Sequence
 
 from .connops import _gauss_ev, _near_integer_roots
 from .errors import InputFormatError, InvalidValuation, RingMismatch
-from .field import INF, FieldElement, _exact, _vp_int, lift
+from .field import INF, FieldElement, _exact, _vp_int
 from .linalg import Matrix, falling_levels
 from .strat import (Family, LogConnection, first_off_recurrence, from_connection,
                     operator_family)
@@ -39,8 +39,10 @@ class GaloisKernel:
     """Operators A_0..A_D of the series x -> sum_n A_n(x) X^[n]: A_0 = I,
     A_(n+1) = (A_1 - n*a) A_n, and c = p^i or 2 p^i when given. spec, D
     and tag = kernel_tag(spec, a) are read off A and a. A Family shares the
-    shape and field of its A_1 (A_0 at D = 0) and follows the recurrence,
-    so only that operator is checked and no walk is taken."""
+    shape and field of its A_1 (A_0 at D = 0) and follows the recurrence at
+    its own a, so only that operator and that a are checked and no walk is
+    taken: another a moves A_2 by (a - A.a) A_1, which is refused as in a
+    list when D >= 2 and A_1 != 0."""
 
     def __init__(self, A: Sequence[Matrix], a, c: Optional[int] = None):
         explicit = not isinstance(A, Family)
@@ -63,7 +65,8 @@ class GaloisKernel:
         if explicit and not A[0].is_identity():
             raise InputFormatError("kernel slot 0 must be the identity")
         # converges_at decides from A_1 alone, so the rest must follow from it
-        bad = first_off_recurrence(A, a) if explicit else None
+        bad = (first_off_recurrence(A, a) if explicit
+               else 2 if len(A) > 2 and A.a != a and not A[1].is_zero() else None)
         if bad is not None:
             raise InputFormatError(f"kernel operator A_{bad} breaks A_(n+1) = (A_1 - n*a) A_n")
         self.spec, self.D, self.A, self.a, self.c = spec, len(A) - 1, A, a, c
@@ -171,7 +174,8 @@ def _converges(op: Matrix, sigma: Fraction) -> bool:
     """
     spec, size = op.spec, op.nrows
     if sigma > 0:
-        near = _near_integer_roots(spec, lift(op.charpoly())[1], _slope_threshold(sigma, spec.p))
+        near = _near_integer_roots(spec, op.charpoly_numerators()[1],
+                                   _slope_threshold(sigma, spec.p))
         return sum(near.values()) == size
     t = op.trace()
     t = t.rational_value() if t.is_rational() else None
@@ -179,7 +183,7 @@ def _converges(op: Matrix, sigma: Fraction) -> bool:
         return False
     ident = Matrix.identity(spec, size)
     prod = ident
-    f = lift(op.charpoly())[1]
+    f = op.charpoly_numerators()[1]
     for k in _near_integer_roots(spec, f, Fraction(digit_count(t.numerator, spec.p) - 1)):
         prod = (op - ident.scale(k)) * prod
     return prod.is_zero()

@@ -188,8 +188,17 @@ class Matrix:
         return self.reduce_rows()[2]
 
     def charpoly(self) -> List[FieldElement]:
-        """Coefficients of det(x*I - A), low-to-high, leading 1, by
-        Faddeev-LeVerrier (H. Cohen, GTM 138, 2.2) on integers.
+        """Coefficients of det(x*I - A), low-to-high, leading spec.one(),
+        from charpoly_numerators."""
+        scale, f = self.charpoly_numerators()
+        spec = self.spec
+        return [_make(spec, x, scale) for x in f[:-1]] + [spec.one()]
+
+    def charpoly_numerators(self):
+        """(scale, f): the coefficients of det(x*I - A), low-to-high, as
+        numerator tuples f_j over one scale > 0, which moves no root and no
+        Newton polygon vertex, by Faddeev-LeVerrier (H. Cohen, GTM 138,
+        2.2) on integers, building no field element.
 
         A is lifted once over the least common denominator den of its
         entries (field.lift), so X = den * A has entries in Z[pi], as
@@ -198,20 +207,23 @@ class Matrix:
         of which the last step needs the trace alone. E is monic, so Z[pi]
         is free on 1, ..., pi^(e-1) and the charpoly of X lies in Z[pi][x]:
         each division by k is exact coordinate by coordinate. The
-        coefficient of x^j is d_j / den^(n-j), one field element each.
+        coefficient of x^j is d_j / den^(n-j), so f_j = d_j * den^j over
+        den^n. At size 1 that is -X over den, with no loop.
         """
         self._check_square("charpoly")
         n, spec = self.nrows, self.spec
         mul, zero = spec._mulnum, (0,) * spec.e
         # M_k row by row in one flat list, its diagonal every n + 1 entries
         den, M = field.lift([x for row in self.rows for x in row])
-        coeffs = [None] * n + [spec.one()]
-        terms, dk = M[::n + 1], 1
+        scale = den ** n
+        f = [None] * n + [(scale,) + zero[1:]]
+        if n == 1:
+            f[0] = tuple(map(neg, M[0]))
+            return scale, f
+        terms = M[::n + 1]
         for k in range(1, n + 1):
             # the terms of tr(M_k), each a numerator tuple
-            d = tuple([-t // k for t in map(sum, zip(zero, *terms))])
-            dk *= den
-            coeffs[n - k] = _make(spec, d, dk)
+            d = f[n - k] = tuple([-t // k for t in map(sum, zip(zero, *terms))])
             if k == n:
                 break
             if k == 1:
@@ -235,7 +247,9 @@ class Matrix:
                         acc[j] = tuple(map(add, acc[j], mul(x, y)))
                 M += acc
             terms = M[::n + 1]
-        return coeffs
+        if den != 1:
+            f[1:n] = [tuple([x * den ** j for x in d]) for j, d in enumerate(f[1:n], 1)]
+        return scale, f
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"

@@ -135,17 +135,19 @@ def first_off_recurrence(phi: Sequence[Matrix], a) -> Optional[int]:
 class Family(Sequence):
     """The operators phi_0..phi_D = falling_powers(phi_1, a, D + 1) of a
     stratification made from a connection, a read-only sequence in two
-    states. It holds phi_0 and phi_1 and the suspended generator, which
-    holds no kernel state yet. Any slice, even phi[:2], and any index past 1
-    (a negative one too) makes the family whole: phi_2..phi_D in one walk,
-    after which the generator is dropped and every read is a list read.
+    states; a is the scalar it was generated at. It holds phi_0 and phi_1
+    and the suspended generator, which holds no kernel state yet. Any
+    slice, even phi[:2], and any index past 1 (a negative one too) makes
+    the family whole: phi_2..phi_D in one walk, after which the generator
+    is dropped and every read is a list read.
     So a reader that needs only phi_0 and phi_1 reads them by index.
     Indexing, slicing (to a list), iteration and == against a list or a
     family behave as on a list of the operators.
     """
-    __slots__ = ("_ops", "_rest", "_len")
+    __slots__ = ("_ops", "_rest", "_len", "a")
 
     def __init__(self, phi1: Matrix, a: FieldElement, D: int):
+        self.a = a
         self._rest = falling_powers(phi1, a, D + 1)
         self._ops = list(islice(self._rest, 2))
         self._len = D + 1

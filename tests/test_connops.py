@@ -313,8 +313,8 @@ class TestNilpotency:
         M = constant_conn(q3, 1, [[0, 7], [1, 0]])
         assert not residual_sen(M)["split"]
         calls, shifts = [], []
-        charpoly, shift = Matrix.charpoly, connops._taylor_shift
-        monkeypatch.setattr(Matrix, "charpoly",
+        charpoly, shift = Matrix.charpoly_numerators, connops._taylor_shift
+        monkeypatch.setattr(Matrix, "charpoly_numerators",
                             lambda self: calls.append(1) or charpoly(self))
         monkeypatch.setattr(connops, "_taylor_shift",
                             lambda chi, s: shifts.append(s) or shift(chi, s))
@@ -637,6 +637,27 @@ def test_nilpotency_matches_margins_and_probe(seed, field, l, scalar):
     if sen["split"]:
         assert nilpotent == all(a.val() + pw["dist"] > 0 for pw in sen["per_weight"])
     assert nilpotent == (near_weight_count_by_polygons(M, a) == l)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), field=st.integers(0, 3), l=st.integers(1, 3))
+@example(seed=1, field=0, l=3)  # over Q_3, both flags true
+@example(seed=3, field=0, l=3)  # over Q_3, only log_nearly_dR
+def test_classify_flags_match_polygon_counts(seed, field, l):
+    """Both flags against the exact near-weight count at a_prism and a_log
+    (near_weight_count_by_polygons). Over Q_3 val(a_prism) = 0 takes the
+    descent; every other scalar here has val(a) > 0 and takes the one disc,
+    read off the shared valuation table."""
+    import random
+    spec = FOUR_FIELDS[field]
+    rng = random.Random(seed)
+    rows = [[spec.element([random_rational(rng) if rng.random() < 0.7 else 0
+                           for _ in range(spec.e)]) for _ in range(l)]
+            for _ in range(l)]
+    M = constant_conn(spec, 1, rows)
+    rep = classify_ndR(M)
+    assert (rep["nearly_dR"], rep["log_nearly_dR"]) == tuple(
+        near_weight_count_by_polygons(M, a) == l for a in (spec.a_prism(), spec.a_log()))
 
 
 @settings(max_examples=40, deadline=None)

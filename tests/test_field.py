@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,21 @@ class TestFieldSpec:
     def test_rejects_non_monic(self):
         with pytest.raises(InputFormatError, match="E must be monic of degree >= 1"):
             FieldSpec(3, [-3, 2])
+
+    def test_refuses_a_p_or_coefficient_that_is_no_integer(self):
+        """Nothing is truncated or converted: a non-integral Fraction, a
+        float, a bool or a string is refused, an integral Fraction read."""
+        for p, E, message in ((3, [-3, Fraction(1, 2), 1], "E coefficient Fraction(1, 2) "),
+                              (3, [-3.9, 0, 1.0], "E coefficient -3.9 "),
+                              (3, [-3, 0.0, 1], "E coefficient 0.0 "),
+                              (3, [-3, True], "E coefficient True "),
+                              (3, ["x", 1], "E coefficient 'x' "),
+                              (3.0, [-3, 1], "p = 3.0 "), ("3", [-3, 1], "p = '3' "),
+                              (True, [-3, 1], "p = True ")):
+            with pytest.raises(InputFormatError, match=f"^{re.escape(message)}is not an integer$"):
+                FieldSpec(p, E)
+        assert FieldSpec(3, (Fraction(-6, 2), 0, 1)) == FieldSpec(3, [-3, 0, 1])
+        assert type(FieldSpec(3, [Fraction(-3), 1]).ecoeffs[0]) is int
 
     def test_accepts_examples(self, q3, q3s, q2s, cubic3):
         assert q3.e == 1

@@ -115,6 +115,25 @@ class TestActionKernel:
         assert GaloisKernel([one, one], 1, 3).c == 3
         assert GaloisKernel(off[:2], 1).D == 1
 
+    def test_family_at_another_a_refused_as_its_list(self, q3):
+        """A family checks the a it was generated at against the kernel's,
+        as a list is checked by its walk: another a moves A_2 by
+        (a - A.a) A_1, so both forms are refused once D >= 2 and A_1 != 0,
+        and both are built when D < 2 or A_1 = 0."""
+        M = constant_conn(q3, 1, [[0, 2], [1, 0]])
+        zero = constant_conn(q3, 1, [[0]])
+        for conn, a, D, refused in ((M, q3.a_prism(), 4, True), (M, q3.a_prism(), 2, True),
+                                    (M, q3.a_prism(), 1, False), (M, 0, 4, False),
+                                    (zero, q3.a_prism(), 4, False), (M, 5, 4, False)):
+            strat = from_connection(conn, a, D)
+            for A in (strat.phi, list(strat.phi)):
+                if refused:
+                    with pytest.raises(InputFormatError,
+                                       match="^kernel operator A_2 breaks A_\\(n\\+1\\) "):
+                        GaloisKernel(A, 5)
+                else:
+                    assert GaloisKernel(A, 5).D == D
+
     def test_generated_family_takes_no_recurrence_walk(self, rng, q3, monkeypatch):
         def walk(*args):
             raise AssertionError("recurrence walked")
@@ -274,8 +293,8 @@ class TestConvergence:
         # on Taylor shifts of one charpoly
         k = action_kernel(constant_conn(q3, 1, [[10 ** 30]]), Fraction(1, 27), 4)
         calls, shifts = [], []
-        charpoly, shift = Matrix.charpoly, connops._taylor_shift
-        monkeypatch.setattr(Matrix, "charpoly",
+        charpoly, shift = Matrix.charpoly_numerators, connops._taylor_shift
+        monkeypatch.setattr(Matrix, "charpoly_numerators",
                             lambda self: calls.append(1) or charpoly(self))
         monkeypatch.setattr(connops, "_taylor_shift",
                             lambda chi, s: shifts.append(s) or shift(chi, s))

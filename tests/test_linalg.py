@@ -219,3 +219,35 @@ def test_charpoly_makes_no_field_arithmetic(cubic3, monkeypatch):
                         + [(linalg, "_make")])
     assert A.charpoly() == want
     assert calls == dict.fromkeys(names, 0) | {"_make": 4}
+
+
+@st.composite
+def small_charpoly_matrices(draw):
+    """Square matrices of size 1-4 over the benchmark fields, entries zero
+    or with coordinates over p-divisible and coprime denominators."""
+    spec = draw(st.sampled_from(FOUR_FIELDS))
+    n = draw(st.integers(1, 4))
+    p = spec.p
+    coord = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, p, p ** 3, 7 * p, 7]))
+    entry = st.just(0) | st.lists(coord, min_size=spec.e, max_size=spec.e).map(spec.element)
+    return Matrix(spec, draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                      min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_charpoly_matrices())
+def test_charpoly_numerators_over_their_scale_are_the_charpoly(A):
+    scale, f = A.charpoly_numerators()
+    assert type(scale) is int and scale > 0 and len(f) == A.nrows + 1
+    assert all(len(x) == A.spec.e and all(type(c) is int for c in x) for x in f)
+    assert [A.spec.element([Fraction(c, scale) for c in x]) for x in f] == charpoly_by_elements(A)
+
+
+def test_charpoly_numerators_scale_is_den_to_the_n(q3s):
+    """f_j = d_j * den^j over den^n, d_j the coefficients of the charpoly
+    of den * A: at size 1 that is -den * A over den."""
+    assert Matrix(q3s, [[q3s.element([Fraction(2, 3), Fraction(-1, 9)])]]).charpoly_numerators() \
+        == (9, [(-6, 1), (9, 0)])
+    # den = 2: den * A = [[1, 2], [0, 3]] has charpoly x^2 - 4x + 3
+    A = Matrix(q3s, [[Fraction(1, 2), 1], [0, Fraction(3, 2)]])
+    assert A.charpoly_numerators() == (4, [(3, 0), (-8, 0), (4, 0)])

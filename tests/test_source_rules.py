@@ -356,7 +356,7 @@ def root_by_name():
 REF_FORBIDDEN = {
     "lift", "regular", "_vp_int", "num_ev", "_mulnum",
     "falling_levels", "falling_powers", "PackedLevel",
-    "charpoly", "reduce_rows", "rref", "rank", "kernel_basis", "column_pivots", "null_basis",
+    "charpoly", "charpoly_numerators", "reduce_rows", "rref", "rank", "kernel_basis", "column_pivots", "null_basis",
     "_t_linear", "operator_family", "Family", "first_off_recurrence", "_off_levels",
     "_first_off_family",
     "_near_integer_roots", "_roots_above", "_taylor_shift", "_gauss_ev",
