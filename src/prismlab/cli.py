@@ -79,7 +79,8 @@ def _lenient_connection(obj) -> LogConnection:
         unif = obj.setdefault("unif", "T")
         m, N = obj.get("m"), obj.get("N")
         E = obj["field"].get("E") if isinstance(obj.get("field"), dict) else None
-        # anything else makes parse_connection fail before it reads a cell
+        # otherwise there is no m to pad to: the cells stay as given, and
+        # parse_connection refuses the first that is not a series object
         if (type(m) is int and m >= 1 and isinstance(N, list) and isinstance(E, list)
                 and all(isinstance(row, list) for row in N)):
             obj["N"] = [[_series_object(cell, unif, m, len(E) - 1) for cell in row]

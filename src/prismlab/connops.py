@@ -236,8 +236,7 @@ def probe_nilpotency(M: LogConnection, a, n_max: int = 200) -> dict:
     when the product vanishes. It gives no verdict: check_nilpotent
     decides a-nilpotency exactly."""
     spec = M.spec
-    if not isinstance(a, FieldElement):
-        a = spec.from_rational(a)
+    a = spec.scalar(a)
     res = M.residual_matrix()
     va = a.val()
     P = Matrix.identity(spec, M.l)
@@ -331,10 +330,7 @@ def check_nilpotent(M: LogConnection, a) -> dict:
     residual weight w, from the residual charpoly alone: no weight is
     searched for. An a from another field is refused before any work."""
     spec = M.spec
-    if not isinstance(a, FieldElement):
-        a = spec.from_rational(a)
-    elif a.spec != spec:
-        raise RingMismatch("scalar a lives over a different field")
+    a = spec.scalar(a)
     f = M.residual_matrix().charpoly_numerators()[1]
     near = _near_weights(spec, f, _coefficient_evs(spec, f), a)
     return {"status": "ProvenNilpotent" if near == M.l else "ProvenNotNilpotent",

@@ -26,11 +26,13 @@ class IndexOutOfRange(PrismlabError):
 
 
 class NotAStratification(PrismlabError):
-    """Operator family violates the degeneracy condition phi_0 = id."""
+    """A failed mathematical check of an operator family, such as phi_0 = id;
+    a fault of shape, type or range is an InputFormatError."""
 
 
 class LeibnizViolation(PrismlabError):
-    """phi_1 fails the twisted Leibniz relation required of a stratification."""
+    """phi_1 fails the twisted Leibniz relation required of a stratification:
+    a failed check, as NotAStratification."""
 
 
 class RingMismatch(PrismlabError):
@@ -46,5 +48,6 @@ class InvalidValuation(PrismlabError):
 
 
 class InputFormatError(PrismlabError):
-    """Malformed or inconsistent input: serialized, a kernel built in process
-    or a field built in process."""
+    """Malformed or inconsistent input, serialized or given to a constructor
+    in process: a fault of shape, type or range. Every constructor raises
+    it, and the CLI exits 2 on it."""

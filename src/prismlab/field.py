@@ -15,7 +15,7 @@ from math import gcd, lcm
 from operator import add, sub
 from typing import Iterable, Sequence, Union
 
-from .errors import InputFormatError, ZeroInversion
+from .errors import InputFormatError, RingMismatch, ZeroInversion
 
 Rat = Union[int, Fraction]
 
@@ -148,7 +148,7 @@ class FieldSpec:
     def element(self, coords: Iterable[Rat]) -> "FieldElement":
         cs = list(coords)
         if len(cs) > self.e:
-            raise ValueError(f"at most {self.e} coordinates expected")
+            raise InputFormatError(f"at most {self.e} coordinates expected")
         cs = [_exact(c) for c in cs]
         den = lcm(*[c.denominator for c in cs])
         return _make(self, tuple([c.numerator * (den // c.denominator) for c in cs])
@@ -165,6 +165,16 @@ class FieldSpec:
             r = _exact(r)
             return _make(self, (r.numerator,) + self._higher, r.denominator)
         return _make(self, (r,) + self._higher, 1)
+
+    def scalar(self, x) -> "FieldElement":
+        """x as an element of this field, the one conversion of a scalar
+        argument: an element of this field as it is, an int or a Fraction by
+        from_rational, and an element of another field refused."""
+        if isinstance(x, FieldElement):
+            if x.spec is self or x.spec == self:
+                return x
+            raise RingMismatch("element over a different field")
+        return self.from_rational(x)
 
     def pi(self) -> "FieldElement":
         return self._pi
@@ -324,12 +334,8 @@ class FieldElement:
         return tuple([Fraction(n, den) for n in self._num])
 
     def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.spec is not self.spec and other.spec != self.spec:
-                raise ValueError("elements of different fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.spec.from_rational(other)
+        if isinstance(other, (int, Fraction, FieldElement)):
+            return self.spec.scalar(other)
         return NotImplemented
 
     def __add__(self, other):

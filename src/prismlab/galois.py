@@ -55,9 +55,7 @@ class GaloisKernel:
                 raise RingMismatch("operator over a different field")
             if op.nrows != size or op.ncols != size:
                 raise InputFormatError("kernel operators must share one square size")
-        a = a if isinstance(a, FieldElement) else spec.from_rational(a)
-        if a.spec is not spec and a.spec != spec:
-            raise RingMismatch("a over a different field")
+        a = spec.scalar(a)
         # c = p^i or 2 p^i: its p-free part is 1 or 2
         if c is not None and (type(c) is not int or c < 1
                               or c // spec.p ** _vp_int(c, spec.p) not in (1, 2)):
@@ -107,8 +105,7 @@ def h_series(M: LogConnection, a, D: int) -> List[Matrix]:
     that H[n] is the X^[n] coefficient.
     """
     spec = M.spec
-    if not isinstance(a, FieldElement):
-        a = spec.from_rational(a)
+    a = spec.scalar(a)
     op = M.operator()
     size = op.nrows
     # operator_family(op - I, 1, D)[n] = (op - 1)...(op - n)

@@ -24,8 +24,7 @@ from .field import FieldElement, FieldSpec, _make, _vp_int
 class Matrix:
     def __init__(self, spec: FieldSpec, rows):
         self.spec = spec
-        self.rows = tuple(tuple(x if isinstance(x, FieldElement) else spec.from_rational(x)
-                                for x in row) for row in rows)
+        self.rows = tuple(tuple([spec.scalar(x) for x in row]) for row in rows)
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         if any(len(r) != self.ncols for r in self.rows):
@@ -105,8 +104,8 @@ class Matrix:
         return Matrix._trusted(self.spec, tuple(out))
 
     def scale(self, c) -> "Matrix":
-        if type(c) is not int and not isinstance(c, FieldElement):
-            c = self.spec.from_rational(c)
+        if type(c) is not int:
+            c = self.spec.scalar(c)
         return Matrix._trusted(self.spec, tuple(tuple([a * c for a in r]) for r in self.rows))
 
     def transpose(self) -> "Matrix":

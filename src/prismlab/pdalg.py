@@ -20,9 +20,7 @@ class CosimpConfig:
     def __init__(self, spec: FieldSpec, a, D: int, m: int):
         assert D >= 0 and m >= 1
         self.spec = spec
-        if not isinstance(a, FieldElement):
-            a = spec.from_rational(a)
-        self.a = a
+        self.a = spec.scalar(a)
         self.D = D
         self.m = m
 
@@ -75,9 +73,7 @@ class PDElement:
 
     @classmethod
     def monomial(cls, config, degree, ks, j, c):
-        if not isinstance(c, FieldElement):
-            c = config.spec.from_rational(c)
-        return cls(config, degree, {(tuple(ks), j): c})
+        return cls(config, degree, {(tuple(ks), j): config.spec.scalar(c)})
 
     @classmethod
     def variable(cls, config, degree, i):
@@ -115,8 +111,7 @@ class PDElement:
         return self + (-other)
 
     def scale(self, s) -> "PDElement":
-        if not isinstance(s, FieldElement):
-            s = self.config.spec.from_rational(s)
+        s = self.config.spec.scalar(s)
         return PDElement._trusted(self.config, self.degree,
                                   {k: c * s for k, c in self.terms.items()})
 

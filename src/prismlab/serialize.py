@@ -10,7 +10,7 @@ import json
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 from .errors import InputFormatError
 from .field import INF, FieldElement, FieldSpec, _make
@@ -80,18 +80,17 @@ def encode_field(spec: FieldSpec) -> dict:
 
 
 def parse_field(obj) -> FieldSpec:
+    """The field of a JSON object; FieldSpec checks p and E. An integral
+    coefficient is passed as an int, any other as the JSON gave it."""
     if not isinstance(obj, dict) or "p" not in obj or "E" not in obj:
         raise InputFormatError("field spec needs keys p and E")
-    p, E = obj["p"], obj["E"]
-    if type(p) is not int or not isinstance(E, list):
+    if not isinstance(obj["E"], list):
         raise InputFormatError("field spec: p must be an integer, E a list")
     coeffs = []
-    for c in E:
+    for c in obj["E"]:
         n, d = _rational_pair(c)
-        if n % d:
-            raise InputFormatError("E coefficients must be integers")
-        coeffs.append(n // d)
-    return FieldSpec(p, coeffs)
+        coeffs.append(c if n % d else n // d)
+    return FieldSpec(obj["p"], coeffs)
 
 
 def encode_element(x: FieldElement) -> list:
@@ -151,16 +150,11 @@ def encode_matrix(mat: Matrix) -> list:
     return [[encode_element(x) for x in row] for row in mat.rows]
 
 
-def parse_matrix(spec: FieldSpec, obj, nrows: Optional[int] = None,
-                 ncols: Optional[int] = None) -> Matrix:
+def parse_matrix(spec: FieldSpec, obj) -> Matrix:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise InputFormatError("matrix must be a nonempty list of rows")
     if any(len(r) != len(obj[0]) for r in obj):
         raise InputFormatError("matrix rows must have equal length")
-    if nrows is not None and len(obj) != nrows:
-        raise InputFormatError(f"expected {nrows} rows, got {len(obj)}")
-    if ncols is not None and len(obj[0]) != ncols:
-        raise InputFormatError(f"expected {ncols} columns, got {len(obj[0])}")
     return Matrix._trusted(spec, tuple(tuple([parse_element(spec, x) for x in row])
                                        for row in obj))
 
@@ -172,25 +166,11 @@ def encode_connection(M: LogConnection) -> dict:
 
 def parse_connection(obj) -> LogConnection:
     _require_keys(obj, "connection", ("field", "unif", "m", "l", "N"))
-    spec = parse_field(obj["field"])
-    m, l, N = obj["m"], obj["l"], obj["N"]
-    if not (type(m) is int and m >= 1 and type(l) is int and l >= 1):
-        raise InputFormatError("connection needs integer l >= 1 and m >= 1")
-    if not isinstance(obj["unif"], str):
-        raise InputFormatError("connection unif must be a string")
-    if not isinstance(N, list) or len(N) != l or any(
-            not isinstance(row, list) or len(row) != l for row in N):
+    spec, N = parse_field(obj["field"]), obj["N"]
+    if not isinstance(N, list) or not all(isinstance(row, list) for row in N):
         raise InputFormatError("connection matrix must be l x l")
-    rows = []
-    for row in N:
-        out = []
-        for cell in row:
-            s = parse_series(spec, cell)
-            if s.m != m or s.unif != obj["unif"]:
-                raise InputFormatError("matrix entry disagrees with connection header")
-            out.append(s)
-        rows.append(out)
-    return LogConnection(spec, obj["unif"], l, m, rows)
+    return LogConnection(spec, obj["unif"], obj["l"], obj["m"],
+                         [[parse_series(spec, cell) for cell in row] for row in N])
 
 
 def encode_stratification(strat: Stratification) -> dict:
@@ -201,16 +181,12 @@ def encode_stratification(strat: Stratification) -> dict:
 
 def parse_stratification(obj) -> Stratification:
     _require_keys(obj, "stratification", ("field", "l", "m", "D", "a", "phi"))
-    spec = parse_field(obj["field"])
-    l, m, D = obj["l"], obj["m"], obj["D"]
-    if not all(type(v) is int for v in (l, m, D)) or l < 1 or m < 1 or D < 0:
-        raise InputFormatError("stratification needs integers l,m >= 1 and D >= 0")
-    phi = obj["phi"]
-    if not isinstance(phi, list) or len(phi) != D + 1:
+    spec, phi = parse_field(obj["field"]), obj["phi"]
+    if not isinstance(phi, list):
         raise InputFormatError("stratification needs operators up to pd-degree D")
-    size = l * m
-    ops = [parse_matrix(spec, op, size, size) for op in phi]
-    return Stratification(spec, l, m, D, parse_element(spec, obj["a"]), ops)
+    ops = [parse_matrix(spec, op) for op in phi]
+    return Stratification(spec, obj["l"], obj["m"], obj["D"], parse_element(spec, obj["a"]),
+                          ops)
 
 
 def encode_kernel(k: GaloisKernel) -> dict:
@@ -229,7 +205,8 @@ def parse_kernel(obj) -> GaloisKernel:
         raise InputFormatError("kernel needs integer D >= 0")
     if not isinstance(tag, str):
         raise InputFormatError("kernel tag must be a string")
-    if "c" in obj and (type(c) is not int or c < 1):
+    # an absent c is None to GaloisKernel, so only JSON can give c = null
+    if "c" in obj and c is None:
         raise InputFormatError("kernel c must be a positive integer")
     if not isinstance(A, list) or len(A) != D + 1:
         raise InputFormatError("kernel needs operators A_0..A_D")

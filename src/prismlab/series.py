@@ -8,9 +8,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 from operator import add
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Sequence
 
-from .errors import NotAUnit, NotAUniformizer, RingMismatch
+from .errors import InputFormatError, NotAUnit, NotAUniformizer, RingMismatch
 from .field import FieldElement, FieldSpec
 
 SCALARS = (int, Fraction, FieldElement)
@@ -19,19 +19,12 @@ SCALARS = (int, Fraction, FieldElement)
 class TruncSeries:
     def __init__(self, spec: FieldSpec, m: int, coeffs: Sequence, unif: str = "T"):
         if m < 1:
-            raise ValueError(f"need m >= 1, got {m}")
+            raise InputFormatError(f"need m >= 1, got {m}")
         self.spec = spec
         self.m = m
         self.unif = unif
-        cs: List[FieldElement] = []
-        for c in list(coeffs)[:m]:
-            if isinstance(c, FieldElement):
-                cs.append(c)
-            else:
-                cs.append(spec.from_rational(c))
-        while len(cs) < m:
-            cs.append(spec.zero())
-        self.coeffs = tuple(cs)
+        cs = [spec.scalar(c) for c in list(coeffs)[:m]]
+        self.coeffs = tuple(cs) + (spec.zero(),) * (m - len(cs))
 
     @classmethod
     def _trusted(cls, spec: FieldSpec, m: int, coeffs: tuple, unif: str) -> "TruncSeries":
@@ -105,7 +98,7 @@ class TruncSeries:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError(f"need a power n >= 0, got {n}")
+            raise InputFormatError(f"need a power n >= 0, got {n}")
         out = TruncSeries.one(self.spec, self.m, self.unif)
         base = self
         while n:
@@ -135,7 +128,7 @@ class TruncSeries:
 
     def truncate(self, new_m: int) -> "TruncSeries":
         if not 1 <= new_m <= self.m:
-            raise ValueError(f"need 1 <= new_m <= {self.m}, got {new_m}")
+            raise InputFormatError(f"need 1 <= new_m <= {self.m}, got {new_m}")
         return TruncSeries._trusted(self.spec, new_m, self.coeffs[:new_m], self.unif)
 
     def invert_unit(self) -> "TruncSeries":
@@ -228,7 +221,7 @@ def lambda_approx(spec: FieldSpec, F: int, m: int) -> TruncSeries:
     costs one series product.
     """
     if F < 0:
-        raise ValueError(f"need F >= 0, got {F}")
+        raise InputFormatError(f"need F >= 0, got {F}")
     unif = f"lambda{F}"
     terms = [(i, c) for i, c in enumerate(spec.ecoeffs) if c]
     qs = [spec.p ** n for n in range(F + 1)]

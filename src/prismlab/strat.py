@@ -24,18 +24,24 @@ from .series import TruncSeries
 
 class LogConnection:
     def __init__(self, spec: FieldSpec, unif: str, l: int, m: int, N: List[List[TruncSeries]]):
-        if l < 1 or m < 1:
-            raise RingMismatch(f"rank l = {l} and truncation m = {m} must be >= 1")
+        """Every entry of the l x l matrix N lies over spec and has the
+        header's m and unif. A parsed connection is checked here alone."""
+        if type(l) is not int or type(m) is not int or l < 1 or m < 1:
+            raise InputFormatError("connection needs integer l >= 1 and m >= 1")
+        if type(unif) is not str:
+            raise InputFormatError("connection unif must be a string")
+        if len(N) != l or any(len(row) != l for row in N):
+            raise InputFormatError("connection matrix must be l x l")
+        for row in N:
+            for s in row:
+                if s.spec is not spec and s.spec != spec:
+                    raise RingMismatch("matrix entry over a different ring")
+                if s.m != m or s.unif != unif:
+                    raise InputFormatError("matrix entry disagrees with connection header")
         self.spec = spec
         self.unif = unif
         self.l = l
         self.m = m
-        if len(N) != l or any(len(row) != l for row in N):
-            raise RingMismatch(f"matrix must be {l}x{l}")
-        for row in N:
-            for s in row:
-                if s.spec is not spec and s.spec != spec or s.m != m:
-                    raise RingMismatch("matrix entry over a different ring")
         self.N = [list(row) for row in N]
 
     @classmethod
@@ -108,9 +114,7 @@ def multiplication_by_t_power(spec: FieldSpec, l: int, m: int, d: int) -> Matrix
 
 def operator_family(phi1: Matrix, a, count: int) -> List[Matrix]:
     """[phi_0, ..., phi_{count-1}] with phi_{n+1} = (phi_1 - n*a) o phi_n."""
-    if not isinstance(a, FieldElement):
-        a = phi1.spec.from_rational(a)
-    return list(falling_powers(phi1, a, count))
+    return list(falling_powers(phi1, phi1.spec.scalar(a), count))
 
 
 def _off_levels(phi: Sequence[Matrix], psi1: Matrix, a) -> Iterator[Tuple[int, PackedLevel]]:
@@ -176,26 +180,28 @@ class Stratification:
         """phi is a Family, or phi_0..phi_D, kept as a list. A family's
         operators all have the shape and field of its phi_1 (of phi_0 = I
         at D = 0), so only that one is checked, and reading it takes no
-        kernel step."""
-        if D < 0:
-            raise NotAStratification(f"pd-degree D = {D} must be >= 0")
+        kernel step. A parsed stratification is checked here alone, and a
+        fault of shape, type or range raises InputFormatError."""
+        if (type(l) is not int or type(m) is not int or type(D) is not int
+                or l < 1 or m < 1 or D < 0):
+            raise InputFormatError("stratification needs integers l,m >= 1 and D >= 0")
         explicit = not isinstance(phi, Family)
         phi = list(phi) if explicit else phi
         if len(phi) != D + 1:
-            raise NotAStratification(f"need operators up to pd-degree {D}")
+            raise InputFormatError("stratification needs operators up to pd-degree D")
         n = l * m
         for op in phi if explicit else (phi[min(D, 1)],):
-            if op.nrows != n or op.ncols != n:
-                raise NotAStratification(f"operators must be {n}x{n}")
+            if op.nrows != n:
+                raise InputFormatError(f"expected {n} rows, got {op.nrows}")
+            if op.ncols != n:
+                raise InputFormatError(f"expected {n} columns, got {op.ncols}")
             if op.spec is not spec and op.spec != spec:
                 raise RingMismatch("operator over a different field")
-        if isinstance(a, FieldElement) and a.spec is not spec and a.spec != spec:
-            raise RingMismatch("a over a different field")
         self.spec = spec
         self.l = l
         self.m = m
         self.D = D
-        self.a = a if isinstance(a, FieldElement) else spec.from_rational(a)
+        self.a = spec.scalar(a)
         self.phi = phi
 
     def __eq__(self, other):
@@ -214,8 +220,7 @@ def from_connection(conn: LogConnection, a, D: int) -> Stratification:
     """The stratification phi_0..phi_D of conn at a, with phi_1 =
     conn.operator(a) = a * (T d/dT + N); phi_2..phi_D are generated on the
     first read past phi_1 (Family)."""
-    if not isinstance(a, FieldElement):
-        a = conn.spec.from_rational(a)
+    a = conn.spec.scalar(a)
     return Stratification(conn.spec, conn.l, conn.m, D, a,
                           Family(conn.operator(a), a, D))
 

@@ -18,12 +18,14 @@ from hypothesis import given, settings, strategies as st
 from prismlab import cli
 from prismlab.cli import _read_json, build_parser, main as cli_main
 from prismlab.errors import InputFormatError
-from prismlab.galois import action_kernel
+from prismlab.field import FieldSpec
+from prismlab.galois import GaloisKernel, action_kernel
+from prismlab.linalg import Matrix
 from prismlab.serialize import (canonical_json, encode_connection, encode_element,
                                 encode_field, encode_kernel, encode_rational,
                                 encode_stratification, parse_connection)
 from prismlab.series import TruncSeries
-from prismlab.strat import LogConnection, from_connection
+from prismlab.strat import LogConnection, Stratification, from_connection
 
 from conftest import constant_conn, count_calls, random_connection, random_element, random_rational
 
@@ -448,13 +450,78 @@ class TestConnCommands:
         assert code == 0 and json.loads(out)["status"] == "Convergent"
 
 
+Q3_JSON = {"p": 3, "E": [-3, 1]}
+# the 1 x 1 identity matrix over Q_3
+ONE_JSON = [[[1]]]
+
+
+def series_json(m=1, unif="T"):
+    """The canonical cell 1 + T + ... + T^(m-1) over Q_3."""
+    return {"unif": unif, "m": m, "coeffs": [[1]] * m}
+
+
+def conn_json(l=1, m=1, N=None):
+    return {"field": Q3_JSON, "unif": "T", "l": l, "m": m, "N": N or [[series_json()]]}
+
+
+def strat_json(l=1, m=1, D=1, phi=None):
+    return {"field": Q3_JSON, "l": l, "m": m, "D": D, "a": [1],
+            "phi": [ONE_JSON] * (D + 1) if phi is None else phi}
+
+
+def one_check_cases():
+    """(id, argv, JSON object, in-process build) for malformed objects that
+    both entry points refuse in one check, the constructor's."""
+    q3 = FieldSpec(3, [-3, 1])
+    one, I2 = Matrix.identity(q3, 1), [[[1], [0]], [[0], [1]]]
+    s1 = TruncSeries(q3, 1, [1])
+    conn, strat = ["conn", "new"], ["strat", "check-cocycle"]
+    return [
+        ("p-true", ["field", "check"], {"p": True, "E": [-3, 1]},
+         lambda: FieldSpec(True, [-3, 1])),
+        ("E-half", ["field", "check"], {"p": 3, "E": [-3, "1/2", 1]},
+         lambda: FieldSpec(3, [-3, "1/2", 1])),
+        ("l-zero", conn, conn_json(l=0), lambda: LogConnection(q3, "T", 0, 1, [[s1]])),
+        ("m-string", conn, conn_json(m="2", N=[[series_json(2)]]),
+         lambda: LogConnection(q3, "T", 1, "2", [[TruncSeries(q3, 2, [1])]])),
+        ("N-2x1", conn, conn_json(l=2, N=[[series_json()], [series_json()]]),
+         lambda: LogConnection(q3, "T", 2, 1, [[s1], [s1]])),
+        ("entry-m", conn, conn_json(N=[[series_json(2)]]),
+         lambda: LogConnection(q3, "T", 1, 1, [[TruncSeries(q3, 2, [1])]])),
+        ("entry-unif", conn, conn_json(N=[[series_json(unif="u")]]),
+         lambda: LogConnection(q3, "T", 1, 1, [[TruncSeries(q3, 1, [1], "u")]])),
+        ("D-negative", strat, strat_json(D=-1), lambda: Stratification(q3, 1, 1, -1, 1, [])),
+        ("phi-short", strat, strat_json(D=2, phi=[ONE_JSON] * 2),
+         lambda: Stratification(q3, 1, 1, 2, 1, [one, one])),
+        ("operator-size", strat, strat_json(m=2, phi=[I2, ONE_JSON]),
+         lambda: Stratification(q3, 1, 2, 1, 1, [Matrix.identity(q3, 2), one])),
+        ("kernel-c-4", ["conn", "converges", "--v0", "1"],
+         {"field": Q3_JSON, "a": [1], "D": 1, "A": [ONE_JSON] * 2, "tag": "custom", "c": 4},
+         lambda: GaloisKernel([one, one], 1, 4)),
+    ]
+
+
+ONE_CHECK_CASES = one_check_cases()
+
+
+@pytest.mark.parametrize("argv,obj,build", [case[1:] for case in ONE_CHECK_CASES],
+                         ids=[case[0] for case in ONE_CHECK_CASES])
+def test_entry_points_make_one_check(argv, obj, build):
+    """A malformed object is refused by its constructor alone: the CLI
+    exits 2 with one error: line, never 1, and the constructor raises
+    InputFormatError with the same message."""
+    code, out, err = run_cli_stderr(argv + ["-"], stdin_text=json.dumps(obj))
+    with pytest.raises(InputFormatError) as exc:
+        build()
+    assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+
+
 class TestFailurePaths:
     def test_cocycle_violation_exits_one(self, rng, q3):
         M = random_connection(rng, q3, 2, 2)
         st = from_connection(M, q3.a_prism(), 4)
         rows = [[0] * 4 for _ in range(4)]
         rows[1][2] = 1
-        from prismlab.linalg import Matrix
         bad = st.perturbed(2, Matrix(q3, rows))
         code, out = run_cli(["strat", "check-cocycle"],
                             stdin_text=canonical_json(encode_stratification(bad)))
@@ -1160,15 +1227,15 @@ class TestOptimizedMode:
     def test_constructor_and_trace_errors(self):
         """The constructor and trace checks raise under python -O too."""
         script = """
-from prismlab.errors import NotAStratification, RingMismatch
+from prismlab.errors import InputFormatError
 from prismlab.field import FieldSpec
 from prismlab.linalg import Matrix
 from prismlab.strat import LogConnection, Stratification, from_connection
 q3 = FieldSpec(3, [-3, 1])
 cases = [
-    (lambda: Stratification(q3, 1, 1, -1, 1, []), NotAStratification),
-    (lambda: from_connection(LogConnection.trivial(q3, 1, 1), 1, -1), NotAStratification),
-    (lambda: LogConnection(q3, "T", 0, 1, []), RingMismatch),
+    (lambda: Stratification(q3, 1, 1, -1, 1, []), InputFormatError),
+    (lambda: from_connection(LogConnection.trivial(q3, 1, 1), 1, -1), InputFormatError),
+    (lambda: LogConnection(q3, "T", 0, 1, []), InputFormatError),
     (lambda: Matrix(q3, [[1, 2, 3], [4, 5, 6]]).trace(), ValueError),
     (lambda: Matrix(q3, [[1, 2, 3], [4, 5, 6]]).charpoly(), ValueError),
 ]
@@ -1188,7 +1255,7 @@ for build, error in cases:
         """The series checks raise under python -O too; a negative power
         raises instead of looping, which the timeout would catch."""
         script = """
-from prismlab.errors import NotAUniformizer, RingMismatch
+from prismlab.errors import InputFormatError, NotAUniformizer, RingMismatch
 from prismlab.field import FieldSpec
 from prismlab.series import TruncSeries
 q3, q3s = FieldSpec(3, [-3, 1]), FieldSpec(3, [-3, 0, 1])
@@ -1202,10 +1269,10 @@ cases = [
     (lambda: f.compose(TruncSeries(q3, 2, [0, 1])), RingMismatch),
     (lambda: t.compose(f), NotAUniformizer),
     (lambda: f.shift_down(), NotAUniformizer),
-    (lambda: TruncSeries(q3, 0, []), ValueError),
-    (lambda: f.truncate(5), ValueError),
-    (lambda: f.truncate(0), ValueError),
-    (lambda: f ** -1, ValueError),
+    (lambda: TruncSeries(q3, 0, []), InputFormatError),
+    (lambda: f.truncate(5), InputFormatError),
+    (lambda: f.truncate(0), InputFormatError),
+    (lambda: f ** -1, InputFormatError),
 ]
 print(__debug__)
 for build, error in cases:

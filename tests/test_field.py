@@ -4,9 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prismlab.errors import InputFormatError, ZeroInversion
+from prismlab.connops import check_nilpotent, probe_nilpotency
+from prismlab.errors import InputFormatError, RingMismatch, ZeroInversion
 from prismlab.field import INF, PRIME_BOUND, FieldSpec, _is_prime, _vp_int
-from prismlab.galois import GaloisElementData
+from prismlab.galois import GaloisElementData, GaloisKernel, h_series
+from prismlab.linalg import Matrix
+from prismlab.pdalg import CosimpConfig, PDElement
+from prismlab.series import TruncSeries
+from prismlab.strat import LogConnection, Stratification, from_connection, operator_family
 
 from conftest import FOUR_FIELDS, random_element, random_rational
 from ref import (deriv_by_products, dist_by_terms, invert_by_euclid, val_by_terms,
@@ -308,6 +313,55 @@ class TestExactEntryPoints:
         with pytest.raises(TypeError, match="float"):
             GaloisElementData(0.1)
         assert GaloisElementData("1/10").v0 == Fraction(1, 10)
+
+
+# each site that turns a scalar argument into an element of the field k,
+# called with x where an element of k is expected
+SCALAR_SITES = {
+    "FieldElement._coerce": lambda k, x: k.one() + x,
+    "TruncSeries": lambda k, x: TruncSeries(k, 2, [x]),
+    "Matrix": lambda k, x: Matrix(k, [[x]]),
+    "Matrix.scale": lambda k, x: Matrix.identity(k, 1).scale(x),
+    "check_nilpotent": lambda k, x: check_nilpotent(LogConnection.trivial(k, 1, 1), x),
+    "probe_nilpotency": lambda k, x: probe_nilpotency(LogConnection.trivial(k, 1, 1), x),
+    "operator_family": lambda k, x: operator_family(
+        LogConnection.trivial(k, 1, 2).operator(k.a_prism()), 1 + x, 4),
+    "from_connection": lambda k, x: from_connection(LogConnection.trivial(k, 1, 2), x, 2),
+    "Stratification": lambda k, x: Stratification(k, 1, 1, 1, x, [Matrix.identity(k, 1)] * 2),
+    "GaloisKernel": lambda k, x: GaloisKernel([Matrix.identity(k, 1)] * 2, x),
+    "h_series": lambda k, x: h_series(LogConnection.trivial(k, 1, 2), x, 2),
+    "CosimpConfig": lambda k, x: CosimpConfig(k, x, 2, 2),
+    "PDElement.monomial": lambda k, x: PDElement.monomial(CosimpConfig(k, 1, 2, 2), 1,
+                                                          (0,), 0, x),
+    "PDElement.scale": lambda k, x: PDElement.one(CosimpConfig(k, 1, 2, 2), 1).scale(x),
+}
+
+
+class TestScalar:
+    """FieldSpec.scalar is the one conversion of a scalar argument."""
+
+    def test_converts_and_refuses(self, q3s):
+        x = q3s.pi()
+        assert q3s.scalar(x) is x
+        # an element of an equal field, built apart, is taken as it is
+        assert FieldSpec(3, [-3, 0, 1]).scalar(x) is x
+        assert q3s.scalar(2) == q3s.from_rational(2)
+        assert q3s.scalar(Fraction(1, 3)) == q3s.element([Fraction(1, 3)])
+        with pytest.raises(TypeError, match="float"):
+            q3s.scalar(0.5)
+        with pytest.raises(RingMismatch, match="^element over a different field$"):
+            q3s.scalar(FieldSpec(3, [3, 0, 1]).pi())
+
+    @pytest.mark.parametrize("site", list(SCALAR_SITES))
+    def test_an_element_of_another_field_is_refused(self, q3s, site):
+        """pi of Q_3(sqrt -3) where Q_3(sqrt 3) is due: every site raises
+        RingMismatch. Before, operator_family, probe_nilpotency,
+        TruncSeries, Matrix, CosimpConfig and PDElement.monomial took it,
+        and the others raised ValueError or nothing of their own."""
+        foreign = FieldSpec(3, [3, 0, 1]).pi()
+        with pytest.raises(RingMismatch, match="^element over a different field$"):
+            SCALAR_SITES[site](q3s, foreign)
+        SCALAR_SITES[site](q3s, FieldSpec(3, [-3, 0, 1]).pi())
 
 
 @st.composite

@@ -105,7 +105,7 @@ class TestActionKernel:
         for args, error, line in (
                 (([one, one], 1, 7), InputFormatError, "kernel c must be p\\^i or 2 p\\^i"),
                 ((off, 1), InputFormatError, "kernel operator A_2 breaks A_\\(n\\+1\\) "),
-                (([one, one], q5.one()), RingMismatch, "a over a different field"),
+                (([one, one], q5.one()), RingMismatch, "element over a different field"),
                 (([one, one5], 1), RingMismatch, "operator over a different field"),
                 (([one, Matrix.identity(q3, 2)], 1), InputFormatError,
                  "kernel operators must share one square size"),

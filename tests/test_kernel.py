@@ -13,7 +13,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prismlab.errors import ZeroInversion
+from prismlab.errors import InputFormatError, ZeroInversion
 from prismlab.field import FieldSpec, _product_kernel, regular
 from prismlab.linalg import Matrix, poly_deflate
 from prismlab.serialize import parse_field
@@ -221,7 +221,7 @@ def test_coords_are_read_only(q3s):
 
 
 def test_coordinate_count_is_checked_without_assert(q3s):
-    with pytest.raises(ValueError, match="at most 2 coordinates"):
+    with pytest.raises(InputFormatError, match="^at most 2 coordinates expected$"):
         q3s.element([1, 2, 3])
     assert q3s.element(["1/2", 3]) == q3s.from_rational(Fraction(1, 2)) + 3 * q3s.pi()
 

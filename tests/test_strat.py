@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from prismlab.errors import LeibnizViolation, NotAStratification, PrismlabError, RingMismatch
+from prismlab.errors import (InputFormatError, LeibnizViolation, NotAStratification,
+                             PrismlabError, RingMismatch)
 from prismlab.linalg import Matrix
 from prismlab.pdalg import PDElement
 from prismlab.series import TruncSeries
@@ -137,9 +138,12 @@ class TestConstructorChecks:
     """Raised errors, not asserts, so they hold under python -O too."""
 
     def test_negative_degree_rejected(self, q3):
-        with pytest.raises(NotAStratification):
+        """A range fault is bad input, not a failed check: InputFormatError
+        with the message the stratification parser gave."""
+        line = "^stratification needs integers l,m >= 1 and D >= 0$"
+        with pytest.raises(InputFormatError, match=line):
             Stratification(q3, 1, 1, -1, 1, [])
-        with pytest.raises(NotAStratification):
+        with pytest.raises(InputFormatError, match=line):
             from_connection(LogConnection.trivial(q3, 1, 1), q3.a_prism(), -1)
 
     @pytest.mark.parametrize("shape", [(2, 1), (1, 2), (3, 3)])
@@ -148,7 +152,9 @@ class TestConstructorChecks:
         refused as one with the wrong number of rows is, before
         check_cocycle can index past its columns."""
         M = Matrix(q3, [[1] * shape[1] for _ in range(shape[0])])
-        with pytest.raises(NotAStratification, match="^operators must be 2x2$"):
+        line = (f"expected 2 rows, got {shape[0]}" if shape[0] != 2
+                else f"expected 2 columns, got {shape[1]}")
+        with pytest.raises(InputFormatError, match=f"^{line}$"):
             Stratification(q3, 1, 2, 2, 1, [Matrix.identity(q3, 2), M, M])
 
     @pytest.mark.parametrize("D", [0, 1, 4])
@@ -166,13 +172,16 @@ class TestConstructorChecks:
             assert st.phi[0] == Matrix.identity(q3, 3) and len(st.phi) == D + 1
             assert check_cocycle(st)["ok"]
         else:
-            with pytest.raises(NotAStratification, match="^operators must be 3x3$"):
+            line = (f"expected 3 rows, got {shape[0]}" if shape[0] != 3
+                    else f"expected 3 columns, got {shape[1]}")
+            with pytest.raises(InputFormatError, match=f"^{line}$"):
                 Stratification(q3, 1, 3, D, q3.one(), Family(M, q3.one(), D))
 
     def test_operators_over_another_field_rejected(self, q3):
         """Operators, or a scalar a, over Q_5 where Q_3 is due are refused
         with RingMismatch, in a list and in a Family (checked on its phi_1,
-        phi_0 at D = 0); before, check_cocycle raised a plain ValueError."""
+        phi_0 at D = 0); before, check_cocycle raised a plain ValueError.
+        The scalar a is converted by FieldSpec.scalar, whose message it is."""
         from prismlab.field import FieldSpec
         q5 = FieldSpec(5, [-5, 1])
         I, M = Matrix.identity(q5, 2), Matrix(q5, [[0, 1], [0, 1]])
@@ -185,7 +194,7 @@ class TestConstructorChecks:
                 Stratification(q3, 1, 2, D, q3.one(), Family(M, q5.one(), D))
         phi = from_connection(LogConnection.trivial(q3, 1, 2), 1, 3).phi
         for a in (q5.one(), q5.a_prism()):
-            with pytest.raises(RingMismatch, match="^a over a different field$"):
+            with pytest.raises(RingMismatch, match="^element over a different field$"):
                 Stratification(q3, 1, 2, 3, a, phi)
         assert check_cocycle(Stratification(q3, 1, 2, 3, 1, phi))["ok"]
 
@@ -209,7 +218,8 @@ class TestConstructorChecks:
 
     @pytest.mark.parametrize("l,m", [(0, 1), (1, 0), (-1, 2)])
     def test_empty_module_rejected(self, q3, l, m):
-        with pytest.raises(RingMismatch):
+        with pytest.raises(InputFormatError,
+                           match="^connection needs integer l >= 1 and m >= 1$"):
             LogConnection(q3, "T", l, m, [])
 
 
