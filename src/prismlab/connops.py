@@ -8,9 +8,9 @@ from math import floor
 from typing import Dict, List, Optional, Sequence
 
 from .errors import BadTruncationIndex, NotAUniformizer, RingMismatch
-from .field import INF, FieldElement, FieldSpec, from_ev, num_ev
+from .field import INF, FieldElement, FieldSpec, _make, from_ev, num_ev
 from .linalg import Matrix, eval_poly, null_basis, poly_deflate
-from .series import TruncSeries, lambda_approx
+from .series import TruncSeries, _reduced, h_powers, lambda_approx, pair_dot
 from .strat import LogConnection
 
 
@@ -63,8 +63,11 @@ def change_uniformizer(M: LogConnection, y: TruncSeries) -> LogConnection:
     Rewriting in y is composing with the reversion g of y, a ring map, so
     entry (c N_ij)(g) is sum_k N_ij,k * c(g) g^k. By Lagrange-Burmann
     (Stanley, EC2, Thm 5.4.2), [T^j] c(g) g^k = [T^(j-k)] h^j with
-    h = (y/T)^(-1): the table is the powers of h, no reversion is taken, and
-    an entry costs no series product.
+    h = (y/T)^(-1): the table is series.h_powers, the one table that
+    TruncSeries.reversion reads too, so no reversion is taken. Each output
+    coefficient of an entry is one pair_dot of the entry's coefficients
+    with a row of the table, reduced once: no series product, and no
+    element product outside the one unit inversion.
 
     The top coefficient of c needs y's dropped degree-m term and is a free
     gauge: entry (m-1, 0) gains r y_1 (1-m)/2, r = [T^m] g, which puts half
@@ -80,24 +83,21 @@ def change_uniformizer(M: LogConnection, y: TruncSeries) -> LogConnection:
                              [[s.with_unif(y.unif) for s in row] for row in M.N])
     if not y.is_uniformizer():
         raise NotAUniformizer("substitution series must vanish to exact order one")
-    h = y.shift_down().invert_unit()
-    hj = [TruncSeries.one(spec, m), h]
-    while len(hj) < m:
-        hj.append(hj[-1] * h)
-    table = [(k, [hj[j].coeffs[j - k] for j in range(k, m)]) for k in range(m)]
-    # the gauge entry, from r_m = [T^(m-1)] h^m = m r by Lagrange inversion
-    r_m = sum((a * b for a, b in zip(hj[m - 1].coeffs, reversed(h.coeffs))), spec.zero())
-    table[0][1][m - 1] += r_m * y.coeffs[1] * Fraction(1 - m, 2 * m)
-    zero = spec.zero()
+    hs, top = h_powers(y, m)
+    # output coefficient j of an entry s is sum_k s_k [T^j] c(g) g^k,
+    # a pair_dot of s with rows[j] = [T^(j-k)] h^j for k = j, ..., 0
+    rows = [hs[j][j::-1] for j in range(m)]
+    # the gauge entry gains r y_1 (1-m)/2 = top * y_1 (1-m)/(2m), from
+    # top = [T^(m-1)] h^m = m r by Lagrange inversion
+    y1 = y.coeffs[1]
+    gauge = (tuple([v * (1 - m) for v in y1._num]), 2 * m * y1._den)
+    one = (spec.one()._num, 1)
+    rows[-1][0] = _reduced(spec, pair_dot(spec, (rows[-1][0], top), (one, gauge)))
 
     def rewrite(s: TruncSeries) -> TruncSeries:
-        acc = [zero] * m
-        for (k, col), a in zip(table, s.coeffs):
-            if not a.is_zero():
-                for j, b in enumerate(col, k):
-                    if not b.is_zero():
-                        acc[j] = acc[j] + a * b
-        return TruncSeries._trusted(spec, m, tuple(acc), y.unif)
+        cs = [(x._num, x._den) for x in s.coeffs]
+        return TruncSeries._trusted(spec, m, tuple([_make(spec, *pair_dot(spec, cs, row))
+                                                    for row in rows]), y.unif)
 
     return LogConnection(spec, y.unif, M.l, m, [[rewrite(s) for s in row] for row in M.N])
 

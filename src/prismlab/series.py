@@ -6,20 +6,20 @@ is bookkeeping only; arithmetic never inspects it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from operator import add
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import InputFormatError, NotAUnit, NotAUniformizer, RingMismatch
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec, _make
 
 SCALARS = (int, Fraction, FieldElement)
 
 
 class TruncSeries:
     def __init__(self, spec: FieldSpec, m: int, coeffs: Sequence, unif: str = "T"):
-        if m < 1:
-            raise InputFormatError(f"need m >= 1, got {m}")
+        if type(m) is not int or m < 1:
+            raise InputFormatError(f"need an integer m >= 1, got {m!r}")
         self.spec = spec
         self.m = m
         self.unif = unif
@@ -170,20 +170,70 @@ class TruncSeries:
         """Compositional inverse g with self(g) = g(self) = T mod T^m.
 
         By Lagrange inversion, with h = (self/T)^(-1), the T^k coefficient
-        of g is [T^(k-1)] h^k / k: one unit inversion and m - 2 products
-        (R. P. Brent and H. T. Kung, J. ACM 25 (1978)).
+        of g is [T^(k-1)] h^k / k (R. P. Brent and H. T. Kung, J. ACM 25
+        (1978)): read off h_powers through degree m - 2, and each built
+        once, over the denominator of its pair times k.
         """
         if not self.is_uniformizer():
             raise NotAUniformizer("series must vanish to exact order one")
         spec, m = self.spec, self.m
-        # [T^(k-1)] h^k for k < m reads h below degree m - 1 only
-        h = self.shift_down().truncate(m - 1).invert_unit()
-        out = [spec.zero(), h.coeffs[0]]
-        hk = h
-        for k in range(2, m):
-            hk = hk * h
-            out.append(hk.coeffs[k - 1] * spec.from_rational(Fraction(1, k)))
-        return TruncSeries._trusted(spec, m, tuple(out), self.unif)
+        hs, top = h_powers(self, m - 1)
+        leads = [hs[k][k - 1] for k in range(1, m - 1)] + [top]
+        return TruncSeries._trusted(spec, m, (spec.zero(), *[
+            _make(spec, num, den * k) for k, (num, den) in enumerate(leads, 1)]), self.unif)
+
+
+Pair = Tuple[tuple, int]
+
+
+def pair_dot(spec: FieldSpec, xs: Sequence[Pair], ys: Sequence[Pair]) -> Pair:
+    """sum_i x_i y_i over the elements of K given as (numerator tuple,
+    denominator) pairs, zipped to the shorter sequence: the sum of the
+    compiled numerator products over den, the lcm of the nonzero terms'
+    denominators, as the pair (num, den). A term with a zero factor is
+    skipped. The pair is not reduced: field._make reduces it, once."""
+    mul, num = spec._mulnum, None
+    for (a, c), (b, d) in zip(xs, ys):
+        if any(a) and any(b):
+            t, cd = mul(a, b), c * d
+            if num is None:
+                num, den = t, cd
+            elif cd == den:
+                num = tuple(map(add, num, t))
+            else:
+                # over lcm(den, cd): the sum so far times s, the term times r
+                g = gcd(den, cd)
+                s, r = cd // g, den // g
+                num = tuple([x * s + y * r for x, y in zip(num, t)])
+                den *= s
+    return (spec._zero._num, 1) if num is None else (num, den)
+
+
+def _reduced(spec: FieldSpec, pair: Pair) -> Pair:
+    """The pair of the element num/den, reduced by field._make."""
+    x = _make(spec, *pair)
+    return x._num, x._den
+
+
+def h_powers(y: TruncSeries, n: int) -> Tuple[List[List[Pair]], Pair]:
+    """(hs, top) for h = (y/T)^(-1) through degree n - 1, y a uniformizer
+    and 1 <= n <= y.m: hs[k] the coefficients of h^k for k < n, and top =
+    [T^(n-1)] h^n, all reduced (numerator tuple, denominator) pairs.
+    Lagrange inversion reads [T^(k-1)] h^k off them, hs[k][k-1] and top.
+    h is one unit inversion, and each coefficient of h^k one pair_dot of
+    h^(k-1) with h, reduced once; y's degree-m term, which T^m drops, is
+    read as 0.
+    """
+    spec = y.spec
+    h = [(x._num, x._den) for x in y.shift_down().truncate(n).invert_unit().coeffs]
+    rev = [h[i::-1] for i in range(n)]
+    hs = [[(spec._one._num, 1)] + [(spec._zero._num, 1)] * (n - 1)]
+    if n > 1:
+        hs.append(h)
+    while len(hs) < n:
+        prev = hs[-1]
+        hs.append([_reduced(spec, pair_dot(spec, prev, r)) for r in rev])
+    return hs, _reduced(spec, pair_dot(spec, hs[-1], rev[-1]))
 
 
 def rewrite_in_uniformizer(f: TruncSeries, y: TruncSeries) -> TruncSeries:
@@ -194,14 +244,21 @@ def rewrite_in_uniformizer(f: TruncSeries, y: TruncSeries) -> TruncSeries:
     return g.with_unif(y.unif)
 
 
-def _pi_powers(spec: FieldSpec, exponents: Iterable[int]) -> Dict[int, FieldElement]:
-    """{j: pi^j} over the exponents, built in ascending order: each power is
-    the previous one times pi to the gap between them."""
-    pi, out, prev, acc = spec.pi(), {}, 0, spec.one()
+def _pi_powers(spec: FieldSpec, exponents: Iterable[int]) -> Dict[int, tuple]:
+    """{j: the numerator tuple of pi^j} over the exponents, built in
+    ascending order: each power is the previous one times pi to the gap
+    between them, that power by squaring. pi is integral, so every power
+    is over 1."""
+    mul, pi = spec._mulnum, spec._pi._num
+    out, prev, acc = {}, 0, spec._one._num
     for j in sorted(set(exponents)):
-        gap = j - prev
-        if gap:
-            acc = acc * (pi if gap == 1 else pi ** gap)
+        gap, base = j - prev, pi
+        while gap:
+            if gap & 1:
+                acc = mul(acc, base)
+            gap >>= 1
+            if gap:
+                base = mul(base, base)
         out[j], prev = acc, j
     return out
 
@@ -217,26 +274,31 @@ def lambda_approx(spec: FieldSpec, F: int, m: int) -> TruncSeries:
 
     In closed form, with u = pi + T and q = p^n, the T^k coefficient of
     E(u^q) = sum_i e_i (pi + T)^(iq) is sum_i e_i C(iq, k) pi^(iq-k): the
-    factors read one table of pi powers, and each factor after the first
-    costs one series product.
+    factors are integer numerator tuples read off one table of pi powers,
+    their product a pair_dot per coefficient over denominator 1, and each
+    output coefficient one element, over E(0)^(F+1).
     """
-    if F < 0:
-        raise InputFormatError(f"need F >= 0, got {F}")
-    unif = f"lambda{F}"
+    if type(F) is not int or F < 0:
+        raise InputFormatError(f"need an integer F >= 0, got {F!r}")
+    if type(m) is not int or m < 1:
+        raise InputFormatError(f"need an integer m >= 1, got {m!r}")
     terms = [(i, c) for i, c in enumerate(spec.ecoeffs) if c]
     qs = [spec.p ** n for n in range(F + 1)]
     pows = _pi_powers(spec, (i * q - k for q in qs for i, _ in terms
                              for k in range(min(m, i * q + 1))))
-    zero = spec.zero()
     out = None
     for q in qs:
-        cs = []
+        factor = []
         for k in range(m):
-            acc = zero
+            acc = spec._zero._num
             for i, c in terms:
                 if i * q >= k:
-                    acc = acc + pows[i * q - k] * (c * comb(i * q, k))
-            cs.append(acc)
-        factor = TruncSeries._trusted(spec, m, tuple(cs), unif)
-        out = factor if out is None else out * factor
-    return out * spec.from_rational(Fraction(1, spec.ecoeffs[0] ** (F + 1)))
+                    w = c * comb(i * q, k)
+                    acc = tuple([a + w * v for a, v in zip(acc, pows[i * q - k])])
+            factor.append((acc, 1))
+        out = factor if out is None else [pair_dot(spec, out, factor[k::-1]) for k in range(m)]
+    # over E(0)^(F+1), its sign moved onto the numerators
+    e0 = spec.ecoeffs[0] ** (F + 1)
+    sign, den = (-1 if e0 < 0 else 1), abs(e0)
+    return TruncSeries._trusted(spec, m, tuple([
+        _make(spec, tuple([sign * v for v in num]), den) for num, _ in out]), f"lambda{F}")

@@ -219,7 +219,10 @@ class Stratification:
 def from_connection(conn: LogConnection, a, D: int) -> Stratification:
     """The stratification phi_0..phi_D of conn at a, with phi_1 =
     conn.operator(a) = a * (T d/dT + N); phi_2..phi_D are generated on the
-    first read past phi_1 (Family)."""
+    first read past phi_1 (Family). D is checked before anything is built,
+    with the Stratification constructor's message."""
+    if type(D) is not int or D < 0:
+        raise InputFormatError("stratification needs integers l,m >= 1 and D >= 0")
     a = conn.spec.scalar(a)
     return Stratification(conn.spec, conn.l, conn.m, D, a,
                           Family(conn.operator(a), a, D))

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from prismlab.connops import bk_twist
-from prismlab.field import FieldSpec
+from prismlab.field import FieldElement, FieldSpec
 from prismlab.series import TruncSeries
 from prismlab.strat import LogConnection
 
@@ -75,6 +75,30 @@ def count_calls(monkeypatch, targets):
             return _original(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
     return calls
+
+
+def count_element_products(monkeypatch):
+    """Count the FieldElement products made outside TruncSeries.invert_unit,
+    in either operand order; the count as products["outside"], a dict
+    that the wrappers update."""
+    products, depth = {"outside": 0}, [0]
+    invert_unit, mul = TruncSeries.invert_unit, FieldElement.__mul__
+
+    def inverting(self):
+        depth[0] += 1
+        try:
+            return invert_unit(self)
+        finally:
+            depth[0] -= 1
+
+    def product(self, other):
+        if not depth[0]:
+            products["outside"] += 1
+        return mul(self, other)
+    monkeypatch.setattr(TruncSeries, "invert_unit", inverting)
+    monkeypatch.setattr(FieldElement, "__mul__", product)
+    monkeypatch.setattr(FieldElement, "__rmul__", product)
+    return products
 
 
 def random_connection(rng, spec, l, m, unif="T"):

@@ -8,6 +8,8 @@ TruncSeries arithmetic, Fraction and sympy (and pdalg's PDElement
 expansions until pdalg itself moves here). It imports and calls none of
 the product's kernels:
 - field.lift, regular, _vp_int, num_ev and _mulnum;
+- series.pair_dot and h_powers (so the references revert a series by
+  composition, not by TruncSeries.reversion);
 - falling_levels, falling_powers and PackedLevel;
 - Matrix.charpoly, reduce_rows, rref, rank, kernel_basis, column_pivots
   and null_basis;
@@ -331,7 +333,7 @@ def reversion_by_composition(y):
 def rewrite_by_composition(f, y):
     """g with g(y(T)) = f(T): f composed with the reversion of y, tagged
     with y's label."""
-    return compose_by_horner(f, y.reversion()).with_unif(y.unif)
+    return compose_by_horner(f, reversion_by_composition(y)).with_unif(y.unif)
 
 
 def lambda_by_powers(spec, F, m):
@@ -383,7 +385,7 @@ def multiplier_by_quotient(y):
     """
     spec, m = y.spec, y.m
     c = y.shift_down() * derivative_by_coefficients(y).invert_unit()
-    rev = TruncSeries._trusted(spec, m + 1, y.coeffs + (spec.zero(),), y.unif).reversion()
+    rev = reversion_by_composition(TruncSeries(spec, m + 1, y.coeffs, y.unif))
     r = rev.coeffs[m]
     if not r.is_zero():
         top = r * y.coeffs[1] ** m * Fraction(1 - m, 2)

@@ -19,8 +19,8 @@ from prismlab.linalg import Matrix
 from prismlab.series import TruncSeries, lambda_approx
 from prismlab.strat import LogConnection, from_connection, to_connection
 
-from conftest import (FOUR_FIELDS, constant_conn, count_calls, random_connection,
-                      random_element, random_rational, twist)
+from conftest import (FOUR_FIELDS, constant_conn, count_calls, count_element_products,
+                      random_connection, random_element, random_rational, twist)
 from ref import (compose_by_horner, derivative_by_coefficients, multiplier_by_quotient,
                  near_integer_roots_by_elements, near_weight_count_by_polygons, rank_oracle,
                  rewrite_by_composition, roots_above_by_fractions, taylor_shift_by_elements)
@@ -151,34 +151,45 @@ class TestChangeUniformizer:
         back = change_uniformizer(My, y.reversion().with_unif("T"))
         assert back == M
 
-    def test_round_trip_lambda_all_moduli(self, rng, q3s):
-        for m in (2, 3, 4):
-            M = random_connection(rng, q3s, 2, m, unif="u-pi")
-            for F in (0, 1, 2):
-                lam = lambda_approx(q3s, F, m)
-                My = change_uniformizer(M, lam)
-                back = change_uniformizer(My, lam.reversion().with_unif("u-pi"))
-                assert back == M
-                assert My.unif == f"lambda{F}"
+    @pytest.mark.parametrize("F", range(6))
+    @pytest.mark.parametrize("field", range(4))
+    def test_round_trip_lambda_all_moduli(self, rng, field, F):
+        """u - pi -> lambda_F -> u - pi is exact on a dense rank-2
+        connection for m = 2..8, on the benchmark's four fields."""
+        spec = FOUR_FIELDS[field]
+        for m in range(2, 9):
+            M = random_connection(rng, spec, 2, m, unif="u-pi")
+            lam = lambda_approx(spec, F, m)
+            My = change_uniformizer(M, lam)
+            back = change_uniformizer(My, lam.reversion().with_unif("u-pi"))
+            assert back == M
+            assert My.unif == f"lambda{F}"
 
     def test_no_reversion_and_no_composition(self, rng, q3s, monkeypatch):
-        """Operation counts: a 3 x 3 transport inverts y/T once, takes its
-        powers with m - 2 series products, reverts and composes nothing and
-        rewrites no entry on its own."""
-        never = {"reversion": 0, "compose": 0, "derivative": 0, "rewrite_in_uniformizer": 0}
+        """Operation counts: a 3 x 3 transport inverts y/T once, takes the
+        powers h^2..h^(m-1) of h = (y/T)^(-1) (m pair_dots each), [T^(m-1)]
+        h^m and the gauge entry (one each), and one pair_dot per output
+        coefficient of the 9 entries; it makes no series product, no
+        element product outside the inversion, reverts and composes nothing
+        and rewrites no entry on its own. lambda_approx and the Kummer
+        transport make no series or element product either."""
+        never = {"reversion": 0, "compose": 0, "derivative": 0, "rewrite_in_uniformizer": 0,
+                 "__mul__": 0}
         calls = count_calls(monkeypatch, [
             (TruncSeries, "reversion"), (TruncSeries, "compose"), (TruncSeries, "derivative"),
             (series, "rewrite_in_uniformizer"), (TruncSeries, "invert_unit"),
-            (TruncSeries, "__mul__")])
+            (TruncSeries, "__mul__"), (series, "pair_dot"), (connops, "pair_dot")])
+        products = count_element_products(monkeypatch)
         for m in (2, 4, 7):
             M = random_connection(rng, q3s, 3, m)
             y = random_uniformizer(rng, q3s, m, "y")
             before = dict(calls)
             change_uniformizer(M, y)
             assert {k: n - before[k] for k, n in calls.items()} == {
-                **never, "invert_unit": 1, "__mul__": m - 2}
+                **never, "invert_unit": 1, "pair_dot": (m - 2) * m + 2 + 9 * m}
         kummer_sen_operator(random_connection(rng, q3s, 3, 4, unif="u-pi"), 2)
         assert {k: calls[k] for k in never} == never
+        assert products == {"outside": 0}
 
     def test_modulus_one_relabel(self, rng, q3):
         M = random_connection(rng, q3, 2, 1, unif="u-pi")
@@ -389,6 +400,16 @@ class TestNilpotency:
         assert probe["trace"][-1] is INF
         # (2)(2-1)(2-2) = 0, so the walk stops at step 3 of the 50 allowed
         assert len(probe["trace"]) == 4
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_zero_scalar_is_nilpotent(self, rng, l):
+        """val(0) = +inf puts every weight near: at a = 0 the verdict is
+        nilpotent with all l weights counted, whatever the residue."""
+        for spec in FOUR_FIELDS:
+            M = random_connection(rng, spec, l, 2)
+            for a in (0, spec.zero()):
+                assert check_nilpotent(M, a) == {"status": "ProvenNilpotent",
+                                                 "evidence": {"near_weights": l}}
 
     def test_prism_implies_log(self, rng, q3s):
         for w in (2, -3, Fraction(1, 2), 0):

@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prismlab.errors import NotAUnit, NotAUniformizer
+from prismlab import series
+from prismlab.errors import InputFormatError, NotAUnit, NotAUniformizer
 from prismlab.series import TruncSeries, lambda_approx, rewrite_in_uniformizer
+from prismlab.strat import LogConnection, from_connection
 
-from conftest import FOUR_FIELDS, count_calls, random_element
+from conftest import FOUR_FIELDS, count_calls, count_element_products, random_element
 from ref import (compose_by_horner, lambda_by_powers, reversion_by_composition,
                  taylor_coeff_oracle)
 
@@ -87,11 +89,16 @@ class TestComposition:
             assert compose_by_horner(rev, y) == t
 
     def test_reversion_makes_no_composition(self, q3s, monkeypatch):
-        """Operation counts: one unit inversion and m - 2 products."""
+        """Operation counts at m = 6: one unit inversion, then the powers
+        h^2..h^4 through degree 4 (5 pair_dots each) and [T^4] h^5 (one),
+        with no series product and no element product outside the
+        inversion."""
         calls = count_calls(monkeypatch, [(TruncSeries, "compose"), (TruncSeries, "__mul__"),
-                                          (TruncSeries, "invert_unit")])
+                                          (TruncSeries, "invert_unit"), (series, "pair_dot")])
+        products = count_element_products(monkeypatch)
         TruncSeries(q3s, 6, [0, 2, 1, 0, 5, 1]).reversion()
-        assert calls == {"compose": 0, "__mul__": 4, "invert_unit": 1}
+        assert calls == {"compose": 0, "__mul__": 0, "invert_unit": 1, "pair_dot": 3 * 5 + 1}
+        assert products == {"outside": 0}
 
     def test_reversion_requires_uniformizer(self, q3):
         with pytest.raises(NotAUniformizer):
@@ -187,10 +194,58 @@ def test_reversion_matches_composition_loop(seed, field, m):
     assert rev == reversion_by_composition(y) and rev.unif == "y"
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), field=st.integers(0, 3), n=st.integers(0, 6))
+def test_pair_dot_matches_element_sums(seed, field, n):
+    """pair_dot against the sum of element products, zipped to the shorter
+    sequence and with zeros among the factors: its pair, over a multiple of
+    the lcm of the nonzero terms' denominators, is the same element."""
+    spec = FOUR_FIELDS[field]
+    rng = random.Random(seed)
+
+    def draw(k):
+        return [random_element(rng, spec) if rng.random() < 0.8 else spec.zero()
+                for _ in range(k)]
+    xs, ys = draw(n), draw(n + rng.randrange(2))
+    num, den = series.pair_dot(spec, [(x._num, x._den) for x in xs],
+                               [(y._num, y._den) for y in ys])
+    want = sum((x * y for x, y in zip(xs, ys)), spec.zero())
+    assert spec.element([Fraction(v, den) for v in num]) == want
+    assert den > 0 and den % want._den == 0
+
+
 @settings(max_examples=30, deadline=None)
-@given(field=st.integers(0, 3), m=st.integers(2, 6), F=st.integers(0, 2))
+@given(field=st.integers(0, 3), m=st.integers(2, 6), F=st.integers(0, 4))
 def test_lambda_matches_power_products(field, m, F):
     spec = FOUR_FIELDS[field]
     lam = lambda_approx(spec, F, m)
     ref = lambda_by_powers(spec, F, m)
     assert lam == ref and lam.unif == ref.unif == f"lambda{F}"
+
+
+def _strat(spec, D):
+    return from_connection(LogConnection.trivial(spec, 1, 2), 1, D)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda q3: lambda_approx(q3, 1, 0), "need an integer m >= 1, got 0"),
+    (lambda q3: lambda_approx(q3, 1, True), "need an integer m >= 1, got True"),
+    (lambda q3: lambda_approx(q3, True, 2), "need an integer F >= 0, got True"),
+    (lambda q3: lambda_approx(q3, 1.0, 2), "need an integer F >= 0, got 1.0"),
+    (lambda q3: lambda_approx(q3, -1, 2), "need an integer F >= 0, got -1"),
+    (lambda q3: TruncSeries(q3, True, [1]), "need an integer m >= 1, got True"),
+    (lambda q3: TruncSeries(q3, "2", [1]), "need an integer m >= 1, got '2'"),
+    (lambda q3: TruncSeries(q3, 0, []), "need an integer m >= 1, got 0"),
+    (lambda q3: _strat(q3, 1.5), "stratification needs integers l,m >= 1 and D >= 0"),
+    (lambda q3: _strat(q3, "2"), "stratification needs integers l,m >= 1 and D >= 0"),
+    (lambda q3: _strat(q3, True), "stratification needs integers l,m >= 1 and D >= 0"),
+], ids=["lambda-m0", "lambda-m-bool", "lambda-F-bool", "lambda-F-float", "lambda-F-negative",
+        "series-m-bool", "series-m-str", "series-m0", "strat-D-float", "strat-D-str",
+        "strat-D-bool"])
+def test_size_parameters_are_checked(q3, build, message):
+    """lambda_approx's F and m, TruncSeries' m and from_connection's D: an
+    int in range, else InputFormatError naming the parameter, before any
+    work; a bool is no int here."""
+    with pytest.raises(InputFormatError) as info:
+        build(q3)
+    assert str(info.value) == message

@@ -347,14 +347,15 @@ def root_by_name():
 
 
 # What no reference may import or call: the field's lift, regular
-# representation, integer valuation and numerator kernels; the packed
+# representation, integer valuation and numerator kernels; the series'
+# pair kernel and its table of the powers of (y/T)^(-1); the packed
 # family kernel; elimination and the characteristic polynomial; the
 # T-linear builder, operator families and their walks; the descent and the
 # Gauss valuation; and every name that ROADMAP item 1B deletes. Of those,
 # TruncSeries.__pow__ and Matrix.__neg__ are reached through ** and unary
 # minus as well, which the rule cannot tell from FieldElement's.
 REF_FORBIDDEN = {
-    "lift", "regular", "_vp_int", "num_ev", "_mulnum",
+    "lift", "regular", "_vp_int", "num_ev", "_mulnum", "pair_dot", "h_powers",
     "falling_levels", "falling_powers", "PackedLevel",
     "charpoly", "charpoly_numerators", "reduce_rows", "rref", "rank", "kernel_basis", "column_pivots", "null_basis",
     "_t_linear", "operator_family", "Family", "first_off_recurrence", "_off_levels",
